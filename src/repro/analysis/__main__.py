@@ -103,16 +103,25 @@ for _nf in EXPAND["others"]:
     RENDERERS[_nf] = lambda result, _t=_nf: report.render_sweep(result, _t)
 
 
+def _int_at_least(flag: str, lowest: int):
+    """argparse type: an integer no smaller than ``lowest``."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{flag} takes an integer")
+        if number < lowest:
+            raise argparse.ArgumentTypeError(f"{flag} must be at least {lowest}")
+        return number
+
+    return parse
+
+
 def _jobs_arg(value: str):
     if value == "auto":
         return "auto"
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("--jobs takes an integer or 'auto'")
-    if jobs <= 0:
-        raise argparse.ArgumentTypeError("--jobs must be positive")
-    return jobs
+    return _int_at_least("--jobs", 1)(value)
 
 
 def main(argv=None) -> int:
@@ -128,7 +137,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--packets",
-        type=int,
+        type=_int_at_least("--packets", 1),
         default=2000,
         help="packets per measured configuration (default 2000)",
     )
@@ -142,7 +151,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=_int_at_least("--retries", 0),
         default=1,
         help="serial retries for failed subtasks before giving up "
         "(default 1; successes are cached either way, failures never)",

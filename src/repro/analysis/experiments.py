@@ -124,8 +124,8 @@ def fig3c_cuckoo_switch(
     for alpha in load_factors:
         n_keys = int(alpha * capacity)
         flows = fg_all.flows[:n_keys]
-        fg = FlowGenerator(n_flows=max(n_keys, 1), seed=seed + 1)
-        fg.flows = flows  # traffic restricted to resident keys
+        # Traffic restricted to resident keys.
+        fg = FlowGenerator(seed=seed + 1, flows=flows)
         trace = fg.trace(n_packets)
         for mode in ALL_MODES:
             rt = BpfRuntime(mode=mode, seed=seed)
@@ -223,8 +223,7 @@ def fig3g_cuckoo_filter(
     for alpha in load_factors:
         n_keys = int(alpha * capacity)
         flows = fg_all.flows[:n_keys]
-        fg = FlowGenerator(n_flows=max(n_keys, 1), seed=seed + 1)
-        fg.flows = flows
+        fg = FlowGenerator(seed=seed + 1, flows=flows)
         trace = fg.trace(n_packets)
         for mode in ALL_MODES:
             rt = BpfRuntime(mode=mode, seed=seed)

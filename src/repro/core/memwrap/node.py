@@ -110,7 +110,10 @@ class Node:
         self.data[off : off + len(payload)] = payload
 
     def read_u64(self, off: int = 0) -> int:
-        return int.from_bytes(self.read(off, 8), "little")
+        data = self.data
+        if not self.alive or off < 0 or off + 8 > len(data):
+            self.read(off, 8)   # raises the same guard error as read()
+        return int.from_bytes(data[off : off + 8], "little")
 
     def write_u64(self, value: int, off: int = 0) -> None:
         self.write(off, (value & ((1 << 64) - 1)).to_bytes(8, "little"))

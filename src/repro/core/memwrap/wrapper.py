@@ -26,14 +26,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ...ebpf.cost_model import Category
+from ...ebpf.cost_model import Category, ExecMode
 from ...ebpf.runtime import BpfRuntime
-from ..errors import (
-    AllocationError,
-    DoubleFreeError,
-    InvalidSlotError,
-    UseAfterFreeError,
-)
+from ..errors import DoubleFreeError
 from .node import Node
 from .proxy import NodeProxy
 
@@ -57,6 +52,25 @@ class MemoryWrapper:
         self.category = category
         self._fail_next_alloc = False   # fault injection for tests
         self.stats = WrapperStats()
+        # Per-kfunc costs, resolved once: the kernel baseline pays raw
+        # pointer costs, eNetSTL its kfunc costs.
+        c = rt.costs
+        kernel = rt.mode is ExecMode.KERNEL
+        self._charge = rt.charge
+        self._alloc_cost = c.kmalloc if kernel else c.node_alloc
+        self._connect_cost = c.node_connect_kernel if kernel else c.node_connect
+        self._disconnect_cost = (
+            c.node_disconnect_kernel if kernel else c.node_disconnect
+        )
+        self._release_cost = c.node_release_kernel if kernel else c.node_release
+        self._free_cost = c.kfree if kernel else c.bpf_obj_free
+        self._get_next_cost = (
+            c.get_next_kernel + c.node_read
+            if kernel
+            else c.get_next_kfunc + c.node_read + c.null_check
+        ) + (c.eager_check if checking == EAGER else 0)
+        self._kfunc_cost = c.kfunc_call
+        self._copy_cost = c.mem_copy_per_16b
 
     # -- fault injection ---------------------------------------------------
 
@@ -74,11 +88,7 @@ class MemoryWrapper:
         The kfunc is annotated ``KF_ACQUIRE | KF_RET_NULL``: the caller
         owns the returned reference and must null-check it.
         """
-        costs = self.rt.costs
-        self.rt.charge(
-            costs.kmalloc if self.rt.mode.value == "kernel" else costs.node_alloc,
-            self.category,
-        )
+        self._charge(self._alloc_cost, self.category)
         if self._fail_next_alloc:
             self._fail_next_alloc = False
             return None
@@ -87,12 +97,12 @@ class MemoryWrapper:
 
     def set_owner(self, proxy: NodeProxy, node: Node) -> None:
         """Transfer ownership of ``node`` to ``proxy``."""
-        self.rt.charge(self.rt.costs.kfunc_call, self.category)
+        self._charge(self._kfunc_cost, self.category)
         proxy.adopt(node)
 
     def unset_owner(self, proxy: NodeProxy, node: Node) -> None:
         """Detach ``node`` from ``proxy``; frees it if unreferenced."""
-        self.rt.charge(self.rt.costs.kfunc_call, self.category)
+        self._charge(self._kfunc_cost, self.category)
         proxy.disown(node)
         if node.refcount == 0:
             self._free(node)
@@ -107,16 +117,11 @@ class MemoryWrapper:
         recorded reverse edge is what lazy checking consumes at free
         time.
         """
-        costs = self.rt.costs
-        self.rt.charge(
-            costs.node_connect_kernel
-            if self.rt.mode.value == "kernel"
-            else costs.node_connect,
-            self.category,
-        )
-        src.check_alive()
-        dst.check_alive()
-        src.check_out_slot(out_idx)
+        self._charge(self._connect_cost, self.category)
+        if not (src.alive and dst.alive and 0 <= out_idx < len(src.outs)):
+            src.check_alive()
+            dst.check_alive()
+            src.check_out_slot(out_idx)
         old = src.outs[out_idx]
         if old is not None:
             old.remove_in_edge(src, out_idx)
@@ -126,9 +131,10 @@ class MemoryWrapper:
 
     def node_disconnect(self, src: Node, out_idx: int) -> None:
         """``src->outs[out_idx] = NULL``."""
-        self.rt.charge(self._disconnect_cost(), self.category)
-        src.check_alive()
-        src.check_out_slot(out_idx)
+        self._charge(self._disconnect_cost, self.category)
+        if not (src.alive and 0 <= out_idx < len(src.outs)):
+            src.check_alive()
+            src.check_out_slot(out_idx)
         old = src.outs[out_idx]
         if old is not None:
             old.remove_in_edge(src, out_idx)
@@ -142,22 +148,18 @@ class MemoryWrapper:
         every out slot is either NULL or points at a live node.  With
         eager checking it additionally probes the (conceptual)
         relationship hash table — the §6.2 ablation quantifies that
-        cost.
+        cost.  Either way it is one charge of the summed cost.
         """
-        costs = self.rt.costs
-        if self.rt.mode.value == "kernel":
-            self.rt.charge(costs.get_next_kernel + costs.node_read, self.category)
-        else:
-            self.rt.charge(costs.get_next_kfunc + costs.node_read, self.category)
-            self.rt.charge(costs.null_check, self.category)
-        if self.checking == EAGER:
-            self.rt.charge(costs.eager_check, self.category)
-        node.check_alive()
-        node.check_out_slot(out_idx)
-        nxt = node.outs[out_idx]
+        self._charge(self._get_next_cost, self.category)
+        outs = node.outs
+        if not (node.alive and 0 <= out_idx < len(outs)):
+            node.check_alive()
+            node.check_out_slot(out_idx)
+        nxt = outs[out_idx]
         if nxt is None:
             return None
-        nxt.check_alive()   # unreachable when the lazy invariant holds
+        if not nxt.alive:
+            nxt.check_alive()   # unreachable when the lazy invariant holds
         nxt.refcount += 1
         self.stats.traversals += 1
         return nxt
@@ -171,65 +173,49 @@ class MemoryWrapper:
         proxy owns it.  ``KF_RELEASE``-annotated, so the verifier pairs
         it with ``node_alloc`` / ``get_next``.
         """
-        costs = self.rt.costs
-        self.rt.charge(
-            costs.node_release_kernel
-            if self.rt.mode.value == "kernel"
-            else costs.node_release,
-            self.category,
-        )
-        node.check_alive()
-        if node.refcount <= 0:
+        self._charge(self._release_cost, self.category)
+        refs = node.refcount
+        if refs <= 0 or not node.alive:
+            node.check_alive()
             raise DoubleFreeError(f"node #{node.node_id} released too many times")
-        node.refcount -= 1
-        if node.refcount == 0 and node.owner is None:
+        node.refcount = refs - 1
+        if refs == 1 and node.owner is None:
             self._free(node)
 
     def _free(self, node: Node) -> None:
         """Actually free: lazy teardown of every recorded relationship.
 
         For each in-edge ``(src, out_idx)`` the recorded reverse index
-        tells us ``src->outs[out_idx]`` aims here; NULL it.  For each of
-        our own out-edges, drop the reverse entry at the target.  After
-        this, no live pointer references the dead node.
+        tells us ``src->outs[out_idx]`` aims here; NULL it (one
+        disconnect's cost each).  For each of our own out-edges, drop
+        the reverse entry at the target.  After this, no live pointer
+        references the dead node.
         """
-        for src, out_idx in node.in_edges():
+        in_edges = node.in_edges()
+        for src, out_idx in in_edges:
             if src.alive and src.outs[out_idx] is node:
                 src.outs[out_idx] = None
-            self.rt.charge(self._disconnect_cost(), self.category)
         for out_idx, dst in enumerate(node.outs):
             if dst is not None:
                 dst.remove_in_edge(node, out_idx)
                 node.outs[out_idx] = None
         node.free_now()
         self.stats.frees += 1
-        self.rt.charge(
-            self.rt.costs.kfree
-            if self.rt.mode.value == "kernel"
-            else self.rt.costs.bpf_obj_free,
-            self.category,
+        self._charge(
+            len(in_edges) * self._disconnect_cost + self._free_cost, self.category
         )
-
-    def _disconnect_cost(self) -> int:
-        costs = self.rt.costs
-        if self.rt.mode.value == "kernel":
-            return costs.node_disconnect_kernel
-        return costs.node_disconnect
 
     # -- payload access -----------------------------------------------------------
 
     def node_read(self, node: Node, off: int, size: int) -> bytes:
-        self.rt.charge(
-            self.rt.costs.kfunc_call
-            + self.rt.costs.mem_copy_per_16b * ((size + 15) // 16),
-            self.category,
+        self._charge(
+            self._kfunc_cost + self._copy_cost * ((size + 15) // 16), self.category
         )
         return node.read(off, size)
 
     def node_write(self, node: Node, off: int, payload: bytes) -> None:
-        self.rt.charge(
-            self.rt.costs.kfunc_call
-            + self.rt.costs.mem_copy_per_16b * ((len(payload) + 15) // 16),
+        self._charge(
+            self._kfunc_cost + self._copy_cost * ((len(payload) + 15) // 16),
             self.category,
         )
         node.write(off, payload)

@@ -62,6 +62,11 @@ class Category(enum.Enum):
     FRAMEWORK = "framework dispatch"
     OTHER = "other NF logic"
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash keys dicts exactly like Enum's Python-level
+    # name hash -- without a Python frame on every charge.
+    __hash__ = object.__hash__
+
 
 #: The observation categories (O1..O6) in paper order, for Fig. 1.
 OBSERVATION_CATEGORIES: Tuple[Category, ...] = (
@@ -245,7 +250,8 @@ class Cycles:
         if cycles < 0:
             raise ValueError(f"negative cycle charge: {cycles}")
         self.total += cycles
-        self._by_category[category] = self._by_category.get(category, 0) + cycles
+        by = self._by_category
+        by[category] = by.get(category, 0) + cycles
 
     def breakdown(self) -> Dict[Category, int]:
         """Category -> cycles charged so far (copy)."""

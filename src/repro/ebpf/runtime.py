@@ -33,6 +33,10 @@ class BpfRuntime:
         self.mode = mode
         self.costs = costs
         self.cycles = Cycles()
+        #: ``charge(cycles, category=Category.OTHER)``: the counter's
+        #: own bound method, so the simulator's hottest call costs one
+        #: Python frame, not two.  A negative charge raises ValueError.
+        self.charge = self.cycles.charge
         self._prng = random.Random(seed)
         self._ktime_ns = 0
         #: Optional :class:`repro.faults.FaultInjector` — when set, the
@@ -40,11 +44,6 @@ class BpfRuntime:
         #: mirroring how real helper calls return error codes.  Duck
         #: typed to keep repro.ebpf free of a repro.faults import.
         self.faults = None
-
-    # -- generic charging -------------------------------------------------
-
-    def charge(self, cycles: int, category: Category = Category.OTHER) -> None:
-        self.cycles.charge(cycles, category)
 
     # -- helpers ----------------------------------------------------------
 

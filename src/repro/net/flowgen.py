@@ -54,7 +54,11 @@ class FlowGenerator:
         distribution: str = "uniform",
         zipf_s: float = 1.1,
         seed: int = 1,
+        flows: Optional[Sequence[Packet]] = None,
     ) -> None:
+        """``flows`` replaces the synthesized population (``n_flows`` is
+        then ignored); the trace RNG depends only on ``seed`` either way.
+        """
         if distribution not in DISTRIBUTIONS:
             raise ValueError(
                 f"unknown distribution {distribution!r}; choose from {DISTRIBUTIONS}"
@@ -64,7 +68,13 @@ class FlowGenerator:
         self.distribution = distribution
         self.zipf_s = zipf_s
         self._rng = random.Random(seed ^ 0x5EED)
-        self.flows = make_flows(n_flows, seed)
+        if flows is None:
+            self.flows = make_flows(n_flows, seed)
+        elif not flows:
+            raise ValueError("flows must be non-empty")
+        else:
+            self.flows = list(flows)
+        n_flows = len(self.flows)
         self._cdf: Optional[List[float]] = None
         if distribution == "zipf":
             weights = [1.0 / (rank ** zipf_s) for rank in range(1, n_flows + 1)]

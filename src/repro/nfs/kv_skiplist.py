@@ -62,38 +62,37 @@ class SkipListKV(BaseNF):
 
     # -- helpers ----------------------------------------------------------
 
-    @staticmethod
-    def _key_of(node: Node) -> int:
-        return node.read_u64(0)
-
     def _release_all(self, held: List[Node]) -> None:
+        release = self.wrapper.node_release
         for node in held:
-            self.wrapper.node_release(node)
+            release(node)
 
     def _search(self, key: int) -> Tuple[List[Node], List[Node]]:
         """Walk down the levels; returns (predecessors, held refs).
 
         Every step is one ``get_next`` (zero safety checks under lazy
         checking) plus a key compare read from the node's payload.
+        Each held node was compared exactly once, so the compares are
+        booked as one charge of ``len(held)`` compares.
         """
-        w = self.wrapper
-        costs = self.costs
+        get_next = self.wrapper.get_next
         held: List[Node] = []
-        update: List[Node] = [self.head] * self.max_height
+        hold = held.append
         x = self.head
+        update: List[Node] = [x] * self.max_height
         for level in range(self.height - 1, -1, -1):
-            nxt = w.get_next(x, level)
-            if nxt is not None:
-                held.append(nxt)
-            while nxt is not None and self._key_of(nxt) < key:
-                self.rt.charge(costs.cmp_scalar_per_item, Category.NONCONTIG)
+            nxt = get_next(x, level)
+            while nxt is not None:
+                hold(nxt)
+                if nxt.read_u64(0) >= key:
+                    break
                 x = nxt
-                nxt = w.get_next(x, level)
-                if nxt is not None:
-                    held.append(nxt)
-            if nxt is not None:
-                self.rt.charge(costs.cmp_scalar_per_item, Category.NONCONTIG)
+                nxt = get_next(x, level)
             update[level] = x
+        if held:
+            self.rt.charge(
+                self.costs.cmp_scalar_per_item * len(held), Category.NONCONTIG
+            )
         return update, held
 
     # -- operations -----------------------------------------------------------
@@ -108,7 +107,7 @@ class SkipListKV(BaseNF):
                 return None
             try:
                 self.rt.charge(self.costs.cmp_scalar_per_item, Category.NONCONTIG)
-                if self._key_of(candidate) != key:
+                if candidate.read_u64(0) != key:
                     return None
                 return candidate.read(8, VALUE_SIZE)
             finally:
@@ -127,7 +126,7 @@ class SkipListKV(BaseNF):
             if candidate is not None:
                 try:
                     self.rt.charge(self.costs.cmp_scalar_per_item, Category.NONCONTIG)
-                    if self._key_of(candidate) == key:
+                    if candidate.read_u64(0) == key:
                         w.node_write(candidate, 8, value)
                         return True
                 finally:
@@ -162,7 +161,7 @@ class SkipListKV(BaseNF):
             if candidate is None:
                 return False
             self.rt.charge(self.costs.cmp_scalar_per_item, Category.NONCONTIG)
-            if self._key_of(candidate) != key:
+            if candidate.read_u64(0) != key:
                 w.node_release(candidate)
                 return False
             for level in range(len(candidate.outs)):

@@ -111,6 +111,24 @@ class TestFlowGenerator:
         with pytest.raises(ValueError):
             rate_to_inter_arrival_ns(0)
 
+    @pytest.mark.parametrize("distribution", ["uniform", "zipf", "round_robin"])
+    def test_given_flows_trace_like_overwritten_population(self, distribution):
+        # The trace RNG is seeded from ``seed`` alone, so a generator
+        # built over given flows replays exactly what one that
+        # synthesized its own population and then had it overwritten
+        # does (how the Fig. 3c/3g sweeps restricted traffic to the
+        # resident keys).
+        resident = make_flows(300, seed=5)[:123]
+        old = FlowGenerator(len(resident), distribution=distribution, seed=6)
+        old.flows = resident
+        new = FlowGenerator(distribution=distribution, seed=6, flows=resident)
+        assert new.flows == resident and new.flows is not resident
+        assert new.trace(500) == old.trace(500)
+
+    def test_given_flows_must_be_non_empty(self):
+        with pytest.raises(ValueError):
+            FlowGenerator(flows=[])
+
 
 class TestStats:
     def test_mean_stdev(self):
