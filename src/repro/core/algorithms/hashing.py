@@ -21,6 +21,7 @@ per the execution mode.
 
 from __future__ import annotations
 
+import struct
 from typing import List, MutableSequence, Sequence, Tuple, Union
 
 from ...ebpf.cost_model import Category, ExecMode, simd_batches
@@ -44,33 +45,91 @@ def _to_int(key: KeyLike) -> int:
             chunk = int.from_bytes(key[i : i + 8], "little")
             x = ((x * 0x100000001B3) ^ chunk) & M64
         return x
-    return key & M64 if key >= 0 else (key & M64)
+    return key & M64
+
+
+# The hashers below take plain ints inline: masking the sum (or XOR)
+# to 64 bits equals masking the key first, so only other key types pay
+# the ``_to_int`` call.
 
 
 def fast_hash64(key: KeyLike, seed: int = 0) -> int:
     """Splitmix64-style avalanche hash (functional stand-in for xxhash)."""
-    x = (_to_int(key) + (seed + 1) * 0x9E3779B97F4A7C15) & M64
+    if key.__class__ is not int:
+        key = _to_int(key)
+    x = (key + (seed + 1) * 0x9E3779B97F4A7C15) & M64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & M64
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & M64
-    x ^= x >> 31
-    return x
+    return x ^ (x >> 31)
 
 
 def fast_hash32(key: KeyLike, seed: int = 0) -> int:
     """32-bit variant of :func:`fast_hash64`."""
-    return fast_hash64(key, seed) & M32
+    if key.__class__ is not int:
+        key = _to_int(key)
+    x = (key + (seed + 1) * 0x9E3779B97F4A7C15) & M64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & M64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & M64
+    return (x ^ (x >> 31)) & M32
 
 
 def crc_hash32(key: KeyLike, seed: int = 0) -> int:
     """Stand-in for a hardware CRC32C hash (distinct mixing constant)."""
-    x = (_to_int(key) ^ (seed * 0x9E3779B1 + 0x85EBCA77)) & M64
+    if key.__class__ is not int:
+        key = _to_int(key)
+    x = (key ^ (seed * 0x9E3779B1 + 0x85EBCA77)) & M64
     x = (x * 0xC2B2AE3D27D4EB4F) & M64
     x ^= x >> 29
     x = (x * 0x165667B19E3779F9) & M64
     x ^= x >> 32
     return x & M32
+
+
+# -- lane kernel ---------------------------------------------------------------
+#
+# The software analogue of the multi-hash kfuncs: one Python big int
+# holds LANES 64-bit lanes at a 128-bit stride, so every splitmix step
+# is a handful of whole-int operations instead of one interpreted
+# sequence per key.  A product of a lane (< 2^64) and a 64-bit
+# constant stays below 2^128, so lanes never carry into each other; a
+# right shift drags the next lane's low bits into the padding, which
+# the lane mask after every shift and multiply clears.
+
+LANES = 64
+_STRIDE = 16  # bytes per lane
+_ONES = sum(1 << (128 * i) for i in range(LANES))
+_LANE64 = M64 * _ONES
+_LANE32 = M32 * _ONES
+_PACK = struct.Struct("<" + "Q8x" * LANES)
+_UNPACK32 = struct.Struct("<" + "I12x" * LANES)
+
+
+def fast_hash32_lanes(keys: Sequence[int], seed: int = 0) -> List[int]:
+    """``[fast_hash32(k, seed) for k in keys]`` for int keys, LANES at a time."""
+    out: List[int] = []
+    add = ((seed + 1) * 0x9E3779B97F4A7C15 & M64) * _ONES
+    for start in range(0, len(keys), LANES):
+        chunk = keys[start : start + LANES]
+        n = len(chunk)
+        if n < LANES:
+            chunk = [*chunk, *(0,) * (LANES - n)]
+        try:
+            packed = _PACK.pack(*chunk)
+        except struct.error:  # a key outside [0, 2^64)
+            packed = _PACK.pack(*map(M64.__and__, chunk))
+        x = int.from_bytes(packed, "little") + add & _LANE64
+        x ^= x >> 30 & _LANE64
+        x = x * 0xBF58476D1CE4E5B9 & _LANE64
+        x ^= x >> 27 & _LANE64
+        x = x * 0x94D049BB133111EB & _LANE64
+        x = (x ^ x >> 31) & _LANE32
+        lanes = _UNPACK32.unpack(x.to_bytes(LANES * _STRIDE, "little"))
+        out += lanes if n == LANES else lanes[:n]
+    return out
 
 
 class HashAlgos:

@@ -48,9 +48,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from itertools import compress
+from typing import Dict, List, Optional, Tuple
 
-from ..core.algorithms.hashing import fast_hash32
+from ..core.algorithms.hashing import LANES, fast_hash32, fast_hash32_lanes
 
 # -- fault kinds ------------------------------------------------------------
 
@@ -95,9 +96,89 @@ def _chance(seed: int, salt: int, index: int) -> float:
     Indexed hashing (not a stateful PRNG) makes the schedule a pure
     function of ``(seed, kind, index)``: the n-th packet faults the
     same way no matter which core asks first or how events interleave
-    with other fault kinds.
+    with other fault kinds.  Event ``index`` fires iff its draw is
+    below the kind's rate; :class:`_Schedule` evaluates exactly this
+    rule a block of indexes at a time.
     """
     return fast_hash32((index << 7) ^ salt, seed) / 4294967296.0
+
+
+#: Event indexes a schedule hashes in its first block; every further
+#: block doubles, up to ``_MAX_BLOCK``, so short runs hash little and
+#: long ones amortise the lane kernel.
+_FIRST_BLOCK = LANES
+_MAX_BLOCK = 16 * LANES
+
+#: ``due`` of a kind whose rate is zero: it never fires.
+_NEVER = 1 << 62
+
+
+class _Schedule:
+    """One kind's firing indexes under one seed, walked in order.
+
+    ``index`` counts the events drawn so far.  ``due`` is the next
+    index at which anything happens: a firing index from the hashed
+    blocks, or the end of the hashed blocks (where the next block is
+    hashed).  Every index below ``due`` is a non-firing one, so
+    deciding an event is one compare.
+    """
+
+    __slots__ = (
+        "seed", "salt", "threshold", "index", "due",
+        "_fired", "_next", "_hashed", "_block",
+    )
+
+    def __init__(self, seed: int, kind: str, rate: float) -> None:
+        self.seed = seed
+        self.salt = _KIND_SALT[kind]
+        # ``hash / 2^32 < rate`` for an integer hash is exactly
+        # ``hash < ceil(rate * 2^32)``: both scalings by 2^32 are exact.
+        self.threshold = math.ceil(rate * 4294967296.0)
+        self.index = 0
+        self.due = 0 if self.threshold > 0 else _NEVER
+        self._fired: List[int] = []
+        self._next = 0
+        self._hashed = 0
+        self._block = _FIRST_BLOCK
+
+    def take(self, stop: int) -> List[int]:
+        """The firing indexes in ``[index, stop)``; ``index`` moves to
+        ``stop``."""
+        hits = []
+        while self.due < stop:
+            if self.due < self._hashed:
+                hits.append(self.due)
+                self._next += 1
+            else:
+                self._hash_block()
+            fired = self._fired
+            self.due = (
+                fired[self._next] if self._next < len(fired) else self._hashed
+            )
+        self.index = stop
+        return hits
+
+    def fires(self) -> bool:
+        """Decide the next event."""
+        idx = self.index
+        if idx < self.due:
+            self.index = idx + 1
+            return False
+        return bool(self.take(idx + 1))
+
+    def _hash_block(self) -> None:
+        start = self._hashed
+        end = start + self._block
+        salt = self.salt
+        hashes = fast_hash32_lanes(
+            [(i << 7) ^ salt for i in range(start, end)], self.seed
+        )
+        self._fired = list(
+            compress(range(start, end), map(self.threshold.__gt__, hashes))
+        )
+        self._next = 0
+        self._hashed = end
+        self._block = min(2 * self._block, _MAX_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -225,13 +306,8 @@ class FaultPlan:
         A pure function of the plan — used by determinism tests and for
         reasoning about a replay without running it.
         """
-        rate = self.rates()[kind]
-        if rate <= 0.0:
-            return []
         seed = _core_seed(self.seed, core)
-        salt = _KIND_SALT[kind]
-        return [i for i in range(n_events)
-                if _chance(seed, salt, i) < rate]
+        return _Schedule(seed, kind, self.rates()[kind]).take(n_events)
 
     def describe(self) -> Dict[str, object]:
         """Plan as a plain dict (benchmark / CLI metadata)."""
@@ -252,27 +328,25 @@ class FaultInjector:
     deterministic ``(seed, kind, index)`` hash, so identical plans
     produce identical fault sequences.  The data plane attaches one
     injector per core: :class:`~repro.net.xdp.XdpPipeline` consults
-    :meth:`packet_fault` per packet, and the simulated BPF maps consult
-    :meth:`map_update_fault` per update through ``rt.faults``.
+    :meth:`packet_fault` per packet (or :meth:`screen` per batch), and
+    the simulated BPF maps consult :meth:`map_update_fault` per update
+    through ``rt.faults``.
     """
 
     def __init__(self, plan: FaultPlan, core: int = 0) -> None:
         self.plan = plan
         self.core = core
-        self._seed = _core_seed(plan.seed, core)
-        self._rates = plan.rates()
-        self._index: Dict[str, int] = {kind: 0 for kind in RATE_KINDS}
+        seed = _core_seed(plan.seed, core)
+        self._schedules: Dict[str, _Schedule] = {
+            kind: _Schedule(seed, kind, rate)
+            for kind, rate in plan.rates().items()
+        }
         #: Injected-fault counts by kind (the chaos report's ledger).
         self.injected: Counter = Counter()
 
     def _fires(self, kind: str) -> bool:
         """Advance ``kind``'s event counter and decide this event."""
-        rate = self._rates[kind]
-        idx = self._index[kind]
-        self._index[kind] = idx + 1
-        if rate <= 0.0:
-            return False
-        return _chance(self._seed, _KIND_SALT[kind], idx) < rate
+        return self._schedules[kind].fires()
 
     def packet_fault(self) -> Optional[str]:
         """The fault afflicting the next packet, if any.
@@ -323,6 +397,40 @@ class FaultInjector:
             )
         return None
 
+    def screen(self, n: int) -> List[Tuple[int, Optional[str], bool]]:
+        """Exactly ``n`` rounds of :meth:`packet_fault` then
+        :meth:`helper_fault`, for a batch of ``n`` packets.
+
+        Returns ``(offset, packet fault, helper fault)`` for the
+        afflicted offsets only, in offset order, and books the same
+        ledger entries the ``n`` rounds would; every other offset is
+        clean.  The cost follows the faults that fire, not ``n``.
+        """
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        faults: Dict[int, Optional[str]] = {}
+        for kind in PACKET_KINDS:
+            schedule = self._schedules[kind]
+            base = schedule.index
+            for idx in schedule.take(base + n):
+                faults.setdefault(idx - base, kind)
+        schedule = self._schedules[HELPER]
+        base = schedule.index
+        helper = {idx - base for idx in schedule.take(base + n)}
+        if not faults and not helper:
+            return []
+        injected = self.injected
+        hits = []
+        for offset in sorted(faults.keys() | helper):
+            fault = faults.get(offset)
+            failed = offset in helper
+            if fault is not None:
+                injected[fault] += 1
+            if failed:
+                injected[HELPER] += 1
+            hits.append((offset, fault, failed))
+        return hits
+
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
@@ -331,7 +439,10 @@ class FaultInjector:
         return {
             "core": self.core,
             "injected": dict(self.injected),
-            "events_seen": dict(self._index),
+            "events_seen": {
+                kind: schedule.index
+                for kind, schedule in self._schedules.items()
+            },
         }
 
 

@@ -135,7 +135,9 @@ def _source(args):
 
 
 def _plan(args) -> FaultPlan:
-    return FaultPlan.uniform(
+    """The run's fault plan, checked against ``--cores``; raises
+    :class:`ValueError` on a bad combination of plan flags."""
+    plan = FaultPlan.uniform(
         args.rate,
         seed=args.seed,
         crash_core=args.crash_core,
@@ -143,11 +145,12 @@ def _plan(args) -> FaultPlan:
         wedge_core=args.wedge_core,
         wedge_at=args.wedge_at,
     )
+    plan.validate_for_cores(args.cores)
+    return plan
 
 
-def run_chaos(args) -> MulticoreResult:
-    """Build the plan + dispatcher and replay the trace (CLI core)."""
-    plan = _plan(args)
+def run_chaos(args, plan: FaultPlan) -> MulticoreResult:
+    """Build the dispatcher and replay the trace (CLI core)."""
     builder = NF_BUILDERS[args.nf]
     mode = ExecMode(args.mode)
     factory = lambda core: builder(BpfRuntime(mode=mode, seed=core))
@@ -175,9 +178,8 @@ def run_chaos(args) -> MulticoreResult:
     return dispatcher.run(source, batch_size=args.batch_size)
 
 
-def run_chaos_slo(args):
+def run_chaos_slo(args, plan: FaultPlan):
     """Chaos through the SLO control loop (``--autoscale`` CLI core)."""
-    plan = _plan(args)
     builder = NF_BUILDERS[args.nf]
     mode = ExecMode(args.mode)
     factory = lambda core: builder(BpfRuntime(mode=mode, seed=core))
@@ -441,12 +443,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             ArrivalProcess.from_spec(args.burst, seed=args.seed)
         except ValueError as exc:
             parser.error(str(exc))
+    try:
+        plan = _plan(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     try:
         if args.autoscale:
-            run = run_chaos_slo(args)
+            run = run_chaos_slo(args, plan)
         else:
-            result = run_chaos(args)
+            result = run_chaos(args, plan)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

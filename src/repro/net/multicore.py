@@ -67,6 +67,7 @@ And the PR 3 resilience layer:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
@@ -789,13 +790,13 @@ class RssDispatcher:
         deadlines = self._deadlines()
         latencies: List[int] = []
         wire_ns = cfg.wire_ns
-        timeout_ns = cfg.batch_timeout_ns
         numa_pen = [
             self.numa.packet_penalty_cycles(core, n_cores)
             if self.numa is not None else 0
             for core in range(n_cores)
         ]
         now = 0
+        next_pickup = math.inf
 
         def declare_dead(queue: int, kind: str) -> None:
             alive[queue] = False
@@ -822,6 +823,7 @@ class RssDispatcher:
             return survivors[fast_hash32(key, FAILOVER_SEED) % len(survivors)]
 
         def enqueue(pkt: Packet, at_ns: int) -> None:
+            nonlocal next_pickup
             queue = queue_of(pkt)
             if not alive[queue]:
                 record = failure_of.get(queue)
@@ -835,7 +837,9 @@ class RssDispatcher:
                 if alive[queue] and lost[queue] >= deadlines[queue]:
                     declare_dead(queue, "wedge")
                 return
-            queues[queue].offer(pkt, at_ns)
+            q = queues[queue]
+            if q.offer(pkt, at_ns):
+                next_pickup = min(next_pickup, q.pickup_ns())
 
         def do_service(
             core: int,
@@ -895,30 +899,26 @@ class RssDispatcher:
                 return
             do_service(core, batch, arrivals, pickup_ns)
 
-        def flush_due(horizon_ns: Optional[int]) -> None:
+        def flush_due(horizon_ns: float) -> None:
             """Serve every batch whose pickup time is <= the horizon.
 
-            A core's next pickup is ``max(batch ready, server free)``:
-            ready is the fill instant for a full batch, the coalesce
-            deadline for a partial one.  ``None`` drains everything
-            (end of stream).
+            ``next_pickup`` bounds every live core's pickup from below,
+            so a horizon before it needs no scan.
             """
+            nonlocal next_pickup
+            if horizon_ns < next_pickup:
+                return
             while True:
                 best = None
+                next_pickup = math.inf
                 for c in range(n_cores):
-                    if not alive[c] or wedged[c]:
-                        continue
                     q = queues[c]
-                    if not q.pending:
+                    if not q.pending or not alive[c] or wedged[c]:
                         continue
-                    if len(q.pending) >= batch_size:
-                        ready = q.arrivals[batch_size - 1]
-                    else:
-                        ready = q.arrivals[0] + timeout_ns
-                    pickup = max(ready, q.server_free_ns)
-                    if horizon_ns is not None and pickup > horizon_ns:
-                        continue
-                    if best is None or (pickup, c) < best:
+                    pickup = q.pickup_ns()
+                    if pickup > horizon_ns:
+                        next_pickup = min(next_pickup, pickup)
+                    elif best is None or (pickup, c) < best:
                         best = (pickup, c)
                 if best is None:
                     return
@@ -933,7 +933,7 @@ class RssDispatcher:
                 now = ts
             flush_due(now)
             enqueue(pkt, now)
-        flush_due(None)
+        flush_due(math.inf)
         # A wedge that never hit the deadline is still dead at end of
         # stream — teardown notices and accounts for it.
         for queue in range(n_cores):

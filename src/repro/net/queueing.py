@@ -312,6 +312,19 @@ class CoreQueue:
             return True
         return now_ns >= self.arrivals[0] + self.cfg.batch_timeout_ns
 
+    def pickup_ns(self) -> int:
+        """When the next batch is picked up (needs pending frames).
+
+        ``max(batch ready, server free)``: ready is the fill instant
+        for a full batch, the coalesce deadline for a partial one.
+        """
+        arrivals = self.arrivals
+        if len(arrivals) >= self.batch_size:
+            ready = arrivals[self.batch_size - 1]
+        else:
+            ready = arrivals[0] + self.cfg.batch_timeout_ns
+        return max(ready, self.server_free_ns)
+
     def take(self) -> Tuple[List[Packet], List[int]]:
         """Pop up to one batch (packets and their arrival times)."""
         n = self.batch_size

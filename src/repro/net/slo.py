@@ -33,6 +33,7 @@ timeline of :class:`EpochStats`, byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -48,7 +49,6 @@ from .multicore import (
 )
 from .packet import Packet, XdpAction
 from .queueing import CoreQueue, QueueingConfig, latency_summary_us
-from .stats import percentile
 from .steering import RSS_HASH_SEED
 from .xdp import (
     DEFAULT_BATCH_SIZE,
@@ -544,7 +544,6 @@ class SloController:
         conf = self.config
         n = self.max_cores
         batch_size = self.batch_size
-        timeout_ns = cfg.batch_timeout_ns
         wire_ns = cfg.wire_ns
         warmup = self.warmup
 
@@ -586,6 +585,7 @@ class SloController:
         epoch = 0
         epoch_start_ns = 0
         now = 0
+        next_pickup = math.inf
         lost_at_epoch = 0
         over_at_epoch = 0
 
@@ -627,6 +627,7 @@ class SloController:
             events.append(f"{reason} core={core}")
 
         def steer(pkt: Packet, at_ns: int) -> None:
+            nonlocal next_pickup
             core = self.table.core_of(pkt.key_int)
             if not is_active[core]:
                 # Stale bucket (mid-repack window): flow-affine failover.
@@ -646,7 +647,9 @@ class SloController:
                 if lost[core] >= self._deadline_for(core):
                     fail(core, "wedge")
                 return
-            queues[core].offer(pkt, at_ns)
+            q = queues[core]
+            if q.offer(pkt, at_ns):
+                next_pickup = min(next_pickup, q.pickup_ns())
 
         def do_service(
             core: int,
@@ -709,23 +712,24 @@ class SloController:
                 return
             do_service(core, batch, arrivals, pickup_ns)
 
-        def flush_due(horizon_ns: Optional[int]) -> None:
+        def flush_due(horizon_ns: float) -> None:
+            # ``next_pickup`` bounds every serving core's pickup from
+            # below.  Only ``steer`` fills a ring, and a core joins with
+            # an empty one (``deactivate`` drains, ``retire`` replaces).
+            nonlocal next_pickup
+            if horizon_ns < next_pickup:
+                return
             while True:
                 best = None
+                next_pickup = math.inf
                 for c in range(n):
-                    if not is_active[c] or wedged[c]:
-                        continue
                     q = queues[c]
-                    if not q.pending:
+                    if not q.pending or not is_active[c] or wedged[c]:
                         continue
-                    if len(q.pending) >= batch_size:
-                        ready = q.arrivals[batch_size - 1]
-                    else:
-                        ready = q.arrivals[0] + timeout_ns
-                    pickup = max(ready, q.server_free_ns)
-                    if horizon_ns is not None and pickup > horizon_ns:
-                        continue
-                    if best is None or (pickup, c) < best:
+                    pickup = q.pickup_ns()
+                    if pickup > horizon_ns:
+                        next_pickup = min(next_pickup, pickup)
+                    elif best is None or (pickup, c) < best:
                         best = (pickup, c)
                 if best is None:
                     return
@@ -763,15 +767,10 @@ class SloController:
                 events=list(events),
             )
             if epoch_lat:
-                stats.p50_us = round(
-                    percentile(epoch_lat, 50.0) / 1000.0, 3
-                )
-                stats.p95_us = round(
-                    percentile(epoch_lat, 95.0) / 1000.0, 3
-                )
-                stats.p99_us = round(
-                    percentile(epoch_lat, 99.0) / 1000.0, 3
-                )
+                summary = latency_summary_us(epoch_lat)
+                stats.p50_us = summary["p50_us"]
+                stats.p95_us = summary["p95_us"]
+                stats.p99_us = summary["p99_us"]
             timeline.append(stats)
             events.clear()
             epoch_lat = []
@@ -831,7 +830,7 @@ class SloController:
                 in_epoch = 0
                 flush_due(now)
                 close_epoch()
-        flush_due(None)
+        flush_due(math.inf)
         for core in range(n):
             if wedged[core] and is_active[core]:
                 fail(core, "wedge")

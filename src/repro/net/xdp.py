@@ -346,14 +346,16 @@ class XdpPipeline:
         otherwise ``process`` runs per packet with per-packet clock
         advance, exactly as :meth:`run`.
 
-        With a fault injector attached, the batch is pre-screened with
-        the same per-packet fault draws :meth:`run` makes (so both
-        paths see the identical schedule): dropped packets are verdicts
-        without charges, parse/helper faults abort after dispatch +
-        parse, duplicates replay twice.  An exception from
-        ``process_batch`` aborts the *whole* batch (its charges and
-        partial state mutations stand, as a crashed program's would);
-        the per-packet fallback aborts only the faulting packet.
+        With a fault injector attached, the batch is pre-screened by
+        one :meth:`~repro.faults.FaultInjector.screen` call — the same
+        per-packet fault draws :meth:`run` makes, so both paths see the
+        identical schedule: dropped packets are verdicts without
+        charges, parse/helper faults abort after dispatch + parse,
+        duplicates replay twice, and a batch nothing afflicts goes to
+        the NF untouched.  An exception from ``process_batch`` aborts
+        the *whole* batch (its charges and partial state mutations
+        stand, as a crashed program's would); the per-packet fallback
+        aborts only the faulting packet.
 
         Returns the number of packets accounted (== verdicts added).
         """
@@ -361,25 +363,26 @@ class XdpPipeline:
         faults = self.faults
         contain = self.on_error == "abort"
         accounted = 0
-        if faults is not None:
+        hits = faults.screen(len(batch)) if faults is not None else None
+        if hits:
             clean: List[Packet] = []
             n_dropped = 0
             n_parse = 0
             n_helper = 0
-            for pkt in batch:
-                pf = faults.packet_fault()
-                helper = faults.helper_fault()
+            done = 0
+            for offset, pf, helper in hits:
+                clean += batch[done:offset]
+                done = offset + 1
                 if pf == PKT_DROP:
                     n_dropped += 1
                 elif pf in _PARSE_FAULTS:
                     n_parse += 1
                 elif helper:
                     n_helper += 1
-                elif pf == PKT_DUP:
-                    clean.append(pkt)
-                    clean.append(pkt)
-                else:
-                    clean.append(pkt)
+                else:  # a duplicate: the frame replays twice
+                    pkt = batch[offset]
+                    clean += (pkt, pkt)
+            clean += batch[done:]
             bailed = n_parse + n_helper
             if n_dropped:
                 actions[XdpAction.DROP] += n_dropped

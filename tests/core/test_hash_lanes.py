@@ -1,0 +1,75 @@
+"""The hash kernels against their references.
+
+``fast_hash32_lanes`` evaluates splitmix64 for many keys inside one
+big int; it must equal the scalar :func:`fast_hash32` key for key.  The
+scalar hashers take ints without the ``_to_int`` call; they must equal
+the original formula, which masked the key to 64 bits first.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.algorithms.hashing import (
+    LANES,
+    M32,
+    M64,
+    crc_hash32,
+    fast_hash32,
+    fast_hash32_lanes,
+    fast_hash64,
+)
+
+int_keys = st.one_of(
+    st.sampled_from([0, 1, -1, M64, 1 << 64, -(1 << 64), (1 << 90) + 3]),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.integers(min_value=0, max_value=M64),
+)
+seeds = st.one_of(
+    st.sampled_from([0, 1, 0xFA017, M64, 1 << 64]),
+    st.integers(min_value=0, max_value=1 << 80),
+)
+lengths = st.sampled_from([0, 1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1])
+
+
+def _splitmix64(key: int, seed: int) -> int:
+    x = ((key & M64) + (seed + 1) * 0x9E3779B97F4A7C15) & M64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & M64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & M64
+    return x ^ (x >> 31)
+
+
+def _crc(key: int, seed: int) -> int:
+    x = ((key & M64) ^ (seed * 0x9E3779B1 + 0x85EBCA77)) & M64
+    x = (x * 0xC2B2AE3D27D4EB4F) & M64
+    x ^= x >> 29
+    x = (x * 0x165667B19E3779F9) & M64
+    x ^= x >> 32
+    return x & M32
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=lengths, seed=seeds)
+def test_lanes_equal_scalar(data, n, seed):
+    keys = data.draw(st.lists(int_keys, min_size=n, max_size=n))
+    assert fast_hash32_lanes(keys, seed) == [fast_hash32(k, seed) for k in keys]
+
+
+def test_lanes_accept_any_sequence():
+    keys = range(-3, 2 * LANES)
+    assert fast_hash32_lanes(keys, 7) == [fast_hash32(k, 7) for k in keys]
+    assert fast_hash32_lanes(tuple(keys), 7) == fast_hash32_lanes(keys, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=int_keys, seed=seeds)
+def test_scalar_int_path_matches_reference(key, seed):
+    assert fast_hash64(key, seed) == _splitmix64(key, seed)
+    assert fast_hash32(key, seed) == _splitmix64(key, seed) & M32
+    assert crc_hash32(key, seed) == _crc(key, seed)
+
+
+def test_bytes_and_bool_keys_still_fold():
+    assert fast_hash32(b"\x05", 3) == fast_hash32(5, 3)
+    assert fast_hash64(True) == fast_hash64(1)
+    assert crc_hash32(b"backend-0") != crc_hash32(b"backend-1")

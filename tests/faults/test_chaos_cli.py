@@ -112,6 +112,22 @@ class TestChaosCliErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, hint", [
+        (["--crash-core", "9"], "crash_core=9 names a nonexistent core"),
+        (["--wedge-core", "8"], "wedge_core=8 names a nonexistent core"),
+        (["--crash-at", "-1"], "crash_at must be non-negative"),
+        (["--wedge-at", "-1"], "wedge_at must be non-negative"),
+        (["--crash-core", "2", "--wedge-core", "2"],
+         "cannot both crash and wedge"),
+    ])
+    def test_bad_fault_plan_exits_two(self, argv, hint, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--packets", "200", "--cores", "8"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert hint in err
+        assert "Traceback" not in err
+
 
 class TestLatencyAndSloFlags:
     def test_burst_adds_latency_to_json(self, capsys):
