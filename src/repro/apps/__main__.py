@@ -23,6 +23,7 @@ import json
 import sys
 import time
 
+from ..analysis.__main__ import _int_at_least
 from ..analysis.hostmeta import host_metadata
 from ..net.flowgen import FlowGenerator
 from .ir import (
@@ -113,15 +114,17 @@ def main(argv=None) -> int:
         help="execution backend (default: fused)",
     )
     parser.add_argument(
-        "--packets", type=int, default=2500, help="trace length"
+        "--packets", type=_int_at_least("--packets", 1), default=2500,
+        help="trace length",
     )
     parser.add_argument(
-        "--flows", type=int, default=1024, help="Zipf flow population"
+        "--flows", type=_int_at_least("--flows", 1), default=1024,
+        help="Zipf flow population",
     )
     parser.add_argument("--seed", type=int, default=14)
     parser.add_argument(
         "--cores",
-        type=int,
+        type=_int_at_least("--cores", 1),
         default=1,
         help="replay multi-core via RssDispatcher when > 1",
     )

@@ -20,17 +20,26 @@ Two design points from the paper are modeled exactly:
 Cost accounting follows the runtime's execution mode: eNetSTL charges
 kfunc-call and refcount costs on traversal; the kernel baseline charges
 a bare pointer dereference.
+
+``seek`` and ``release_all`` are batched forms of ``get_next`` and
+``node_release``: one Python call walks (or releases) many nodes, keeps
+every per-step guard, and books exactly what the per-call kfuncs would
+have charged, as one charge of ``steps x`` the per-call cost.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import struct
+from typing import Iterable, List, Optional
 
 from ...ebpf.cost_model import Category, ExecMode
 from ...ebpf.runtime import BpfRuntime
 from ..errors import DoubleFreeError
 from .node import Node
 from .proxy import NodeProxy
+
+#: A node's u64 key at payload offset 0 (``Node.read_u64(0)``).
+_unpack_u64 = struct.Struct("<Q").unpack_from
 
 LAZY = "lazy"
 EAGER = "eager"
@@ -164,6 +173,53 @@ class MemoryWrapper:
         self.stats.traversals += 1
         return nxt
 
+    def seek(
+        self, node: Node, top: int, key: int, preds: List[Node], held: List[Node]
+    ) -> None:
+        """Descend levels ``top``..0 from ``node`` towards ``key``.
+
+        The skip-list search as one batched ``get_next`` walk.  On each
+        level it follows ``outs[level]`` while the next node's u64 at
+        offset 0 is below ``key``, then records ``preds[level]``.  Every
+        next node visited is a new reference appended to ``held`` (empty
+        on entry).  Each step keeps the guards of ``get_next`` plus
+        ``read_u64``, and the walk books ``steps x`` the ``get_next``
+        cost as one charge -- also when a guard raises, so a failing
+        walk has paid through the failing step.
+        """
+        steps = 0
+        hold = held.append
+        try:
+            for level in range(top, -1, -1):
+                while True:
+                    steps += 1
+                    if not node.alive:
+                        node.check_alive()
+                    try:
+                        nxt = node.outs[level]
+                    except IndexError:
+                        node.check_out_slot(level)
+                        raise
+                    if nxt is None:
+                        break
+                    if not nxt.alive:
+                        nxt.check_alive()   # unreachable under the lazy invariant
+                    nxt.refcount += 1
+                    hold(nxt)
+                    try:
+                        nxt_key = _unpack_u64(nxt.data)[0]
+                    except struct.error:
+                        nxt.read_u64(0)     # raises read()'s bounds error
+                        raise
+                    if nxt_key >= key:
+                        break
+                    node = nxt
+                preds[level] = node
+        finally:
+            if steps:
+                self._charge(steps * self._get_next_cost, self.category)
+            self.stats.traversals += len(held)
+
     # -- release / free ----------------------------------------------------------
 
     def node_release(self, node: Node) -> None:
@@ -181,6 +237,31 @@ class MemoryWrapper:
         node.refcount = refs - 1
         if refs == 1 and node.owner is None:
             self._free(node)
+
+    def release_all(self, nodes: Iterable[Node]) -> None:
+        """``node_release`` over ``nodes``, booked as one charge.
+
+        Each node keeps the double-free / use-after-free guard and the
+        free-on-last-reference path (``_free`` charges its own
+        teardown).  The ``n x`` release cost is booked even when a
+        guard raises, covering every release up to the failing one.
+        """
+        n = 0
+        try:
+            for node in nodes:
+                n += 1
+                refs = node.refcount
+                if refs <= 0 or not node.alive:
+                    node.check_alive()
+                    raise DoubleFreeError(
+                        f"node #{node.node_id} released too many times"
+                    )
+                node.refcount = refs - 1
+                if refs == 1 and node.owner is None:
+                    self._free(node)
+        finally:
+            if n:
+                self._charge(n * self._release_cost, self.category)
 
     def _free(self, node: Node) -> None:
         """Actually free: lazy teardown of every recorded relationship.

@@ -10,6 +10,7 @@ cuckoo path up to a bounded number of kicks.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
@@ -68,17 +69,24 @@ class BlockedCuckooTable:
         SIMD compare runs over."""
         return [e.sig if e is not None else 0 for e in self._buckets[index]]
 
-    def probe_bucket(self, index: int, key: int) -> Optional[Tuple[int, Any]]:
-        """(slot, value) for ``key`` in bucket ``index``, else None."""
-        sig = self.signature(key)
+    def probe_bucket(
+        self, index: int, key: int, sig: Optional[int] = None
+    ) -> Optional[Tuple[int, Any]]:
+        """(slot, value) for ``key`` in bucket ``index``, else None.
+
+        ``sig`` is ``signature(key)`` when the caller already has it.
+        """
+        if sig is None:
+            sig = self.signature(key)
         for slot, entry in enumerate(self._buckets[index]):
             if entry is not None and entry.sig == sig and entry.key == key:
                 return slot, entry.value
         return None
 
     def lookup(self, key: int) -> Optional[Any]:
+        sig = self.signature(key)
         for index in (self.index1(key), self.index2(key)):
-            hit = self.probe_bucket(index, key)
+            hit = self.probe_bucket(index, key, sig)
             if hit is not None:
                 return hit[1]
         return None
@@ -86,12 +94,13 @@ class BlockedCuckooTable:
     def insert(self, key: int, value: Any) -> bool:
         """Insert or update; False when the table cannot place the key."""
         i1, i2 = self.index1(key), self.index2(key)
+        sig = self.signature(key)
         for index in (i1, i2):
-            hit = self.probe_bucket(index, key)
+            hit = self.probe_bucket(index, key, sig)
             if hit is not None:
                 self._buckets[index][hit[0]].value = value
                 return True
-        entry = _Entry(self.signature(key), key, value)
+        entry = _Entry(sig, key, value)
         for index in (i1, i2):
             slot = self._free_slot(index)
             if slot is not None:
@@ -113,8 +122,6 @@ class BlockedCuckooTable:
         displaced entry: either a full path to a free slot exists and
         every move is applied, or the table is left untouched.
         """
-        from collections import deque
-
         visited = set(starts)
         queue = deque((idx, []) for idx in starts)
         while queue and len(visited) <= MAX_KICKS:
@@ -130,19 +137,17 @@ class BlockedCuckooTable:
                 self._len += 1
                 return True
             for slot, occupant in enumerate(self._buckets[index]):
-                alt = (
-                    self.index2(occupant.key)
-                    if index == self.index1(occupant.key)
-                    else self.index1(occupant.key)
-                )
+                home = self.index1(occupant.key)
+                alt = self.index2(occupant.key) if index == home else home
                 if alt not in visited:
                     visited.add(alt)
                     queue.append((alt, path + [(index, slot)]))
         return False
 
     def delete(self, key: int) -> bool:
+        sig = self.signature(key)
         for index in (self.index1(key), self.index2(key)):
-            hit = self.probe_bucket(index, key)
+            hit = self.probe_bucket(index, key, sig)
             if hit is not None:
                 self._buckets[index][hit[0]] = EMPTY
                 self._len -= 1

@@ -75,7 +75,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 from ..core.algorithms.hashing import fast_hash32
 from ..ebpf.cost_model import CPU_HZ, Category, NumaTopology
 from ..ebpf.percpu import or_words, sum_counts, sum_matrices
-from ..faults import PKT_DUP, FaultInjector, FaultPlan, WedgeDetection
+from ..faults import FaultInjector, FaultPlan, WedgeDetection
 from .packet import Packet, XdpAction
 from .queueing import CoreQueue, QueueingConfig, latency_summary_us
 from .steering import RSS_HASH_SEED, RssSteering, SteeringPolicy, make_policy
@@ -217,8 +217,12 @@ class MulticoreResult:
 
     @property
     def duplicated(self) -> int:
-        """Extra packet copies injected by ``pkt_dup`` faults."""
-        return self.injected.get(PKT_DUP, 0)
+        """Extra packet copies ``pkt_dup`` faults replayed in this run.
+
+        A duplicate an abort shadowed adds no copy; ``injected`` stays
+        the injectors' cumulative draw ledger.
+        """
+        return sum(r.duplicated for r in self.per_core)
 
     @property
     def errors(self) -> Dict[str, int]:

@@ -39,7 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.algorithms.hashing import fast_hash32
 from ..ebpf.cost_model import CPU_HZ
-from ..faults import PKT_DUP, FaultPlan, WedgeDetection
+from ..faults import FaultPlan, WedgeDetection
 from ..nfs.degrade import ColdStartWarmup
 from .multicore import (
     AllCoresDeadError,
@@ -742,10 +742,9 @@ class SloController:
 
         def retire(core: int) -> None:
             """Tear a dead core's session down: per-CPU state is lost."""
-            injector = sessions[core].pipeline.faults
-            if injector is not None:
-                retired_dup[0] += dict(injector.injected).get(PKT_DUP, 0)
-            retired_actions.append(dict(sessions[core].finish().actions))
+            finished = sessions[core].finish()
+            retired_dup[0] += finished.duplicated
+            retired_actions.append(dict(finished.actions))
             sessions[core] = self._build_session(core)
             overflow_retired[0] += queues[core].overflowed
             queues[core] = CoreQueue(cfg, batch_size)
@@ -845,13 +844,7 @@ class SloController:
         forwarded = sum(actions.get(a, 0) for a in FORWARD_ACTIONS)
         nf_dropped = actions.get(XdpAction.DROP, 0)
         aborted = actions.get(XdpAction.ABORTED, 0)
-        duplicated = retired_dup[0]
-        if plan is not None:
-            duplicated += sum(
-                dict(s.pipeline.faults.injected).get(PKT_DUP, 0)
-                for s in sessions
-                if s.pipeline.faults is not None
-            )
+        duplicated = retired_dup[0] + sum(r.duplicated for r in results)
         return SloRun(
             timeline=timeline,
             config=conf,

@@ -104,6 +104,8 @@ class PipelineResult:
     mirroring the kernel's ``xdp_exception`` tracepoint statistics.
     Every replayed packet lands in exactly one verdict, so
     ``n_packets == forwarded + dropped + aborted`` always holds.
+    ``duplicated`` counts the extra copies ``pkt_dup`` faults replayed
+    in this replay, so ``n_packets`` is the packets offered plus it.
     """
 
     n_packets: int
@@ -112,6 +114,7 @@ class PipelineResult:
     by_category: Dict[Category, int]
     latencies_ns: List[int] = field(default_factory=list)
     errors: Dict[str, int] = field(default_factory=dict)
+    duplicated: int = 0
 
     @property
     def forwarded(self) -> int:
@@ -262,6 +265,7 @@ class XdpPipeline:
         latencies: List[int] = []
         start = cycles.checkpoint()
         n = 0
+        duplicated = 0
         for pkt in trace:
             ts = pkt.timestamp_ns
             if advance_clock and ts > rt.now_ns:
@@ -294,6 +298,7 @@ class XdpPipeline:
                     continue
                 if pf == PKT_DUP:
                     copies = 2
+                    duplicated += 1
             while copies:
                 copies -= 1
                 before = cycles.total
@@ -327,6 +332,7 @@ class XdpPipeline:
             by_category=delta.by_category,
             latencies_ns=latencies,
             errors=dict(errors),
+            duplicated=duplicated,
         )
 
     def _replay_batch(
@@ -357,7 +363,8 @@ class XdpPipeline:
         stand, as a crashed program's would); the per-packet fallback
         aborts only the faulting packet.
 
-        Returns the number of packets accounted (== verdicts added).
+        Returns the number of packets accounted (== verdicts added):
+        ``len(batch)`` plus one per duplicate copy replayed.
         """
         rt = self.rt
         faults = self.faults
@@ -475,8 +482,10 @@ class XdpPipeline:
         errors: Counter = Counter()
         start = cycles.checkpoint()
         n = 0
+        offered = 0
         for batch in iter_batches(trace, batch_size):
             n += self._replay_batch(batch, actions, errors, advance_clock)
+            offered += len(batch)
         delta = cycles.delta_since(start)
         return PipelineResult(
             n_packets=n,
@@ -485,6 +494,7 @@ class XdpPipeline:
             by_category=delta.by_category,
             latencies_ns=[],
             errors=dict(errors),
+            duplicated=n - offered,
         )
 
 
@@ -536,6 +546,7 @@ class ReplaySession:
         self._actions: Counter = Counter()
         self._errors: Counter = Counter()
         self._n = 0
+        self._offered = 0
         self._start = pipeline.rt.cycles.checkpoint()
         self._finished = False
 
@@ -553,6 +564,7 @@ class ReplaySession:
             batch, self._actions, self._errors, self.advance_clock,
             self.use_batch,
         )
+        self._offered += len(batch)
 
     def finish(self) -> PipelineResult:
         """Close the session and aggregate everything fed so far."""
@@ -565,6 +577,7 @@ class ReplaySession:
             by_category=delta.by_category,
             latencies_ns=[],
             errors=dict(self._errors),
+            duplicated=self._n - self._offered,
         )
 
 

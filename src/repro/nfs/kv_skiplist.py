@@ -19,10 +19,9 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..core.memwrap import LAZY, MemoryWrapper, Node, NodeProxy
-from ..ebpf.cost_model import Category
+from ..ebpf.cost_model import Category, ExecMode
 from ..net.packet import Packet, XdpAction
 from .base import BaseNF
-from ..ebpf.cost_model import ExecMode
 
 MAX_HEIGHT = 16
 VALUE_SIZE = 128
@@ -62,33 +61,17 @@ class SkipListKV(BaseNF):
 
     # -- helpers ----------------------------------------------------------
 
-    def _release_all(self, held: List[Node]) -> None:
-        release = self.wrapper.node_release
-        for node in held:
-            release(node)
-
     def _search(self, key: int) -> Tuple[List[Node], List[Node]]:
         """Walk down the levels; returns (predecessors, held refs).
 
-        Every step is one ``get_next`` (zero safety checks under lazy
-        checking) plus a key compare read from the node's payload.
-        Each held node was compared exactly once, so the compares are
+        The walk is one :meth:`MemoryWrapper.seek` call, charged as one
+        ``get_next`` (zero safety checks under lazy checking) per step;
+        each held node's key is compared once, so the compares are
         booked as one charge of ``len(held)`` compares.
         """
-        get_next = self.wrapper.get_next
         held: List[Node] = []
-        hold = held.append
-        x = self.head
-        update: List[Node] = [x] * self.max_height
-        for level in range(self.height - 1, -1, -1):
-            nxt = get_next(x, level)
-            while nxt is not None:
-                hold(nxt)
-                if nxt.read_u64(0) >= key:
-                    break
-                x = nxt
-                nxt = get_next(x, level)
-            update[level] = x
+        update: List[Node] = [self.head] * self.max_height
+        self.wrapper.seek(self.head, self.height - 1, key, update, held)
         if held:
             self.rt.charge(
                 self.costs.cmp_scalar_per_item * len(held), Category.NONCONTIG
@@ -113,7 +96,7 @@ class SkipListKV(BaseNF):
             finally:
                 w.node_release(candidate)
         finally:
-            self._release_all(held)
+            w.release_all(held)
 
     def insert(self, key: int, value: bytes) -> bool:
         """Insert or update ``key``; False on allocation failure."""
@@ -150,7 +133,7 @@ class SkipListKV(BaseNF):
             self._len += 1
             return True
         finally:
-            self._release_all(held)
+            w.release_all(held)
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; True when it was present."""
@@ -179,7 +162,7 @@ class SkipListKV(BaseNF):
                 self.height -= 1
             return True
         finally:
-            self._release_all(held)
+            w.release_all(held)
 
     def _random_height(self) -> int:
         h = 1

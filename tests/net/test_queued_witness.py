@@ -100,8 +100,9 @@ def test_rss_dispatcher_queued_chaos_crash_witness(nf):
         n_cores=4,
         steering="ntuple",
         queueing=QueueingConfig(rx_ring_size=64, batch_timeout_ns=20_000),
-        # No duplicates: the ledger books them from the injectors'
-        # cumulative counts, which only balance over a single run.
+        # No duplicates: the digest predates the fix that made
+        # ``duplicated`` count only the copies replayed in the reported
+        # run (tests/net/test_dup_ledger.py covers that case).
         faults=FaultPlan(
             seed=78, drop_rate=0.02, corrupt_rate=0.02, truncate_rate=0.01,
             helper_rate=0.02, map_full_rate=0.03, map_nomem_rate=0.01,
@@ -142,8 +143,8 @@ def test_slo_controller_crash_autoscale_witness():
         queueing=QueueingConfig(),
         config=SloConfig(target_p99_us=60.0, epoch_packets=512,
                          autoscale=True, rejoin_epochs=4),
-        # No helper faults: a duplicate shadowed by a helper abort is
-        # still booked as duplicated, which unbalances the ledger.
+        # No helper faults: the digest predates the fix for a duplicate
+        # shadowed by a helper abort (tests/net/test_dup_ledger.py).
         faults=FaultPlan(seed=9, drop_rate=0.01, corrupt_rate=0.01,
                          dup_rate=0.02, crash_core=1, crash_at=1500),
         warmup=ColdStartWarmup(),
