@@ -78,18 +78,17 @@ from ..ebpf.insn import (
     Program,
     Store,
 )
+from ..ebpf.header import (
+    HEADER_BYTES,
+    PKT_DST_IP,
+    PKT_DST_PORT,
+    PKT_PROTO,
+    PKT_SRC_IP,
+    PKT_SRC_PORT,
+)
 from ..ebpf.kfunc_meta import ARG_SCALAR, RET_SCALAR, KfuncRegistry
 from ..ebpf.progs import runnable_registry
 from ..ebpf.vm import MASK64
-
-#: Packet-header field offsets in the encoded 56-byte little-endian
-#: layout (:mod:`repro.net.irnf`).
-_OFF_SRC_IP = 0
-_OFF_DST_IP = 8
-_OFF_SRC_PORT = 16
-_OFF_DST_PORT = 24
-_OFF_PROTO = 32
-_HDR = 56
 
 #: App names, in Fig. 7 order (same keys as ``repro.apps.ALL_APPS``).
 IR_APP_NAMES = ("katran", "rakelimit", "polycube", "sketches")
@@ -437,7 +436,7 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
     def _inline_fdb_lookup(args, bind):
         # dict.get bound directly: a known MAC costs one hash probe.
         get = bind("pfg", fdb.get)
-        return [f"_pp = {get}({args[0]})"], "0 if _pp is None else _pp + 1"
+        return [f"_fdp = {get}({args[0]})"], "0 if _fdp is None else _fdp + 1"
 
     fdb_lookup._fuse_inline = _inline_fdb_lookup
 
@@ -574,9 +573,9 @@ def _parse_stage(name: str) -> Program:
         Load(R2, R1, 0),               # r2 = ctx->data
         Load(R3, R1, 8),               # r3 = ctx->data_end
         Mov(R4, R2),
-        Alu("add", R4, Imm(_HDR)),
+        Alu("add", R4, Imm(HEADER_BYTES)),
         JmpIf("gt", R4, R3, "drop"),   # short packet: drop
-        Load(R6, R2, _OFF_PROTO),      # proto          (elided)
+        Load(R6, R2, PKT_PROTO),      # proto          (elided)
         JmpIf("eq", R6, Imm(0), "drop"),
         Mov(R0, Imm(2)),               # 2 = XDP_PASS -> next stage
         Exit(),
@@ -593,12 +592,12 @@ def _flow_key_preamble() -> List:
         Load(R2, R1, 0),               # r2 = ctx->data
         Load(R3, R1, 8),               # r3 = ctx->data_end
         Mov(R4, R2),
-        Alu("add", R4, Imm(_HDR)),
+        Alu("add", R4, Imm(HEADER_BYTES)),
         JmpIf("gt", R4, R3, "drop"),   # short packet: drop
-        Load(R6, R2, _OFF_SRC_IP),     # src_ip         (elided)
-        Load(R7, R2, _OFF_DST_IP),     # dst_ip         (elided)
-        Load(R8, R2, _OFF_SRC_PORT),   # src_port       (elided)
-        Load(R9, R2, _OFF_DST_PORT),   # dst_port       (elided)
+        Load(R6, R2, PKT_SRC_IP),     # src_ip         (elided)
+        Load(R7, R2, PKT_DST_IP),     # dst_ip         (elided)
+        Load(R8, R2, PKT_SRC_PORT),   # src_port       (elided)
+        Load(R9, R2, PKT_DST_PORT),   # dst_port       (elided)
         Mov(R4, R6),
         Alu("xor", R4, R7),
         Alu("add", R4, R8),
@@ -649,12 +648,12 @@ def rakelimit_chain(
         Load(R2, R1, 0),
         Load(R3, R1, 8),
         Mov(R4, R2),
-        Alu("add", R4, Imm(_HDR)),
+        Alu("add", R4, Imm(HEADER_BYTES)),
         JmpIf("gt", R4, R3, "drop"),
-        Load(R6, R2, _OFF_SRC_IP),     # src_ip         (elided)
-        Load(R7, R2, _OFF_DST_IP),     # dst_ip         (elided)
-        Load(R8, R2, _OFF_SRC_PORT),   # src_port       (elided)
-        Load(R9, R2, _OFF_DST_PORT),   # dst_port       (elided)
+        Load(R6, R2, PKT_SRC_IP),     # src_ip         (elided)
+        Load(R7, R2, PKT_DST_IP),     # dst_ip         (elided)
+        Load(R8, R2, PKT_SRC_PORT),   # src_port       (elided)
+        Load(R9, R2, PKT_DST_PORT),   # dst_port       (elided)
         Mov(R1, R6),
         Alu("xor", R1, R7),
         Alu("add", R1, R8),
@@ -682,10 +681,10 @@ def polycube_chain() -> Tuple[Program, Program]:
         Load(R2, R1, 0),
         Load(R3, R1, 8),
         Mov(R4, R2),
-        Alu("add", R4, Imm(_HDR)),
+        Alu("add", R4, Imm(HEADER_BYTES)),
         JmpIf("gt", R4, R3, "drop"),
-        Load(R6, R2, _OFF_SRC_IP),     # src_ip         (elided)
-        Load(R7, R2, _OFF_SRC_PORT),   # src_port       (elided)
+        Load(R6, R2, PKT_SRC_IP),     # src_ip         (elided)
+        Load(R7, R2, PKT_SRC_PORT),   # src_port       (elided)
         Mov(R8, R7),
         Alu("lsh", R8, Imm(32)),
         Alu("or", R8, R6),             # src MAC = ip | port << 32
@@ -705,10 +704,10 @@ def polycube_chain() -> Tuple[Program, Program]:
         Load(R2, R1, 0),
         Load(R3, R1, 8),
         Mov(R4, R2),
-        Alu("add", R4, Imm(_HDR)),
+        Alu("add", R4, Imm(HEADER_BYTES)),
         JmpIf("gt", R4, R3, "drop"),
-        Load(R6, R2, _OFF_DST_IP),     # dst_ip         (elided)
-        Load(R7, R2, _OFF_DST_PORT),   # dst_port       (elided)
+        Load(R6, R2, PKT_DST_IP),     # dst_ip         (elided)
+        Load(R7, R2, PKT_DST_PORT),   # dst_port       (elided)
         Mov(R8, R7),
         Alu("lsh", R8, Imm(32)),
         Alu("or", R8, R6),             # dst MAC = ip | port << 32

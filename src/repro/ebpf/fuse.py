@@ -30,6 +30,12 @@ accounting flush:
   update).  ``pkt``/``ctx`` buffers are refreshed between stages
   *only* when an earlier stage's compiled body may write them (the
   :attr:`~repro.ebpf.jit.CompiledProgram.writes` tracking).
+- **Header-load forwarding** — in a chain where no stage writes pkt,
+  a proven constant-offset load of a header field
+  (:mod:`repro.ebpf.header`) reads the ``Packet`` attribute directly,
+  and the per-packet encode into the VM's packet buffer is emitted
+  only while some stage still reads the buffer's bytes (an
+  unforwarded or generic load, or a kfunc call handed ``vm``).
 - **Per-batch accounting** — step/check tallies accumulate in locals
   across the whole batch and flush once (in a ``finally``, so a
   faulting batch still accounts its executed prefix), with cycle
@@ -52,12 +58,12 @@ hashes, the elide flag, and the cost constants — see
 from __future__ import annotations
 
 import re
-import struct
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cost_model import CostModel, DEFAULT_COSTS
+from .header import HEADER_FIELDS, HEADER_STRUCT, WRAPPED_FIELD
 from .jit import JitError, _Compiler, _Emitter, program_hash
 from .kfunc_meta import KfuncRegistry
 from .vm import MASK64, Pointer
@@ -68,11 +74,17 @@ _HEX_M = "0x%X" % MASK64
 #: r0 is final (``enum xdp_action``: 2 == XDP_PASS).
 PASS_VERDICT = 2
 
-#: Encoded-header layout — seven little-endian u64 fields.  Mirrors
-#: ``repro.net.irnf.encode_packet`` exactly (src_ip, dst_ip, src_port,
-#: dst_port, proto, size, timestamp); the fused-vs-interp parity tests
-#: pin the two encoders together.
-_HEADER_STRUCT = struct.Struct("<7Q")
+#: Packet offset -> the loop-local expression for the header field
+#: stored there (``_pp`` is the packet, ``_n`` its size).  Drives both
+#: the in-loop encoder and header-load forwarding.
+_HEADER_LOADS: Dict[int, str] = {
+    off: ("_n" if name == "size" else f"_pp.{name}")
+    + (f" & {_HEX_M}" if name == WRAPPED_FIELD else "")
+    for name, off in HEADER_FIELDS
+}
+_ENCODE = "_enc(_pkt, 0, %s)" % ", ".join(
+    _HEADER_LOADS[off] for _, off in HEADER_FIELDS
+)
 
 
 class FuseError(JitError):
@@ -98,6 +110,11 @@ class FusedChain:
     n_nodes: int
     #: kfunc call sites expanded inline (vs direct-bound calls).
     inlined_kfuncs: int = 0
+    #: proven header loads that read the ``Packet`` field directly.
+    forwarded_loads: int = 0
+    #: whether the packet loop still encodes each frame into the VM's
+    #: packet buffer (some stage writes or reads its bytes).
+    encodes_packet: bool = True
     #: per-stage regions whose buffers the stage may write.
     stage_writes: Tuple[frozenset, ...] = ()
     unrolled: Dict[str, Dict[int, int]] = field(default_factory=dict)
@@ -269,14 +286,29 @@ def fuse_chain(
     # Per-stage bodies are rendered first (into scratch emitters) so
     # the packet-loop prologue can specialize on what the stages
     # actually do: whether any stage writes pkt/ctx, whether anyone
-    # reads data_end, whether a back-edge survived unrolling.
-    stage_bodies: List[_Emitter] = []
-    for comp in compilers:
-        comp.exit_lines = [f"_rr = r0 & {_HEX_M}", "break"]
-        comp.step_base = "_s0"
-        body = _Emitter()
-        comp.emit_dispatch(body, 0)
-        stage_bodies.append(body)
+    # reads data_end or the packet bytes, whether a back-edge survived
+    # unrolling.
+    def render(header_loads: Dict[int, str]) -> List[_Emitter]:
+        bodies = []
+        for comp in compilers:
+            comp.exit_lines = [f"_rr = r0 & {_HEX_M}", "break"]
+            comp.step_base = "_s0"
+            comp.header_loads = header_loads
+            body = _Emitter()
+            comp.emit_dispatch(body, 0)
+            bodies.append(body)
+        return bodies
+
+    # Header-load forwarding: a proven load of a header field reads the
+    # Packet attribute the encoder would have stored, so the encode is
+    # needed only while some stage still reads the buffer's bytes.  A
+    # stage that writes pkt makes the bytes diverge from the Packet,
+    # so such a chain forwards nothing.
+    stage_bodies = render(_HEADER_LOADS)
+    writes_pkt = any("pkt" in c.writes for c in compilers)
+    if writes_pkt:
+        stage_bodies = render({})
+    encodes_packet = writes_pkt or any(c.reads_packet for c in compilers)
 
     all_text = "\n".join("\n".join(b.lines) for b in stage_bodies)
     uses_pktend = "_PKTEND" in all_text
@@ -284,7 +316,7 @@ def fuse_chain(
 
     g: Dict[str, Any] = {
         "_zb": _zero_bytes_cache(),
-        "_enc": _HEADER_STRUCT.pack_into,
+        "_enc": HEADER_STRUCT.pack_into,
         "_CTXP": Pointer("ctx", 0),
         "_STKP": Pointer("stack", 0),
         "_PKT0": Pointer("pkt", 0),
@@ -296,16 +328,13 @@ def fuse_chain(
     em.emit(1, "try:")
     em.emit(L, "for _pp in batch:")
     B = L + 1
-    # Packet encode, specialized: zeroed template + pack_into, no
-    # intermediate bytearray/bytes round-trip (encode_packet allocates
-    # twice per packet).
     em.emit(B, "_n = _pp.size")
-    em.emit(B, "_pkt[:] = _zb(_n)")
-    em.emit(
-        B,
-        "_enc(_pkt, 0, _pp.src_ip, _pp.dst_ip, _pp.src_port, "
-        f"_pp.dst_port, _pp.proto, _n, _pp.timestamp_ns & {_HEX_M})",
-    )
+    if encodes_packet:
+        # Packet encode, specialized: zeroed template + pack_into, no
+        # intermediate bytearray/bytes round-trip (encode_packet
+        # allocates twice per packet).
+        em.emit(B, "_pkt[:] = _zb(_n)")
+        em.emit(B, _ENCODE)
     if uses_pktend:
         em.emit(B, "_PKTEND = _pe(_n)")
     if any_writes_ctx:
@@ -326,12 +355,7 @@ def fuse_chain(
             # read-only chains (all the bundled NFs).
             if wrote_pkt:
                 em.emit(B, "_pkt[:] = _zb(_n)")
-                em.emit(
-                    B,
-                    "_enc(_pkt, 0, _pp.src_ip, _pp.dst_ip, _pp.src_port, "
-                    "_pp.dst_port, _pp.proto, _n, "
-                    f"_pp.timestamp_ns & {_HEX_M})",
-                )
+                em.emit(B, _ENCODE)
             if wrote_ctx:
                 em.emit(B, "_ctx[:] = _ZCTX")
         em.emit(B, "r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0")
@@ -382,9 +406,7 @@ def fuse_chain(
         ) from exc
 
     ns: Dict[str, Any] = {}
-    inlined = 0
     for comp in compilers:
-        inlined += comp.inlined_calls
         ns.update(comp.globals)
     ns.update(g)
     if any_writes_ctx:
@@ -399,7 +421,9 @@ def fuse_chain(
         stage_names=names,
         elide_checks=bool(elide_checks),
         n_nodes=sum(len(c._reachable) for c in compilers),
-        inlined_kfuncs=inlined,
+        inlined_kfuncs=sum(c.inlined_calls for c in compilers),
+        forwarded_loads=sum(c.forwarded_loads for c in compilers),
+        encodes_packet=encodes_packet,
         stage_writes=tuple(frozenset(c.writes) for c in compilers),
         unrolled={
             names[i]: {s: N + 1 for (t, s, N) in c._loops}

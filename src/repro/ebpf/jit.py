@@ -453,8 +453,10 @@ class _Compiler:
     ``exit_lines`` replaces the ``return`` terminator with
     stage-local epilogue code, ``step_base`` rebases the runaway-step
     guard on a per-stage baseline (``_steps`` accumulates across a
-    whole fused batch), and ``inline_kfuncs`` expands kfunc impls that
-    publish a ``_fuse_inline`` codegen spec directly into the body.
+    whole fused batch), ``inline_kfuncs`` expands kfunc impls that
+    publish a ``_fuse_inline`` codegen spec directly into the body, and
+    ``header_loads`` forwards proven packet-header loads to the
+    expressions the fuser supplies.
     """
 
     def __init__(
@@ -496,6 +498,16 @@ class _Compiler:
         self.used_step_guard = False
         #: kfunc call sites expanded inline (``inline_kfuncs`` only).
         self.inlined_calls = 0
+        #: Packet offset -> expression for the header field stored
+        #: there.  A check-elided u64 load at one of these constant
+        #: offsets reads the expression instead of the packet buffer;
+        #: empty (no forwarding) unless the fuser sets it.
+        self.header_loads: Dict[int, str] = {}
+        #: Loads :attr:`header_loads` replaced in the last emission.
+        self.forwarded_loads = 0
+        #: Whether the last emission reads the packet buffer's bytes,
+        #: or hands ``vm`` to a kfunc that may.
+        self.reads_packet = False
         self.max_steps = (
             ann.states_explored
             + getattr(ann, "states_pruned", 0)
@@ -556,6 +568,10 @@ class _Compiler:
         terminate via ``self.exit_lines`` (or ``return`` by default).
         """
         res = self._res
+        self.writes = set()
+        self.inlined_calls = 0
+        self.forwarded_loads = 0
+        self.reads_packet = False
         em.emit(level, "_b = 0")
         em.emit(level, "while True:")
         for nd in self._nodes:
@@ -972,6 +988,12 @@ class _Compiler:
             a_txt, a_const = self._addr_txt(insn.base, bt, insn.off)
             if elided:
                 tallies["eli"] += 1
+                fwd = self.header_loads.get(a_const)
+                if fwd is not None:
+                    self.forwarded_loads += 1
+                    em.emit(0, f"r{d} = {fwd}")
+                    return
+                self.reads_packet = True
                 if a_const is not None:
                     em.emit(
                         0,
@@ -982,6 +1004,7 @@ class _Compiler:
                     em.emit(0, f"r{d} = _ifb(_pkt[_t:_t + 8], 'little')")
             else:
                 tallies["mem"] += 1
+                self.reads_packet = True
                 em.emit(0, f"r{d} = _rd(_Ptr('pkt', {a_txt}))")
             return
         if _is_ptr(bt) and bt[1] == "stack":
@@ -1009,6 +1032,7 @@ class _Compiler:
                 em.emit(1, f"r{d} = _rd(_Ptr('stack', {t}))")
             return
         # Generic: unknown base (spilled/kptr/ctx-at-unknown-offset).
+        self.reads_packet = True
         em.emit(0, f"_bp = r{insn.base}")
         if insn.off:
             em.emit(0, f"_t = _bp.off + {insn.off}")
@@ -1188,6 +1212,7 @@ class _Compiler:
             em.emit(0, "r1 = r2 = r3 = r4 = r5 = 0")
             return
         args = "".join(f", r{R1 + i}" for i in range(len(meta.args)))
+        self.reads_packet = True
         em.emit(0, f"_res = {self._kf(insn.func)}(vm{args})")
         for i in range(R1, R1 + 5):
             em.emit(0, f"r{i} = 0")

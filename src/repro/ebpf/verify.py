@@ -19,7 +19,9 @@ range-aware verifier proved:
 - chain fusion (``--chains``): every bundled NF chain combination is
   fused into one closure (:mod:`repro.ebpf.fuse`) and replayed on a
   deterministic trace against the interpreted chain; the report pins
-  bit-identical verdicts, VM stats, and cycle accounting.
+  bit-identical verdicts, VM stats, and cycle accounting, and records
+  how many header loads were forwarded and whether the fused loop
+  still encodes each packet.
 
 ``--strict`` exits non-zero when any bundled program's verdict differs
 from its expected accept/reject or an accepted program elides zero
@@ -180,6 +182,8 @@ def _chain_report(combo: tuple, verifier: Verifier) -> Dict[str, Any]:
         "compile_ms": round((time.perf_counter() - t0) * 1e3, 3),
         "n_nodes": fused.n_nodes,
         "inlined_kfuncs": fused.inlined_kfuncs,
+        "forwarded_loads": fused.forwarded_loads,
+        "encodes_packet": fused.encodes_packet,
     }
     pkts = _chain_trace(_CHAIN_PACKETS, _CHAIN_SEED)
     observed = {}
@@ -467,6 +471,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print(
                         f"FUSED   {label}  ({cr['n_nodes']} nodes, "
                         f"{cr['inlined_kfuncs']} kfuncs inlined, "
+                        f"{cr['forwarded_loads']} header loads forwarded, "
+                        f"encode {'kept' if cr['encodes_packet'] else 'elided'}, "
                         f"{cr['fused']['cycles']} cyc; {verdict})"
                     )
 

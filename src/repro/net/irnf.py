@@ -10,18 +10,25 @@ to every per-packet VM run, letting the interpreter skip the bounds
 and divisor checks the verifier already discharged (§4.1's
 lazy-checking payoff).  ``elide_checks=False`` is the ablation knob:
 identical execution, every check still performed and charged.
+:class:`IrChainNf` runs an ordered chain of programs the same way, on
+the ``interp``, ``jit`` or ``fused`` backend.
 
-Packets cross the boundary through :func:`encode_packet`, which lays
-the parsed 5-tuple out as little-endian u64 fields so guarded
-``*(u64 *)(data + off)`` loads read real header bytes.
+On the ``interp`` and ``jit`` backends packets cross the boundary
+through :func:`encode_packet`, which lays the packet's header fields
+out as little-endian u64s (the layout of :mod:`repro.ebpf.header`:
+5-tuple, frame size, timestamp) so guarded ``*(u64 *)(data + off)``
+loads read real header bytes.  A fused chain encodes the same bytes
+only when some stage needs them; otherwise its proven header loads
+read the :class:`~repro.net.packet.Packet` fields directly (see
+:mod:`repro.ebpf.fuse`).
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..ebpf.cost_model import Category
+from ..ebpf.header import HEADER_BYTES, pack_header
 from ..ebpf.insn import Program
 from ..ebpf.kfunc_meta import KfuncRegistry
 from ..ebpf.progs import runnable_registry
@@ -29,8 +36,6 @@ from ..ebpf.runtime import BpfRuntime
 from ..ebpf.verifier import VerifiedProgram, Verifier
 from ..ebpf.vm import Vm, VmStats
 from .packet import Packet, XdpAction
-
-MASK64 = (1 << 64) - 1
 
 #: The XDP return-code convention (``enum xdp_action``): r0 -> verdict.
 XDP_RETURN_CODES = {
@@ -41,30 +46,16 @@ XDP_RETURN_CODES = {
     4: XdpAction.REDIRECT,
 }
 
-#: Byte offsets of the encoded header fields (u64 little-endian each).
-PKT_SRC_IP = 0
-PKT_DST_IP = 8
-PKT_SRC_PORT = 16
-PKT_DST_PORT = 24
-PKT_PROTO = 32
-PKT_SIZE = 40
-PKT_TIMESTAMP = 48
-HEADER_BYTES = 56
-
 
 def encode_packet(pkt: Packet) -> bytes:
     """Serialize a packet's parsed view into the VM's packet buffer.
 
-    The buffer is ``pkt.size`` bytes (64 minimum); the first 56 hold
-    the 5-tuple and metadata as u64 fields, the rest is zero payload —
+    The buffer is ``pkt.size`` bytes (64 minimum); the first
+    ``HEADER_BYTES`` hold the header fields, the rest is zero payload —
     so a program's ``data_end`` guard sees realistic frame lengths.
     """
     buf = bytearray(max(pkt.size, HEADER_BYTES + 8))
-    struct.pack_into(
-        "<7Q", buf, 0,
-        pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port,
-        pkt.proto, pkt.size, pkt.timestamp_ns & MASK64,
-    )
+    pack_header(buf, pkt)
     return bytes(buf)
 
 

@@ -10,6 +10,8 @@ ring in place — visible to already-fused closures — with Maglev-grade
 disruption and connection eviction.
 """
 
+import ast
+
 import pytest
 
 from repro.apps.ir import (
@@ -23,6 +25,9 @@ from repro.apps.ir import (
     verify_app_chains,
 )
 from repro.datastructs.cuckoo import BlockedCuckooTable
+from repro.ebpf.progs import runnable_registry
+from repro.ebpf.runtime import BpfRuntime
+from repro.net.irnf import IrChainNf
 from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher
 
@@ -114,6 +119,56 @@ def test_fusion_inlines_app_kfuncs():
     for app in IR_APP_NAMES:
         nf = app_nf(app, backend="fused", seed=1)
         assert nf._fused.inlined_kfuncs >= 1, app
+
+
+def test_reversed_polycube_chain_parity():
+    # Forward runs first: its inline FDB lookup executes before the
+    # learn stage reads the packet's source fields.
+    trace = _trace()
+    witnesses = {}
+    for backend in ("interp", "fused"):
+        registry = ir_registry(3)
+        _static_fdb(registry, trace)
+        nf = IrChainNf(
+            BpfRuntime(),
+            list(reversed(app_chain("polycube"))),
+            registry=registry,
+            backend=backend,
+        )
+        nf.process_batch(trace)
+        witnesses[backend] = _witness(nf)
+    assert witnesses["interp"] == witnesses["fused"]
+    assert set(witnesses["fused"][0]) == {2, 4}
+
+
+#: Locals of the fused packet loop; an inline spec assigning one would
+#: clobber loop state that later stages and the accounting read.
+FUSED_LOOP_LOCALS = frozenset((
+    "_pp", "_n", "_PKTEND", "_rr", "_counts", "_steps", "_mem", "_div",
+    "_eli",
+))
+
+
+@pytest.mark.parametrize("make_registry", [ir_registry, runnable_registry])
+def test_inline_specs_leave_fused_loop_locals_alone(make_registry):
+    specs = [
+        (meta.name, meta.impl._fuse_inline, len(meta.args))
+        for meta in make_registry(0)
+        if getattr(meta.impl, "_fuse_inline", None) is not None
+    ]
+    assert specs
+    for name, spec, n_args in specs:
+        setup, expr = spec(
+            [f"r{1 + i}" for i in range(n_args)],
+            lambda hint, value: f"_c{hint}",
+        )
+        tree = ast.parse("\n".join([*setup, f"r0 = {expr}"]))
+        assigned = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        assert not assigned & FUSED_LOOP_LOCALS, name
 
 
 # -- katran control plane ---------------------------------------------------
