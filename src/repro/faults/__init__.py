@@ -6,7 +6,7 @@ Real XDP programs cannot crash: helper failures surface as error codes
 ``XDP_ABORTED`` counted by the kernel's ``xdp_exception`` tracepoint,
 and the NF keeps forwarding.  This module reproduces that fault model
 so the rest of the data plane can be hardened against it — and so
-resilience can be *measured* (``benchmarks/bench_resilience.py``).
+resilience can be *measured* (``tests/net/test_fleet_contracts.py``).
 
 Two pieces:
 
@@ -39,6 +39,14 @@ fault kind            real-world counterpart
 ``core_crash``        worker/core death (watchdog sees it immediately)
 ``core_wedge``        wedged core: stops consuming; watchdog deadline
 ====================  =================================================
+
+The packet, helper and map faults fire inside each core's pipeline.
+The two core faults are the watchdog's business: one fleet engine,
+:class:`repro.net.fleet.Fleet`, reads :meth:`FaultPlan.crash_point`
+and :meth:`FaultPlan.wedge_point` for every dispatch path
+(:class:`~repro.net.multicore.RssDispatcher` with or without queueing,
+and the SLO controller), splits the batch that crosses the point, and
+draws wedge deadlines from :class:`WedgeDetection`.
 
 The chaos-harness CLI lives in ``python -m repro.faults``.
 """

@@ -33,10 +33,11 @@ existing cycle accounting:
   which is what p50/p95/p99 latency is computed from.
 
 The model is attached to :class:`~repro.net.multicore.RssDispatcher`
-via ``queueing=QueueingConfig(...)``; when it is ``None`` (the
-default) the dispatcher runs the original path untouched, and every
-cycle total and fault schedule is bit-identical to previous releases
-(the PR 3 determinism contract).  Because cycle accounting is
+via ``queueing=QueueingConfig(...)`` and drives the fleet's timed loop
+(:meth:`repro.net.fleet.Fleet.run_timed`); when it is ``None`` (the
+default) the dispatcher runs the buffered loop, and every cycle total
+and fault schedule is bit-identical to previous releases (the
+determinism contract).  Because cycle accounting is
 independent of batch boundaries, total cycles are identical with the
 model on or off — queueing adds *information* (latency, overflow),
 never different charges.
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..core.algorithms.hashing import fast_hash32
 from .packet import Packet
@@ -291,26 +292,6 @@ class CoreQueue:
         self.pending.append(pkt)
         self.arrivals.append(now_ns)
         return True
-
-    @property
-    def full(self) -> bool:
-        """A whole batch is waiting — close it now."""
-        return len(self.pending) >= self.batch_size
-
-    @property
-    def deadline_ns(self) -> Optional[int]:
-        """When the coalescing timeout fires for the oldest frame."""
-        if not self.arrivals:
-            return None
-        return self.arrivals[0] + self.cfg.batch_timeout_ns
-
-    def due(self, now_ns: int) -> bool:
-        """Is a batch ready (full, or the oldest frame timed out)?"""
-        if not self.pending:
-            return False
-        if self.full:
-            return True
-        return now_ns >= self.arrivals[0] + self.cfg.batch_timeout_ns
 
     def pickup_ns(self) -> int:
         """When the next batch is picked up (needs pending frames).

@@ -86,13 +86,14 @@ class SteeringPolicy:
     def repack(self, alive: Sequence[int]) -> bool:
         """Re-pack placement onto the surviving cores after a failure.
 
-        Policies that own an explicit placement table (ntuple) rebuild
-        it over ``alive`` and return True — from then on
-        :meth:`queue_of` only names live cores, so the dispatcher's
-        hash-failover fallback never engages.  Hash-only policies
-        (plain RSS, rekey) have no table to rewrite and return False;
-        the dispatcher keeps re-steering their dead-core traffic with
-        the flow-affine failover hash.
+        Policies that own an explicit placement table rebuild it over
+        ``alive`` — from then on :meth:`queue_of` only names live
+        cores, so the fleet's hash-failover fallback never engages.
+        Ntuple returns True; the SLO indirection table returns the
+        number of buckets it moved.  Hash-only policies (plain RSS,
+        rekey) have no table to rewrite and return False; the fleet
+        keeps re-steering their dead-core traffic with the flow-affine
+        failover hash.
         """
         return False
 

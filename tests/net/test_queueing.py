@@ -136,14 +136,14 @@ class TestCoreQueue:
         assert q.overflowed == 1
         assert len(q) == 2
 
-    def test_due_on_fullness_and_timeout(self):
+    def test_pickup_on_fullness_timeout_and_busy_server(self):
         q = CoreQueue(self.cfg(), batch_size=2)
-        assert not q.due(0)
         q.offer(self.pkt(0), 0)
-        assert not q.due(500)        # partial, not yet timed out
-        assert q.due(1000)           # oldest frame hit the coalesce timeout
+        assert q.pickup_ns() == 1000  # partial: oldest frame times out
         q.offer(self.pkt(1), 600)
-        assert q.full and q.due(601)  # full batch closes immediately
+        assert q.pickup_ns() == 600   # full batch closes at its fill instant
+        q.complete([0], ready_ns=0, service_ns=800)
+        assert q.pickup_ns() == q.server_free_ns == 900  # server still busy
 
     def test_complete_sojourns_spread_service(self):
         q = CoreQueue(self.cfg(softirq_delay_ns=100), batch_size=2)
