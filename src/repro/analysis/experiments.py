@@ -20,7 +20,7 @@ from ..ebpf.cost_model import (
     OBSERVATION_CATEGORIES,
 )
 from ..ebpf.runtime import BpfRuntime
-from ..net.flowgen import FlowGenerator, rate_to_inter_arrival_ns
+from ..net.flowgen import FlowGenerator, make_flows, rate_to_inter_arrival_ns
 from ..net.packet import Packet
 from ..net.xdp import PipelineResult, XdpPipeline
 from ..nfs import (
@@ -97,10 +97,14 @@ def _skiplist_sweep(name, op_mix, loads, n_packets, seed) -> Sweep:
         fg = FlowGenerator(n_flows=load, seed=seed)
         keys = [f.key_int & MASK64 for f in fg.flows]
         trace = fg.trace(n_packets)
+        # Only the keys and the trace are used from here on; dropping
+        # the flow population before the lists are built lowers peak
+        # memory.
+        del fg
         for mode in KERNEL_MODES:
             rt = BpfRuntime(mode=mode, seed=seed)
             nf = SkipListKV(rt, op_mix=op_mix)
-            nf.preload(keys)
+            nf.populate(keys)
             rt.cycles.reset()
             result = _measure(nf, trace)
             sweep.add(_point(load, mode, result))
@@ -120,17 +124,21 @@ def fig3c_cuckoo_switch(
 ) -> Sweep:
     sweep = Sweep("fig3c", "load factor")
     capacity = n_buckets * slots
-    fg_all = FlowGenerator(n_flows=capacity, seed=seed)
     for alpha in load_factors:
-        n_keys = int(alpha * capacity)
-        flows = fg_all.flows[:n_keys]
-        # Traffic restricted to resident keys.
+        # The resident keys: make_flows(n, seed) is a prefix of any
+        # larger population.  Traffic is restricted to them.
+        flows = make_flows(int(alpha * capacity), seed)
         fg = FlowGenerator(seed=seed + 1, flows=flows)
         trace = fg.trace(n_packets)
+        # One fill per point; every mode probes its own copy.
+        filled = CuckooSwitchNF(
+            BpfRuntime(), n_buckets=n_buckets, slots_per_bucket=slots
+        )
+        filled.populate(f.key_int for f in flows)
         for mode in ALL_MODES:
             rt = BpfRuntime(mode=mode, seed=seed)
             nf = CuckooSwitchNF(rt, n_buckets=n_buckets, slots_per_bucket=slots)
-            nf.populate(f.key_int for f in flows)
+            nf.table = filled.table.copy()
             rt.cycles.reset()
             result = _measure(nf, trace)
             sweep.add(_point(alpha, mode, result, load=nf.load_factor))
@@ -219,16 +227,18 @@ def fig3g_cuckoo_filter(
 ) -> Sweep:
     sweep = Sweep("fig3g", "load factor")
     capacity = n_buckets * slots
-    fg_all = FlowGenerator(n_flows=capacity, seed=seed)
     for alpha in load_factors:
-        n_keys = int(alpha * capacity)
-        flows = fg_all.flows[:n_keys]
+        flows = make_flows(int(alpha * capacity), seed)
         fg = FlowGenerator(seed=seed + 1, flows=flows)
         trace = fg.trace(n_packets)
+        filled = CuckooFilterNF(
+            BpfRuntime(), n_buckets=n_buckets, slots_per_bucket=slots
+        )
+        filled.populate(f.key_int for f in flows)
         for mode in ALL_MODES:
             rt = BpfRuntime(mode=mode, seed=seed)
             nf = CuckooFilterNF(rt, n_buckets=n_buckets, slots_per_bucket=slots)
-            nf.populate(f.key_int for f in flows)
+            nf.filter = filled.filter.copy()
             rt.cycles.reset()
             result = _measure(nf, trace)
             sweep.add(_point(alpha, mode, result, load=nf.load_factor))
@@ -369,7 +379,7 @@ def _heavy_nf(name: str, rt: BpfRuntime, fg: FlowGenerator):
         return nf
     if name == "kv_skiplist":
         nf = SkipListKV(rt, op_mix=OP_LOOKUP)
-        nf.preload(f.key_int & MASK64 for f in fg.flows)
+        nf.populate(f.key_int for f in fg.flows)
         return nf
     raise ValueError(f"unknown NF {name!r}")
 

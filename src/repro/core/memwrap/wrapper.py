@@ -98,6 +98,16 @@ class MemoryWrapper:
         owns the returned reference and must null-check it.
         """
         self._charge(self._alloc_cost, self.category)
+        return self.setup_alloc(n_outs, n_ins, data_size)
+
+    def setup_alloc(
+        self, n_outs: int, n_ins: int, data_size: int = 0
+    ) -> Optional[Node]:
+        """``node_alloc`` without the charge: a control-plane allocation
+        made while a structure is set up from user space, outside the
+        measured program.  Honours :meth:`fail_next_alloc` and counts in
+        ``stats.allocs`` exactly as ``node_alloc`` does.
+        """
         if self._fail_next_alloc:
             self._fail_next_alloc = False
             return None

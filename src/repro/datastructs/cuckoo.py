@@ -9,6 +9,7 @@ cuckoo path up to a bounded number of kicks.
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -153,6 +154,18 @@ class BlockedCuckooTable:
                 self._len -= 1
                 return True
         return False
+
+    def copy(self) -> "BlockedCuckooTable":
+        """An independent table in this one's exact state: the same
+        entries in the same slots (as new entry objects), the same
+        length and the same kick RNG state."""
+        dup = copy.copy(self)
+        dup._buckets = [
+            [EMPTY if e is EMPTY else _Entry(e.sig, e.key, e.value) for e in bucket]
+            for bucket in self._buckets
+        ]
+        dup._rng = copy.deepcopy(self._rng)
+        return dup
 
     def items(self) -> List[Tuple[int, Any]]:
         """Snapshot of the live ``(key, value)`` pairs, in bucket order

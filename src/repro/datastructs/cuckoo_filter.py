@@ -8,6 +8,7 @@ insert, lookup, and delete with a bounded false-positive rate.
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import List, Optional
 
@@ -100,6 +101,15 @@ class CuckooFilter:
                     self._len -= 1
                     return True
         return False
+
+    def copy(self) -> "CuckooFilter":
+        """An independent filter in this one's exact state: the same
+        fingerprints in the same slots, the same length and the same
+        kick RNG state."""
+        dup = copy.copy(self)
+        dup._buckets = [bucket[:] for bucket in self._buckets]
+        dup._rng = copy.deepcopy(self._rng)
+        return dup
 
     def _free_slot(self, index: int) -> Optional[int]:
         for slot, fp in enumerate(self._buckets[index]):

@@ -13,10 +13,12 @@ the four surveyed works eBPF implements without degradation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..net.packet import Packet
 from .tss import Rule
+
+if TYPE_CHECKING:   # annotations only: repro.net imports this package
+    from ..net.packet import Packet
 
 DIM_LIMITS = (1 << 32, 1 << 32, 1 << 16, 1 << 16, 1 << 8)
 N_DIMS = 5

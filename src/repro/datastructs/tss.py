@@ -11,9 +11,10 @@ being a hash + compare (the behaviors eNetSTL accelerates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..net.packet import Packet
+if TYPE_CHECKING:   # annotations only: repro.net imports this package
+    from ..net.packet import Packet
 
 
 @dataclass(frozen=True)

@@ -194,9 +194,57 @@ class SkipListKV(BaseNF):
         return XdpAction.DROP
 
     def preload(self, keys) -> None:
-        """Populate the list (cost-charged; callers measure deltas)."""
+        """Insert ``keys`` (16-byte zero values) through the charged
+        ``insert`` path; callers measure deltas.
+
+        The charged reference for :meth:`populate`: every search,
+        allocation and link is booked, and the golden Fig. 3(a)/(b)
+        accounting tests pin those cycles.
+        """
         for key in keys:
             self.insert(key & ((1 << 64) - 1), b"\x00" * 16)
+
+    def populate(self, keys) -> None:
+        """Build the empty list from ``keys`` without charging a cycle.
+
+        Uncharged set-up: a control plane fills the table from user
+        space before the measured program runs.  The list ends as
+        :meth:`preload` leaves it: the same nodes allocated in the same
+        order (so the same ids), keys, payloads, per-level links and
+        in-edges, zero refcounts, ``height`` and length, and the same
+        runtime PRNG draws -- one :meth:`_random_height` per new key in
+        first-occurrence order.  A pending
+        :meth:`MemoryWrapper.fail_next_alloc` drops the key it fails, as
+        ``insert`` does.  Only the cycle counter and the wrapper's
+        connect/traversal counts differ.
+        """
+        if self._len:
+            raise ValueError("populate builds an empty list")
+        placed = {}
+        for key in keys:
+            key &= (1 << 64) - 1
+            if key in placed:
+                continue
+            height = self._random_height()
+            node = self.wrapper.setup_alloc(height, height, 8 + VALUE_SIZE)
+            if node is None:
+                continue
+            self.proxy.adopt(node)
+            node.write_u64(key, 0)
+            node.write(8, b"\x00" * 16)
+            node.refcount = 0   # the allocating reference, returned
+            placed[key] = node
+            if height > self.height:
+                self.height = height
+        tails = [self.head] * self.max_height
+        for key in sorted(placed):
+            node = placed[key]
+            for level in range(len(node.outs)):
+                prev = tails[level]
+                prev.outs[level] = node
+                node.add_in_edge(prev, level)
+                tails[level] = node
+        self._len = len(placed)
 
     def __len__(self) -> int:
         return self._len

@@ -1,7 +1,7 @@
 """Tests for packets, flow generation, and stats helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.flowgen import (
     DISTRIBUTIONS,
@@ -64,6 +64,19 @@ class TestFlowGenerator:
     def test_make_flows_distinct(self):
         flows = make_flows(500, seed=2)
         assert len({f.five_tuple for f in flows}) == 500
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        extra=st.integers(0, 300),
+        seed=st.integers(0, 2**64),
+    )
+    @example(n=3276, extra=16384 - 3276, seed=5)   # fig3c's alpha = 0.2
+    def test_make_flows_is_a_prefix_of_larger_populations(self, n, extra, seed):
+        # One RNG stream plus a deterministic dedup: the Fig. 3(c)/(g)
+        # sweeps draw make_flows(n_keys, seed) per load factor and rely
+        # on it being the head of the full-capacity population.
+        assert make_flows(n, seed) == make_flows(n + extra, seed)[:n]
 
     def test_deterministic_per_seed(self):
         a = FlowGenerator(64, seed=5).trace(100)
