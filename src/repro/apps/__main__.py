@@ -3,7 +3,7 @@
 The reproducible face of the Fig. 7 component-swap comparison::
 
     python -m repro.apps --list
-    python -m repro.apps --verify                    # strict: all stages
+    python -m repro.apps --verify                    # strict + fused stats
     python -m repro.apps --app katran --backend fused --packets 5000
     python -m repro.apps --app all --parity          # 3-backend witness
     python -m repro.apps --app katran --cores 4 --backend jit --json
@@ -55,6 +55,17 @@ def _witness(nf):
         nf.stats.insn_cycles,
         nf.stats.check_cycles,
     )
+
+
+def _fused_stats(app: str):
+    """What fusing ``app``'s chain did: kfuncs inlined, header loads
+    forwarded, hashes hoisted into the per-batch prologue."""
+    fused = app_nf(app, backend="fused")._fused
+    return {
+        "inlined_kfuncs": fused.inlined_kfuncs,
+        "forwarded_loads": fused.forwarded_loads,
+        "hoisted_calls": fused.hoisted_calls,
+    }
 
 
 def _run_single(app: str, backend: str, trace, seed: int):
@@ -153,11 +164,18 @@ def main(argv=None) -> int:
 
     if args.verify:
         states = verify_app_chains(strict=True)
+        fused = {app: _fused_stats(app) for app in IR_APP_NAMES}
         if args.json:
-            print(json.dumps({"verified": states}, indent=2))
+            print(json.dumps({"verified": states, "fused": fused}, indent=2))
         else:
             for name, n in states.items():
                 print(f"{name:>14}: verified ({n} states)")
+            for app, st in fused.items():
+                print(
+                    f"{app:>14}: fused ({st['inlined_kfuncs']} kfuncs "
+                    f"inlined, {st['forwarded_loads']} header loads "
+                    f"forwarded, {st['hoisted_calls']} hashes hoisted)"
+                )
         return 0
 
     apps = IR_APP_NAMES if args.app == "all" else (args.app,)

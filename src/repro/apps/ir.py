@@ -310,6 +310,12 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
       the per-call VM overhead (argument marshalling, r1-r5 clobber
       bookkeeping) while keeping one source of truth for the data
       structure's behaviour.
+
+    Either flavour reads a packet-pure argument's ``fast_hash32`` from
+    the fuser's per-batch hash prologue when ``hashed`` offers it
+    (RakeLimit's four levels, the learn filter's two, the universal
+    sample's two); the learn and sample closures take the hashes as
+    arguments, and their scalar impls hash and call the same body.
     """
     reg = runnable_registry(seed)
     state = AppState(seed=seed, n_reals=n_reals)
@@ -342,19 +348,19 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
     def lb_stats(vm, real):
         return _lb_stats(real)
 
-    def _inline_conn_lookup(args, bind):
+    def _inline_conn_lookup(args, bind, hashed):
         fn = bind("kcl", _conn_lookup)
         return [], f"{fn}({args[0]})"
 
     conn_lookup._fuse_inline = _inline_conn_lookup
 
-    def _inline_conn_insert(args, bind):
+    def _inline_conn_insert(args, bind, hashed):
         fn = bind("kci", _conn_insert)
         return [], f"{fn}({args[0]}, {args[1]})"
 
     conn_insert._fuse_inline = _inline_conn_insert
 
-    def _inline_ch_pick(args, bind):
+    def _inline_ch_pick(args, bind, hashed):
         # The live ring list (not a copy): one modulo + one list index
         # per new flow, and fail_real()'s in-place repack is visible to
         # every already-fused closure.
@@ -363,7 +369,7 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
 
     ch_pick._fuse_inline = _inline_ch_pick
 
-    def _inline_lb_stats(args, bind):
+    def _inline_lb_stats(args, bind, hashed):
         fn = bind("kst", _lb_stats)
         return [], f"{fn}({args[0]})"
 
@@ -386,16 +392,19 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
     def rake_update(vm, k0, k1, k2, k3):
         return _rake_update(k0, k1, k2, k3)
 
-    def _inline_rake_update(args, bind):
+    def _inline_rake_update(args, bind, hashed):
         # All four hierarchy levels unrolled: per-level salt and the
-        # sketch width burned in as literals, the rows bound once.
+        # sketch width burned in as literals, the rows bound once; a
+        # level key that is packet-pure reads its hash from the prologue.
         fh = bind("rfh", fast_hash32)
         lv = bind("rlv", levels)
         lines = []
         vals = []
         for i in range(RAKE_LEVELS):
+            h = hashed(i, 1000 * i)
+            hx = f"{h}[_i]" if h else f"{fh}({args[i]}, {1000 * i})"
             lines.append(f"_rr{i} = {lv}[{i}]")
-            lines.append(f"_rc{i} = {fh}({args[i]}, {1000 * i}) % {RAKE_WIDTH}")
+            lines.append(f"_rc{i} = {hx} % {RAKE_WIDTH}")
             lines.append(f"_rv{i} = _rr{i}[_rc{i}] + 1")
             lines.append(f"_rr{i}[_rc{i}] = _rv{i}")
             vals.append(f"_rv{i}")
@@ -408,14 +417,23 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
     fdb = state.fdb
     bits = state.learn_filter
 
-    def _fdb_learn(mac: int, port: int) -> int:
-        b0 = fast_hash32(mac, _PCN_FILTER_SALT) % PCN_FILTER_BITS
-        b1 = fast_hash32(mac, _PCN_FILTER_SALT + 1) % PCN_FILTER_BITS
+    def _fdb_learn_hashed(mac: int, port: int, h0: int, h1: int) -> int:
+        """Learn ``mac`` given its two learn-filter hashes."""
+        b0 = h0 % PCN_FILTER_BITS
+        b1 = h1 % PCN_FILTER_BITS
         fresh = not (bits[b0] and bits[b1])
         bits[b0] = 1
         bits[b1] = 1
         fdb[mac] = port % PCN_PORTS
         return 1 if fresh else 0
+
+    def _fdb_learn(mac: int, port: int) -> int:
+        return _fdb_learn_hashed(
+            mac,
+            port,
+            fast_hash32(mac, _PCN_FILTER_SALT),
+            fast_hash32(mac, _PCN_FILTER_SALT + 1),
+        )
 
     def _fdb_lookup(mac: int) -> int:
         port = fdb.get(mac)
@@ -427,13 +445,18 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
     def fdb_lookup(vm, mac):
         return _fdb_lookup(mac)
 
-    def _inline_fdb_learn(args, bind):
-        fn = bind("pfl", _fdb_learn)
-        return [], f"{fn}({args[0]}, {args[1]})"
+    def _inline_fdb_learn(args, bind, hashed):
+        h0 = hashed(0, _PCN_FILTER_SALT)
+        if not h0:
+            fn = bind("pfl", _fdb_learn)
+            return [], f"{fn}({args[0]}, {args[1]})"
+        h1 = hashed(0, _PCN_FILTER_SALT + 1)
+        fn = bind("pflh", _fdb_learn_hashed)
+        return [], f"{fn}({args[0]}, {args[1]}, {h0}[_i], {h1}[_i])"
 
     fdb_learn._fuse_inline = _inline_fdb_learn
 
-    def _inline_fdb_lookup(args, bind):
+    def _inline_fdb_lookup(args, bind, hashed):
         # dict.get bound directly: a known MAC costs one hash probe.
         get = bind("pfg", fdb.get)
         return [f"_fdp = {get}({args[0]})"], "0 if _fdp is None else _fdp + 1"
@@ -460,14 +483,21 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
     def _hh_offer(key: int, est: int) -> int:
         return 1 if heap.offer(key, est) else 0
 
-    def _univ_sample(key: int) -> int:
-        h = fast_hash32(key, 500)
+    def _univ_sampled(
+        key: int, h: int, h_row0: Optional[int] = None
+    ) -> int:
+        """Sample ``key`` given its level hash (seed 500) and, if known,
+        its level-0 row hash (seed 50)."""
         level = 0
         while level < SK_UNIV_LEVELS - 1 and (h >> level) & 1:
             level += 1
-        row = univ_rows[level]
-        row[fast_hash32(key, 50 + level) % SK_WIDTH] += 1
+        if level or h_row0 is None:
+            h_row0 = fast_hash32(key, 50 + level)
+        univ_rows[level][h_row0 % SK_WIDTH] += 1
         return level
+
+    def _univ_sample(key: int) -> int:
+        return _univ_sampled(key, fast_hash32(key, 500))
 
     def sketch_cnt(vm, key):
         return _sketch_cnt(key)
@@ -478,7 +508,7 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
     def univ_sample(vm, key):
         return _univ_sample(key)
 
-    def _inline_sketch_cnt(args, bind):
+    def _inline_sketch_cnt(args, bind, hashed):
         # Five rows unrolled with salts, mixer, and width as literals;
         # min() over the post-increment counts mirrors the impl's
         # running minimum.
@@ -498,15 +528,22 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
 
     sketch_cnt._fuse_inline = _inline_sketch_cnt
 
-    def _inline_hh_offer(args, bind):
+    def _inline_hh_offer(args, bind, hashed):
         offer = bind("sho", heap.offer)
         return [], f"1 if {offer}({args[0]}, {args[1]}) else 0"
 
     hh_offer._fuse_inline = _inline_hh_offer
 
-    def _inline_univ_sample(args, bind):
-        fn = bind("sus", _univ_sample)
-        return [], f"{fn}({args[0]})"
+    def _inline_univ_sample(args, bind, hashed):
+        # Both hashes hoist: the level-0 row hash is wasted on packets
+        # that sample level 1, and still measured cheaper in lanes.
+        h = hashed(0, 500)
+        if not h:
+            fn = bind("sus", _univ_sample)
+            return [], f"{fn}({args[0]})"
+        h_row0 = hashed(0, 50)
+        fn = bind("sush", _univ_sampled)
+        return [], f"{fn}({args[0]}, {h}[_i], {h_row0}[_i])"
 
     univ_sample._fuse_inline = _inline_univ_sample
 

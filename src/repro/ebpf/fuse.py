@@ -36,6 +36,15 @@ accounting flush:
   and the per-packet encode into the VM's packet buffer is emitted
   only while some stage still reads the buffer's bytes (an
   unforwarded or generic load, or a kfunc call handed ``vm``).
+- **Hash prologue** — an inline kfunc spec may ask for
+  ``fast_hash32(arg, seed)`` of a *packet-pure* argument (built only
+  from forwarded header loads, immediates and mov/ALU on such values,
+  within the call's block).  Such a hash is a pure function of the
+  packet, so the fuser computes it for the whole batch up front with
+  the lane kernel (``fast_hash32_lanes``) and the loop reads
+  ``_hN[_i]``.  The hashing kfuncs charge no cycles per hash and the
+  step tallies stay at the call site, so a packet that exits early
+  is charged nothing for the hash it never reached.
 - **Per-batch accounting** — step/check tallies accumulate in locals
   across the whole batch and flush once (in a ``finally``, so a
   faulting batch still accounts its executed prefix), with cycle
@@ -62,6 +71,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.algorithms.hashing import fast_hash32_lanes
 from .cost_model import CostModel, DEFAULT_COSTS
 from .header import HEADER_FIELDS, HEADER_STRUCT, WRAPPED_FIELD
 from .jit import JitError, _Compiler, _Emitter, program_hash
@@ -115,6 +125,8 @@ class FusedChain:
     #: whether the packet loop still encodes each frame into the VM's
     #: packet buffer (some stage writes or reads its bytes).
     encodes_packet: bool = True
+    #: kfunc hashes read from the per-batch hash prologue.
+    hoisted_calls: int = 0
     #: per-stage regions whose buffers the stage may write.
     stage_writes: Tuple[frozenset, ...] = ()
     unrolled: Dict[str, Dict[int, int]] = field(default_factory=dict)
@@ -211,6 +223,34 @@ def _pktend_cache() -> Callable[[int], Pointer]:
     return pktend
 
 
+class _HashPrologue:
+    """The per-batch hash prologue, as :attr:`_Compiler.hoist`.
+
+    Each distinct packet-pure key expression becomes one list over the
+    batch (``_hkN``), hashed once per seed in lanes (``_hN``).
+    """
+
+    def __init__(self) -> None:
+        self.keys: Dict[str, str] = {}
+        self.hashes: Dict[Tuple[str, int], str] = {}
+        self.lines: List[str] = []
+
+    def __call__(self, key: str, seed: int) -> str:
+        name = self.hashes.get((key, seed))
+        if name is None:
+            keys = self.keys.get(key)
+            if keys is None:
+                keys = f"_hk{len(self.keys)}"
+                self.keys[key] = keys
+                # The loop's ``_n`` is the packet's size.
+                expr = re.sub(r"\b_n\b", "_pp.size", key)
+                self.lines.append(f"{keys} = [{expr} for _pp in batch]")
+            name = f"_h{len(self.hashes)}"
+            self.hashes[(key, seed)] = name
+            self.lines.append(f"{name} = _fhl({keys}, {seed})")
+        return name
+
+
 # -- the fuser ---------------------------------------------------------------
 
 
@@ -288,26 +328,31 @@ def fuse_chain(
     # actually do: whether any stage writes pkt/ctx, whether anyone
     # reads data_end or the packet bytes, whether a back-edge survived
     # unrolling.
-    def render(header_loads: Dict[int, str]) -> List[_Emitter]:
+    def render(
+        header_loads: Dict[int, str]
+    ) -> Tuple[List[_Emitter], _HashPrologue]:
         bodies = []
+        prologue = _HashPrologue()
         for comp in compilers:
             comp.exit_lines = [f"_rr = r0 & {_HEX_M}", "break"]
             comp.step_base = "_s0"
             comp.header_loads = header_loads
+            comp.hoist = prologue
             body = _Emitter()
             comp.emit_dispatch(body, 0)
             bodies.append(body)
-        return bodies
+        return bodies, prologue
 
     # Header-load forwarding: a proven load of a header field reads the
     # Packet attribute the encoder would have stored, so the encode is
     # needed only while some stage still reads the buffer's bytes.  A
     # stage that writes pkt makes the bytes diverge from the Packet,
     # so such a chain forwards nothing.
-    stage_bodies = render(_HEADER_LOADS)
+    stage_bodies, prologue = render(_HEADER_LOADS)
     writes_pkt = any("pkt" in c.writes for c in compilers)
     if writes_pkt:
-        stage_bodies = render({})
+        # Nothing is packet-pure without forwarded loads: no prologue.
+        stage_bodies, prologue = render({})
     encodes_packet = writes_pkt or any(c.reads_packet for c in compilers)
 
     all_text = "\n".join("\n".join(b.lines) for b in stage_bodies)
@@ -326,7 +371,13 @@ def fuse_chain(
 
     L = 2  # packet-loop body level (def=0, try=1, for=2... body=3)
     em.emit(1, "try:")
-    em.emit(L, "for _pp in batch:")
+    if prologue.lines:
+        g["_fhl"] = fast_hash32_lanes
+        for line in prologue.lines:
+            em.emit(L, line)
+        em.emit(L, "for _i, _pp in enumerate(batch):")
+    else:
+        em.emit(L, "for _pp in batch:")
     B = L + 1
     em.emit(B, "_n = _pp.size")
     if encodes_packet:
@@ -424,6 +475,7 @@ def fuse_chain(
         inlined_kfuncs=sum(c.inlined_calls for c in compilers),
         forwarded_loads=sum(c.forwarded_loads for c in compilers),
         encodes_packet=encodes_packet,
+        hoisted_calls=sum(c.hoisted_calls for c in compilers),
         stage_writes=tuple(frozenset(c.writes) for c in compilers),
         unrolled={
             names[i]: {s: N + 1 for (t, s, N) in c._loops}

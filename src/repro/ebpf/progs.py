@@ -623,19 +623,22 @@ def runnable_registry(seed: int = 0) -> KfuncRegistry:
     # -- fusion inline specs --------------------------------------------
     # Small-body kfuncs publish a codegen spec the chain fuser
     # (repro.ebpf.fuse) expands at the call site: (arg register names,
-    # bind) -> (setup lines, int expression).  ``bind`` burns closure
-    # state — the sketch rows, the Maglev steering table, the PRNG
-    # method — into the generated code's globals.  Each spec must be
-    # bit-identical to its impl: registers arrive already masked to 64
-    # bits, and the expression's value must equal ``int(impl(...))``.
+    # bind, hashed) -> (setup lines, int expression).  ``bind`` burns
+    # closure state — the sketch rows, the Maglev steering table, the
+    # PRNG method — into the generated code's globals; ``hashed(i,
+    # seed)`` names a prologue list of ``fast_hash32(arg_i, seed)`` per
+    # packet, or returns None (these specs hash nothing).  Each spec
+    # must be bit-identical to its impl: registers arrive already
+    # masked to 64 bits, and the expression's value must equal
+    # ``int(impl(...))``.
 
-    def _inline_prandom(args, bind):
+    def _inline_prandom(args, bind, hashed):
         grb = bind("grb", rng.getrandbits)
         return [], f"{grb}(32)"
 
     prandom._fuse_inline = _inline_prandom
 
-    def _inline_cm_update(args, bind):
+    def _inline_cm_update(args, bind, hashed):
         # The row loop unrolled with salts, mixer, and geometry burned
         # in as literals; min() over the post-increment counts mirrors
         # cm_update's running minimum.
@@ -655,7 +658,7 @@ def runnable_registry(seed: int = 0) -> KfuncRegistry:
 
     cm_update._fuse_inline = _inline_cm_update
 
-    def _inline_maglev_pick(args, bind):
+    def _inline_maglev_pick(args, bind, hashed):
         # The whole steering table becomes a closure constant: one
         # modulo plus one tuple index per packet.
         table = bind("mgt", tuple(maglev))

@@ -20,8 +20,9 @@ range-aware verifier proved:
   fused into one closure (:mod:`repro.ebpf.fuse`) and replayed on a
   deterministic trace against the interpreted chain; the report pins
   bit-identical verdicts, VM stats, and cycle accounting, and records
-  how many header loads were forwarded and whether the fused loop
-  still encodes each packet.
+  how many header loads were forwarded, how many kfunc hashes moved
+  into the per-batch hash prologue, and whether the fused loop still
+  encodes each packet.
 
 ``--strict`` exits non-zero when any bundled program's verdict differs
 from its expected accept/reject or an accepted program elides zero
@@ -183,6 +184,7 @@ def _chain_report(combo: tuple, verifier: Verifier) -> Dict[str, Any]:
         "n_nodes": fused.n_nodes,
         "inlined_kfuncs": fused.inlined_kfuncs,
         "forwarded_loads": fused.forwarded_loads,
+        "hoisted_calls": fused.hoisted_calls,
         "encodes_packet": fused.encodes_packet,
     }
     pkts = _chain_trace(_CHAIN_PACKETS, _CHAIN_SEED)
@@ -472,6 +474,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         f"FUSED   {label}  ({cr['n_nodes']} nodes, "
                         f"{cr['inlined_kfuncs']} kfuncs inlined, "
                         f"{cr['forwarded_loads']} header loads forwarded, "
+                        f"{cr['hoisted_calls']} hashes hoisted, "
                         f"encode {'kept' if cr['encodes_packet'] else 'elided'}, "
                         f"{cr['fused']['cycles']} cyc; {verdict})"
                     )

@@ -304,13 +304,17 @@ class Fleet:
 
         A full buffer is fed to its core at once, so peak memory is
         O(``n_cores x batch_size``) and per-core batch boundaries match
-        the materialize-then-shard path.  A wedged core's buffer counts
-        as lost when it flushes, a whole batch at a time.
+        the materialize-then-shard path.  Packets are hashed a chunk at
+        a time (:meth:`~repro.net.steering.SteeringPolicy.chunks`) and
+        placed one by one, so a repack mid-chunk steers the next one.
+        A wedged core's buffer counts as lost when it flushes, a whole
+        batch at a time.
         """
         sessions, serving, wedged, fed = (
             self.sessions, self.serving, self.wedged, self.fed
         )
-        queue_of = self.policy.queue_of
+        policy = self.policy
+        place = policy.place
         failover = self.failover
         buffers: List[List[Packet]] = [[] for _ in sessions]
 
@@ -327,16 +331,17 @@ class Fleet:
         def route(pkts: Iterable[Packet]) -> int:
             """Steer ``pkts`` into the buffers; returns how many."""
             routed = 0
-            for pkt in pkts:
-                routed += 1
-                core = queue_of(pkt)
-                if not serving[core]:
-                    core = failover(pkt, core)
-                buf = buffers[core]
-                buf.append(pkt)
-                if len(buf) == batch_size:
-                    buffers[core] = []
-                    flush(core, buf)
+            for chunk, keys, hashes in policy.chunks(pkts):
+                routed += len(chunk)
+                for pkt, key, h in zip(chunk, keys, hashes):
+                    core = place(key, h)
+                    if not serving[core]:
+                        core = failover(pkt, core)
+                    buf = buffers[core]
+                    buf.append(pkt)
+                    if len(buf) == batch_size:
+                        buffers[core] = []
+                        flush(core, buf)
             return routed
 
         self.packets_in += route(stream)
@@ -370,7 +375,9 @@ class Fleet:
 
         Every ``epoch_packets`` arrivals (0: never) the due batches are
         served and ``on_epoch(now)`` runs; it returns frames it took
-        out of service, which re-arrive at ``now``.
+        out of service, which re-arrive at ``now``.  Arrivals are
+        hashed a chunk at a time and placed one by one, as in
+        :meth:`run_buffered`; re-arrivals are placed by ``queue_of``.
         """
         n = len(self.sessions)
         self.queues = queues = [CoreQueue(cfg, batch_size) for _ in range(n)]
@@ -378,7 +385,9 @@ class Fleet:
             self.sessions, self.serving, self.wedged, self.fed
         )
         fault_at = self.fault_at
-        queue_of = self.policy.queue_of
+        policy = self.policy
+        place = policy.place
+        queue_of = policy.queue_of
         failover = self.failover
         latencies = self.latencies
         wire_ns = cfg.wire_ns
@@ -388,9 +397,8 @@ class Fleet:
         now = 0
         next_pickup = math.inf
 
-        def enqueue(pkt: Packet, at_ns: int) -> None:
+        def enqueue(pkt: Packet, core: int, at_ns: int) -> None:
             nonlocal next_pickup
-            core = queue_of(pkt)
             if not serving[core]:
                 core = failover(pkt, core)
             if wedged[core]:
@@ -422,7 +430,7 @@ class Fleet:
 
         def arrive(pkts: Iterable[Packet], at_ns: int) -> None:
             for pkt in pkts:
-                enqueue(pkt, at_ns)
+                enqueue(pkt, queue_of(pkt), at_ns)
 
         def flush_due(horizon_ns: float) -> None:
             """Serve every batch whose pickup time is <= the horizon.
@@ -463,19 +471,20 @@ class Fleet:
         packets_in = 0
         # packets_in starts at 1, so an epoch length of 0 never closes.
         next_epoch = epoch_packets
-        for pkt in stream:
-            packets_in += 1
-            ts = pkt.timestamp_ns
-            if ts > now:
-                now = ts
-            if now >= next_pickup:
-                flush_due(now)
-            enqueue(pkt, now)
-            if packets_in == next_epoch:
-                next_epoch += epoch_packets
+        for chunk, keys, hashes in policy.chunks(stream):
+            for pkt, key, h in zip(chunk, keys, hashes):
+                packets_in += 1
+                ts = pkt.timestamp_ns
+                if ts > now:
+                    now = ts
                 if now >= next_pickup:
                     flush_due(now)
-                arrive(on_epoch(now), now)
+                enqueue(pkt, place(key, h), now)
+                if packets_in == next_epoch:
+                    next_epoch += epoch_packets
+                    if now >= next_pickup:
+                        flush_due(now)
+                    arrive(on_epoch(now), now)
         flush_due(math.inf)
         self.packets_in += packets_in
         self.now = now

@@ -153,10 +153,11 @@ class IndirectionTable(SteeringPolicy):
         self.last_moved = moved
         return moved
 
+    def place(self, key: int, h: int) -> int:
+        return self.table[h % self.table_size]
+
     def core_of(self, key: int) -> int:
-        return self.table[
-            fast_hash32(key, self.hash_seed) % self.table_size
-        ]
+        return self.place(key, fast_hash32(key, self.hash_seed))
 
     def queue_of(self, packet: Packet) -> int:
         return self.core_of(packet.key_int)

@@ -32,14 +32,21 @@ dispatcher buffers exactly that many packets from the head of the
 stream (bounded memory even on one-shot iterators), calls
 :meth:`~SteeringPolicy.prepare`, then replays the prefix and the rest
 of the stream through the chosen placement.
+
+Every policy places a flow from its key and one hash of it
+(:meth:`~SteeringPolicy.place`), so the fleet's arrival loops hash the
+stream :data:`STEER_CHUNK` packets at a time in lanes
+(:meth:`~SteeringPolicy.chunks`) and still read the placement live,
+packet by packet: a repack reaches the very next packet.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.algorithms.hashing import fast_hash32
+from ..core.algorithms.hashing import fast_hash32, fast_hash32_lanes
 from .packet import Packet
 
 #: Seed of the simulated RSS (Toeplitz) hash.  Changing it re-shuffles
@@ -48,6 +55,10 @@ RSS_HASH_SEED = 0x52535348
 
 #: Default number of prefix packets sampled to fit a steering policy.
 DEFAULT_SAMPLE_SIZE = 4096
+
+#: Packets an arrival loop pulls from its stream, and hashes in lanes,
+#: at a time.
+STEER_CHUNK = 256
 
 
 def _imbalance(loads: Sequence[int]) -> float:
@@ -61,7 +72,7 @@ def _imbalance(loads: Sequence[int]) -> float:
 class SteeringPolicy:
     """Where each packet goes: the dispatcher's placement plug-in.
 
-    Subclasses implement :meth:`queue_of`; policies that learn from
+    Subclasses implement :meth:`place`; policies that learn from
     traffic set ``sample_size > 0`` and implement :meth:`prepare`,
     which the dispatcher calls once with the buffered stream prefix
     before any packet is replayed.
@@ -71,6 +82,8 @@ class SteeringPolicy:
     name = "abstract"
     #: Prefix packets the dispatcher should buffer for :meth:`prepare`.
     sample_size = 0
+    #: Seed of the flow hash :meth:`place` is handed.
+    hash_seed = RSS_HASH_SEED
 
     def __init__(self, n_cores: int) -> None:
         if n_cores <= 0:
@@ -80,8 +93,31 @@ class SteeringPolicy:
     def prepare(self, sample: Sequence[Packet]) -> None:
         """Fit the policy on a sampled trace prefix (optional)."""
 
-    def queue_of(self, packet: Packet) -> int:
+    def place(self, key: int, h: int) -> int:
+        """The queue of flow ``key``, whose ``fast_hash32`` under
+        :attr:`hash_seed` is ``h``.  Reads the current placement, so a
+        :meth:`repack` reaches the very next call."""
         raise NotImplementedError
+
+    def queue_of(self, packet: Packet) -> int:
+        key = packet.key_int
+        return self.place(key, fast_hash32(key, self.hash_seed))
+
+    def chunks(
+        self, stream: Iterable[Packet]
+    ) -> Iterator[Tuple[List[Packet], List[int], List[int]]]:
+        """``stream`` in slices of :data:`STEER_CHUNK` packets, each
+        with its packets' ``key_int`` and their hashes under
+        :attr:`hash_seed`, computed in lanes: ``place(keys[i],
+        hashes[i]) == queue_of(packets[i])`` for the placement current
+        when it is called."""
+        it = iter(stream)
+        while True:
+            packets = list(islice(it, STEER_CHUNK))
+            if not packets:
+                return
+            keys = [pkt.key_int for pkt in packets]
+            yield packets, keys, fast_hash32_lanes(keys, self.hash_seed)
 
     def repack(self, alive: Sequence[int]) -> bool:
         """Re-pack placement onto the surviving cores after a failure.
@@ -111,8 +147,8 @@ class RssSteering(SteeringPolicy):
         super().__init__(n_cores)
         self.hash_seed = hash_seed
 
-    def queue_of(self, packet: Packet) -> int:
-        return fast_hash32(packet.key_int, self.hash_seed) % self.n_cores
+    def place(self, key: int, h: int) -> int:
+        return h % self.n_cores
 
     def describe(self) -> Dict[str, object]:
         info = super().describe()
@@ -272,11 +308,9 @@ class NtupleSteering(RssSteering):
         heavy = [key for key, _ in flow_weight.most_common(self.top_k)]
         heavy_set = set(heavy)
         bucket_weight = [0] * self.table_size
-        for key, weight in flow_weight.items():
-            if key not in heavy_set:
-                bucket_weight[
-                    fast_hash32(key, self.hash_seed) % self.table_size
-                ] += weight
+        light = [key for key in flow_weight if key not in heavy_set]
+        for key, h in zip(light, fast_hash32_lanes(light, self.hash_seed)):
+            bucket_weight[h % self.table_size] += flow_weight[key]
         self._flow_weight = {key: flow_weight[key] for key in heavy}
         self._bucket_weight = bucket_weight
         self._pack(range(self.n_cores))
@@ -313,13 +347,11 @@ class NtupleSteering(RssSteering):
         self.last_repack_moved = moved
         return True
 
-    def queue_of(self, packet: Packet) -> int:
-        queue = self.pinned.get(packet.key_int)
+    def place(self, key: int, h: int) -> int:
+        queue = self.pinned.get(key)
         if queue is not None:
             return queue
-        return self.table[
-            fast_hash32(packet.key_int, self.hash_seed) % self.table_size
-        ]
+        return self.table[h % self.table_size]
 
     def describe(self) -> Dict[str, object]:
         info = super().describe()

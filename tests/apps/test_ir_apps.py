@@ -11,6 +11,7 @@ disruption and connection eviction.
 """
 
 import ast
+import itertools
 
 import pytest
 
@@ -145,7 +146,7 @@ def test_reversed_polycube_chain_parity():
 #: clobber loop state that later stages and the accounting read.
 FUSED_LOOP_LOCALS = frozenset((
     "_pp", "_n", "_PKTEND", "_rr", "_counts", "_steps", "_mem", "_div",
-    "_eli",
+    "_eli", "_i",
 ))
 
 
@@ -157,10 +158,13 @@ def test_inline_specs_leave_fused_loop_locals_alone(make_registry):
         if getattr(meta.impl, "_fuse_inline", None) is not None
     ]
     assert specs
-    for name, spec, n_args in specs:
+    # Without a hash prologue, and with every argument's hash in one.
+    hashers = (lambda i, seed: None, lambda i, seed: f"_h{i}_{seed}")
+    for (name, spec, n_args), hashed in itertools.product(specs, hashers):
         setup, expr = spec(
             [f"r{1 + i}" for i in range(n_args)],
             lambda hint, value: f"_c{hint}",
+            hashed,
         )
         tree = ast.parse("\n".join([*setup, f"r0 = {expr}"]))
         assigned = {

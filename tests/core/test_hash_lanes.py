@@ -1,7 +1,8 @@
 """The hash kernels against their references.
 
 ``fast_hash32_lanes`` evaluates splitmix64 for many keys inside one
-big int; it must equal the scalar :func:`fast_hash32` key for key.  The
+big int (or, below ``LANE_CROSSOVER`` keys, the scalar loop); it must
+equal the scalar :func:`fast_hash32` key for key.  The
 scalar hashers take ints without the ``_to_int`` call; they must equal
 the original formula, which masked the key to 64 bits first.
 """
@@ -9,6 +10,7 @@ the original formula, which masked the key to 64 bits first.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.algorithms.hashing import (
+    LANE_CROSSOVER,
     LANES,
     M32,
     M64,
@@ -53,6 +55,44 @@ def _crc(key: int, seed: int) -> int:
 def test_lanes_equal_scalar(data, n, seed):
     keys = data.draw(st.lists(int_keys, min_size=n, max_size=n))
     assert fast_hash32_lanes(keys, seed) == [fast_hash32(k, seed) for k in keys]
+
+
+#: Keys as the callers hand them: u64 header mixes, 104-bit
+#: ``Packet.key_int`` values, and negatives (masked to 64 bits).
+key_kinds = st.sampled_from([
+    st.integers(min_value=0, max_value=M64),
+    st.integers(min_value=0, max_value=(1 << 104) - 1),
+    st.integers(min_value=-(1 << 70), max_value=-1),
+    int_keys,
+])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    n=st.one_of(
+        st.integers(min_value=0, max_value=300),
+        st.sampled_from([
+            LANE_CROSSOVER - 1, LANE_CROSSOVER, LANE_CROSSOVER + 1,
+            LANES + LANE_CROSSOVER - 1, LANES + LANE_CROSSOVER,
+        ]),
+    ),
+    seed=seeds,
+)
+def test_lanes_equal_scalar_at_every_length(data, n, seed):
+    """Every length 0..300, on both sides of the crossover (a short
+    call, and a long call's short tail block), for narrow, wide, negative
+    and mixed keys, including a wide key first met in a later block."""
+    kinds = data.draw(st.lists(key_kinds, min_size=1, max_size=3))
+    keys = data.draw(
+        st.lists(st.one_of(*kinds), min_size=n, max_size=n)
+    )
+    assert fast_hash32_lanes(keys, seed) == [fast_hash32(k, seed) for k in keys]
+
+
+def test_wide_key_in_a_later_block_masks_the_rest():
+    keys = list(range(LANES)) + [(1 << 100) + 7] + list(range(2 * LANES))
+    assert fast_hash32_lanes(keys, 3) == [fast_hash32(k, 3) for k in keys]
 
 
 def test_lanes_accept_any_sequence():
