@@ -9,8 +9,7 @@ Measures, and self-asserts, the verified-IR app ports of
 rakelimit, polycube, sketches) replayed as
 
 1. ``interp`` — the interpreted chain (the cost-model era's stand-in),
-2. ``jit``    — per-NF compiled closures,
-3. ``fused``  — the whole chain + batch loop in one closure with the
+2. ``fused``  — the whole chain + batch loop in one closure with the
    app kfuncs (connection table, CH ring, level sketches, FDB, heap)
    expanded inline,
 
@@ -62,7 +61,7 @@ from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher
 from repro.net.queueing import ArrivalProcess, QueueingConfig
 
-BACKENDS = ("interp", "jit", "fused")
+BACKENDS = ("interp", "fused")
 
 #: Timing repetitions per configuration (fresh state each; min wins).
 REPS = 3
@@ -155,7 +154,7 @@ def _timed_multicore(app, backend, trace, faults=None):
 
 def apps_suite(n_packets: int, bar_vs_interp: float) -> dict:
     """The Fig. 7 component-swap bars, measured: per app, wall-clock
-    pps for interp/jit/fused with bit-identity asserted throughout."""
+    pps for interp and fused with bit-identity asserted throughout."""
     trace = _trace(n_packets)
     out = {
         "n_packets": n_packets,
@@ -182,15 +181,11 @@ def apps_suite(n_packets: int, bar_vs_interp: float) -> dict:
         for backend in BACKENDS:
             pps[backend], witnesses[backend] = _timed_single(
                 app, backend, trace)
-        assert witnesses["jit"] == witnesses["interp"], (
-            f"{app}: jit diverged from interp")
         assert witnesses["fused"] == witnesses["interp"], (
             f"{app}: fused diverged from interp")
         entry["single_core"] = {
             "interp_pps": round(pps["interp"]),
-            "jit_pps": round(pps["jit"]),
             "fused_pps": round(pps["fused"]),
-            "fused_over_jit": round(pps["fused"] / pps["jit"], 3),
             "fused_over_interp": round(pps["fused"] / pps["interp"], 3),
             "bit_identical": True,
             "cycle_total": witnesses["interp"][1],
@@ -201,19 +196,19 @@ def apps_suite(n_packets: int, bar_vs_interp: float) -> dict:
         )
 
         mpps, mwit = {}, {}
-        for backend in ("jit", "fused"):
+        for backend in BACKENDS:
             mpps[backend], mwit[backend] = _timed_multicore(
                 app, backend, trace)
-        assert mwit["fused"] == mwit["jit"], (
-            f"{app}: {N_CORES}-core fused diverged from jit")
-        _, chaos_j = _timed_multicore(app, "jit", trace, faults=CHAOS)
+        assert mwit["fused"] == mwit["interp"], (
+            f"{app}: {N_CORES}-core fused diverged from interp")
+        _, chaos_i = _timed_multicore(app, "interp", trace, faults=CHAOS)
         _, chaos_f = _timed_multicore(app, "fused", trace, faults=CHAOS)
-        assert chaos_f == chaos_j, (
-            f"{app}: fused diverged from jit under chaos")
+        assert chaos_f == chaos_i, (
+            f"{app}: fused diverged from interp under chaos")
         entry["multicore"] = {
-            "jit_pps": round(mpps["jit"]),
+            "interp_pps": round(mpps["interp"]),
             "fused_pps": round(mpps["fused"]),
-            "fused_over_jit": round(mpps["fused"] / mpps["jit"], 3),
+            "fused_over_interp": round(mpps["fused"] / mpps["interp"], 3),
             "bit_identical": True,
             "bit_identical_chaos": True,
         }
@@ -394,10 +389,9 @@ def main(argv=None) -> int:
     for name, d in apps["apps"].items():
         s, m = d["single_core"], d["multicore"]
         print(f"  {name:>10}: 1-core interp {s['interp_pps']:>7} -> "
-              f"jit {s['jit_pps']:>7} -> fused {s['fused_pps']:>7} pps "
-              f"({s['fused_over_interp']:.2f}x interp, "
-              f"{s['fused_over_jit']:.2f}x jit)")
-        print(f"              {N_CORES}-core jit {m['jit_pps']:>7} -> "
+              f"fused {s['fused_pps']:>7} pps "
+              f"({s['fused_over_interp']:.2f}x interp)")
+        print(f"              {N_CORES}-core interp {m['interp_pps']:>7} -> "
               f"fused {m['fused_pps']:>7} pps (chaos parity OK)")
 
     print(f"cluster day (fused katran, {day_packets} packets, "

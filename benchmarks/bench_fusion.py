@@ -9,9 +9,7 @@ Measures, and self-asserts, the PR 6 execution stack: NF *chains*
 
 1. ``interp`` — the interpreted chain, one fresh VM per stage per
    packet (the PR 1–4 data plane),
-2. ``jit``    — PR 5's per-NF JIT, per-stage compiled closures glued
-   together by interpreted chain code,
-3. ``fused``  — PR 6's chain fuser (:mod:`repro.ebpf.fuse`): the whole
+2. ``fused``  — PR 6's chain fuser (:mod:`repro.ebpf.fuse`): the whole
    chain *and* the batch loop in one generated closure with early-exit
    codegen, burned-in constants, and inlined kfuncs,
 
@@ -58,7 +56,7 @@ CHAINS = {
             "nf_maglev_pick"),
 }
 
-BACKENDS = ("interp", "jit", "fused")
+BACKENDS = ("interp", "fused")
 
 #: Timing repetitions per configuration (fresh state each; min wins).
 REPS = 3
@@ -152,13 +150,11 @@ def _timed_multicore(combo, backend, trace, faults=None):
 # -- suites -----------------------------------------------------------------
 
 
-def fusion_suite(n_packets: int, bar_vs_jit: float,
-                 bar_vs_interp: float) -> dict:
+def fusion_suite(n_packets: int, bar_vs_interp: float) -> dict:
     trace = _trace(n_packets)
     out = {
         "n_packets": n_packets,
         "n_cores": N_CORES,
-        "min_fused_over_jit": bar_vs_jit,
         "min_fused_over_interp": bar_vs_interp,
         "chains": {},
     }
@@ -179,20 +175,16 @@ def fusion_suite(n_packets: int, bar_vs_jit: float,
             "multicore": {},
         }
 
-        # Single-core: all three backends, witness-checked against interp.
+        # Single-core: both backends, witness-checked against interp.
         pps, witnesses = {}, {}
         for backend in BACKENDS:
             pps[backend], witnesses[backend] = _timed_single(
                 combo, backend, trace)
-        assert witnesses["jit"] == witnesses["interp"], (
-            f"{label}: jit chain diverged from interp")
         assert witnesses["fused"] == witnesses["interp"], (
             f"{label}: fused chain diverged from interp")
         entry["single_core"] = {
             "interp_pps": round(pps["interp"]),
-            "jit_pps": round(pps["jit"]),
             "fused_pps": round(pps["fused"]),
-            "fused_over_jit": round(pps["fused"] / pps["jit"], 3),
             "fused_over_interp": round(pps["fused"] / pps["interp"], 3),
             "bit_identical": True,
             "cycle_total": witnesses["interp"][1],
@@ -203,8 +195,6 @@ def fusion_suite(n_packets: int, bar_vs_jit: float,
         for backend in BACKENDS:
             mpps[backend], mwit[backend] = _timed_multicore(
                 combo, backend, trace)
-        assert mwit["jit"] == mwit["interp"], (
-            f"{label}: {N_CORES}-core jit diverged from interp")
         assert mwit["fused"] == mwit["interp"], (
             f"{label}: {N_CORES}-core fused diverged from interp")
         _, chaos_i = _timed_multicore(combo, "interp", trace, faults=CHAOS)
@@ -213,21 +203,15 @@ def fusion_suite(n_packets: int, bar_vs_jit: float,
             f"{label}: fused diverged from interp under chaos")
         entry["multicore"] = {
             "interp_pps": round(mpps["interp"]),
-            "jit_pps": round(mpps["jit"]),
             "fused_pps": round(mpps["fused"]),
-            "fused_over_jit": round(mpps["fused"] / mpps["jit"], 3),
             "fused_over_interp": round(mpps["fused"] / mpps["interp"], 3),
             "bit_identical": True,
             "bit_identical_chaos": True,
         }
         out["chains"][label] = entry
 
-    # Acceptance bars are pinned on the 3-NF chain.
+    # The acceptance bar is pinned on the 3-NF chain.
     bar = out["chains"]["3nf"]["single_core"]
-    assert bar["fused_over_jit"] >= bar_vs_jit, (
-        f"3nf: fused {bar['fused_over_jit']}x over per-NF JIT is below "
-        f"the {bar_vs_jit}x acceptance bar"
-    )
     assert bar["fused_over_interp"] >= bar_vs_interp, (
         f"3nf: fused {bar['fused_over_interp']}x over interp is below "
         f"the {bar_vs_interp}x acceptance bar"
@@ -266,22 +250,19 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     n_packets = args.packets or (1200 if args.quick else 6000)
-    bar_vs_jit = 1.2 if args.quick else 1.5
     bar_vs_interp = 3.0 if args.quick else 4.0
 
     print(f"fusion suite ({n_packets} packets x {len(CHAINS)} chains x "
           f"{len(BACKENDS)} backends, single-core + {N_CORES} cores, "
           f"best of {REPS}) ...")
-    fusion = fusion_suite(n_packets, bar_vs_jit, bar_vs_interp)
+    fusion = fusion_suite(n_packets, bar_vs_interp)
     for label, d in fusion["chains"].items():
         s, m = d["single_core"], d["multicore"]
         print(f"  {label}: 1-core interp {s['interp_pps']:>7} -> "
-              f"jit {s['jit_pps']:>7} -> fused {s['fused_pps']:>7} pps "
-              f"({s['fused_over_jit']:.2f}x jit, "
-              f"{s['fused_over_interp']:.2f}x interp)")
+              f"fused {s['fused_pps']:>7} pps "
+              f"({s['fused_over_interp']:.2f}x interp)")
         print(f"       {N_CORES}-core interp {m['interp_pps']:>7} -> "
-              f"jit {m['jit_pps']:>7} -> fused {m['fused_pps']:>7} pps "
-              f"(chaos parity OK)")
+              f"fused {m['fused_pps']:>7} pps (chaos parity OK)")
 
     print("fused-cache suite ...")
     caches = cache_suite()
@@ -298,8 +279,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {out}")
     bar = fusion["chains"]["3nf"]["single_core"]
-    print(f"  3-NF chain: fused {bar['fused_over_jit']}x over per-NF JIT "
-          f"(bar: {bar_vs_jit}x), {bar['fused_over_interp']}x over interp "
+    print(f"  3-NF chain: fused {bar['fused_over_interp']}x over interp "
           f"(bar: {bar_vs_interp}x)")
     return 0
 

@@ -1,4 +1,4 @@
-"""JIT data-plane benchmark (PR 5's acceptance numbers).
+"""Compiled data-plane benchmark (PR 5's acceptance numbers).
 
 Not a pytest module — run it directly:
 
@@ -6,11 +6,12 @@ Not a pytest module — run it directly:
 
 Measures, and self-asserts, the PR 5 execution stack:
 
-1. **Throughput** — the same trace through ``IrNf`` under both
-   backends (``interp`` vs ``jit``) for the three real NF programs
-   (classifier, count-min sketch, Maglev picker).  The JIT must reach
-   >= 2x interpreter packets/sec while staying *bit-identical*: same
-   per-packet r0 sequence, same runtime cycle total.  Compile cost and
+1. **Throughput** — the same trace through a one-stage ``IrChainNf``
+   under both backends (``interp`` vs ``fused``, the compiled one) for
+   the three real NF programs (classifier, count-min sketch, Maglev
+   picker).  The compiled program must reach >= 2x interpreter
+   packets/sec while staying *bit-identical*: same per-packet r0
+   sequence, same runtime cycle total.  Compile cost and
    loop-unrolling metadata are recorded per program.
 2. **Verification pruning** — the subsumption-pruned verifier vs
    ``prune=False`` on the eq-dispatch program family (switch-style
@@ -38,12 +39,12 @@ sys.path.insert(
 
 from repro.analysis.hostmeta import host_metadata
 from repro.ebpf.insn import Alu, Call, Exit, Imm, JmpIf, Mov, Program, R0, R6
-from repro.ebpf.jit import compile_program
+from repro.ebpf.fuse import fuse_chain
 from repro.ebpf.progs import get_case, runnable_registry
 from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
 from repro.net.flowgen import FlowGenerator
-from repro.net.irnf import IrNf
+from repro.net.irnf import IrChainNf
 
 #: The real NF programs the throughput claim is made on.
 NF_PROGRAMS = ("nf_classifier", "nf_cm_sketch", "nf_maglev_pick")
@@ -54,7 +55,7 @@ REPS = 3
 
 def _eq_dispatch_prog(k: int, tail_pad: int) -> Program:
     """Switch-style eq-chain whose arms share a long tail (the pruning
-    benchmark family; mirrored in tests/ebpf/test_jit.py)."""
+    benchmark family; mirrored in tests/ebpf/test_verifier.py)."""
     insns = [
         Call("bpf_get_prandom_u32"),
         Mov(R6, R0),
@@ -81,7 +82,7 @@ def _timed_run(name: str, backend: str, trace):
     witness = None
     for _ in range(REPS):
         rt = BpfRuntime(seed=1)
-        nf = IrNf(rt, get_case(name).prog, seed=1, backend=backend)
+        nf = IrChainNf(rt, [get_case(name).prog], seed=1, backend=backend)
         t0 = time.perf_counter()
         nf.process_batch(trace)
         dt = time.perf_counter() - t0
@@ -104,29 +105,29 @@ def throughput_suite(n_packets: int, min_speedup: float) -> dict:
     for name in NF_PROGRAMS:
         vp = verifier.verify(get_case(name).prog)
         t0 = time.perf_counter()
-        compiled = compile_program(get_case(name).prog, vp, reg)
+        compiled = fuse_chain(reg, [vp])
         compile_ms = (time.perf_counter() - t0) * 1000
 
         interp_pps, interp_witness = _timed_run(name, "interp", trace)
-        jit_pps, jit_witness = _timed_run(name, "jit", trace)
-        assert interp_witness == jit_witness, (
-            f"{name}: JIT output diverged from interpreter"
+        fused_pps, fused_witness = _timed_run(name, "fused", trace)
+        assert interp_witness == fused_witness, (
+            f"{name}: compiled output diverged from interpreter"
         )
-        speedup = jit_pps / interp_pps
+        speedup = fused_pps / interp_pps
         assert speedup >= min_speedup, (
-            f"{name}: JIT speedup {speedup:.2f}x below the "
+            f"{name}: compiled speedup {speedup:.2f}x below the "
             f"{min_speedup}x acceptance bar"
         )
         out["programs"][name] = {
             "interp_pps": round(interp_pps),
-            "jit_pps": round(jit_pps),
+            "fused_pps": round(fused_pps),
             "speedup": round(speedup, 3),
             "bit_identical": True,
             "cycle_total": interp_witness[1],
             "compile_ms": round(compile_ms, 3),
-            "jit_nodes": compiled.n_nodes,
+            "fused_nodes": compiled.n_nodes,
             "loops_unrolled": {str(pc): n for pc, n
-                               in compiled.unrolled.items()},
+                               in compiled.unrolled[name].items()},
             "checks_elided_per_packet": vp.stats.checks_elided,
         }
     return out
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
     throughput = throughput_suite(n_packets, min_speedup)
     for name, d in throughput["programs"].items():
         print(f"  {name:>15}: interp {d['interp_pps']:>7} pps -> "
-              f"jit {d['jit_pps']:>7} pps ({d['speedup']:.2f}x, "
+              f"fused {d['fused_pps']:>7} pps ({d['speedup']:.2f}x, "
               f"compile {d['compile_ms']:.2f}ms)")
 
     print("verification pruning suite ...")
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
               f"{d['pruned_states']} states ({d['time_speedup']:.2f}x)")
 
     payload = {
-        "benchmark": "PR5 JIT compilation + subsumption-pruned verification",
+        "benchmark": "PR5 compiled data plane + subsumption-pruned verification",
         "host": host_metadata(),
         "quick": args.quick,
         "throughput": throughput,
@@ -223,7 +224,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {out}")
     worst = min(d["speedup"] for d in throughput["programs"].values())
-    print(f"  worst-case JIT speedup: {worst}x (bar: {min_speedup}x)")
+    print(f"  worst-case compiled speedup: {worst}x (bar: {min_speedup}x)")
     print(f"  pruning at k16: "
           f"{pruning['sizes']['k16_pad32']['time_speedup']}x faster")
     return 0

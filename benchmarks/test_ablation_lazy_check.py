@@ -15,7 +15,7 @@ from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.progs import get_case
 from repro.ebpf.runtime import BpfRuntime
 from repro.net.flowgen import FlowGenerator
-from repro.net.irnf import IrNf
+from repro.net.irnf import IrChainNf
 from repro.net.xdp import XdpPipeline
 from repro.nfs.kv_skiplist import OP_LOOKUP, OP_UPDATE_DELETE, SkipListKV
 
@@ -55,7 +55,9 @@ def test_lazy_vs_eager_checking(run_once):
 
 def _run_ir(elide_checks: bool, n_packets: int = 600):
     rt = BpfRuntime(mode=ExecMode.ENETSTL, seed=7)
-    nf = IrNf(rt, get_case("nf_classifier").prog, elide_checks=elide_checks, seed=7)
+    nf = IrChainNf(
+        rt, [get_case("nf_classifier").prog], elide_checks=elide_checks, seed=7
+    )
     fg = FlowGenerator(n_flows=512, seed=7)
     result = XdpPipeline(nf).run(fg.trace(n_packets))
     return result, nf

@@ -490,7 +490,7 @@ def fig7_apps(
     return out
 
 
-IR_BACKENDS = ("interp", "jit", "fused")
+IR_BACKENDS = ("interp", "fused")
 
 
 def fig7_apps_ir(
@@ -500,7 +500,7 @@ def fig7_apps_ir(
     backends: Sequence[str] = IR_BACKENDS,
 ) -> Dict[str, Dict[str, float]]:
     """Fig. 7 measured end-to-end: the verified-IR app ports replayed
-    through every execution backend (interp / per-NF JIT / fused).
+    through both execution backends (interp / fused).
 
     Unlike :func:`fig7_apps` — which *models* the component swap with
     cycle constants — this runs the actual pipelines and reports

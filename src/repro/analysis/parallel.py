@@ -294,7 +294,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         _merge_dicts,
     ),
     # Measured end-to-end (wall-clock) variant over the verified-IR
-    # ports: one subtask per app, each replaying interp/jit/fused.
+    # ports: one subtask per app, each replaying interp and fused.
     "fig7ir": Experiment(
         lambda n: [
             ("fig7_apps_ir", {"apps": (app,), "n_packets": n})

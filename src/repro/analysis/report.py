@@ -119,14 +119,13 @@ def render_apps(results: Dict[str, Dict[str, float]]) -> str:
 def render_apps_ir(results: Dict[str, Dict[str, float]]) -> str:
     lines = ["== Fig. 7 (measured): verified-IR app ports, end to end =="]
     lines.append(
-        f"{'app':>12} | {'interp':>12} | {'jit':>12} | {'fused':>12} |"
-        f" {'fused up':>8}"
+        f"{'app':>12} | {'interp':>12} | {'fused':>12} | {'fused up':>8}"
     )
-    lines.append("-" * 68)
+    lines.append("-" * 53)
     for app, d in results.items():
         lines.append(
             f"{app:>12} | {_fmt_pps(d['interp_pps'])} | "
-            f"{_fmt_pps(d['jit_pps'])} | {_fmt_pps(d['fused_pps'])} | "
+            f"{_fmt_pps(d['fused_pps'])} | "
             f"{d.get('fused_speedup', 0.0):>7.2f}x"
         )
     ups = [d.get("fused_speedup", 0.0) for d in results.values()]

@@ -3,7 +3,7 @@
 Two generations live side by side: the legacy cost-model apps
 (``ALL_APPS``) that charge cycle constants per helper call, and the
 verified-IR ports (:mod:`repro.apps.ir`) that run the same hot paths
-as NF chains on the interp/JIT/fused fast-path stack.
+as NF chains on the interpreted or fused fast-path stack.
 """
 
 from .base import BaseApp

@@ -5,11 +5,11 @@ The reproducible face of the Fig. 7 component-swap comparison::
     python -m repro.apps --list
     python -m repro.apps --verify                    # strict + fused stats
     python -m repro.apps --app katran --backend fused --packets 5000
-    python -m repro.apps --app all --parity          # 3-backend witness
-    python -m repro.apps --app katran --cores 4 --backend jit --json
+    python -m repro.apps --app all --parity          # 2-backend witness
+    python -m repro.apps --app katran --cores 4 --backend interp --json
 
-``--backend {interp,jit,fused}`` selects the execution backend; with
-``--parity`` every app runs all three and any witness divergence
+``--backend {interp,fused}`` selects the execution backend; with
+``--parity`` every app runs on both and any witness divergence
 (verdicts, cycle ledger, VM stats) exits non-zero.  ``--cores N > 1``
 replays through :class:`~repro.net.multicore.RssDispatcher` with
 ntuple steering.  Host metadata (``cpu_count``, ``cpu_affinity``)
@@ -34,7 +34,7 @@ from .ir import (
     verify_app_chains,
 )
 
-BACKENDS = ("interp", "jit", "fused")
+BACKENDS = ("interp", "fused")
 
 
 def _trace(args):

@@ -41,9 +41,9 @@ Apps, chain shapes, and verdict conventions
   heavy-hitter heap offer, universal-sketch level sample; flows whose
   estimate exceeds the policing threshold drop.
 
-Every chain runs through :class:`~repro.net.irnf.IrChainNf` on any of
-the three backends (``interp``/``jit``/``fused``) with bit-identical
-verdicts and cycle charges, and multi-core under
+Every chain runs through :class:`~repro.net.irnf.IrChainNf` on either
+backend (``interp``/``fused``) with bit-identical verdicts and cycle
+charges, and multi-core under
 :class:`~repro.net.multicore.RssDispatcher` via :func:`app_nf_factory`.
 """
 
@@ -856,7 +856,7 @@ def app_nf_factory(
     n_reals: int = KATRAN_REALS,
 ) -> Callable[[int], object]:
     """An ``nf_factory`` for :class:`~repro.net.multicore.RssDispatcher`
-    running one app's fused/JIT'd/interpreted chain on every core, each
+    running one app's fused or interpreted chain on every core, each
     with a private :func:`ir_registry` (seed-decorrelated per core,
     like the bundled-chain factory)."""
     from ..net.multicore import chain_nf_factory

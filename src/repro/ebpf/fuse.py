@@ -1,16 +1,16 @@
 """Whole-pipeline fusion: compile an NF *chain* plus its batch loop
-into one specialized Python closure.
+into one specialized Python closure — the one compiled backend.
 
-The per-program JIT (:mod:`repro.ebpf.jit`) removed per-instruction
-dispatch, but a chained data plane still pays per-packet Python glue
-the JIT cannot see: a fresh VM per stage, verdict mapping between
-stages, stats aggregation and cycle charges per program run, and the
-batch loop's own call overhead.  :func:`fuse_chain` burns all of that
-away — given an ordered list of :class:`~repro.ebpf.verifier.
-VerifiedProgram`\\ s it emits ONE generated function that contains the
-batch loop, the packet encoder, every stage's compiled body, the
-early-exit verdict logic between stages, and a single per-batch
-accounting flush:
+The code generator (:mod:`repro.ebpf.jit`) removes per-instruction
+dispatch from each program; a data plane still pays per-packet Python
+glue around it: a fresh VM per stage, verdict mapping between stages,
+stats aggregation and cycle charges per program run, and the batch
+loop's own call overhead.  :func:`fuse_chain` burns all of that away —
+given an ordered list of :class:`~repro.ebpf.verifier.
+VerifiedProgram`\\ s (one program is a chain of one) it emits ONE
+generated function that contains the batch loop, the packet encoder,
+every stage's compiled body, the early-exit verdict logic between
+stages, and a single per-batch accounting flush:
 
 - **Early-exit codegen** — a stage's non-``PASS`` verdict counts the
   packet and ``continue``\\ s the batch loop; later stages are never
@@ -29,7 +29,7 @@ accounting flush:
   slots stay uninitialized across variable-offset stores (weak
   update).  ``pkt``/``ctx`` buffers are refreshed between stages
   *only* when an earlier stage's compiled body may write them (the
-  :attr:`~repro.ebpf.jit.CompiledProgram.writes` tracking).
+  :attr:`FusedChain.stage_writes` tracking).
 - **Header-load forwarding** — in a chain where no stage writes pkt,
   a proven constant-offset load of a header field
   (:mod:`repro.ebpf.header`) reads the ``Packet`` attribute directly,
@@ -55,7 +55,7 @@ Parity contract: identical per-packet r0 sequence, identical
 identical kfunc/map state versus running the same chain stage-by-stage
 on fresh interpreted VMs (``IrChainNf(backend="interp")``).  Two
 documented divergences, both unreachable for verified programs: a
-mid-block fault charges the whole block (inherited from the JIT), and
+mid-block fault charges the whole block (see :mod:`repro.ebpf.jit`), and
 a mid-batch fault books the faulting *stage's* partial steps where the
 per-stage path would drop that stage's stats on the floor.
 
@@ -264,8 +264,9 @@ def fuse_chain(
     """Fuse an ordered chain of verified programs into one closure.
 
     Every element of ``verified`` must be a ``VerifiedProgram`` (or
-    carry ``.prog`` + ``.annotations``) — fusion, like the JIT,
-    *requires* proofs.  Stage order is chain order; a stage's
+    carry ``.prog`` + ``.annotations``) — fusion *requires* proofs:
+    unverified programs have no elision table, no loop bounds, and no
+    soundness argument for skipping the interpreter's checks.  Stage order is chain order; a stage's
     non-``PASS`` verdict is the packet's final verdict.
     """
     if not verified:
@@ -334,12 +335,8 @@ def fuse_chain(
         bodies = []
         prologue = _HashPrologue()
         for comp in compilers:
-            comp.exit_lines = [f"_rr = r0 & {_HEX_M}", "break"]
-            comp.step_base = "_s0"
-            comp.header_loads = header_loads
-            comp.hoist = prologue
             body = _Emitter()
-            comp.emit_dispatch(body, 0)
+            comp.emit_dispatch(body, 0, header_loads, prologue)
             bodies.append(body)
         return bodies, prologue
 
@@ -461,7 +458,7 @@ def fuse_chain(
         ns.update(comp.globals)
     ns.update(g)
     if any_writes_ctx:
-        # 256 matches Vm's default ctx size; FusedIrChain builds its
+        # 256 matches Vm's default ctx size; IrChainNf builds its
         # persistent VM with the default.
         ns["_ZCTX"] = bytes(256)
     exec(code, ns)

@@ -1,12 +1,13 @@
-"""JIT-compile verified IR programs to straight-line Python.
+"""Lower verified IR programs to straight-line Python source.
 
 The interpreter (:mod:`repro.ebpf.vm`) pays per-instruction dispatch on
 every packet: fetch, ``isinstance`` fan-out, operand decode, method
 calls.  For a *verified* program all of that is static — the
 instruction sequence, the kfunc bindings, which checks were proven
-away, even loop trip counts.  :func:`compile_program` burns those facts
-into one generated-Python closure per program (via ``compile()`` +
-``exec`` of synthesized source — no per-instruction ``eval``):
+away, even loop trip counts.  :class:`_Compiler` burns those facts into
+generated Python (``compile()`` + ``exec`` of synthesized source — no
+per-instruction ``eval``), and :mod:`repro.ebpf.fuse` emits one or more
+compiled programs, plus the batch loop around them, as one closure:
 
 - **Basic blocks** become a flat ``while True:`` guard chain; forward
   control flow falls through integer guards, only genuine back-edges
@@ -33,19 +34,13 @@ stack spills, scalar ALU — compile to single Python statements; code
 whose types cannot be pinned statically falls back to inlined generic
 sequences that mirror the interpreter branch-for-branch, so parity
 never depends on the specializer.
-
-Compiled programs are cached per kfunc registry (impls are burned into
-the closure) under ``(program hash, elide_checks)`` — see
-:func:`compiled_for` / :func:`program_hash`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
-import weakref
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .cost_model import Category
 from .disasm import disassemble_one
@@ -121,31 +116,6 @@ def _jmp_taken(op: str, lhs: Any, rhs: Any) -> bool:
     return lv >= rv
 
 
-@dataclass
-class CompiledProgram:
-    """One program lowered to a Python closure.
-
-    ``fn(vm)`` runs the program against a :class:`~repro.ebpf.vm.Vm`
-    instance (its stack/ctx/packet buffers, pointer-spill table, stats,
-    and cycle counter) and returns r0 — with accounting bit-identical
-    to ``vm.run()``.  ``source`` keeps the generated Python for
-    inspection and tests.
-    """
-
-    fn: Callable[[Any], int]
-    source: str
-    prog_hash: str
-    elide_checks: bool
-    n_nodes: int
-    #: back-edge pc -> number of body copies emitted (trips + 1)
-    unrolled: Dict[int, int] = field(default_factory=dict)
-    #: Regions ("pkt" / "ctx" / "stack") the generated code may write.
-    #: Conservative (generic stores mark all three); the chain fuser
-    #: uses this to decide which buffers need a refresh between fused
-    #: stages (see :mod:`repro.ebpf.fuse`).
-    writes: frozenset = frozenset()
-
-
 def program_hash(prog: Program) -> str:
     """Canonical content hash (memoized on the Program object)."""
     h = getattr(prog, "_jit_hash", None)
@@ -154,56 +124,6 @@ def program_hash(prog: Program) -> str:
         h = hashlib.sha256(text.encode("utf-8")).hexdigest()
         prog._jit_hash = h
     return h
-
-
-# -- compiled-program cache --------------------------------------------------
-
-#: registry -> {(prog_hash, elide): CompiledProgram}.  Keyed per
-#: registry because kfunc impls are bound into the closure at compile
-#: time; weak so dropping a registry drops its code.
-_CACHES: "weakref.WeakKeyDictionary[KfuncRegistry, Dict[Tuple[str, bool], CompiledProgram]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-#: Lifetime hit/miss counters across every registry bucket — benchmark
-#: runs assert cache hits instead of silently recompiling.
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
-
-
-def compiled_for(
-    registry: KfuncRegistry,
-    prog: Program,
-    proofs: Any,
-    elide_checks: bool = True,
-) -> CompiledProgram:
-    """Cached compile: same (registry, program hash, elide) returns the
-    same :class:`CompiledProgram` object."""
-    global _CACHE_HITS, _CACHE_MISSES
-    bucket = _CACHES.get(registry)
-    if bucket is None:
-        bucket = {}
-        _CACHES[registry] = bucket
-    key = (program_hash(prog), bool(elide_checks))
-    hit = bucket.get(key)
-    if hit is None:
-        _CACHE_MISSES += 1
-        hit = compile_program(prog, proofs, registry, elide_checks)
-        bucket[key] = hit
-    else:
-        _CACHE_HITS += 1
-    return hit
-
-
-def cache_info() -> Dict[str, int]:
-    """Aggregate cache statistics (tests and the CLI report these)."""
-    n_entries = sum(len(b) for b in _CACHES.values())
-    return {
-        "registries": len(_CACHES),
-        "entries": n_entries,
-        "hits": _CACHE_HITS,
-        "misses": _CACHE_MISSES,
-    }
 
 
 # -- CFG construction --------------------------------------------------------
@@ -452,20 +372,17 @@ def _src_txt(src: Union[int, Imm]) -> str:
 
 
 class _Compiler:
-    """Lowers one verified program to generated-Python source.
+    """Lowers one verified program to generated-Python source, as one
+    stage of a closure that :mod:`repro.ebpf.fuse` assembles.
 
-    The chain fuser (:mod:`repro.ebpf.fuse`) drives this emitter too:
     ``sym_prefix`` keeps per-stage global names (``_P*``/``_kf*``)
-    collision-free when several programs share one namespace,
-    ``exit_lines`` replaces the ``return`` terminator with
-    stage-local epilogue code, ``step_base`` rebases the runaway-step
-    guard on a per-stage baseline (``_steps`` accumulates across a
-    whole fused batch), ``inline_kfuncs`` expands kfunc impls that
-    publish a ``_fuse_inline`` codegen spec directly into the body,
-    ``header_loads`` forwards proven packet-header loads to the
-    expressions the fuser supplies, and ``hoist`` lets an inline spec
-    read a hash of a packet-pure argument from the fuser's per-batch
-    hash prologue.
+    collision-free when several programs share one namespace, and
+    ``inline_kfuncs`` expands kfunc impls that publish a
+    ``_fuse_inline`` codegen spec directly into the body.  At an exit
+    the emitted body stores the stage's r0 in ``_rr`` and breaks out of
+    its dispatch loop; its runaway-step guard counts from ``_s0``, the
+    ``_steps`` value the fuser saves at stage entry (``_steps``
+    accumulates across a whole fused batch).
     """
 
     def __init__(
@@ -474,8 +391,8 @@ class _Compiler:
         ann: Any,
         registry: KfuncRegistry,
         elide_checks: bool,
-        sym_prefix: str = "",
-        inline_kfuncs: bool = False,
+        sym_prefix: str,
+        inline_kfuncs: bool,
     ) -> None:
         self.prog = prog
         self.ann = ann
@@ -498,29 +415,15 @@ class _Compiler:
         self._bound: Dict[str, str] = {}
         #: Regions this program's stores may touch (conservative).
         self.writes: Set[str] = set()
-        #: Exit terminator override (default: ``return r0 & MASK``).
-        self.exit_lines: Optional[List[str]] = None
-        #: Local name holding the step count at stage entry, or None
-        #: when the guard compares ``_steps`` against the bound directly.
-        self.step_base: Optional[str] = None
         #: Whether any emitted back-edge needed the runaway guard.
         self.used_step_guard = False
         #: kfunc call sites expanded inline (``inline_kfuncs`` only).
         self.inlined_calls = 0
-        #: Packet offset -> expression for the header field stored
-        #: there.  A check-elided u64 load at one of these constant
-        #: offsets reads the expression instead of the packet buffer;
-        #: empty (no forwarding) unless the fuser sets it.
-        self.header_loads: Dict[int, str] = {}
-        #: Loads :attr:`header_loads` replaced in the last emission.
+        #: Loads ``header_loads`` replaced in the last emission.
         self.forwarded_loads = 0
         #: Whether the last emission reads the packet buffer's bytes,
         #: or hands ``vm`` to a kfunc that may.
         self.reads_packet = False
-        #: ``hoist(key_expr, seed)`` -> name of the prologue list whose
-        #: ``[_i]`` is ``fast_hash32(key_expr, seed)`` for packet ``_i``
-        #: of the batch; None (the per-program JIT) hoists nothing.
-        self.hoist: Optional[Callable[[str, int], str]] = None
         #: Hashes the last emission read from the prologue.
         self.hoisted_calls = 0
         #: Per register, while a block is emitted: the expression over
@@ -580,13 +483,26 @@ class _Compiler:
             self._nodes, self._res, self._reachable, succs
         )
 
-    def emit_dispatch(self, em: "_Emitter", level: int) -> None:
+    def emit_dispatch(
+        self,
+        em: "_Emitter",
+        level: int,
+        header_loads: Dict[int, str],
+        hoist: Callable[[str, int], str],
+    ) -> None:
         """Emit the prepared program's ``_b``-dispatch loop at ``level``.
 
-        Assumes r0..r10, the accounting accumulators, and the buffer
-        bindings from the standard prologue are in scope.  Exit blocks
-        terminate via ``self.exit_lines`` (or ``return`` by default).
+        Assumes r0..r10, ``_s0``, the accounting accumulators, and the
+        buffer bindings of the fuser's prologue are in scope.
+        ``header_loads`` maps a packet offset to the expression for the
+        header field stored there: a check-elided u64 load at one of
+        those constant offsets reads the expression instead of the
+        packet buffer.  ``hoist(key_expr, seed)`` names the prologue
+        list whose ``[_i]`` is ``fast_hash32(key_expr, seed)`` for
+        packet ``_i`` of the batch.
         """
+        self.header_loads = header_loads
+        self.hoist = hoist
         res = self._res
         self.writes = set()
         self.inlined_calls = 0
@@ -609,81 +525,6 @@ class _Compiler:
                 "raise _VmFault('step limit exceeded (runaway program)')",
             )
         em.emit(level + 1, "raise _VmFault('fell off the end of the program')")
-
-    def compile(self) -> CompiledProgram:
-        prog = self.prog
-        self.prepare()
-
-        em = _Emitter()
-        fname = "_jit_" + re.sub(r"\W", "_", prog.name)
-        em.emit(0, f"def {fname}(vm):")
-        for line in (
-            "_stats = vm.stats",
-            "_costs = vm.costs",
-            "_stack = vm.stack",
-            "_ctx = vm.ctx",
-            "_pkt = vm.packet",
-            "_slots = vm._ptr_slots",
-            "_rd = vm.read_u64",
-            "_wr = vm.write_u64",
-            "_bf = vm._buffer_for",
-            "_bu = vm._buffer_unchecked",
-            "_PKT0 = _Ptr('pkt', 0)",
-            "_PKTEND = _Ptr('pkt', len(_pkt))",
-            "r0 = 0",
-            "r1 = _Ptr('ctx', 0)",
-            "r2 = 0",
-            "r3 = 0",
-            "r4 = 0",
-            "r5 = 0",
-            "r6 = 0",
-            "r7 = 0",
-            "r8 = 0",
-            "r9 = 0",
-            "r10 = _Ptr('stack', 0)",
-            "_steps = 0",
-            "_mem = 0",
-            "_div = 0",
-            "_eli = 0",
-        ):
-            em.emit(1, line)
-        em.emit(1, "try:")
-        self.emit_dispatch(em, 2)
-        em.emit(1, "finally:")
-        for line in (
-            "_stats.steps += _steps",
-            "_stats.checks_performed += _mem + _div",
-            "_stats.checks_elided += _eli",
-            "_stats.insn_cycles += _steps * _costs.insn_exec",
-            "_stats.check_cycles += "
-            "_mem * _costs.bounds_check + _div * _costs.div_check",
-            "_cyc = vm.cycles",
-            "if _cyc is not None:",
-            "    _cyc.charge(_steps * _costs.insn_exec, _OTHER)",
-            "    if _stats.check_cycles:",
-            "        _cyc.charge(_stats.check_cycles, _FRAMEWORK)",
-            "        _stats.check_cycles = 0",
-        ):
-            em.emit(2, line)
-
-        source = "\n".join(em.lines) + "\n"
-        try:
-            code = compile(source, f"<jit:{prog.name}>", "exec")
-        except SyntaxError as exc:  # pragma: no cover - compiler bug guard
-            raise JitError(
-                f"generated source failed to compile: {exc}\n{source}"
-            ) from exc
-        ns: Dict[str, Any] = dict(self.globals)
-        exec(code, ns)
-        return CompiledProgram(
-            fn=ns[fname],
-            source=source,
-            prog_hash=program_hash(prog),
-            elide_checks=self.elide,
-            n_nodes=len(self._reachable),
-            unrolled={s: N + 1 for (t, s, N) in self._loops},
-            writes=frozenset(self.writes),
-        )
 
     # -- reachability ----------------------------------------------------
 
@@ -775,11 +616,7 @@ class _Compiler:
         last = prog[last_pc]
         terminator: List[str] = []
         if isinstance(last, Exit):
-            terminator = (
-                list(self.exit_lines)
-                if self.exit_lines is not None
-                else [f"return r0 & {_HEX_M}"]
-            )
+            terminator = [f"_rr = r0 & {_HEX_M}", "break"]
         else:
             n_steps += 1
             if isinstance(last, (Mov, Alu, Load, Store, Call)):
@@ -810,14 +647,9 @@ class _Compiler:
     def _goto_label(self, nd: _Node, lbl: int) -> List[str]:
         if lbl <= nd.label:
             self.used_step_guard = True
-            counter = (
-                f"_steps - {self.step_base}"
-                if self.step_base is not None
-                else "_steps"
-            )
             return [
                 f"_b = {lbl}",
-                f"if {counter} > {self.max_steps}:",
+                f"if _steps - _s0 > {self.max_steps}:",
                 "    raise _VmFault("
                 "'step limit exceeded (runaway program)')",
                 "continue",
@@ -927,7 +759,7 @@ class _Compiler:
         argument is not packet-pure here (the spec then hashes it
         itself)."""
         key = self._pure[R1 + arg]
-        if self.hoist is None or key is None:
+        if key is None:
             return None
         self.hoisted_calls += 1
         return self.hoist(key, seed)
@@ -1294,25 +1126,3 @@ class _Compiler:
             em.emit(1, "r0 = _res")
         else:
             em.emit(0, f"r0 = int(_res or 0) & {_HEX_M}")
-
-
-def compile_program(
-    prog: Program,
-    proofs: Any,
-    registry: KfuncRegistry,
-    elide_checks: bool = True,
-) -> CompiledProgram:
-    """Lower one verified program to a Python closure.
-
-    ``proofs`` is a :class:`~repro.ebpf.verifier.VerifiedProgram` or its
-    :class:`~repro.ebpf.verifier.ProofAnnotations` — the JIT *requires*
-    proofs: unverified programs have no elision table, no loop bounds,
-    and no soundness argument for skipping the interpreter's checks.
-    """
-    ann = getattr(proofs, "annotations", proofs)
-    if ann is None or not hasattr(ann, "safe_mem"):
-        raise JitError(
-            "JIT compilation requires a VerifiedProgram or ProofAnnotations "
-            "(run the verifier first)"
-        )
-    return _Compiler(prog, ann, registry, elide_checks).compile()

@@ -405,7 +405,7 @@ def _cases() -> List[ProgCase]:
     # the 5-tuple, fold through a range-proven mod, and return an XDP
     # verdict (1 = DROP, 2 = PASS).  Every safety check in the hot path
     # is statically discharged — 7 elisions per packet — which is what
-    # the elision benchmark measures through repro.net.irnf.IrNf.
+    # the elision benchmark measures through repro.net.irnf.IrChainNf.
     case(
         True,
         "packet classifier NF: guarded parse + hash + proven mod -> verdict",

@@ -12,27 +12,25 @@ range-aware verifier proved:
   (``--json``); ``--widen off`` restores the seed verifier's per-trip
   loop enumeration and ``--widen always`` force-widens every back-edge
   target (the precision-ablation modes of ``bench_widening.py``),
-- the JIT backend (``--backend jit``): every accepted program is
-  lowered to its generated-Python closure with per-program compile
-  time; adding ``--bench`` also executes each program on both backends
-  and reports interp/JIT cycle parity (see ``docs/JIT.md``),
+- the compiled backend (``--bench``): every accepted program is
+  fused as a one-stage chain (:mod:`repro.ebpf.fuse`) and replayed on
+  a deterministic trace against the interpreter (see ``docs/JIT.md``),
 - chain fusion (``--chains``): every bundled NF chain combination is
-  fused into one closure (:mod:`repro.ebpf.fuse`) and replayed on a
-  deterministic trace against the interpreted chain; the report pins
-  bit-identical verdicts, VM stats, and cycle accounting, and records
-  how many header loads were forwarded, how many kfunc hashes moved
-  into the per-batch hash prologue, and whether the fused loop still
-  encodes each packet.
+  fused into one closure and replayed the same way.
+
+Programs and chains share one ``compiled`` report: it pins
+bit-identical verdicts, VM stats, and cycle accounting, and records
+the unrolled loops, how many kfuncs were inlined and header loads
+forwarded, how many kfunc hashes moved into the per-batch hash
+prologue, and whether the fused loop still encodes each packet.
 
 ``--strict`` exits non-zero when any bundled program's verdict differs
 from its expected accept/reject or an accepted program elides zero
 checks it was expected to elide — the CI ``verify-smoke`` contract.
-Under ``--backend jit`` a compile failure or a parity mismatch is also
-an unexpected result, as is any fused-chain divergence under
-``--chains``.  ``--bench`` and ``--chains`` JSON reports carry a
-``caches`` block (:func:`repro.ebpf.jit.cache_info` and
-:func:`repro.ebpf.fuse.cache_info`) so CI can assert cache hits
-instead of silently recompiling.
+Under ``--bench`` and ``--chains`` a fuse failure or an interp/fused
+divergence is also an unexpected result.  Their JSON reports carry a
+``caches`` block (:func:`repro.ebpf.fuse.cache_info`) so CI can assert
+cache hits instead of silently recompiling.
 
 Examples::
 
@@ -40,7 +38,7 @@ Examples::
     python -m repro.ebpf.verify --program pkt_guarded_read
     python -m repro.ebpf.verify --asm prog.s --explain
     python -m repro.ebpf.verify --json --strict
-    python -m repro.ebpf.verify --backend jit --bench
+    python -m repro.ebpf.verify --bench --strict
     python -m repro.ebpf.verify --chains --json --strict
 """
 
@@ -96,56 +94,13 @@ def _verify_one(
     }
 
 
-#: Deterministic 64-byte packet the ``--bench`` parity run feeds both
-#: backends (large enough for every bundled program's header guard).
-_BENCH_PACKET = bytes((i * 37 + 11) & 0xFF for i in range(64))
-
-
-def _jit_report(prog: Program, vp: VerifiedProgram,
-                bench: bool) -> Dict[str, Any]:
-    """Compile one accepted program; with ``bench``, execute it on both
-    backends and compare cycle totals bit for bit."""
-    from .jit import JitError, compile_program
-    from .progs import runnable_registry
-    from .vm import Vm, VmFault
-
-    reg = runnable_registry(0)
-    t0 = time.perf_counter()
-    try:
-        compiled = compile_program(prog, vp, reg, elide_checks=True)
-    except JitError as exc:
-        return {"error": str(exc)}
-    out: Dict[str, Any] = {
-        "compile_ms": round((time.perf_counter() - t0) * 1e3, 3),
-        "n_nodes": compiled.n_nodes,
-        "unrolled": {str(k): v for k, v in sorted(compiled.unrolled.items())},
-    }
-    if not bench:
-        return out
-    for backend in ("interp", "jit"):
-        vm = Vm(runnable_registry(0), packet=_BENCH_PACKET,
-                proofs=vp, backend=backend)
-        try:
-            r0 = vm.run(prog)
-        except VmFault as exc:
-            out[backend] = {"fault": str(exc)}
-            continue
-        out[backend] = {
-            "r0": r0,
-            "steps": vm.stats.steps,
-            "cycles": vm.stats.insn_cycles + vm.stats.check_cycles,
-        }
-    out["parity"] = out["interp"] == out["jit"]
-    return out
-
-
-#: Chain-parity replay: packets per combo and the trace seed.
+#: Parity replay: packets per program or chain, and the trace seed.
 _CHAIN_PACKETS = 96
 _CHAIN_SEED = 20260809
 
 
 def _chain_trace(n: int, seed: int) -> List[Any]:
-    """Deterministic synthetic 5-tuple trace for the chain parity runs."""
+    """Deterministic synthetic 5-tuple trace for the parity runs."""
     from ..net.packet import Packet
 
     rng = random.Random(seed)
@@ -163,25 +118,27 @@ def _chain_trace(n: int, seed: int) -> List[Any]:
     ]
 
 
-def _chain_report(combo: tuple, verifier: Verifier) -> Dict[str, Any]:
-    """Fuse one bundled chain combination and replay it on both the
-    interpreted and the fused backend; bit-for-bit observable compare."""
+def _chain_report(verified: List[VerifiedProgram]) -> Dict[str, Any]:
+    """Fuse one program chain (one program is a chain of one) and replay
+    it on both the interpreted and the fused backend; bit-for-bit
+    observable compare."""
     from ..net.irnf import IrChainNf
     from .fuse import FuseError, fuse_chain
     from .progs import runnable_registry
     from .runtime import BpfRuntime
 
-    progs = [get_case(name).prog for name in combo]
-    verified = [verifier.verify(p) for p in progs]
     t0 = time.perf_counter()
     try:
         fused = fuse_chain(runnable_registry(0), verified)
     except FuseError as exc:
-        return {"chain": list(combo), "error": str(exc)}
+        return {"error": str(exc)}
     out: Dict[str, Any] = {
-        "chain": list(combo),
         "compile_ms": round((time.perf_counter() - t0) * 1e3, 3),
         "n_nodes": fused.n_nodes,
+        "unrolled": {
+            name: {str(pc): n for pc, n in sorted(loops.items())}
+            for name, loops in fused.unrolled.items()
+        },
         "inlined_kfuncs": fused.inlined_kfuncs,
         "forwarded_loads": fused.forwarded_loads,
         "hoisted_calls": fused.hoisted_calls,
@@ -215,6 +172,36 @@ def _chain_report(combo: tuple, verifier: Verifier) -> Dict[str, Any]:
         }
     out["parity"] = observed["interp"] == observed["fused"]
     return out
+
+
+def _print_compiled(label: str, cr: Dict[str, Any]) -> None:
+    """One summary line for a fused program or chain."""
+    if "error" in cr:
+        print(f"FUSE FAIL  {label}: {cr['error']}")
+        return
+    unrolled = "".join(
+        f", unrolled {name} pc {pc} x{n}"
+        for name, loops in cr["unrolled"].items()
+        for pc, n in loops.items()
+    )
+    verdict = "parity OK" if cr["parity"] else "PARITY MISMATCH"
+    print(
+        f"FUSED   {label}  ({cr['n_nodes']} nodes{unrolled}, "
+        f"{cr['inlined_kfuncs']} kfuncs inlined, "
+        f"{cr['forwarded_loads']} header loads forwarded, "
+        f"{cr['hoisted_calls']} hashes hoisted, "
+        f"encode {'kept' if cr['encodes_packet'] else 'elided'}, "
+        f"{cr['fused']['cycles']} cyc; {verdict})"
+    )
+
+
+def _compiled_problem(label: str, cr: Dict[str, Any]) -> Optional[str]:
+    """Why a compiled report is an unexpected result, or None."""
+    if "error" in cr:
+        return f"{label}: fuse failed: {cr['error']}"
+    if not cr["parity"]:
+        return f"{label}: interp/fused parity mismatch"
+    return None
 
 
 def _print_facts(prog: Program, vp: Optional[VerifiedProgram],
@@ -265,29 +252,6 @@ def _print_result(result: Dict[str, Any], case: Optional[ProgCase],
         if explain:
             for line in result["explain"].splitlines()[1:]:
                 print(f"        {line}")
-
-
-def _print_jit(result: Dict[str, Any]) -> None:
-    info = result.get("jit")
-    if not info:
-        return
-    if "error" in info:
-        print(f"        jit: COMPILE FAILED: {info['error']}")
-        return
-    parts = [f"compiled {info['n_nodes']} nodes "
-             f"in {info['compile_ms']:.3f} ms"]
-    if info["unrolled"]:
-        copies = ", ".join(
-            f"pc {pc} x{n}" for pc, n in info["unrolled"].items())
-        parts.append(f"unrolled {copies}")
-    if "parity" in info:
-        if info["parity"]:
-            parts.append(
-                f"cycle parity OK ({info['interp']['cycles']} cyc)")
-        else:
-            parts.append(
-                f"PARITY MISMATCH interp={info['interp']} jit={info['jit']}")
-    print(f"        jit: {'; '.join(parts)}")
 
 
 def _unexpected(result: Dict[str, Any], case: ProgCase) -> Optional[str]:
@@ -352,14 +316,10 @@ def main(argv: Optional[List[str]] = None) -> int:
              "restores the per-trip enumeration of the seed verifier",
     )
     parser.add_argument(
-        "--backend", choices=("interp", "jit"), default="interp",
-        help="with 'jit', lower every accepted program to its "
-             "generated-Python closure and report per-program compile time",
-    )
-    parser.add_argument(
         "--bench", action="store_true",
-        help="with --backend jit: execute each accepted program on both "
-             "backends and report interp/JIT cycle parity",
+        help="fuse every accepted program as a one-stage chain and "
+             "replay it against the interpreter (bit-identical parity "
+             "report)",
     )
     parser.add_argument(
         "--chains", action="store_true",
@@ -367,8 +327,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "against the interpreted chain (bit-identical parity report)",
     )
     args = parser.parse_args(argv)
-    if args.bench and args.backend != "jit":
-        parser.error("--bench requires --backend jit")
+    if args.max_states is not None and args.max_states < 1:
+        print("error: --max-states must be at least 1", file=sys.stderr)
+        return 2
 
     if args.list:
         for case in bundled_cases():
@@ -383,10 +344,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     verifier = Verifier(registry, **kwargs)
 
     if args.asm:
-        text = (
-            sys.stdin.read() if args.asm == "-"
-            else open(args.asm, encoding="utf-8").read()
-        )
+        try:
+            if args.asm == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.asm, encoding="utf-8") as fh:
+                    text = fh.read()
+        except OSError as exc:
+            print(f"error: cannot read {args.asm}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+        except UnicodeDecodeError:
+            print(f"error: {args.asm} is not UTF-8 text", file=sys.stderr)
+            return 2
         try:
             prog = assemble(text, name=args.asm if args.asm != "-" else "stdin")
         except AsmError as exc:
@@ -394,15 +364,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         result = _verify_one(prog, verifier)
         vp = result.pop("_verified", None)
-        if args.backend == "jit" and vp is not None:
-            result["jit"] = _jit_report(prog, vp, args.bench)
+        if args.bench and vp is not None:
+            result["compiled"] = _chain_report([vp])
         if args.json:
             print(json.dumps(result, indent=2))
         else:
             _print_facts(prog, vp, getattr(vp, "annotations", None).facts
                          if vp is not None else {})
             _print_result(result, None, args.explain or True)
-            _print_jit(result)
+            if "compiled" in result:
+                _print_compiled(prog.name, result["compiled"])
         return 0 if result["verdict"] == "accept" else 1
 
     if args.program:
@@ -430,69 +401,44 @@ def main(argv: Optional[List[str]] = None) -> int:
                 problem = f"{case.name}: accepted but elided zero checks"
         if problem is not None:
             report["unexpected"].append(problem)
-        if args.backend == "jit" and vp is not None:
-            jit_info = _jit_report(case.prog, vp, args.bench)
-            result["jit"] = jit_info
-            if "error" in jit_info:
-                report["unexpected"].append(
-                    f"{case.name}: JIT compile failed: {jit_info['error']}"
-                )
-            elif args.bench and not jit_info.get("parity", True):
-                report["unexpected"].append(
-                    f"{case.name}: interp/JIT cycle parity mismatch"
-                )
+        if args.bench and vp is not None:
+            result["compiled"] = _chain_report([vp])
+            problem = _compiled_problem(case.name, result["compiled"])
+            if problem is not None:
+                report["unexpected"].append(problem)
         report["programs"].append(result)
         if not args.json:
             if show_facts:
                 _print_facts(case.prog, vp,
                              vp.annotations.facts if vp is not None else {})
             _print_result(result, case, args.explain)
-            _print_jit(result)
+            if "compiled" in result:
+                _print_compiled(case.name, result["compiled"])
 
     if args.chains:
         from .progs import bundled_chains
 
         report["chains"] = []
         for combo in bundled_chains():
-            cr = _chain_report(combo, verifier)
-            report["chains"].append(cr)
             label = " -> ".join(combo)
-            if "error" in cr:
-                report["unexpected"].append(
-                    f"chain {label}: fuse failed: {cr['error']}"
-                )
-            elif not cr["parity"]:
-                report["unexpected"].append(
-                    f"chain {label}: interp/fused parity mismatch"
-                )
+            cr = {"chain": list(combo), **_chain_report(
+                [verifier.verify(get_case(name).prog) for name in combo]
+            )}
+            report["chains"].append(cr)
+            problem = _compiled_problem(f"chain {label}", cr)
+            if problem is not None:
+                report["unexpected"].append(problem)
             if not args.json:
-                if "error" in cr:
-                    print(f"FUSE FAIL  {label}: {cr['error']}")
-                else:
-                    verdict = "parity OK" if cr["parity"] else "PARITY MISMATCH"
-                    print(
-                        f"FUSED   {label}  ({cr['n_nodes']} nodes, "
-                        f"{cr['inlined_kfuncs']} kfuncs inlined, "
-                        f"{cr['forwarded_loads']} header loads forwarded, "
-                        f"{cr['hoisted_calls']} hashes hoisted, "
-                        f"encode {'kept' if cr['encodes_packet'] else 'elided'}, "
-                        f"{cr['fused']['cycles']} cyc; {verdict})"
-                    )
+                _print_compiled(label, cr)
 
     if args.bench or args.chains:
         from .fuse import cache_info as fuse_cache_info
-        from .jit import cache_info as jit_cache_info
 
-        report["caches"] = {
-            "jit": jit_cache_info(),
-            "fused": fuse_cache_info(),
-        }
+        report["caches"] = {"fused": fuse_cache_info()}
         if not args.json:
-            jc, fc = report["caches"]["jit"], report["caches"]["fused"]
+            fc = report["caches"]["fused"]
             print(
-                f"caches: jit {jc['entries']} entries "
-                f"({jc['hits']} hits/{jc['misses']} misses), "
-                f"fused {fc['entries']} entries "
+                f"caches: fused {fc['entries']} entries "
                 f"({fc['hits']} hits/{fc['misses']} misses)"
             )
 

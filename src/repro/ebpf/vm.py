@@ -114,11 +114,7 @@ class Vm:
         costs: CostModel = DEFAULT_COSTS,
         cycles: Optional[Cycles] = None,
         elide_checks: bool = True,
-        backend: str = "interp",
     ) -> None:
-        if backend not in ("interp", "jit"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
         self.registry = registry
         self.stack = bytearray(STACK_SIZE)
         self.ctx = bytearray(ctx_size)
@@ -200,17 +196,7 @@ class Vm:
     # -- execution -----------------------------------------------------------
 
     def run(self, prog: Program, max_steps: Optional[int] = None) -> int:
-        """Execute ``prog``; returns r0 at exit.
-
-        With ``backend="jit"`` the program is lowered to a generated
-        Python closure (cached per registry + program hash, see
-        :mod:`repro.ebpf.jit`) instead of interpreted; outputs, machine
-        state, stats, and cycle charges are bit-identical.  The
-        ``max_steps`` override only applies to the interpreter — the
-        JIT folds the proof-derived step budget in at compile time.
-        """
-        if self.backend == "jit":
-            return self._run_jit(prog)
+        """Execute ``prog``; returns r0 at exit."""
         if max_steps is None:
             if self.proofs is not None:
                 # An accepted program's abstract state graph is acyclic
@@ -254,19 +240,6 @@ class Vm:
                     )
                     self.stats.check_cycles = 0
         raise VmFault("step limit exceeded (runaway program)")
-
-    def _run_jit(self, prog: Program) -> int:
-        from .jit import compiled_for  # deferred: jit imports this module
-
-        if self.proofs is None:
-            raise ValueError(
-                "backend='jit' requires verifier proofs "
-                "(pass proofs= to Vm)"
-            )
-        compiled = compiled_for(
-            self.registry, prog, self.proofs, self._elide
-        )
-        return compiled.fn(self)
 
     def _operand(self, src: Union[int, Imm]) -> Value:
         if isinstance(src, Imm):

@@ -1,25 +1,21 @@
 """Run verified IR programs as XDP network functions.
 
-:class:`IrNf` bridges the two halves of the eBPF substrate: the static
-side (:mod:`repro.ebpf.verifier`) and the data plane
-(:mod:`repro.net.xdp`).  A program is verified **once** at attach time
-— rejected programs never reach the pipeline, exactly like
-``BPF_PROG_LOAD`` — and the resulting
+:class:`IrChainNf` bridges the two halves of the eBPF substrate: the
+static side (:mod:`repro.ebpf.verifier`) and the data plane
+(:mod:`repro.net.xdp`).  Its programs — one, or an ordered chain — are
+verified **once** at attach time (rejected programs never reach the
+pipeline, exactly like ``BPF_PROG_LOAD``), and each
 :class:`~repro.ebpf.verifier.VerifiedProgram` proof table rides along
-to every per-packet VM run, letting the interpreter skip the bounds
-and divisor checks the verifier already discharged (§4.1's
-lazy-checking payoff).  ``elide_checks=False`` is the ablation knob:
-identical execution, every check still performed and charged.
-:class:`IrChainNf` runs an ordered chain of programs the same way, on
-the ``interp``, ``jit`` or ``fused`` backend.
+to every run, letting the backend skip the bounds and divisor checks
+the verifier already discharged (§4.1's lazy-checking payoff).
 
-On the ``interp`` and ``jit`` backends packets cross the boundary
-through :func:`encode_packet`, which lays the packet's header fields
-out as little-endian u64s (the layout of :mod:`repro.ebpf.header`:
-5-tuple, frame size, timestamp) so guarded ``*(u64 *)(data + off)``
-loads read real header bytes.  A fused chain encodes the same bytes
-only when some stage needs them; otherwise its proven header loads
-read the :class:`~repro.net.packet.Packet` fields directly (see
+On the ``interp`` backend packets cross the boundary through
+:func:`encode_packet`, which lays the packet's header fields out as
+little-endian u64s (the layout of :mod:`repro.ebpf.header`: 5-tuple,
+frame size, timestamp) so guarded ``*(u64 *)(data + off)`` loads read
+real header bytes.  The ``fused`` backend encodes the same bytes only
+when some stage needs them; otherwise its proven header loads read the
+:class:`~repro.net.packet.Packet` fields directly (see
 :mod:`repro.ebpf.fuse`).
 """
 
@@ -59,141 +55,6 @@ def encode_packet(pkt: Packet) -> bytes:
     return bytes(buf)
 
 
-class IrNf:
-    """A verified IR program attached to the XDP pipeline as an NF.
-
-    Satisfies the :class:`~repro.net.xdp.NetworkFunction` protocol.
-    Each packet gets a fresh VM (programs see no cross-packet state
-    except what kfuncs carry in the registry closure); cycles are
-    charged to ``rt.cycles`` — interpreted instructions to
-    ``Category.OTHER``, *performed* safety checks to
-    ``Category.FRAMEWORK``, so the elision win shows up exactly where
-    the cost model books framework overhead.
-
-    ``backend="jit"`` runs each packet through the program's compiled
-    closure (:mod:`repro.ebpf.jit`) instead of the interpreter loop —
-    same outputs, same stats, same cycle charges, bit for bit; the
-    program is compiled once at attach time and cached by hash.
-    """
-
-    def __init__(
-        self,
-        rt: BpfRuntime,
-        prog: Union[Program, VerifiedProgram],
-        registry: Optional[KfuncRegistry] = None,
-        elide_checks: bool = True,
-        seed: int = 0,
-        backend: str = "interp",
-    ) -> None:
-        self.rt = rt
-        self.registry = registry if registry is not None else runnable_registry(seed)
-        if isinstance(prog, VerifiedProgram):
-            self.verified = prog
-        else:
-            # Attach-time verification: raises VerifierError on reject.
-            self.verified = Verifier(self.registry).verify(prog)
-        self.prog = self.verified.prog
-        self.elide_checks = elide_checks
-        if backend not in ("interp", "jit"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
-        if backend == "jit":
-            # Attach-time compilation (mirrors the kernel's JIT at
-            # BPF_PROG_LOAD): warms the per-registry compiled-program
-            # cache so the first packet pays no compile latency, and
-            # surfaces compile errors before traffic arrives.
-            from ..ebpf.jit import compiled_for
-
-            compiled_for(
-                self.registry, self.prog, self.verified, elide_checks
-            )
-        #: Aggregate VM statistics across every processed packet.
-        self.stats = VmStats()
-        #: Raw r0 per packet — the bit-identical-output witness the
-        #: ablation compares across checked and elided runs.
-        self.returns: List[int] = []
-
-    def process(self, packet: Packet) -> str:
-        vm = Vm(
-            self.registry,
-            packet=encode_packet(packet),
-            proofs=self.verified,
-            costs=self.rt.costs,
-            elide_checks=self.elide_checks,
-            backend=self.backend,
-        )
-        r0 = vm.run(self.prog)
-        s = vm.stats
-        self.stats.steps += s.steps
-        self.stats.checks_performed += s.checks_performed
-        self.stats.checks_elided += s.checks_elided
-        self.stats.insn_cycles += s.insn_cycles
-        self.stats.check_cycles += s.check_cycles
-        self.rt.charge(s.insn_cycles, Category.OTHER)
-        if s.check_cycles:
-            self.rt.charge(s.check_cycles, Category.FRAMEWORK)
-        self.returns.append(r0)
-        return XDP_RETURN_CODES.get(r0, XdpAction.ABORTED)
-
-    def process_batch(self, batch: Sequence[Packet]) -> Dict[str, int]:
-        """Batched entry point for the XDP pipeline and the
-        ``RssDispatcher`` fast path: one verdict-count dict per batch.
-
-        Per-packet semantics and accounting are identical to
-        :meth:`process` (each packet still gets a fresh VM), but the
-        per-packet Python glue is hoisted out of the inner loop: stats
-        aggregation and cycle charges accumulate in locals and flush
-        once per batch (in a ``finally``, so an aborted batch still
-        books its executed prefix), and r0 -> action mapping runs once
-        per distinct verdict instead of once per packet.  No clock
-        reads here, per the batching contract in :mod:`repro.net.xdp`.
-        """
-        registry = self.registry
-        prog = self.prog
-        verified = self.verified
-        costs = self.rt.costs
-        elide = self.elide_checks
-        backend = self.backend
-        append = self.returns.append
-        raw: Dict[int, int] = {}
-        steps = performed = elided = icyc = ccyc = 0
-        try:
-            for pkt in batch:
-                vm = Vm(
-                    registry,
-                    packet=encode_packet(pkt),
-                    proofs=verified,
-                    costs=costs,
-                    elide_checks=elide,
-                    backend=backend,
-                )
-                r0 = vm.run(prog)
-                s = vm.stats
-                steps += s.steps
-                performed += s.checks_performed
-                elided += s.checks_elided
-                icyc += s.insn_cycles
-                ccyc += s.check_cycles
-                append(r0)
-                raw[r0] = raw.get(r0, 0) + 1
-        finally:
-            st = self.stats
-            st.steps += steps
-            st.checks_performed += performed
-            st.checks_elided += elided
-            st.insn_cycles += icyc
-            st.check_cycles += ccyc
-            if icyc:
-                self.rt.charge(icyc, Category.OTHER)
-            if ccyc:
-                self.rt.charge(ccyc, Category.FRAMEWORK)
-        counts: Dict[str, int] = {}
-        for r0, n in raw.items():
-            action = XDP_RETURN_CODES.get(r0, XdpAction.ABORTED)
-            counts[action] = counts.get(action, 0) + n
-        return counts
-
-
 #: The raw verdict that forwards a packet to the next chain stage.
 PASS_R0 = 2
 
@@ -201,19 +62,31 @@ PASS_R0 = 2
 class IrChainNf:
     """An ordered chain of verified IR programs attached as one NF.
 
-    Chain semantics mirror a multi-program XDP pipeline: each stage
-    sees the freshly encoded packet; a stage returning ``XDP_PASS``
-    (r0 == 2) hands the packet to the next stage, any other verdict is
-    final and later stages never run.  The chain's ``returns`` records
-    each packet's *final* r0; ``stats`` aggregates VM statistics across
-    all executed stages.
+    Satisfies the :class:`~repro.net.xdp.NetworkFunction` protocol; a
+    one-program chain is the plain single-program NF.  Chain semantics
+    mirror a multi-program XDP pipeline: each stage sees the freshly
+    encoded packet; a stage returning ``XDP_PASS`` (r0 == 2) hands the
+    packet to the next stage, any other verdict is final and later
+    stages never run.  The chain's ``returns`` records each packet's
+    *final* r0 — the bit-identical-output witness the ablations compare
+    — and ``stats`` aggregates VM statistics across all executed
+    stages.
 
-    Three backends, bit-identical by contract:
+    Programs not already verified are verified here, at attach time:
+    a rejected program raises
+    :class:`~repro.ebpf.verifier.VerifierError` before any traffic.
+    Programs see no cross-packet state except what kfuncs carry in the
+    registry closure.  Cycles are charged to ``rt.cycles`` —
+    executed instructions to ``Category.OTHER``, *performed* safety
+    checks to ``Category.FRAMEWORK``, so the elision win shows up
+    exactly where the cost model books framework overhead.
+    ``elide_checks=False`` is the ablation knob: identical execution,
+    every check still performed and charged.
 
-    - ``"interp"`` — a fresh interpreted VM per packet per stage.
-    - ``"jit"`` — per-program compiled closures
-      (:mod:`repro.ebpf.jit`), still a fresh VM and interpreted glue
-      between stages.
+    Two backends, bit-identical by contract:
+
+    - ``"interp"`` — the reference: a fresh interpreted VM per packet
+      per stage.
     - ``"fused"`` — the whole chain *and* the batch loop compiled into
       one closure (:mod:`repro.ebpf.fuse`) running against a single
       persistent VM; verdict mapping, stats aggregation, and cycle
@@ -244,17 +117,12 @@ class IrChainNf:
                 self.verified.append(verifier.verify(p))
         self.progs = [vp.prog for vp in self.verified]
         self.elide_checks = elide_checks
-        if backend not in ("interp", "jit", "fused"):
+        if backend not in ("interp", "fused"):
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.stats = VmStats()
         self.returns: List[int] = []
-        if backend == "jit":
-            from ..ebpf.jit import compiled_for
-
-            for vp in self.verified:
-                compiled_for(self.registry, vp.prog, vp, elide_checks)
-        elif backend == "fused":
+        if backend == "fused":
             from ..ebpf.fuse import fused_for
 
             # Attach-time fusion (cached by stage hashes): the first
@@ -272,10 +140,9 @@ class IrChainNf:
             self._vm = Vm(self.registry, costs=rt.costs)
 
     def _run_stages(self, packet: Packet) -> int:
-        """Interp/jit path: run stages on fresh VMs until a non-PASS
-        verdict; aggregates stats and charges exactly like IrNf."""
+        """Interp path: run stages on fresh VMs until a non-PASS
+        verdict, aggregating stats and charging cycles per stage."""
         enc = encode_packet(packet)
-        vm_backend = "jit" if self.backend == "jit" else "interp"
         st = self.stats
         rt = self.rt
         r0 = PASS_R0
@@ -286,7 +153,6 @@ class IrChainNf:
                 proofs=vp,
                 costs=rt.costs,
                 elide_checks=self.elide_checks,
-                backend=vm_backend,
             )
             r0 = vm.run(vp.prog)
             s = vm.stats
@@ -330,25 +196,3 @@ class IrChainNf:
             action = XDP_RETURN_CODES.get(r0, XdpAction.ABORTED)
             counts[action] = counts.get(action, 0) + n
         return counts
-
-
-class FusedIrChain(IrChainNf):
-    """:class:`IrChainNf` pinned to the fused backend — the one-call
-    whole-pipeline data plane (:mod:`repro.ebpf.fuse`)."""
-
-    def __init__(
-        self,
-        rt: BpfRuntime,
-        progs: Sequence[Union[Program, VerifiedProgram]],
-        registry: Optional[KfuncRegistry] = None,
-        elide_checks: bool = True,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(
-            rt,
-            progs,
-            registry=registry,
-            elide_checks=elide_checks,
-            seed=seed,
-            backend="fused",
-        )

@@ -552,7 +552,7 @@ def chain_nf_factory(
     per-CPU sketch rows and steering tables, seed-decorrelated like the
     fault injectors), and a fresh
     :class:`~repro.net.irnf.IrChainNf` with the requested ``backend``
-    (``"interp"``, ``"jit"``, or ``"fused"``).  Verification happens once
+    (``"interp"`` or ``"fused"``).  Verification happens once
     up front; every core shares the same :class:`VerifiedProgram` proofs
     (they are immutable) but nothing mutable.
 

@@ -28,7 +28,7 @@ from repro.ebpf.progs import (
 )
 from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
-from repro.net.irnf import FusedIrChain, IrChainNf
+from repro.net.irnf import IrChainNf
 from repro.net.packet import Packet
 
 from tests.ebpf.test_verifier_differential import _gen_program
@@ -110,13 +110,6 @@ def test_bundled_chain_parity(combo, elide):
     assert interp == fused
 
 
-def test_fused_matches_jit_chain_backend():
-    progs = [get_case(n).prog for n in NF_CHAIN_STAGES]
-    pkts = _mk_packets(64, seed=SEED)
-    assert (_run_chain(progs, pkts, "jit", True)
-            == _run_chain(progs, pkts, "fused", True))
-
-
 def test_single_packet_process_parity():
     progs = [get_case(n).prog for n in NF_CHAIN_STAGES]
     pkts = _mk_packets(16, seed=SEED + 99)
@@ -128,7 +121,7 @@ def test_single_packet_process_parity():
 
     rt_f = BpfRuntime()
     reg_f = runnable_registry(0)
-    nf_f = FusedIrChain(rt_f, progs, registry=reg_f)
+    nf_f = IrChainNf(rt_f, progs, registry=reg_f, backend="fused")
     acts_f = [nf_f.process(p) for p in pkts]
 
     assert acts_i == acts_f
@@ -177,7 +170,7 @@ def test_inlining_can_be_disabled():
     interp = _run_chain(progs, pkts, "interp", True)
 
     rt = BpfRuntime()
-    nf = FusedIrChain(rt, progs, registry=registry)
+    nf = IrChainNf(rt, progs, registry=registry, backend="fused")
     nf._fused = fc
     actions = nf.process_batch(pkts)
     assert interp == _observe(nf, rt, registry, tuple(sorted(actions.items())))

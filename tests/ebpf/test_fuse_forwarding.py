@@ -32,7 +32,7 @@ from repro.ebpf.insn import (
 from repro.ebpf.progs import bundled_chains, get_case, runnable_registry
 from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier
-from repro.net.irnf import FusedIrChain, encode_packet
+from repro.net.irnf import IrChainNf, encode_packet
 
 from tests.ebpf.test_fuse import _mk_packets, _observe, _run_chain
 
@@ -162,7 +162,7 @@ def test_kfunc_calls_without_inlining_keep_the_encode():
     pkts = _trace()
     interp = _run_chain(progs, pkts, "interp", True)
     rt = BpfRuntime()
-    nf = FusedIrChain(rt, progs, registry=registry)
+    nf = IrChainNf(rt, progs, registry=registry, backend="fused")
     nf._fused = fc
     actions = nf.process_batch(pkts)
     assert interp == _observe(nf, rt, registry, tuple(sorted(actions.items())))

@@ -1,49 +1,42 @@
-"""The JIT compiler's parity, cache, unrolling, and pruning contracts.
+"""The code generator's parity, unrolling, and proof contracts.
 
-The compiler's promise is *bit-identical observable behavior* to the
-interpreter — r0, final stack/packet/ctx bytes, step counts, check
-accounting, and cycle charges — while executing straight-line
-generated Python.  These tests pin that promise on every bundled
-program (both elide modes, with and without a cycle counter), plus the
-cache-identity rules (same hash -> same closure object, mutated
-program -> miss) and the subsumption-pruning budget win the unrolled
-NF programs rely on.
+:mod:`repro.ebpf.jit` lowers verified programs to Python; its one
+execution path is fusion, and a single program runs as a one-stage
+chain (``IrChainNf([prog], backend="fused")``).  The promise is
+*bit-identical observable behavior* to the interpreter — r0, final
+stack/ctx bytes (packet bytes too, when the fused loop still encodes
+the frame), step counts, check accounting, and cycle charges by
+category — while executing straight-line generated Python.  These
+tests pin that promise on every bundled program (both elide modes),
+plus kfunc state across packets, the unrolling shape, the oversized
+loop fallback, content-hash cache keys, and the proofs requirement.
 """
 
 import random
 
 import pytest
 
-from repro.ebpf.cost_model import Cycles
+from repro.ebpf.fuse import fuse_chain, fused_for
 from repro.ebpf.insn import (
     Alu,
-    Call,
     Exit,
     Imm,
     JmpIf,
-    Load,
     Mov,
     Program,
     R0,
-    R1,
-    R2,
-    R3,
     R6,
     R7,
-    R8,
-    R10,
-    Store,
 )
-from repro.ebpf.jit import (
-    CompiledProgram,
-    JitError,
-    compile_program,
-    compiled_for,
-    program_hash,
-)
+from repro.ebpf.jit import JitError, program_hash
 from repro.ebpf.progs import bundled_cases, get_case, runnable_registry
+from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
 from repro.ebpf.vm import Vm
+from repro.net.irnf import IrChainNf, encode_packet
+from repro.net.packet import Packet
+
+from tests.ebpf.test_fuse import _kfunc_state
 
 SEED = 20260806
 
@@ -59,24 +52,59 @@ def _accepted_cases():
     return out
 
 
-def _run(prog, vp, backend, packet, elide=True, seed=3, cycles=None):
-    vm = Vm(runnable_registry(seed), packet=packet, proofs=vp,
-            elide_checks=elide, backend=backend, cycles=cycles)
-    r0 = vm.run(prog)
-    return vm, r0
+def _rand_packet(rng):
+    return Packet(
+        src_ip=rng.getrandbits(32),
+        dst_ip=rng.getrandbits(32),
+        src_port=rng.getrandbits(16),
+        dst_port=rng.getrandbits(16),
+        proto=rng.choice((0, 6, 17)),
+        size=rng.choice((64, 128, 1500)),
+        timestamp_ns=rng.getrandbits(40),
+    )
 
 
-def _observable(vm, r0):
+def _stats(stats):
+    return (stats.steps, stats.checks_performed, stats.checks_elided,
+            stats.insn_cycles, stats.check_cycles)
+
+
+def _interp_state(vp, pkt, elide=True, seed=3):
+    """One interpreted run on a fresh VM: r0, stack, ctx, packet, stats."""
+    vm = Vm(runnable_registry(seed), packet=encode_packet(pkt), proofs=vp,
+            elide_checks=elide)
+    r0 = vm.run(vp.prog)
+    return (r0, bytes(vm.stack), bytes(vm.ctx), bytes(vm.packet),
+            _stats(vm.stats))
+
+
+def _fused_state(vp, pkt, elide=True, seed=3):
+    """The same packet through a fresh one-stage fused NF.  The packet
+    buffer is observable only when the fused loop encodes the frame."""
+    nf = IrChainNf(BpfRuntime(), [vp], registry=runnable_registry(seed),
+                   elide_checks=elide, backend="fused")
+    nf.process(pkt)
+    vm = nf._vm
+    packet = bytes(vm.packet) if nf._fused.encodes_packet else None
+    return (nf.returns[-1], bytes(vm.stack), bytes(vm.ctx), packet,
+            _stats(nf.stats))
+
+
+def _assert_parity(vp, pkt, elide=True, label=""):
+    interp = _interp_state(vp, pkt, elide)
+    fused = _fused_state(vp, pkt, elide)
+    if fused[3] is None:
+        interp = interp[:3] + (None,) + interp[4:]
+    assert interp == fused, label
+
+
+def _observable(nf, rt):
+    snap = rt.cycles.snapshot()
     return (
-        r0,
-        bytes(vm.stack),
-        bytes(vm.packet),
-        bytes(vm.ctx),
-        vm.stats.steps,
-        vm.stats.checks_performed,
-        vm.stats.checks_elided,
-        vm.stats.insn_cycles,
-        vm.stats.check_cycles,
+        tuple(nf.returns),
+        _stats(nf.stats),
+        rt.cycles.total,
+        tuple(sorted((c.name, v) for c, v in snap.by_category.items())),
     )
 
 
@@ -85,68 +113,62 @@ def _observable(vm, r0):
 
 def test_bundled_parity_all_programs():
     """Every accepted bundled program, both elide modes, several
-    packets: the JIT's machine state and accounting match the
-    interpreter bit for bit."""
+    packets: the compiled program's machine state and accounting match
+    the interpreter bit for bit."""
     rng = random.Random(SEED)
     checked = 0
     for case, vp in _accepted_cases():
         for _ in range(3):
-            packet = bytes(rng.randrange(256)
-                           for _ in range(rng.choice([0, 40, 64])))
+            pkt = _rand_packet(rng)
             for elide in (True, False):
-                vm_i, r0_i = _run(case.prog, vp, "interp", packet, elide)
-                vm_j, r0_j = _run(case.prog, vp, "jit", packet, elide)
-                assert _observable(vm_i, r0_i) == _observable(vm_j, r0_j), (
-                    f"{case.name} elide={elide}"
-                )
+                _assert_parity(vp, pkt, elide, f"{case.name} elide={elide}")
                 checked += 1
-    assert checked >= 40  # 11 accepted programs x 3 packets x 2 modes
+    assert checked >= 60  # 13 accepted programs x 3 packets x 2 modes
 
 
 def test_cycle_charges_identical():
-    """With a cycle counter attached, per-category charges match."""
-    packet = bytes(range(11, 75))
+    """Runtime cycle charges match per category, over a batch."""
+    rng = random.Random(SEED + 1)
+    pkts = [_rand_packet(rng) for _ in range(8)]
     for case, vp in _accepted_cases():
-        cyc_i, cyc_j = Cycles(), Cycles()
-        vm_i, r0_i = _run(case.prog, vp, "interp", packet, cycles=cyc_i)
-        vm_j, r0_j = _run(case.prog, vp, "jit", packet, cycles=cyc_j)
-        assert r0_i == r0_j
-        assert cyc_i.total == cyc_j.total, case.name
-        assert cyc_i.snapshot() == cyc_j.snapshot(), case.name
+        seen = {}
+        for backend in ("interp", "fused"):
+            rt = BpfRuntime()
+            nf = IrChainNf(rt, [vp], registry=runnable_registry(3),
+                           backend=backend)
+            nf.process_batch(pkts)
+            seen[backend] = _observable(nf, rt)
+        assert seen["interp"] == seen["fused"], case.name
 
 
 def test_kfunc_state_accumulates_identically():
     """Kfunc state lives in the registry closure and carries across
     packets: a 50-packet sketch run produces the same estimate
-    sequence under both backends."""
-    case = get_case("nf_cm_sketch")
-    vp = Verifier(runnable_registry(0)).verify(case.prog)
+    sequence and the same sketch rows and PRNG position under both
+    backends."""
+    vp = Verifier(runnable_registry(0)).verify(get_case("nf_cm_sketch").prog)
     rng = random.Random(7)
-    packets = [bytes(rng.randrange(256) for _ in range(64))
-               for _ in range(50)]
+    pkts = [_rand_packet(rng) for _ in range(50)]
     results = {}
-    for backend in ("interp", "jit"):
+    for backend in ("interp", "fused"):
         reg = runnable_registry(5)
-        outs = []
-        for pkt in packets:
-            vm = Vm(reg, packet=pkt, proofs=vp, backend=backend)
-            outs.append(vm.run(case.prog))
-        results[backend] = outs
-    assert results["interp"] == results["jit"]
+        nf = IrChainNf(BpfRuntime(), [vp], registry=reg, backend=backend)
+        for pkt in pkts:
+            nf.process(pkt)
+        results[backend] = (tuple(nf.returns), _kfunc_state(reg))
+    assert results["interp"] == results["fused"]
 
 
 def test_jit_requires_proofs():
     prog = Program([Mov(R0, Imm(0)), Exit()], name="tiny")
     with pytest.raises(JitError):
-        compile_program(prog, None, runnable_registry(0))
-    vm = Vm(runnable_registry(0), backend="jit")  # no proofs attached
-    with pytest.raises(ValueError):
-        vm.run(prog)
+        fuse_chain(runnable_registry(0), [prog])
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        Vm(runnable_registry(0), backend="llvm")
+    """The VM is the interpreter only: it takes no backend switch."""
+    with pytest.raises(TypeError):
+        Vm(runnable_registry(0), backend="interp")
 
 
 # -- generated code shape ----------------------------------------------------
@@ -155,13 +177,14 @@ def test_unknown_backend_rejected():
 def test_loop_unrolled_to_straight_line():
     """loop_counted's proven 15 back-edge traversals unroll into 16
     body copies with forward-only dispatch — no `continue` (the
-    generated code's only backward-jump construct) survives."""
-    case = get_case("loop_counted")
-    vp = Verifier(runnable_registry(0)).verify(case.prog)
-    compiled = compile_program(case.prog, vp, runnable_registry(0))
-    assert compiled.unrolled == {4: 16}
-    assert "continue" not in compiled.source
-    assert "eval" not in compiled.source
+    generated code's only backward-jump construct, and a one-stage
+    chain has no early exit) survives."""
+    reg = runnable_registry(0)
+    vp = Verifier(reg).verify(get_case("loop_counted").prog)
+    fused = fuse_chain(reg, [vp])
+    assert fused.unrolled == {"loop_counted": {4: 16}}
+    assert "continue" not in fused.source
+    assert "eval" not in fused.source
 
 
 def test_oversized_loop_falls_back_to_dispatch():
@@ -177,140 +200,48 @@ def test_oversized_loop_falls_back_to_dispatch():
         Exit(),
     ]
     prog = Program(insns, name="loop_wide")
-    vp = Verifier(runnable_registry(0)).verify(prog)
-    compiled = compile_program(prog, vp, runnable_registry(0))
-    assert compiled.unrolled == {}
-    assert "continue" in compiled.source
-    vm_i, r0_i = _run(prog, vp, "interp", b"")
-    vm_j, r0_j = _run(prog, vp, "jit", b"")
-    assert _observable(vm_i, r0_i) == _observable(vm_j, r0_j)
-
-
-# -- compiled-program cache --------------------------------------------------
-
-
-def test_cache_hit_returns_same_closure():
-    case = get_case("nf_classifier")
     reg = runnable_registry(0)
-    vp = Verifier(reg).verify(case.prog)
-    a = compiled_for(reg, case.prog, vp)
-    b = compiled_for(reg, case.prog, vp)
-    assert a is b
-    assert a.fn is b.fn
-
-
-def test_cache_miss_on_mutated_program():
-    """Re-verifying a mutated program must miss the cache: the key is
-    the program's content hash, not its name or object identity."""
-    case = get_case("nf_classifier")
-    reg = runnable_registry(0)
-    verifier = Verifier(reg)
-    vp = verifier.verify(case.prog)
-    original = compiled_for(reg, case.prog, vp)
-
-    mutated_insns = list(case.prog)
-    # Flip the verdict fold: `and r0, 1` -> `and r0, 3`.
-    mutated_insns[19] = Alu("and", R0, Imm(3))
-    mutated = Program(mutated_insns, name=case.prog.name)  # same name!
-    assert program_hash(mutated) != program_hash(case.prog)
-    vp_m = verifier.verify(mutated)
-    recompiled = compiled_for(reg, mutated, vp_m)
-    assert recompiled is not original
-    assert recompiled.prog_hash != original.prog_hash
-
-    # The original's cache entry is untouched.
-    assert compiled_for(reg, case.prog, vp) is original
-
-
-def test_cache_keyed_by_registry_and_elide():
-    """Kfunc impls are burned in at compile time, so each registry gets
-    its own code; elide on/off are distinct entries too."""
-    case = get_case("nf_classifier")
-    reg_a, reg_b = runnable_registry(0), runnable_registry(0)
-    vp = Verifier(reg_a).verify(case.prog)
-    a = compiled_for(reg_a, case.prog, vp)
-    b = compiled_for(reg_b, case.prog, vp)
-    assert a is not b
-    elided = compiled_for(reg_a, case.prog, vp, elide_checks=True)
-    checked = compiled_for(reg_a, case.prog, vp, elide_checks=False)
-    assert elided is not checked
-    assert compiled_for(reg_a, case.prog, vp, elide_checks=False) is checked
-
-
-def test_vm_runs_share_cached_closure():
-    """Two JIT VMs over the same registry reuse one CompiledProgram."""
-    case = get_case("pkt_guarded_read")
-    reg = runnable_registry(0)
-    vp = Verifier(reg).verify(case.prog)
-    pkt = bytes(64)
-    Vm(reg, packet=pkt, proofs=vp, backend="jit").run(case.prog)
-    before = compiled_for(reg, case.prog, vp)
-    Vm(reg, packet=pkt, proofs=vp, backend="jit").run(case.prog)
-    assert compiled_for(reg, case.prog, vp) is before
-
-
-# -- subsumption pruning budget ----------------------------------------------
-
-
-def _eq_dispatch_prog(k: int, tail_pad: int) -> Program:
-    """Switch-style eq-chain whose arms share a long tail: the pruned
-    verifier visits the tail once (general state) and subsumes every
-    refined arm; the unpruned verifier re-walks it per arm."""
-    insns = [
-        Call("bpf_get_prandom_u32"),
-        Mov(R6, R0),
-        Alu("and", R6, Imm(0xFF)),
-    ]
-    tail = 3 + k
-    for i in range(k):
-        insns.append(JmpIf("eq", R6, Imm(i + 1), tail))
-    insns += [Mov(R0, R6)]
-    insns += [Alu("add", R0, Imm(1)) for _ in range(tail_pad)]
-    insns += [Alu("and", R0, Imm(3)), Exit()]
-    return Program(insns, name=f"eq_dispatch_{k}_{tail_pad}")
-
-
-def test_pruning_verifies_within_budget_unpruned_exceeds():
-    """The acceptance demo: under the same ``max_states`` budget, the
-    pruned verifier accepts the dispatch-heavy program that the
-    unpruned verifier rejects as too complex."""
-    prog = _eq_dispatch_prog(12, 24)
-    reg = runnable_registry(0)
-    budget = 128
-
-    vp = Verifier(reg, max_states=budget).verify(prog)
-    assert vp.stats.states_pruned >= 12
-    assert vp.stats.states_explored <= budget
-
-    with pytest.raises(VerifierError, match="state limit"):
-        Verifier(reg, prune=False, max_states=budget).verify(prog)
-    # Without the budget the unpruned verifier accepts — and needs
-    # several times more states, which is exactly what pruning saves.
-    vp_u = Verifier(reg, prune=False).verify(prog)
-    assert vp_u.stats.states_explored > 2 * (
-        vp.stats.states_explored + vp.stats.states_pruned
-    )
-
-
-def test_pruned_program_runs_with_jit_parity():
-    """The pruned proof table still drives a correct JIT compile."""
-    prog = _eq_dispatch_prog(8, 8)
-    vp = Verifier(runnable_registry(0), max_states=128).verify(prog)
-    for seed in (1, 2):
-        vm_i, r0_i = _run(prog, vp, "interp", b"", seed=seed)
-        vm_j, r0_j = _run(prog, vp, "jit", b"", seed=seed)
-        assert _observable(vm_i, r0_i) == _observable(vm_j, r0_j)
+    vp = Verifier(reg).verify(prog)
+    fused = fuse_chain(reg, [vp])
+    assert fused.unrolled == {"loop_wide": {}}
+    assert "continue" in fused.source
+    _assert_parity(vp, _rand_packet(random.Random(SEED)))
 
 
 def test_compiled_program_metadata():
     case = get_case("nf_cm_sketch")
     reg = runnable_registry(0)
     vp = Verifier(reg).verify(case.prog)
-    compiled = compile_program(case.prog, vp, reg)
-    assert isinstance(compiled, CompiledProgram)
-    assert compiled.prog_hash == program_hash(case.prog)
-    assert compiled.elide_checks is True
+    fused = fuse_chain(reg, [vp])
+    assert fused.stage_hashes == (program_hash(case.prog),)
+    assert fused.stage_names == ("nf_cm_sketch",)
+    assert fused.elide_checks is True
     # The 3-trip back-edge at pc 12 expands into 4 body copies.
-    assert compiled.unrolled == {12: 4}
-    assert compiled.n_nodes > 4
-    assert compiled.source.startswith("def _jit_nf_cm_sketch")
+    assert fused.unrolled == {"nf_cm_sketch": {12: 4}}
+    assert fused.n_nodes > 4
+    assert fused.source.startswith("def _fused_nf_cm_sketch")
+
+
+# -- compiled-code cache ------------------------------------------------------
+
+
+def test_cache_miss_on_mutated_program():
+    """Re-verifying a mutated program must miss the fused cache: the
+    key is the program's content hash, not its name or identity."""
+    case = get_case("nf_classifier")
+    reg = runnable_registry(0)
+    verifier = Verifier(reg)
+    vp = verifier.verify(case.prog)
+    original = fused_for(reg, [vp])
+
+    mutated_insns = list(case.prog)
+    # Flip the verdict fold: `and r0, 1` -> `and r0, 3`.
+    mutated_insns[19] = Alu("and", R0, Imm(3))
+    mutated = Program(mutated_insns, name=case.prog.name)  # same name!
+    assert program_hash(mutated) != program_hash(case.prog)
+    recompiled = fused_for(reg, [verifier.verify(mutated)])
+    assert recompiled is not original
+    assert recompiled.stage_hashes != original.stage_hashes
+
+    # The original's cache entry is untouched.
+    assert fused_for(reg, [vp]) is original

@@ -148,26 +148,37 @@ def test_cli_json_report(capsys):
 
 
 def test_cli_jit_backend_bench(capsys):
-    """`--backend jit --bench` compiles every accepted program and
-    proves interp/JIT cycle parity; strict mode fails on any mismatch."""
-    assert verify_main(["--backend", "jit", "--bench", "--strict",
-                        "--json"]) == 0
+    """`--bench` compiles every accepted program as a one-stage fused
+    chain and proves interp/fused parity; strict mode fails on any
+    mismatch.  Programs get the same ``compiled`` report, and the same
+    summary line, as ``--chains`` gives a chain."""
+    assert verify_main(["--bench", "--strict", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["summary"]["unexpected"] == 0
+    assert set(report["caches"]) == {"fused"}
     accepted = [r for r in report["programs"] if r["verdict"] == "accept"]
     assert accepted
     for r in accepted:
-        assert r["jit"]["compile_ms"] > 0
-        assert r["jit"]["parity"] is True, r["name"]
-        assert r["jit"]["interp"]["cycles"] == r["jit"]["jit"]["cycles"]
+        compiled = r["compiled"]
+        assert compiled["compile_ms"] > 0
+        assert compiled["parity"] is True, r["name"]
+        assert compiled["interp"]["cycles"] == compiled["fused"]["cycles"]
+        for key in ("n_nodes", "inlined_kfuncs", "forwarded_loads",
+                    "hoisted_calls", "encodes_packet"):
+            assert key in compiled, (r["name"], key)
     by_name = {r["name"]: r for r in accepted}
     # The sketch NF's counted loop is unrolled (3 trips -> 4 copies).
-    assert by_name["nf_cm_sketch"]["jit"]["unrolled"] == {"12": 4}
+    assert by_name["nf_cm_sketch"]["compiled"]["unrolled"] == {
+        "nf_cm_sketch": {"12": 4}
+    }
+    assert "compiled" not in next(
+        r for r in report["programs"] if r["verdict"] == "reject")
 
-
-def test_cli_bench_requires_jit_backend():
-    with pytest.raises(SystemExit):
-        verify_main(["--bench"])
+    assert verify_main(["--bench", "--program", "nf_cm_sketch"]) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("FUSED")]
+    assert "unrolled nf_cm_sketch pc 12 x4" in line
+    assert line.endswith("; parity OK)")
 
 
 def test_cli_asm_file(tmp_path, capsys):
@@ -183,6 +194,33 @@ def test_cli_asm_file(tmp_path, capsys):
     junk.write_text("not an instruction\n")
     assert verify_main(["--asm", str(junk)]) == 2     # parse error
     capsys.readouterr()
+
+    # --bench compiles an accepted --asm program too.
+    assert verify_main(["--asm", str(good), "--bench", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["compiled"]["parity"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--program", "nope"], "error: no bundled program 'nope'"),
+    (["--asm", "MISSING"], "error: cannot read "),
+    (["--asm", "BINARY"], "is not UTF-8 text"),
+    (["--max-states", "0"], "error: --max-states must be at least 1"),
+    (["--max-states", "-5"], "error: --max-states must be at least 1"),
+])
+def test_cli_bad_input_exits_2(tmp_path, capsys, argv, message):
+    """An unknown program, unreadable input and a non-positive state
+    budget are usage errors: exit 2 with one ``error:`` line, no
+    traceback."""
+    binary = tmp_path / "binary.s"
+    binary.write_bytes(b"r0 = 0\n\xff\xfe\nexit\n")
+    paths = {"MISSING": str(tmp_path / "missing.s"), "BINARY": str(binary)}
+    argv = [paths.get(a, a) for a in argv]
+    assert verify_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert message in lines[0]
 
 
 def test_get_case_unknown_name():

@@ -2,6 +2,8 @@
 
 Each test builds a small IR program and asserts the verifier's verdict.
 Rejection tests check the error message names the right violation.
+The pruning-budget tests at the end pin what subsumption pruning buys
+and that a pruned proof table still compiles to a bit-identical run.
 """
 
 import pytest
@@ -35,7 +37,12 @@ from repro.ebpf.kfunc_meta import (
     KF_RET_NULL,
     default_registry,
 )
+from repro.ebpf.progs import runnable_registry
+from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
+from repro.ebpf.vm import Vm
+from repro.net.irnf import IrChainNf, encode_packet
+from repro.net.packet import Packet
 
 
 @pytest.fixture
@@ -611,3 +618,64 @@ class TestStatePruning:
             Exit(),
         )
         assert stats.states_explored < 32
+
+
+# -- subsumption pruning budget ----------------------------------------------
+
+
+def _eq_dispatch_prog(k: int, tail_pad: int) -> Program:
+    """Switch-style eq-chain whose arms share a long tail: the pruned
+    verifier visits the tail once (general state) and subsumes every
+    refined arm; the unpruned verifier re-walks it per arm."""
+    insns = [
+        Call("bpf_get_prandom_u32"),
+        Mov(R6, R0),
+        Alu("and", R6, Imm(0xFF)),
+    ]
+    tail = 3 + k
+    for i in range(k):
+        insns.append(JmpIf("eq", R6, Imm(i + 1), tail))
+    insns += [Mov(R0, R6)]
+    insns += [Alu("add", R0, Imm(1)) for _ in range(tail_pad)]
+    insns += [Alu("and", R0, Imm(3)), Exit()]
+    return Program(insns, name=f"eq_dispatch_{k}_{tail_pad}")
+
+
+def test_pruning_verifies_within_budget_unpruned_exceeds():
+    """The acceptance demo: under the same ``max_states`` budget, the
+    pruned verifier accepts the dispatch-heavy program that the
+    unpruned verifier rejects as too complex."""
+    prog = _eq_dispatch_prog(12, 24)
+    reg = runnable_registry(0)
+    budget = 128
+
+    vp = Verifier(reg, max_states=budget).verify(prog)
+    assert vp.stats.states_pruned >= 12
+    assert vp.stats.states_explored <= budget
+
+    with pytest.raises(VerifierError, match="state limit"):
+        Verifier(reg, prune=False, max_states=budget).verify(prog)
+    # Without the budget the unpruned verifier accepts — and needs
+    # several times more states, which is exactly what pruning saves.
+    vp_u = Verifier(reg, prune=False).verify(prog)
+    assert vp_u.stats.states_explored > 2 * (
+        vp.stats.states_explored + vp.stats.states_pruned
+    )
+
+
+def test_pruned_program_runs_with_fused_parity():
+    """The pruned proof table still drives a correct compile: the
+    one-stage fused program matches the interpreter on r0, stack bytes
+    and every ``VmStats`` field."""
+    prog = _eq_dispatch_prog(8, 8)
+    vp = Verifier(runnable_registry(0), max_states=128).verify(prog)
+    pkt = Packet(src_ip=1, dst_ip=2, src_port=3, dst_port=4)
+    for seed in (1, 2):
+        vm = Vm(runnable_registry(seed), packet=encode_packet(pkt), proofs=vp)
+        r0 = vm.run(prog)
+        nf = IrChainNf(BpfRuntime(), [vp], registry=runnable_registry(seed),
+                       backend="fused")
+        nf.process(pkt)
+        assert nf.returns == [r0]
+        assert bytes(nf._vm.stack) == bytes(vm.stack)
+        assert nf.stats == vm.stats

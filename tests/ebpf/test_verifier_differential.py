@@ -11,10 +11,15 @@ packets:
 2. **Elision transparency** — the same program with proven checks
    elided produces a bit-identical machine state: same r0, same final
    stack bytes, same packet bytes, same step count.
-3. **JIT transparency** — the same program lowered to a generated
-   Python closure (``backend="jit"``) produces a bit-identical machine
-   state *and* bit-identical accounting: steps, checks performed /
-   elided, instruction cycles, check cycles.
+3. **Compiled transparency** — the same program compiled as a
+   one-stage fused chain (``IrChainNf([vp], backend="fused")``) on a
+   :class:`~repro.net.packet.Packet` frame produces the elided
+   interpreter's r0 and final stack bytes *and* bit-identical
+   accounting: steps, checks performed / elided, instruction cycles,
+   check cycles.  Frames come from their own seeded stream, so the
+   corpus does not depend on them; a separate program family with
+   ``data_end`` guards reaching past the frame keeps the compiled
+   guard-fail path covered.
 4. **Pruning transparency** — verifying with subsumption pruning
    disabled never changes an accept/reject verdict or the proof
    annotations that drive elision and unrolling.
@@ -50,8 +55,11 @@ from repro.ebpf.insn import (
     R10,
 )
 from repro.ebpf.progs import runnable_registry
+from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
 from repro.ebpf.vm import Vm, VmFault
+from repro.net.irnf import IrChainNf, encode_packet
+from repro.net.packet import Packet
 
 N_PROGRAMS = int(os.environ.get("REPRO_FUZZ_PROGRAMS", "400"))
 SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260806"))
@@ -271,18 +279,42 @@ def _rand_packet(rng: random.Random) -> bytes:
     return bytes(rng.randrange(256) for _ in range(rng.choice([0, 16, 40, 64])))
 
 
+def _rand_frame(rng: random.Random) -> Packet:
+    return Packet(
+        src_ip=rng.getrandbits(32),
+        dst_ip=rng.getrandbits(32),
+        src_port=rng.getrandbits(16),
+        dst_port=rng.getrandbits(16),
+        proto=rng.randrange(256),
+        size=rng.randint(64, 1500),
+        timestamp_ns=rng.getrandbits(48),
+    )
+
+
 def _machine_state(vm: Vm, r0: int):
     return (r0, bytes(vm.stack), bytes(vm.packet), vm.stats.steps)
 
 
-def _accounting(vm: Vm):
-    return (vm.stats.steps, vm.stats.checks_performed,
-            vm.stats.checks_elided, vm.stats.insn_cycles,
-            vm.stats.check_cycles)
+def _assert_fused_matches_interp(vp, frame: Packet, kfunc_seed: int):
+    """One frame through the elided interpreter and through a fresh
+    one-stage fused NF: same r0, stack bytes and ``VmStats``."""
+    vm = Vm(runnable_registry(kfunc_seed), packet=encode_packet(frame),
+            proofs=vp, elide_checks=True)
+    r0 = vm.run(vp.prog)
+    nf = IrChainNf(BpfRuntime(), [vp], registry=runnable_registry(kfunc_seed),
+                   backend="fused")
+    nf.process(frame)
+    assert (nf.returns, bytes(nf._vm.stack)) == ([r0], bytes(vm.stack)), (
+        f"{vp.prog.name} (seed {SEED}): fused run diverged"
+    )
+    assert nf.stats == vm.stats, (
+        f"{vp.prog.name} (seed {SEED}): fused accounting diverged"
+    )
 
 
 def test_differential_fuzz():
     rng = random.Random(SEED)
+    frame_rng = random.Random(SEED + 2)
     registry = runnable_registry(SEED)  # metadata only; impls re-bound per run
     verifier = Verifier(registry)
     accepted = rejected = 0
@@ -319,24 +351,53 @@ def test_differential_fuzz():
             )
             assert (vm_e.stats.checks_performed + vm_e.stats.checks_elided
                     == vm_c.stats.checks_performed)
-            # JIT run: identical machine state AND identical accounting
-            # (steps, check counts, cycle charges) to the elided
-            # interpreter run — the compiler's parity contract.
-            vm_j = Vm(runnable_registry(kfunc_seed), packet=packet,
-                      proofs=vp, elide_checks=True, backend="jit")
-            r0_j = vm_j.run(prog)
-            assert _machine_state(vm_e, r0_e) == _machine_state(vm_j, r0_j), (
-                f"{prog.name} (seed {SEED}): JIT run diverged"
-            )
-            assert _accounting(vm_e) == _accounting(vm_j), (
-                f"{prog.name} (seed {SEED}): JIT accounting diverged"
-            )
+            # Compiled run on a frame: identical r0, stack AND
+            # accounting (steps, check counts, cycle charges) to the
+            # elided interpreter — the compiler's parity contract.
+            _assert_fused_matches_interp(vp, _rand_frame(frame_rng),
+                                         kfunc_seed)
 
     # Generator sanity: the sweep exercises both sides of the frontier.
     assert accepted >= N_PROGRAMS // 10, (accepted, rejected)
     assert rejected >= N_PROGRAMS // 10, (accepted, rejected)
     print(f"\ndifferential fuzz: {accepted} accepted / {rejected} rejected "
           f"of {N_PROGRAMS} (seed {SEED})")
+
+
+def _t_wide_guard(rng: random.Random):
+    """``data_end`` guard sized like a frame (up to 1504 bytes), so
+    against 64-1500 byte frames it fails about half the time."""
+    need = 8 * rng.randint(1, 188)
+    off = rng.choice([0, 8, need - 8])
+    return [
+        Load(R2, R1, 0),
+        Load(R3, R1, 8),
+        Mov(R4, R2),
+        Alu("add", R4, Imm(need)),
+        JmpIf("gt", R4, R3, 7),
+        Load(R0, R2, off),
+        Exit(),
+        Mov(R0, Imm(1)),
+        Exit(),
+    ], need
+
+
+def test_fused_guard_fail_family():
+    """Compiled parity on both sides of a ``data_end`` guard: the main
+    corpus's guards need at most 32 bytes, which every frame has."""
+    rng = random.Random(SEED + 3)
+    verifier = Verifier(runnable_registry(SEED))
+    passed = failed = 0
+    for idx in range(120):
+        insns, need = _t_wide_guard(rng)
+        vp = verifier.verify(Program(insns, name=f"wide_guard_{idx}"))
+        frame = _rand_frame(rng)
+        _assert_fused_matches_interp(vp, frame, kfunc_seed=idx)
+        if need > frame.size:
+            failed += 1
+        else:
+            passed += 1
+    assert passed >= 30 and failed >= 30, (passed, failed)
 
 
 def test_data_loop_family_states_bounded():

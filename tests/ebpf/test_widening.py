@@ -5,13 +5,13 @@ The two bundled data-dependent-loop programs (``loop_pkt_search``,
 verifier (``widen="off"``) rejects both by state explosion, the
 widening verifier accepts both in O(1) abstract states, the proofs
 that survive widening still elide runtime checks, and the programs run
-bit-identically through :class:`~repro.net.irnf.IrNf` on both
-backends.
+bit-identically through a one-stage :class:`~repro.net.irnf.IrChainNf`
+on both backends.
 """
 
 import pytest
 
-from repro.ebpf.jit import compile_program
+from repro.ebpf.fuse import fuse_chain
 from repro.ebpf.kfunc_meta import default_registry
 from repro.ebpf.progs import get_case, runnable_registry
 from repro.ebpf.verifier import (
@@ -21,7 +21,7 @@ from repro.ebpf.verifier import (
     WIDEN_AFTER_TRIPS,
 )
 from repro.net.packet import Packet
-from repro.net.irnf import IrNf
+from repro.net.irnf import IrChainNf
 from repro.ebpf.runtime import BpfRuntime
 
 DATA_LOOPS = ("loop_pkt_search", "loop_lpm_walk")
@@ -75,16 +75,15 @@ class TestBundledDataLoops:
     @pytest.mark.parametrize("name", DATA_LOOPS)
     def test_widened_loops_are_not_unrolled(self, registry, name):
         """Widened back-edges carry no constant trip count, so they
-        must stay out of ``loop_bounds`` (the JIT's unroll driver) and
+        must stay out of ``loop_bounds`` (what the compiler unrolls) and
         flow through the guarded dispatch loop instead."""
         vp = Verifier(registry).verify(get_case(name).prog)
         assert not vp.annotations.loop_bounds
         assert vp.widened_steps > 0
         assert vp.max_steps > vp.widened_steps  # base budget still there
-        compiled = compile_program(
-            get_case(name).prog, vp, runnable_registry(0), elide_checks=True
-        )
-        assert compiled.unrolled == {}
+        compiled = fuse_chain(runnable_registry(0), [vp])
+        assert compiled.unrolled == {name: {}}
+        assert "continue" in compiled.source
 
     @pytest.mark.parametrize("name", DATA_LOOPS)
     def test_irnf_interp_jit_parity(self, registry, name):
@@ -99,9 +98,10 @@ class TestBundledDataLoops:
             _pkt(src_ip=0xFFFFFFFF, dst_ip=0xFFFFFFFF, size=128),
         ]
         results = {}
-        for backend in ("interp", "jit"):
+        for backend in ("interp", "fused"):
             rt = BpfRuntime()
-            nf = IrNf(rt, vp, registry=runnable_registry(0), backend=backend)
+            nf = IrChainNf(rt, [vp], registry=runnable_registry(0),
+                           backend=backend)
             actions = nf.process_batch(pkts)
             results[backend] = (
                 tuple(nf.returns), dict(actions), nf.stats.steps,
@@ -109,7 +109,7 @@ class TestBundledDataLoops:
                 nf.stats.insn_cycles, nf.stats.check_cycles,
             )
             assert set(nf.returns) <= {1, 2}, nf.returns
-        assert results["interp"] == results["jit"]
+        assert results["interp"] == results["fused"]
 
 
 class TestWidenModes:

@@ -1,8 +1,8 @@
 """Fused-chain parity through the data plane, clean and under chaos.
 
-PR 5 pinned interp/JIT parity on the clean path only.  These tests pin
-the fused chain backend (``repro.ebpf.fuse`` via
-:class:`repro.net.irnf.FusedIrChain`) against the interpreted chain
+PR 5 pinned compiled/interp parity on the clean path only.  These
+tests pin the fused chain backend (``repro.ebpf.fuse`` via
+:class:`repro.net.irnf.IrChainNf`) against the interpreted chain
 through the *full* stack — :class:`XdpPipeline`, :class:`ReplaySession`,
 and :class:`RssDispatcher` — including under :mod:`repro.faults` chaos
 schedules: packet corruption/truncation, helper and map errors, core
@@ -11,8 +11,6 @@ cycle charges, and watchdog failure records must all be bit-identical.
 """
 
 import random
-
-import pytest
 
 from repro.ebpf.progs import NF_CHAIN_STAGES, get_case
 from repro.faults import FaultPlan
@@ -62,10 +60,9 @@ def _run_dispatcher(backend, faults=None, n_cores=4, n_packets=400):
 # -- clean path -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("other", ["jit", "fused"])
-def test_dispatcher_clean_parity(other):
+def test_dispatcher_clean_parity():
     _, interp = _run_dispatcher("interp")
-    _, fused = _run_dispatcher(other)
+    _, fused = _run_dispatcher("fused")
     assert interp == fused
 
 

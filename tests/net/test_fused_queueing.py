@@ -1,13 +1,13 @@
 """Fused chains under the queueing model (the PR 8 × PR 6 interaction).
 
 PR 8's contract was "queueing off stays bit-identical"; PR 6's was
-"fused equals interp/JIT bit for bit".  Nothing pinned the *product*:
-a :class:`FusedIrChain` running behind per-core RX rings with batch
-coalescing, softirq deferral, and a chaos schedule.  These tests
-assert the fused backend reports identical cycle totals, verdict
-accounting, fault schedules, overflow drops, and sojourn latencies to
-the unfused JIT path — on the bundled 3-NF chain and on the IR app
-chains of :mod:`repro.apps.ir`.
+"fused equals interp bit for bit".  Nothing pinned the *product*:
+a fused :class:`~repro.net.irnf.IrChainNf` running behind per-core RX
+rings with batch coalescing, softirq deferral, and a chaos schedule.
+These tests assert the fused backend reports identical cycle totals,
+verdict accounting, fault schedules, overflow drops, and sojourn
+latencies to the interpreted reference — on the bundled 3-NF chain and
+on the IR app chains of :mod:`repro.apps.ir`.
 """
 
 import pytest
@@ -70,23 +70,23 @@ def _dispatch(factory, trace, queueing, faults=None):
     return res
 
 
-def test_bundled_chain_fused_vs_jit_under_queueing():
+def test_bundled_chain_fused_vs_interp_under_queueing():
     trace = _bursty_trace()
     witnesses = {}
-    for backend in ("jit", "fused"):
+    for backend in ("interp", "fused"):
         res = _dispatch(
             chain_nf_factory(PROGS, backend=backend, registry_seed=1),
             trace,
             QCFG,
         )
         witnesses[backend] = _queued_witness(res)
-    assert witnesses["jit"] == witnesses["fused"]
+    assert witnesses["interp"] == witnesses["fused"]
 
 
-def test_bundled_chain_fused_vs_jit_under_queueing_and_chaos():
+def test_bundled_chain_fused_vs_interp_under_queueing_and_chaos():
     trace = _bursty_trace(seed=SEED + 1)
     witnesses = {}
-    for backend in ("jit", "fused"):
+    for backend in ("interp", "fused"):
         res = _dispatch(
             chain_nf_factory(PROGS, backend=backend, registry_seed=2),
             trace,
@@ -96,15 +96,15 @@ def test_bundled_chain_fused_vs_jit_under_queueing_and_chaos():
         witnesses[backend] = _queued_witness(res)
     # Identical fault schedule is part of the witness (injected dict),
     # not just identical totals — and the schedule must be non-empty.
-    assert witnesses["jit"] == witnesses["fused"]
-    assert sum(witnesses["jit"][4].values()) > 0
+    assert witnesses["interp"] == witnesses["fused"]
+    assert sum(witnesses["interp"][4].values()) > 0
 
 
 @pytest.mark.parametrize("app", ("katran", "sketches"))
-def test_app_chain_fused_vs_jit_under_queueing_and_chaos(app):
+def test_app_chain_fused_vs_interp_under_queueing_and_chaos(app):
     trace = _bursty_trace(seed=SEED + 2)
     witnesses = {}
-    for backend in ("jit", "fused"):
+    for backend in ("interp", "fused"):
         res = _dispatch(
             app_nf_factory(app, backend=backend, registry_seed=3),
             trace,
@@ -112,7 +112,7 @@ def test_app_chain_fused_vs_jit_under_queueing_and_chaos(app):
             faults=CHAOS,
         )
         witnesses[backend] = _queued_witness(res)
-    assert witnesses["jit"] == witnesses["fused"]
+    assert witnesses["interp"] == witnesses["fused"]
 
 
 def test_queueing_off_is_cycle_identical_for_fused_apps():

@@ -112,28 +112,28 @@ class TestRssDispatcher:
         assert result.max_lossless_pps > single.pps
 
     def test_jit_backend_matches_interp_under_dispatch(self):
-        """JIT'd IR NFs run on the batched multi-core path and produce
-        the same per-core cycles, verdicts, and breakdowns as the
-        interpreter backend."""
+        """Compiled (one-stage fused) IR NFs run on the batched
+        multi-core path and produce the same per-core cycles, verdicts,
+        and breakdowns as the interpreter backend."""
         from repro.ebpf.progs import get_case
-        from repro.net.irnf import IrNf
+        from repro.net.irnf import IrChainNf
 
         prog = get_case("nf_classifier").prog
         fg = FlowGenerator(n_flows=256, seed=13)
         trace = fg.trace(2000)
         results = {}
-        for backend in ("interp", "jit"):
-            factory = lambda core: IrNf(
+        for backend in ("interp", "fused"):
+            factory = lambda core: IrChainNf(
                 BpfRuntime(mode=ExecMode.ENETSTL, seed=core),
-                prog, seed=core, backend=backend,
+                [prog], seed=core, backend=backend,
             )
             results[backend] = RssDispatcher(factory, n_cores=4).run(
                 trace, use_batch=True
             )
-        interp, jit = results["interp"], results["jit"]
-        assert jit.per_core_cycles == interp.per_core_cycles
-        assert jit.actions == interp.actions
-        assert jit.by_category == interp.by_category
+        interp, fused = results["interp"], results["fused"]
+        assert fused.per_core_cycles == interp.per_core_cycles
+        assert fused.actions == interp.actions
+        assert fused.by_category == interp.by_category
 
     def test_empty_trace(self):
         result = RssDispatcher(countmin_factory(), n_cores=4).run([])
