@@ -11,7 +11,7 @@ range-aware verifier proved:
   checks elided, loops bounded/widened and fixpoint iterations
   (``--json``); ``--widen off`` restores the seed verifier's per-trip
   loop enumeration and ``--widen always`` force-widens every back-edge
-  target (the precision-ablation modes of ``bench_widening.py``),
+  target (the precision-ablation modes of ``tests/ebpf/test_widening.py``),
 - the compiled backend (``--bench``): every accepted program is
   fused as a one-stage chain (:mod:`repro.ebpf.fuse`) and replayed on
   a deterministic trace against the interpreter (see ``docs/JIT.md``),

@@ -115,7 +115,7 @@ class IndirectionTable(SteeringPolicy):
         Buckets already on a surviving core stay put; orphaned buckets
         go to the currently least-loaded survivors; if the set *grew*,
         buckets migrate from the most-loaded cores onto the newcomers
-        until the spread is within one bucket of even.
+        until every core is within one bucket of ``table_size / n``.
         """
         active = sorted(set(cores))
         if not active:
@@ -149,6 +149,21 @@ class IndirectionTable(SteeringPolicy):
                     moved += 1
                     if counts[target] >= cap - 1:
                         want.pop(0)
+        # That pass stops once each newcomer holds cap - 1 and never
+        # takes from a core at cap, so a set that grew by several cores
+        # can leave a donor far above its share.  Move the fullest
+        # core's first bucket to the emptiest core until every core is
+        # within one bucket of table_size / n.
+        lo, hi = cap - 1, self.table_size // len(active) + 1
+        while True:
+            low = min(active, key=lambda c: (counts[c], c))
+            high = max(active, key=lambda c: (counts[c], -c))
+            if counts[low] >= lo and counts[high] <= hi:
+                break
+            self.table[self.table.index(high)] = low
+            counts[high] -= 1
+            counts[low] += 1
+            moved += 1
         self._active = active
         self.last_moved = moved
         return moved

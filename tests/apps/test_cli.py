@@ -1,5 +1,7 @@
 """``python -m repro.apps`` argument validation and a smallest run."""
 
+import json
+
 import pytest
 
 from repro.apps.__main__ import main
@@ -28,3 +30,10 @@ def test_one_packet_one_flow_runs(cores, capsys):
             "--cores", cores]
     assert main(argv) == 0
     assert f"x{cores}]" in capsys.readouterr().out
+
+
+def test_json_records_the_host_cpus(capsys):
+    argv = ["--app", "katran", "--packets", "1", "--flows", "1", "--json"]
+    assert main(argv) == 0
+    host = json.loads(capsys.readouterr().out)["host"]
+    assert "cpu_count" in host and "cpu_affinity" in host

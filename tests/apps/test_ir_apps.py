@@ -28,9 +28,11 @@ from repro.apps.ir import (
 from repro.datastructs.cuckoo import BlockedCuckooTable
 from repro.ebpf.progs import runnable_registry
 from repro.ebpf.runtime import BpfRuntime
+from repro.faults import FaultPlan
 from repro.net.irnf import IrChainNf
 from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher
+from repro.net.queueing import ArrivalProcess, QueueingConfig
 
 SEED = 1009
 BACKENDS = ("interp", "fused")
@@ -231,24 +233,98 @@ def test_fail_last_real_rejected():
 # -- multi-core -------------------------------------------------------------
 
 
+#: Packet, helper and map faults every app must survive bit-identically.
+CHAOS = FaultPlan(
+    seed=77,
+    drop_rate=0.02,
+    corrupt_rate=0.02,
+    truncate_rate=0.01,
+    helper_rate=0.02,
+    map_full_rate=0.02,
+)
+
+
+def _fleet_witness(res, disp):
+    assert res.is_fully_accounted
+    return (
+        res.accounting(),
+        dict(res.actions),
+        dict(res.errors),
+        dict(res.injected),
+        res.total_cycles,
+        tuple(tuple(nf.returns) for nf in disp.nfs),
+    )
+
+
+def _run_fleet(app, backend, trace, faults=None):
+    disp = RssDispatcher(
+        app_nf_factory(app, backend=backend, registry_seed=2),
+        n_cores=4,
+        steering="ntuple",
+        faults=faults,
+    )
+    res = disp.run(trace)
+    return res, _fleet_witness(res, disp)
+
+
 @pytest.mark.parametrize("app", IR_APP_NAMES)
 def test_multicore_interp_fused_parity(app):
     trace = _trace(n=1600, seed=41)
-    results = {}
-    for backend in BACKENDS:
-        disp = RssDispatcher(
-            app_nf_factory(app, backend=backend, registry_seed=2),
-            n_cores=4,
-            steering="ntuple",
-        )
-        res = disp.run(trace)
-        assert res.is_fully_accounted
-        results[backend] = (
-            dict(res.actions),
-            res.total_cycles,
-            res.packets_in,
-        )
+    results = {b: _run_fleet(app, b, trace)[1] for b in BACKENDS}
     assert results["interp"] == results["fused"]
+
+
+@pytest.mark.parametrize("app", IR_APP_NAMES)
+def test_multicore_chaos_parity(app):
+    trace = _trace(n=1500, n_flows=1024, seed=14)
+    res, fused = _run_fleet(app, "fused", trace, faults=CHAOS)
+    _, interp = _run_fleet(app, "interp", trace, faults=CHAOS)
+    assert sum(res.injected.values()) > 0
+    assert fused == interp
+
+
+def _cluster_day(backend, trace):
+    """Fused or interpreted Katran on two queued cores under chaos; a
+    backend fails fleet-wide halfway through a flash crowd."""
+    disp = RssDispatcher(
+        app_nf_factory("katran", backend=backend, registry_seed=4),
+        n_cores=2,
+        steering="ntuple",
+        queueing=QueueingConfig(rx_ring_size=256, batch_timeout_ns=20_000),
+        faults=CHAOS,
+    )
+    half = len(trace) // 2
+    first = disp.run(trace[:half])
+    reports = [nf.registry.app_state.katran.fail_real(3) for nf in disp.nfs]
+    second = disp.run(trace[half:])
+    witness = tuple(
+        _fleet_witness(res, disp) + (tuple(res.latencies_ns),)
+        for res in (first, second)
+    ) + (tuple(tuple(sorted(r.items())) for r in reports),)
+    return (first, second), reports, witness
+
+
+def test_katran_cluster_day_parity():
+    n_packets, seed = 2000, 9
+    base_pps, peak_pps = 500_000.0, 3_500_000.0
+    arrivals = ArrivalProcess.flash_crowd(
+        base_pps=base_pps, peak_pps=peak_pps,
+        lead_s=(n_packets / 2) / base_pps,
+        burst_s=(n_packets / 4) / peak_pps, seed=seed,
+    )
+    trace = list(FlowGenerator(
+        n_flows=512, distribution="zipf", zipf_s=1.1, seed=seed,
+    ).iter_trace_bursty(n_packets, arrivals))
+
+    phases, reports, fused = _cluster_day("fused", trace)
+    assert _cluster_day("interp", trace)[2] == fused
+    assert sum(r["evicted"] for r in reports) > 0
+    disruption = sum(r["moved"] for r in reports) / (
+        reports[0]["ring_size"] * len(reports))
+    assert 0.0 < disruption < 0.5
+    for res in phases:
+        assert res.aggregate_mpps > 0
+        assert res.p99_latency_us >= res.p50_latency_us >= 0
 
 
 def test_multicore_per_core_state_is_private():

@@ -147,7 +147,7 @@ def test_cli_json_report(capsys):
     assert by_name["nf_classifier"]["safe_div"] == [15]
 
 
-def test_cli_jit_backend_bench(capsys):
+def test_cli_bench_fuses_every_program(capsys):
     """`--bench` compiles every accepted program as a one-stage fused
     chain and proves interp/fused parity; strict mode fails on any
     mismatch.  Programs get the same ``compiled`` report, and the same

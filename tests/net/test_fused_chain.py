@@ -12,6 +12,8 @@ cycle charges, and watchdog failure records must all be bit-identical.
 
 import random
 
+import pytest
+
 from repro.ebpf.progs import NF_CHAIN_STAGES, get_case
 from repro.faults import FaultPlan
 from repro.net.multicore import RssDispatcher, chain_nf_factory
@@ -38,9 +40,10 @@ def _mk_trace(n, seed=SEED):
     ]
 
 
-def _run_dispatcher(backend, faults=None, n_cores=4, n_packets=400):
+def _run_dispatcher(backend, faults=None, n_cores=4, n_packets=400,
+                    progs=PROGS):
     disp = RssDispatcher(
-        chain_nf_factory(PROGS, backend=backend),
+        chain_nf_factory(progs, backend=backend),
         n_cores=n_cores,
         faults=faults,
     )
@@ -123,6 +126,26 @@ def test_chaos_full_accounting_fused():
     acct = res.accounting()
     assert (acct["packets_in"] + acct["duplicated"]
             == acct["forwarded"] + acct["dropped"] + acct["aborted"])
+
+
+#: The other chain lengths; the 4-NF chain re-enters the count-min stage.
+CHAINS = {
+    "1nf": ("nf_classifier",),
+    "2nf": ("nf_classifier", "nf_cm_sketch"),
+    "4nf": ("nf_classifier", "nf_cm_sketch", "nf_cm_sketch",
+            "nf_maglev_pick"),
+}
+
+
+@pytest.mark.parametrize("combo", CHAINS.values(), ids=CHAINS)
+def test_clean_and_chaos_parity_at_every_chain_length(combo):
+    """One core and four, clean and under chaos: fused equals interp."""
+    progs = [get_case(n).prog for n in combo]
+    for n_cores in (1, 4):
+        for faults in (None, CHAOS):
+            runs = [_run_dispatcher(b, faults, n_cores, progs=progs)[1]
+                    for b in ("interp", "fused")]
+            assert runs[0] == runs[1], (n_cores, faults)
 
 
 def test_core_wedge_parity():

@@ -47,7 +47,7 @@ class TestEncodePacket:
         assert len(encode_packet(_pkt(size=128))) == 128
 
 
-class TestIrNf:
+class TestSingleProgramNf:
     def test_attach_time_rejection(self):
         rt = BpfRuntime()
         with pytest.raises(VerifierError):
@@ -103,7 +103,7 @@ class TestIrNf:
         assert len(nf.returns) == 200
 
 
-class TestIrNfJitBackend:
+class TestFusedBackend:
     """The compiled backend: one-stage fusion (:mod:`repro.ebpf.fuse`)."""
 
     def test_unknown_backend_rejected(self):
@@ -146,7 +146,7 @@ class TestIrNfJitBackend:
             assert counts[action] == per_packet.count(action)
         assert nf_a.returns == nf_b.returns
 
-    def test_jit_runs_under_batched_pipeline(self):
+    def test_fused_runs_under_batched_pipeline(self):
         rt = BpfRuntime(mode=ExecMode.ENETSTL, seed=9)
         nf = _nf(rt, get_case("nf_cm_sketch").prog, seed=9, backend="fused")
         fg = FlowGenerator(n_flows=64, seed=9)

@@ -111,7 +111,7 @@ class TestRssDispatcher:
         single = XdpPipeline(countmin_factory()(0)).run(trace)
         assert result.max_lossless_pps > single.pps
 
-    def test_jit_backend_matches_interp_under_dispatch(self):
+    def test_fused_backend_matches_interp_under_dispatch(self):
         """Compiled (one-stage fused) IR NFs run on the batched
         multi-core path and produce the same per-core cycles, verdicts,
         and breakdowns as the interpreter backend."""

@@ -55,14 +55,22 @@ class TestIndirectionTable:
         assert tbl.table.count(1) == 60
 
     def test_repack_onto_grown_set_feeds_newcomer(self):
-        tbl = IndirectionTable(table_size=128)
-        tbl.assign([0, 1])
-        moved = tbl.repack([0, 1, 2])
-        counts = {c: tbl.table.count(c) for c in (0, 1, 2)}
-        # The newcomer gets within one bucket of an even share, and
-        # nothing moved between the two incumbents.
-        assert counts[2] >= 128 // 3 - 1
-        assert moved == counts[2]
+        for incumbents, grown in (([0, 1], [0, 1, 2]),
+                                  ([0], [0, 1]),
+                                  ([0], [0, 1, 2]),
+                                  ([0], [0, 1, 2, 3]),
+                                  ([0, 1, 2, 3], list(range(8)))):
+            tbl = IndirectionTable(table_size=128)
+            tbl.assign(incumbents)
+            before = list(tbl.table)
+            moved = tbl.repack(grown)
+            # Every core lands within one bucket of an even share, and
+            # every moved bucket went to a newcomer.
+            for core in grown:
+                assert abs(tbl.table.count(core) - 128 / len(grown)) <= 1
+            changed = [c for b, c in zip(before, tbl.table) if b != c]
+            assert moved == len(changed)
+            assert not set(changed) & set(incumbents)
 
     def test_repack_noop_when_nothing_changed(self):
         tbl = IndirectionTable(table_size=64)

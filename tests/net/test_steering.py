@@ -106,6 +106,20 @@ class TestImbalanceImprovement:
         )
 
 
+def test_steering_never_worse_on_a_top_heavy_trace():
+    """With 2048 flows the top flow alone carries more than 1/8 of the
+    packets, so no policy reaches 1.3; steering must still never lose
+    to plain RSS, and never change a cycle."""
+    trace = zipf_trace(n_packets=6000, n_flows=2048)
+    results = {
+        name: run_policy(name, trace) for name in ("rss", "rekey", "ntuple")
+    }
+    rss = results["rss"].imbalance
+    assert results["rekey"].imbalance <= rss
+    assert results["ntuple"].imbalance <= rss
+    assert len({r.total_cycles for r in results.values()}) == 1
+
+
 class TestFlowAffinity:
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_every_policy_preserves_flow_affinity(self, name):
