@@ -76,7 +76,6 @@ from .tnum import (
     ScalarRange,
     U64_MAX,
     const_range,
-    eval_cmp,
     range_subsumes,
     range_widen,
     refine_cmp,
@@ -1653,10 +1652,3 @@ class Verifier:
                 f"{len(state.refs)} unreleased reference(s) at exit (resource leak)",
                 pc,
             )
-
-
-def _eval_cond(op: str, a: int, b: int) -> bool:
-    """Concrete unsigned comparison (kept for tests and tools)."""
-    result = eval_cmp(op, const_range(a), const_range(b))
-    assert result is not None
-    return result

@@ -209,11 +209,11 @@ class Fleet:
         self.failures.append(record)
         self.failure_of[core] = record
         survivors = self.serving_cores()
-        # A hash-only policy's repack returns False: it has no table.
+        # A hash-only policy's repack returns None: it has no table.
         if (
             self.repack_on_failure
             and survivors
-            and self.policy.repack(survivors) is not False
+            and self.policy.repack(survivors) is not None
         ):
             record.repacked = True
         if self.on_failure is not None:

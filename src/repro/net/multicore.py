@@ -97,13 +97,6 @@ from .xdp import (
     XdpPipeline,
 )
 
-def rss_queue(packet: Packet, n_cores: int, hash_seed: int = RSS_HASH_SEED) -> int:
-    """The receive queue (== core) RSS steers ``packet`` to."""
-    if n_cores <= 0:
-        raise ValueError("n_cores must be positive")
-    return fast_hash32(packet.key_int, hash_seed) % n_cores
-
-
 def shard_trace(
     trace: Sequence[Packet], n_cores: int, hash_seed: int = RSS_HASH_SEED
 ) -> List[List[Packet]]:
@@ -351,7 +344,7 @@ class RssDispatcher:
     ``steering`` selects the queue-placement policy: a policy name
     (``"rss"``/``"rekey"``/``"ntuple"``), a ready
     :class:`~repro.net.steering.SteeringPolicy` instance, or ``None``
-    for plain RSS with ``hash_seed``.  ``numa`` attaches a
+    for plain RSS.  ``numa`` attaches a
     :class:`NumaTopology` whose cross-node packet penalties are folded
     into the result's wall-clock metrics.
 
@@ -383,8 +376,6 @@ class RssDispatcher:
         self,
         nf_factory: Callable[[int], NetworkFunction],
         n_cores: int,
-        hash_seed: int = RSS_HASH_SEED,
-        charge_framework: bool = True,
         steering: Union[str, SteeringPolicy, None] = None,
         numa: Optional[NumaTopology] = None,
         faults: Optional[FaultPlan] = None,
@@ -400,9 +391,8 @@ class RssDispatcher:
         if faults is not None:
             faults.validate_for_cores(n_cores)
         self.n_cores = n_cores
-        self.hash_seed = hash_seed
         if steering is None:
-            steering = RssSteering(n_cores, hash_seed=hash_seed)
+            steering = RssSteering(n_cores)
         elif isinstance(steering, str):
             steering = make_policy(steering, n_cores)
         if steering.n_cores != n_cores:
@@ -431,9 +421,7 @@ class RssDispatcher:
             for core in range(n_cores)
         ]
         self.pipelines: List[XdpPipeline] = [
-            XdpPipeline(
-                nf, charge_framework=charge_framework, faults=injector
-            )
+            XdpPipeline(nf, faults=injector)
             for nf, injector in zip(self.nfs, self.injectors)
         ]
 

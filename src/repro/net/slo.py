@@ -6,12 +6,12 @@ The queueing model (:mod:`repro.net.queueing`) makes tail latency an
 through a timestamped trace in fixed-size **epochs**, and after every
 epoch it observes p50/p95/p99 sojourn latency and acts:
 
-- **Fault-aware steering.**  Flows map to cores through a bucketed
-  :class:`IndirectionTable` (the RSS indirection table / ``ethtool -X``
-  abstraction).  When a core dies or is parked, only the buckets that
-  pointed at it move — a minimal-disruption re-pack, not a rehash of
-  the world — so surviving flows keep their affinity and their per-CPU
-  NF state.
+- **Fault-aware steering.**  Flows map to cores through the package's
+  one bucket table, :class:`~repro.net.steering.IndirectionTable` (the
+  RSS indirection table / ``ethtool -X`` abstraction, re-exported
+  here).  When a core dies or is parked, only the buckets that pointed
+  at it move — a minimal-disruption re-pack, not a rehash of the world
+  — so surviving flows keep their affinity and their per-CPU NF state.
 - **Partial recovery.**  A crashed core rejoins ``rejoin_epochs``
   later with a *fresh* NF instance (per-CPU state is gone) and pays a
   :class:`~repro.nfs.degrade.ColdStartWarmup` service-time penalty
@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..core.algorithms.hashing import fast_hash32
 from ..ebpf.percpu import sum_counts
 from ..faults import FaultPlan, WedgeDetection
 from ..nfs.degrade import ColdStartWarmup
@@ -49,7 +48,7 @@ from .fleet import (
 )
 from .packet import Packet, XdpAction
 from .queueing import QueueingConfig, latency_summary_us
-from .steering import RSS_HASH_SEED, SteeringPolicy
+from .steering import IndirectionTable
 from .xdp import (
     DEFAULT_BATCH_SIZE,
     FORWARD_ACTIONS,
@@ -67,122 +66,6 @@ __all__ = [
     "SloRun",
     "time_to_slo_s",
 ]
-
-
-class IndirectionTable(SteeringPolicy):
-    """Bucketed flow -> core placement with minimal-disruption re-pack.
-
-    ``table_size`` buckets; each flow hashes to one bucket and every
-    bucket names one core — the RSS indirection table.  ``repack``
-    rewrites *only* the buckets whose core left the active set (plus
-    the fewest needed to even out a grown set), so a failure or a
-    scaling action moves the minimum number of flow groups.  As a
-    :class:`~repro.net.steering.SteeringPolicy` it learns its cores
-    from :meth:`assign`, not from a core count.
-    """
-
-    name = "table"
-
-    def __init__(
-        self, table_size: int = 128, hash_seed: int = RSS_HASH_SEED
-    ) -> None:
-        if table_size <= 0:
-            raise ValueError("table_size must be positive")
-        self.table_size = table_size
-        self.hash_seed = hash_seed
-        self.table: List[int] = [0] * table_size
-        self._active: List[int] = [0]
-        #: Buckets rewritten by the most recent :meth:`repack`.
-        self.last_moved = 0
-
-    def assign(self, cores: Sequence[int]) -> None:
-        """Spread the buckets round-robin over ``cores`` (fresh start)."""
-        active = sorted(set(cores))
-        if not active:
-            raise ValueError("need at least one core")
-        self.table = [
-            active[i % len(active)] for i in range(self.table_size)
-        ]
-        self._active = active
-        self.last_moved = self.table_size
-
-    def repack(self, cores: Sequence[int]) -> int:
-        """Re-target buckets so only ``cores`` appear; returns moved count.
-
-        The count is never False, so the fleet always records a
-        table repack after a failure, even one that moved no bucket.
-
-        Buckets already on a surviving core stay put; orphaned buckets
-        go to the currently least-loaded survivors; if the set *grew*,
-        buckets migrate from the most-loaded cores onto the newcomers
-        until every core is within one bucket of ``table_size / n``.
-        """
-        active = sorted(set(cores))
-        if not active:
-            raise ValueError("need at least one core")
-        alive = set(active)
-        counts: Dict[int, int] = {core: 0 for core in active}
-        orphans: List[int] = []
-        for slot, core in enumerate(self.table):
-            if core in alive:
-                counts[core] += 1
-            else:
-                orphans.append(slot)
-        moved = 0
-        for slot in orphans:
-            target = min(counts, key=lambda c: (counts[c], c))
-            self.table[slot] = target
-            counts[target] += 1
-            moved += 1
-        # Even out toward newcomers: cap every core at ceil(size/n).
-        cap = -(-self.table_size // len(active))
-        want = [c for c in active if counts[c] < cap - 1]
-        if want:
-            for slot, core in enumerate(self.table):
-                if not want:
-                    break
-                if counts[core] > cap:
-                    target = want[0]
-                    self.table[slot] = target
-                    counts[core] -= 1
-                    counts[target] += 1
-                    moved += 1
-                    if counts[target] >= cap - 1:
-                        want.pop(0)
-        # That pass stops once each newcomer holds cap - 1 and never
-        # takes from a core at cap, so a set that grew by several cores
-        # can leave a donor far above its share.  Move the fullest
-        # core's first bucket to the emptiest core until every core is
-        # within one bucket of table_size / n.
-        lo, hi = cap - 1, self.table_size // len(active) + 1
-        while True:
-            low = min(active, key=lambda c: (counts[c], c))
-            high = max(active, key=lambda c: (counts[c], -c))
-            if counts[low] >= lo and counts[high] <= hi:
-                break
-            self.table[self.table.index(high)] = low
-            counts[high] -= 1
-            counts[low] += 1
-            moved += 1
-        self._active = active
-        self.last_moved = moved
-        return moved
-
-    def place(self, key: int, h: int) -> int:
-        return self.table[h % self.table_size]
-
-    def core_of(self, key: int) -> int:
-        return self.place(key, fast_hash32(key, self.hash_seed))
-
-    def queue_of(self, packet: Packet) -> int:
-        return self.core_of(packet.key_int)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "table_size": self.table_size,
-            "active": list(self._active),
-            "last_moved": self.last_moved,
-        }
 
 
 class CoreAutoscaler:
@@ -491,9 +374,6 @@ class SloController:
         warmup: Optional[ColdStartWarmup] = None,
         watchdog_deadline: int = DEFAULT_WATCHDOG_DEADLINE,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        table_size: int = 128,
-        hash_seed: int = RSS_HASH_SEED,
-        charge_framework: bool = True,
     ) -> None:
         if max_cores <= 0:
             raise ValueError("max_cores must be positive")
@@ -525,8 +405,7 @@ class SloController:
         self.warmup = warmup
         self.watchdog_deadline = watchdog_deadline
         self.batch_size = batch_size
-        self.charge_framework = charge_framework
-        self.table = IndirectionTable(table_size, hash_seed=hash_seed)
+        self.table = IndirectionTable(max_cores)
         self.autoscaler = CoreAutoscaler(
             min_cores=self.config.min_cores,
             max_cores=max_cores,
@@ -542,10 +421,7 @@ class SloController:
         injector = (
             self.faults.injector(core) if self.faults is not None else None
         )
-        pipeline = XdpPipeline(
-            nf, charge_framework=self.charge_framework, faults=injector
-        )
-        return ReplaySession(pipeline)
+        return ReplaySession(XdpPipeline(nf, faults=injector))
 
     def run(self, trace: Iterable[Packet]) -> SloRun:
         conf = self.config

@@ -1,9 +1,9 @@
-"""Skew-aware receive steering: RSS, hash re-keying, ntuple pinning.
+"""Skew-aware receive steering: RSS, hash re-keying, indirection tables.
 
 Plain RSS balances *flows*, not *packets*: on Zipf-skewed traffic the
 heavy-hitter flows pin to single queues and the busiest core gates the
-fleet (PR 1 measured a 1.87 load-imbalance factor at 8 cores).  Real
-NICs expose two levers against that skew, both modeled here as
+fleet (a 1.87 load-imbalance factor at 8 cores in the scaling sweep).
+Real NICs expose levers against that skew, all modeled here as
 pluggable policies for :class:`repro.net.multicore.RssDispatcher`:
 
 - :class:`RssSteering` — the baseline: Toeplitz-style hash of the
@@ -13,13 +13,18 @@ pluggable policies for :class:`repro.net.multicore.RssDispatcher`:
   with the lowest packet-weighted imbalance.  Models ``ethtool -X``'s
   configurable RSS key; helps when heavy flows merely *collide*, but
   cannot split one dominant flow.
-- :class:`NtupleSteering` — ntuple/flow-director rules: the top-k
-  heavy-hitter flows seen in the sampled prefix are pinned to explicit
-  queues by longest-processing-time-first assignment (heaviest flow to
-  the least-loaded queue, on top of the RSS load of the residual
-  traffic); everything unmatched falls through to RSS.  Models
-  ``ethtool -N ... action <queue>`` and is the only policy that can
-  place the few dominant Zipf flows on dedicated queues.
+- :class:`IndirectionTable` — the RSS indirection table (``ethtool
+  -X``): flows hash into ``table_size`` buckets, each naming a core.
+  It is the one bucket table of the package; its own fill is the
+  minimal-disruption re-pack the SLO loop (:mod:`repro.net.slo`)
+  steers through.
+- :class:`NtupleSteering` — the same table plus ntuple/flow-director
+  rules: the top-k heavy-hitter flows seen in the sampled prefix are
+  pinned to explicit queues, and rules and buckets are filled jointly
+  by longest-processing-time-first assignment (heaviest item to the
+  least-loaded queue).  Models ``ethtool -N ... action <queue>`` and
+  is the only policy that can place the few dominant Zipf flows on
+  dedicated queues.
 
 Every policy preserves **flow affinity** (a flow's packets all reach
 one queue — the invariant per-CPU NF state depends on), and steering
@@ -31,7 +36,10 @@ Policies that need a traffic sample declare ``sample_size``; the
 dispatcher buffers exactly that many packets from the head of the
 stream (bounded memory even on one-shot iterators), calls
 :meth:`~SteeringPolicy.prepare`, then replays the prefix and the rest
-of the stream through the chosen placement.
+of the stream through the chosen placement.  After a core failure the
+fleet calls :meth:`~SteeringPolicy.repack`: a table policy rewrites its
+table over the survivors and returns how many placements moved; a
+hash-only policy returns None.
 
 Every policy places a flow from its key and one hash of it
 (:meth:`~SteeringPolicy.place`), so the fleet's arrival loops hash the
@@ -119,23 +127,18 @@ class SteeringPolicy:
             keys = [pkt.key_int for pkt in packets]
             yield packets, keys, fast_hash32_lanes(keys, self.hash_seed)
 
-    def repack(self, alive: Sequence[int]) -> bool:
+    def repack(self, alive: Sequence[int]) -> Optional[int]:
         """Re-pack placement onto the surviving cores after a failure.
 
-        Policies that own an explicit placement table rebuild it over
-        ``alive`` — from then on :meth:`queue_of` only names live
-        cores, so the fleet's hash-failover fallback never engages.
-        Ntuple returns True; the SLO indirection table returns the
-        number of buckets it moved.  Hash-only policies (plain RSS,
-        rekey) have no table to rewrite and return False; the fleet
-        keeps re-steering their dead-core traffic with the flow-affine
-        failover hash.
+        A table policy (:class:`IndirectionTable` and its subclasses)
+        rebuilds its placement over ``alive`` and returns how many
+        placements moved — from then on :meth:`queue_of` only names
+        live cores, so the fleet's hash-failover fallback never
+        engages.  Hash-only policies (plain RSS, rekey) have no table to
+        rewrite and return None; the fleet keeps re-steering their
+        dead-core traffic with the flow-affine failover hash.
         """
-        return False
-
-    def describe(self) -> Dict[str, object]:
-        """Policy configuration + fitted state, for reports/benchmarks."""
-        return {"policy": self.name, "n_cores": self.n_cores}
+        return None
 
 
 class RssSteering(SteeringPolicy):
@@ -143,27 +146,18 @@ class RssSteering(SteeringPolicy):
 
     name = "rss"
 
-    def __init__(self, n_cores: int, hash_seed: int = RSS_HASH_SEED) -> None:
-        super().__init__(n_cores)
-        self.hash_seed = hash_seed
-
     def place(self, key: int, h: int) -> int:
         return h % self.n_cores
-
-    def describe(self) -> Dict[str, object]:
-        info = super().describe()
-        info["hash_seed"] = self.hash_seed
-        return info
 
 
 class RekeySteering(RssSteering):
     """Deterministic RSS-key search minimizing sampled imbalance.
 
-    Candidate seeds are derived from ``base_seed`` (so the search is
-    reproducible); each is scored by the packet-weighted imbalance it
-    yields over the sampled prefix's flows, and the best seed steers
-    the whole replay.  Ties break toward the earliest candidate, which
-    keeps the baseline seed when nothing beats it.
+    Candidate seeds are derived from :data:`RSS_HASH_SEED` (so the
+    search is reproducible); each is scored by the packet-weighted
+    imbalance it yields over the sampled prefix's flows, and the best
+    seed steers the whole replay.  Ties break toward the earliest
+    candidate, which keeps the baseline seed when nothing beats it.
     """
 
     name = "rekey"
@@ -172,14 +166,12 @@ class RekeySteering(RssSteering):
     def __init__(
         self,
         n_cores: int,
-        base_seed: int = RSS_HASH_SEED,
         n_candidates: int = 32,
         sample_size: Optional[int] = None,
     ) -> None:
-        super().__init__(n_cores, hash_seed=base_seed)
+        super().__init__(n_cores)
         if n_candidates <= 0:
             raise ValueError("n_candidates must be positive")
-        self.base_seed = base_seed
         self.n_candidates = n_candidates
         if sample_size is not None:
             if sample_size <= 0:
@@ -191,13 +183,13 @@ class RekeySteering(RssSteering):
         # Golden-ratio stride decorrelates candidate seeds; candidate 0
         # is the untouched base seed (the no-change fallback).
         return [
-            (self.base_seed + i * 0x9E3779B9) & 0xFFFFFFFF
+            (RSS_HASH_SEED + i * 0x9E3779B9) & 0xFFFFFFFF
             for i in range(self.n_candidates)
         ]
 
     def prepare(self, sample: Sequence[Packet]) -> None:
         flow_weight = Counter(pkt.key_int for pkt in sample)
-        best_seed, best_score = self.hash_seed, float("inf")
+        best_seed, best_score = RSS_HASH_SEED, float("inf")
         for seed in self._candidates():
             loads = [0] * self.n_cores
             for key, weight in flow_weight.items():
@@ -208,18 +200,115 @@ class RekeySteering(RssSteering):
         self.hash_seed = best_seed
         self.sample_imbalance = best_score if sample else None
 
-    def describe(self) -> Dict[str, object]:
-        info = super().describe()
-        info.update(
-            base_seed=self.base_seed,
-            n_candidates=self.n_candidates,
-            sample_imbalance=self.sample_imbalance,
-        )
-        return info
+
+class IndirectionTable(SteeringPolicy):
+    """The RSS indirection table (``ethtool -X``), minimal-disruption fill.
+
+    ``table_size`` buckets; each flow hashes to one bucket and every
+    bucket names one core.  Untrained, the table is round-robin over
+    all ``n_cores`` (plain RSS placement whenever ``n_cores`` divides
+    ``table_size``).  :meth:`repack` rewrites *only* the buckets whose
+    core left the active set (plus the fewest needed to even out a
+    grown set), so a failure or a scaling action moves the minimum
+    number of flow groups — the SLO loop's fill.  Subclasses keep the
+    table and change the fill (:class:`NtupleSteering`).
+    """
+
+    name = "table"
+
+    def __init__(self, n_cores: int, table_size: int = 128) -> None:
+        super().__init__(n_cores)
+        if table_size < n_cores:
+            raise ValueError("table_size must be >= n_cores")
+        self.table_size = table_size
+        self.table: List[int] = [i % n_cores for i in range(table_size)]
+
+    def _cores(self, cores: Iterable[int]) -> List[int]:
+        """``cores`` sorted and de-duplicated; rejects an empty set and
+        a core outside ``range(n_cores)``."""
+        active = sorted(set(cores))
+        if not active:
+            raise ValueError("need at least one core")
+        for core in active:
+            if not 0 <= core < self.n_cores:
+                raise ValueError(
+                    f"core {core} out of range for {self.n_cores} cores"
+                )
+        return active
+
+    def _retable(self, table: List[int]) -> int:
+        """Install ``table``; returns how many buckets changed core."""
+        moved = sum(1 for old, new in zip(self.table, table) if old != new)
+        self.table = table
+        return moved
+
+    def assign(self, cores: Iterable[int]) -> None:
+        """Spread the buckets round-robin over ``cores`` (fresh start)."""
+        active = self._cores(cores)
+        self.table = [
+            active[i % len(active)] for i in range(self.table_size)
+        ]
+
+    def repack(self, cores: Sequence[int]) -> int:
+        """Re-target buckets so only ``cores`` appear; returns moved count.
+
+        Buckets already on a surviving core stay put; orphaned buckets
+        go to the currently least-loaded survivors; if the set *grew*,
+        buckets migrate from the most-loaded cores onto the newcomers
+        until every core is within one bucket of ``table_size / n``.
+        """
+        active = self._cores(cores)
+        table = list(self.table)
+        counts: Dict[int, int] = {core: 0 for core in active}
+        orphans: List[int] = []
+        for slot, core in enumerate(table):
+            if core in counts:
+                counts[core] += 1
+            else:
+                orphans.append(slot)
+        for slot in orphans:
+            target = min(counts, key=lambda c: (counts[c], c))
+            table[slot] = target
+            counts[target] += 1
+        # Even out toward newcomers: cap every core at ceil(size/n).
+        cap = -(-self.table_size // len(active))
+        want = [c for c in active if counts[c] < cap - 1]
+        if want:
+            for slot, core in enumerate(table):
+                if not want:
+                    break
+                if counts[core] > cap:
+                    target = want[0]
+                    table[slot] = target
+                    counts[core] -= 1
+                    counts[target] += 1
+                    if counts[target] >= cap - 1:
+                        want.pop(0)
+        # That pass stops once each newcomer holds cap - 1 and never
+        # takes from a core at cap, so a set that grew by several cores
+        # can leave a donor far above its share.  Move the fullest
+        # core's first bucket to the emptiest core until every core is
+        # within one bucket of table_size / n.
+        lo, hi = cap - 1, self.table_size // len(active) + 1
+        while True:
+            low = min(active, key=lambda c: (counts[c], c))
+            high = max(active, key=lambda c: (counts[c], -c))
+            if counts[low] >= lo and counts[high] <= hi:
+                break
+            table[table.index(high)] = low
+            counts[high] -= 1
+            counts[low] += 1
+        return self._retable(table)
+
+    def place(self, key: int, h: int) -> int:
+        return self.table[h % self.table_size]
+
+    def core_of(self, key: int) -> int:
+        return self.place(key, fast_hash32(key, self.hash_seed))
 
 
-class NtupleSteering(RssSteering):
-    """Explicit ntuple rules + indirection table, jointly balanced.
+class NtupleSteering(IndirectionTable):
+    """Explicit ntuple rules + the indirection table, jointly balanced.
 
     Models the two placement levers real NICs expose together:
 
@@ -227,10 +316,10 @@ class NtupleSteering(RssSteering):
       in the sampled prefix get explicit rules (``pinned``, the
       simulated flow-director TCAM) — the only mechanism that can give
       a dominant Zipf flow a queue of its own;
-    - ``ethtool -X``: everything unmatched hashes into a
-      ``table_size``-entry RSS **indirection table** whose entries the
-      policy places freely, so residual traffic splits into many small
-      buckets instead of ``n_cores`` coarse shards.
+    - ``ethtool -X``: everything unmatched hashes into the inherited
+      :class:`IndirectionTable`, whose entries the policy places
+      freely, so residual traffic splits into many small buckets
+      instead of ``n_cores`` coarse shards.
 
     Heavy flows and table buckets are assigned *jointly*,
     longest-processing-time first (heaviest item onto the currently
@@ -248,36 +337,28 @@ class NtupleSteering(RssSteering):
         self,
         n_cores: int,
         top_k: Optional[int] = None,
-        hash_seed: int = RSS_HASH_SEED,
         sample_size: Optional[int] = None,
         table_size: int = 128,
     ) -> None:
-        super().__init__(n_cores, hash_seed=hash_seed)
+        super().__init__(n_cores, table_size)
         if top_k is not None and top_k < 0:
             raise ValueError("top_k must be non-negative")
-        if table_size < n_cores:
-            raise ValueError("table_size must be >= n_cores")
         #: Rule-table budget; real NICs hold hundreds to thousands of
         #: ntuple filters, so 4 rules per queue is comfortably real.
         self.top_k = 4 * n_cores if top_k is None else top_k
-        self.table_size = table_size
         if sample_size is not None:
             if sample_size <= 0:
                 raise ValueError("sample_size must be positive")
             self.sample_size = sample_size
         self.pinned: Dict[int, int] = {}
-        # Untrained default: round-robin table (equals plain RSS placement
-        # whenever n_cores divides table_size, e.g. 8 cores / 128 slots).
-        self.table: List[int] = [i % n_cores for i in range(table_size)]
         # Sampled weights, retained so the placement can be re-packed
         # over the surviving cores after a watchdog event.
         self._flow_weight: Dict[int, int] = {}
         self._bucket_weight: List[int] = [0] * table_size
-        #: Rules + table entries moved by the last :meth:`repack`.
-        self.last_repack_moved = 0
 
-    def _pack(self, cores: Sequence[int]) -> None:
-        """Joint LPT of pinned flows + table buckets onto ``cores``.
+    def _pack(self, cores: Sequence[int]) -> int:
+        """Joint LPT of pinned flows + table buckets onto ``cores``;
+        returns how many rules and buckets changed core.
 
         Ties (weight-0 buckets) keep a stable order for determinism.
         """
@@ -300,8 +381,12 @@ class NtupleSteering(RssSteering):
                 pinned[ident] = queue
             else:
                 table[ident] = queue
+        moved = sum(
+            1 for key, queue in pinned.items()
+            if self.pinned.get(key) != queue
+        )
         self.pinned = pinned
-        self.table = table
+        return moved + self._retable(table)
 
     def prepare(self, sample: Sequence[Packet]) -> None:
         flow_weight = Counter(pkt.key_int for pkt in sample)
@@ -315,52 +400,24 @@ class NtupleSteering(RssSteering):
         self._bucket_weight = bucket_weight
         self._pack(range(self.n_cores))
 
-    def repack(self, alive: Sequence[int]) -> bool:
+    def repack(self, alive: Sequence[int]) -> int:
         """Fault-aware re-steer: rebuild rules + table over ``alive``.
 
         Re-runs the joint LPT with the sampled weights, restricted to
         the surviving cores — the ntuple answer to failover, replacing
         the dispatcher's hash-based re-steer with a *balanced*
         placement (the failover hash preserves affinity but re-loads
-        survivors unevenly under Zipf skew).  ``last_repack_moved``
-        records how many placements changed (the disruption ledger).
+        survivors unevenly under Zipf skew).  Returns how many rules
+        and buckets changed core (the disruption ledger).
         """
-        cores = sorted(set(alive))
-        if not cores:
-            raise ValueError("repack needs at least one surviving core")
-        for core in cores:
-            if not 0 <= core < self.n_cores:
-                raise ValueError(
-                    f"core {core} out of range for {self.n_cores} cores"
-                )
-        old_pinned = dict(self.pinned)
-        old_table = list(self.table)
-        self._pack(cores)
-        moved = sum(
-            1 for key, queue in self.pinned.items()
-            if old_pinned.get(key) != queue
-        )
-        moved += sum(
-            1 for slot in range(self.table_size)
-            if old_table[slot] != self.table[slot]
-        )
-        self.last_repack_moved = moved
-        return True
+        return self._pack(self._cores(alive))
 
     def place(self, key: int, h: int) -> int:
         queue = self.pinned.get(key)
-        if queue is not None:
-            return queue
-        return self.table[h % self.table_size]
-
-    def describe(self) -> Dict[str, object]:
-        info = super().describe()
-        info.update(
-            top_k=self.top_k,
-            table_size=self.table_size,
-            n_pinned=len(self.pinned),
-        )
-        return info
+        if queue is None:
+            # Per packet: a direct call skips building a super() proxy.
+            return IndirectionTable.place(self, key, h)
+        return queue
 
 
 #: Policy name -> constructor, for CLIs and benchmarks.

@@ -224,7 +224,7 @@ class XdpPipeline:
     def __init__(
         self,
         nf: NetworkFunction,
-        charge_framework: bool = True,
+        *,
         faults: Optional[FaultInjector] = None,
         on_error: str = "abort",
     ) -> None:
@@ -232,7 +232,6 @@ class XdpPipeline:
             raise ValueError("on_error must be 'abort' or 'raise'")
         self.nf = nf
         self.rt = nf.rt
-        self.charge_framework = charge_framework
         self.faults = faults
         self.on_error = on_error
         if faults is not None:
@@ -255,7 +254,6 @@ class XdpPipeline:
         nf_process = self.nf.process
         dispatch_cost = costs.xdp_dispatch
         parse_cost = costs.packet_parse
-        charge_framework = self.charge_framework
         framework_cat = Category.FRAMEWORK
         parse_cat = Category.PARSE
         faults = self.faults
@@ -284,9 +282,8 @@ class XdpPipeline:
                     # Unparseable frame or failed helper: the program
                     # bails out -> XDP_ABORTED after dispatch + parse.
                     before = cycles.total
-                    if charge_framework:
-                        charge(dispatch_cost, framework_cat)
-                        charge(parse_cost, parse_cat)
+                    charge(dispatch_cost, framework_cat)
+                    charge(parse_cost, parse_cat)
                     actions[XdpAction.ABORTED] += 1
                     errors[
                         PARSE_ERROR if pf in _PARSE_FAULTS else HELPER_ERROR
@@ -302,9 +299,8 @@ class XdpPipeline:
             while copies:
                 copies -= 1
                 before = cycles.total
-                if charge_framework:
-                    charge(dispatch_cost, framework_cat)
-                    charge(parse_cost, parse_cat)
+                charge(dispatch_cost, framework_cat)
+                charge(parse_cost, parse_cat)
                 try:
                     action = nf_process(pkt)
                 except Exception as exc:
@@ -399,19 +395,17 @@ class XdpPipeline:
                     errors[PARSE_ERROR] += n_parse
                 if n_helper:
                     errors[HELPER_ERROR] += n_helper
-                if self.charge_framework:
-                    costs = rt.costs
-                    rt.charge(costs.xdp_dispatch * bailed, Category.FRAMEWORK)
-                    rt.charge(costs.packet_parse * bailed, Category.PARSE)
+                costs = rt.costs
+                rt.charge(costs.xdp_dispatch * bailed, Category.FRAMEWORK)
+                rt.charge(costs.packet_parse * bailed, Category.PARSE)
             accounted += n_dropped + bailed
             batch = clean
             if not batch:
                 return accounted
         m = len(batch)
-        if self.charge_framework:
-            costs = rt.costs
-            rt.charge(costs.xdp_dispatch * m, Category.FRAMEWORK)
-            rt.charge(costs.packet_parse * m, Category.PARSE)
+        costs = rt.costs
+        rt.charge(costs.xdp_dispatch * m, Category.FRAMEWORK)
+        rt.charge(costs.packet_parse * m, Category.PARSE)
         process_batch = (
             getattr(self.nf, "process_batch", None) if use_batch else None
         )

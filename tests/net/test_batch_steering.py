@@ -160,10 +160,10 @@ def _slo_run(table, trace):
 
 def test_slo_autoscale_repacks_mid_chunk_match_per_packet():
     trace = _slo_trace()
-    table = IndirectionTable()
+    table = IndirectionTable(4)
     placements = _Placements(table)
     served, run = _slo_run(table, trace)
-    ref_served, ref = _slo_run(_per_packet(IndirectionTable)(), trace)
+    ref_served, ref = _slo_run(_per_packet(IndirectionTable)(4), trace)
 
     mid_chunk = [n for n in placements.at_repack if n % STEER_CHUNK]
     assert len(mid_chunk) >= 2

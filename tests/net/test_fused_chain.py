@@ -81,7 +81,7 @@ def test_pipeline_and_replay_session_parity():
         nf = IrChainNf(
             rt, PROGS, registry=runnable_registry(0), backend=backend
         )
-        pipe = XdpPipeline(nf, rt)
+        pipe = XdpPipeline(nf)
         batch_result = pipe.run_batch(pkts[:100])
 
         sess = ReplaySession(pipe)

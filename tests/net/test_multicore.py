@@ -13,9 +13,9 @@ from repro.net.multicore import (
     merged_countmin_estimate,
     merged_countmin_rows,
     merged_nitrosketch_estimate,
-    rss_queue,
     shard_trace,
 )
+from repro.net.steering import RssSteering
 from repro.net.xdp import XdpPipeline
 from repro.nfs import BloomFilterNF, CountMinNF, MaglevNF, NitroSketchNF
 
@@ -39,9 +39,10 @@ class TestRssSharding:
         fg = FlowGenerator(n_flows=64, seed=2)
         trace = fg.trace(500)
         queues = shard_trace(trace, 4)
+        rss = RssSteering(4)
         assert sum(len(q) for q in queues) == 500
         for core, queue in enumerate(queues):
-            expected = [p for p in trace if rss_queue(p, 4) == core]
+            expected = [p for p in trace if rss.queue_of(p) == core]
             assert queue == expected
 
     def test_single_queue_passthrough(self):
@@ -50,9 +51,8 @@ class TestRssSharding:
         assert shard_trace(trace, 1) == [trace]
 
     def test_bad_core_count(self):
-        fg = FlowGenerator(n_flows=8, seed=2)
         with pytest.raises(ValueError):
-            rss_queue(fg.flows[0], 0)
+            RssSteering(0)
 
 
 class TestRssDispatcher:

@@ -30,12 +30,12 @@ def bursty_trace(n, arrivals, seed=5, n_flows=512):
 
 class TestIndirectionTable:
     def test_assign_spreads_round_robin(self):
-        tbl = IndirectionTable(table_size=8)
+        tbl = IndirectionTable(8, table_size=8)
         tbl.assign([0, 1, 2, 3])
         assert tbl.table == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_repack_moves_only_orphans(self):
-        tbl = IndirectionTable(table_size=128)
+        tbl = IndirectionTable(8, table_size=128)
         tbl.assign([0, 1, 2, 3])
         before = list(tbl.table)
         moved = tbl.repack([0, 1, 3])  # core 2 died
@@ -48,7 +48,7 @@ class TestIndirectionTable:
         assert kept == 96
 
     def test_repack_balances_orphans(self):
-        tbl = IndirectionTable(table_size=120)
+        tbl = IndirectionTable(8, table_size=120)
         tbl.assign([0, 1, 2])
         tbl.repack([0, 1])
         assert tbl.table.count(0) == 60
@@ -60,7 +60,7 @@ class TestIndirectionTable:
                                   ([0], [0, 1, 2]),
                                   ([0], [0, 1, 2, 3]),
                                   ([0, 1, 2, 3], list(range(8)))):
-            tbl = IndirectionTable(table_size=128)
+            tbl = IndirectionTable(8, table_size=128)
             tbl.assign(incumbents)
             before = list(tbl.table)
             moved = tbl.repack(grown)
@@ -73,12 +73,12 @@ class TestIndirectionTable:
             assert not set(changed) & set(incumbents)
 
     def test_repack_noop_when_nothing_changed(self):
-        tbl = IndirectionTable(table_size=64)
+        tbl = IndirectionTable(8, table_size=64)
         tbl.assign([0, 1])
         assert tbl.repack([0, 1]) == 0
 
     def test_core_of_is_stable(self):
-        tbl = IndirectionTable(table_size=64)
+        tbl = IndirectionTable(8, table_size=64)
         tbl.assign([0, 1, 2])
         assert [tbl.core_of(k) for k in range(50)] == [
             tbl.core_of(k) for k in range(50)
@@ -86,11 +86,11 @@ class TestIndirectionTable:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            IndirectionTable(table_size=0)
+            IndirectionTable(8, table_size=0)
         with pytest.raises(ValueError):
-            IndirectionTable().assign([])
+            IndirectionTable(8).assign([])
         with pytest.raises(ValueError):
-            IndirectionTable().repack([])
+            IndirectionTable(8).repack([])
 
 
 class TestCoreAutoscaler:

@@ -8,6 +8,7 @@ from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher, merged_countmin_rows
 from repro.net.steering import (
     POLICIES,
+    IndirectionTable,
     NtupleSteering,
     RekeySteering,
     RssSteering,
@@ -154,7 +155,7 @@ class TestRekey:
         assert a.hash_seed == b.hash_seed
         assert a.sample_imbalance == b.sample_imbalance
 
-    def test_never_worse_than_base_seed_on_sample(self):
+    def test_never_worse_than_default_seed_on_sample(self):
         """Candidate 0 is the base seed, so the search can't regress."""
         trace = zipf_trace(n_packets=5000)
         base = RssSteering(N_CORES)
@@ -172,7 +173,7 @@ class TestRekey:
 
         assert imb(loads_rekey) <= imb(loads_base)
 
-    def test_empty_sample_keeps_base_seed(self):
+    def test_empty_sample_keeps_default_seed(self):
         rekey = RekeySteering(N_CORES)
         rekey.prepare([])
         assert rekey.hash_seed == RSS_HASH_SEED
@@ -204,10 +205,10 @@ class TestNtuple:
         trace = zipf_trace(n_packets=5000)
         policy = NtupleSteering(N_CORES)
         policy.prepare(trace[: policy.sample_size])
-        info = policy.describe()
-        assert info["policy"] == "ntuple"
-        assert info["n_pinned"] == len(policy.pinned)
-        assert info["table_size"] == 128
+        assert len(policy.pinned) == policy.top_k
+        assert len(policy.table) == policy.table_size == 128
+        used = set(policy.table) | set(policy.pinned.values())
+        assert used == set(range(N_CORES))
 
     def test_prepare_is_deterministic(self):
         trace = zipf_trace(n_packets=5000)
@@ -217,3 +218,61 @@ class TestNtuple:
         b.prepare(trace[: b.sample_size])
         assert a.pinned == b.pinned
         assert a.table == b.table
+
+
+class TestRepackContract:
+    """``repack`` returns None for a hash-only policy and, for a table
+    policy, the number of rules and buckets that changed core."""
+
+    HASH_ONLY = {"rss": RssSteering, "rekey": RekeySteering}
+    TABLES = {"ntuple": NtupleSteering, "table": IndirectionTable}
+    ALIVE = [0, 2, 3, 5, 7]
+
+    @staticmethod
+    def fitted(cls):
+        trace = zipf_trace(n_packets=6000, n_flows=1024)
+        policy = cls(N_CORES)
+        policy.prepare(trace[:4096])
+        return policy, trace
+
+    @pytest.mark.parametrize("name", sorted(HASH_ONLY))
+    def test_hash_only_repack_returns_none(self, name):
+        policy, _ = self.fitted(self.HASH_ONLY[name])
+        assert policy.repack(self.ALIVE) is None
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_table_repack_counts_changed_placements(self, name):
+        policy, _ = self.fitted(self.TABLES[name])
+        for cores in (self.ALIVE, range(N_CORES), [6], range(N_CORES)):
+            table = list(policy.table)
+            pinned = dict(getattr(policy, "pinned", {}))
+            moved = policy.repack(cores)
+            changed = sum(a != b for a, b in zip(table, policy.table))
+            changed += sum(
+                1 for key, queue in getattr(policy, "pinned", {}).items()
+                if pinned.get(key) != queue
+            )
+            assert type(moved) is int
+            assert moved == changed > 0
+            assert policy.repack(cores) == 0
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_table_repack_names_only_live_cores(self, name):
+        policy, trace = self.fitted(self.TABLES[name])
+        policy.repack(self.ALIVE)
+        assert {policy.queue_of(pkt) for pkt in trace} == set(self.ALIVE)
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_table_repack_rejects_bad_core_sets(self, name):
+        policy, _ = self.fitted(self.TABLES[name])
+        for cores in ([], [0, N_CORES], [-1, 0]):
+            with pytest.raises(ValueError):
+                policy.repack(cores)
+
+    def test_one_table_class(self):
+        import repro.net
+        import repro.net.slo
+
+        assert repro.net.slo.IndirectionTable is IndirectionTable
+        assert repro.net.IndirectionTable is IndirectionTable
+        assert issubclass(NtupleSteering, IndirectionTable)

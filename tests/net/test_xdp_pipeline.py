@@ -38,12 +38,6 @@ class TestPipeline:
         expected = 100 + costs.xdp_dispatch + costs.packet_parse
         assert result.cycles_per_packet == pytest.approx(expected)
 
-    def test_framework_charges_can_be_disabled(self):
-        nf = FixedCostNF(cycles=100)
-        trace = FlowGenerator(8, seed=1).trace(10)
-        result = XdpPipeline(nf, charge_framework=False).run(trace)
-        assert result.cycles_per_packet == pytest.approx(100)
-
     def test_pps_derivation(self):
         nf = FixedCostNF(cycles=2100)   # +100 framework = 2200 cycles
         trace = FlowGenerator(8, seed=1).trace(10)
