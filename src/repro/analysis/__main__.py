@@ -179,15 +179,21 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    store = ResultCache(args.cache_dir)
+    used = args.clear_cache or not args.no_cache
+    if used and store.root.exists() and not store.root.is_dir():
+        parser.error(f"cache directory {store.root} exists and is not a directory")
     if args.clear_cache:
-        removed = ResultCache(args.cache_dir).clear()
-        print(f"cleared {removed} cached result(s)")
+        print(f"cleared {store.clear()} cached result(s)")
         return 0
+    cache = None if args.no_cache else store
     if args.paper_check:
         from .paper_targets import check_all, render_check
 
-        results = check_all(n_packets=args.packets, jobs=args.jobs, cache=cache)
+        results = check_all(
+            n_packets=args.packets, jobs=args.jobs, cache=cache,
+            retries=args.retries,
+        )
         print(render_check(results))
         return 0 if all(r.ok for r in results) else 1
 

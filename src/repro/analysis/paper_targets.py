@@ -95,13 +95,14 @@ SWEEP_RUNNERS: Dict[str, Callable] = {
 
 
 def check_all(
-    n_packets: int = 800, jobs=1, cache=None
+    n_packets: int = 800, jobs=1, cache=None, retries: int = 1
 ) -> List[CheckResult]:
     """Run everything; returns one result per headline metric.
 
-    ``jobs``/``cache`` fan the experiment matrix across worker
-    processes and reuse cached sweep points (bit-identical to the
-    serial path — see :mod:`repro.analysis.parallel`).
+    ``jobs``/``cache``/``retries`` fan the experiment matrix across
+    worker processes, reuse cached sweep points and retry failed ones
+    (bit-identical to the serial path — see
+    :mod:`repro.analysis.parallel`).
     """
     from .parallel import run_experiments
 
@@ -109,7 +110,7 @@ def check_all(
 
     names = list(SWEEP_RUNNERS) + ["fig1", "fig7"]
     computed = run_experiments(
-        names, n_packets=n_packets, jobs=jobs, cache=cache
+        names, n_packets=n_packets, jobs=jobs, cache=cache, retries=retries
     )
 
     for key in SWEEP_RUNNERS:

@@ -34,6 +34,7 @@ import os
 import pickle
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -407,7 +408,14 @@ def run_experiments(
         def record(i: int, value: Any) -> None:
             outputs[i] = value
             if cache is not None:
-                cache.put(plan[i][2], value)
+                try:
+                    cache.put(plan[i][2], value)
+                except Exception as exc:
+                    # Caching is best-effort: a failed write must not
+                    # re-run or fail a subtask that already finished.
+                    warnings.warn(
+                        f"result cache write failed: {exc}", RuntimeWarning
+                    )
 
         failures: List[Tuple[int, Subtask, BaseException]] = []
         if n_jobs > 1 and len(pending) > 1:
@@ -420,15 +428,19 @@ def run_experiments(
                 # (or un-cache) anyone else's finished work.
                 for i, spec, handle in handles:
                     try:
-                        record(i, handle.get())
+                        value = handle.get()
                     except Exception as exc:
                         failures.append((i, spec, exc))
+                    else:
+                        record(i, value)
         else:
             for i, spec in pending:
                 try:
-                    record(i, _run_subtask(spec))
+                    value = _run_subtask(spec)
                 except Exception as exc:
                     failures.append((i, spec, exc))
+                else:
+                    record(i, value)
 
         # Bounded serial retry with exponential backoff: transient
         # failures (OOM-killed worker, flaky I/O) get another shot in
@@ -441,9 +453,11 @@ def run_experiments(
             remaining: List[Tuple[int, Subtask, BaseException]] = []
             for i, spec, _ in failures:
                 try:
-                    record(i, _run_subtask(spec))
+                    value = _run_subtask(spec)
                 except Exception as exc:
                     remaining.append((i, spec, exc))
+                else:
+                    record(i, value)
             failures = remaining
 
         if failures:

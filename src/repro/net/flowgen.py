@@ -22,26 +22,49 @@ from .packet import MIN_FRAME_BYTES, PROTO_TCP, PROTO_UDP, Packet
 DISTRIBUTIONS = ("uniform", "zipf", "round_robin")
 
 
+_DST_PORTS = (53, 80, 443, 8080, 4789)
+_PROTOS = (PROTO_TCP, PROTO_UDP)
+
+
 def make_flows(n_flows: int, seed: int = 1) -> List[Packet]:
-    """A population of ``n_flows`` distinct 5-tuple templates."""
+    """A population of ``n_flows`` distinct 5-tuple templates.
+
+    Draw contract: the population is exactly the one drawn by
+    ``rng = random.Random(seed)`` and, per candidate flow,
+    ``getrandbits(32)``, ``getrandbits(32)``, ``randrange(1024, 65536)``,
+    ``choice(_DST_PORTS)``, ``choice(_PROTOS)``, dropping repeated
+    5-tuples (first occurrence wins, so ``make_flows(n, s)`` is a prefix
+    of ``make_flows(m, s)`` for ``m >= n``).  The bounded draws are
+    spelled out as the rejection loops ``Random._randbelow`` runs on
+    CPython 3.9-3.12: ``n.bit_length()`` bits, redrawn while ``>= n``.
+    """
     if n_flows <= 0:
         raise ValueError("n_flows must be positive")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     flows = []
     seen = set()
     while len(flows) < n_flows:
-        pkt = Packet(
-            src_ip=rng.getrandbits(32),
-            dst_ip=rng.getrandbits(32),
-            src_port=rng.randrange(1024, 65536),
-            dst_port=rng.choice((53, 80, 443, 8080, 4789)),
-            proto=rng.choice((PROTO_TCP, PROTO_UDP)),
-            size=MIN_FRAME_BYTES,
-        )
-        if pkt.five_tuple in seen:
+        src_ip = bits(32)
+        dst_ip = bits(32)
+        r = bits(16)
+        while r >= 64512:       # randrange(1024, 65536)
+            r = bits(16)
+        src_port = 1024 + r
+        r = bits(3)
+        while r >= 5:           # choice(_DST_PORTS)
+            r = bits(3)
+        dst_port = _DST_PORTS[r]
+        r = bits(2)
+        while r >= 2:           # choice(_PROTOS)
+            r = bits(2)
+        proto = _PROTOS[r]
+        five_tuple = (src_ip, dst_ip, src_port, dst_port, proto)
+        if five_tuple in seen:
             continue
-        seen.add(pkt.five_tuple)
-        flows.append(pkt)
+        seen.add(five_tuple)
+        flows.append(
+            Packet(src_ip, dst_ip, src_port, dst_port, proto, MIN_FRAME_BYTES)
+        )
     return flows
 
 

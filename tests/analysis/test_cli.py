@@ -55,3 +55,82 @@ class TestCli:
             "fig7", "fig7ir", "multicore",
         }
         assert set(RUNNERS) == expected
+
+
+class TestCacheFailures:
+    @pytest.mark.parametrize("extra", [[], ["--clear-cache"]],
+                             ids=["run", "clear"])
+    def test_cache_dir_that_is_a_file_rejected(
+        self, extra, tmp_path, capsys, monkeypatch
+    ):
+        import repro.analysis.__main__ as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("experiments ran despite a bad --cache-dir")
+
+        monkeypatch.setattr(cli, "run_experiments", never)
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["--only", "table2", "--cache-dir", str(not_a_dir), *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "not a directory" in captured.err
+        assert "Traceback" not in captured.err
+        assert "cleared" not in captured.out
+
+    def test_failed_cache_write_neither_reruns_nor_fails(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.analysis import parallel
+
+        calls = []
+        real = parallel.TASK_FNS["table2_results"]
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        def refuse(self, key, value):
+            raise OSError("disk full")
+
+        monkeypatch.setitem(parallel.TASK_FNS, "table2_results", counted)
+        monkeypatch.setattr(parallel.ResultCache, "put", refuse)
+        with pytest.warns(RuntimeWarning, match="disk full"):
+            code = main(["--only", "table2", "--cache-dir", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 1
+        assert "random_pool" in capsys.readouterr().out
+
+
+class TestPaperCheckRetries:
+    def test_cli_passes_retries_to_check_all(self, capsys, monkeypatch):
+        from repro.analysis import paper_targets
+
+        seen = {}
+
+        def fake_check_all(**kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr(paper_targets, "check_all", fake_check_all)
+        assert main(["--paper-check", "--no-cache", "--retries", "3"]) == 0
+        assert seen["retries"] == 3
+
+    def test_check_all_passes_retries_to_the_runner(self, monkeypatch):
+        from repro.analysis import parallel
+        from repro.analysis.paper_targets import check_all
+
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def fake_run_experiments(names, **kwargs):
+            seen.update(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(parallel, "run_experiments", fake_run_experiments)
+        with pytest.raises(Stop):
+            check_all(n_packets=200, retries=0)
+        assert seen["retries"] == 0

@@ -257,6 +257,17 @@ class TestFailureHandling:
         assert out["flaky"] == {"ok": N}
         assert int(marker.read_text()) == 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cache_write_keeps_the_result(self, jobs, tmp_path):
+        class ReadOnlyCache(ResultCache):
+            def put(self, key, value):
+                raise PermissionError("read-only")
+
+        with pytest.warns(RuntimeWarning, match="read-only"):
+            out = run_experiments(["fig3h"], n_packets=N, jobs=jobs,
+                                  cache=ReadOnlyCache(tmp_path), retries=0)
+        assert out["fig3h"].points == exp.fig3h_eiffel(n_packets=N).points
+
     def test_exhausted_retries_surface_the_error(self, broken):
         from repro.analysis.parallel import SubtaskError
 

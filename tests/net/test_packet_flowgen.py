@@ -1,5 +1,7 @@
 """Tests for packets, flow generation, and stats helpers."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,7 +11,13 @@ from repro.net.flowgen import (
     make_flows,
     rate_to_inter_arrival_ns,
 )
-from repro.net.packet import MIN_FRAME_BYTES, Packet, PROTO_UDP, XdpAction
+from repro.net.packet import (
+    MIN_FRAME_BYTES,
+    PROTO_TCP,
+    PROTO_UDP,
+    Packet,
+    XdpAction,
+)
 from repro.net.stats import geo_mean, mean, percentile, relative_error, stdev
 
 
@@ -60,6 +68,27 @@ class TestPacket:
         assert len(XdpAction.ALL) == 5
 
 
+def _stdlib_make_flows(n_flows, seed):
+    """Reference population: the stdlib draw ``make_flows`` must equal."""
+    rng = random.Random(seed)
+    flows = []
+    seen = set()
+    while len(flows) < n_flows:
+        pkt = Packet(
+            src_ip=rng.getrandbits(32),
+            dst_ip=rng.getrandbits(32),
+            src_port=rng.randrange(1024, 65536),
+            dst_port=rng.choice((53, 80, 443, 8080, 4789)),
+            proto=rng.choice((PROTO_TCP, PROTO_UDP)),
+            size=MIN_FRAME_BYTES,
+        )
+        if pkt.five_tuple in seen:
+            continue
+        seen.add(pkt.five_tuple)
+        flows.append(pkt)
+    return flows
+
+
 class TestFlowGenerator:
     def test_make_flows_distinct(self):
         flows = make_flows(500, seed=2)
@@ -77,6 +106,14 @@ class TestFlowGenerator:
         # sweeps draw make_flows(n_keys, seed) per load factor and rely
         # on it being the head of the full-capacity population.
         assert make_flows(n, seed) == make_flows(n + extra, seed)[:n]
+
+    @pytest.mark.parametrize("seed", [1, 3, 4, 5, 9, 11, 12, 2**64 + 7])
+    @pytest.mark.parametrize("n", [1, 5, 1024, 4096, 16384])
+    def test_make_flows_matches_the_stdlib_draw(self, n, seed):
+        # make_flows spells randrange/choice out as getrandbits rejection
+        # loops; this pins it to how Random._randbelow consumes bits on
+        # the running interpreter.
+        assert make_flows(n, seed) == _stdlib_make_flows(n, seed)
 
     def test_deterministic_per_seed(self):
         a = FlowGenerator(64, seed=5).trace(100)
