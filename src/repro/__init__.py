@@ -11,7 +11,9 @@ Packages:
 - :mod:`repro.nfs` — the 11 evaluated network functions, each in up to
   three execution-mode variants;
 - :mod:`repro.net` — packets, traffic generation, XDP pipeline;
-- :mod:`repro.apps` — the Fig. 7 real-world integrations;
+- :mod:`repro.apps` — the Fig. 7 real-world integrations, one
+  verified-IR chain per app, measured as an origin and an eNetSTL
+  build;
 - :mod:`repro.analysis` — per-figure experiment harness.
 """
 

@@ -76,9 +76,6 @@ RUNNERS = {
     ),
     "fig6": lambda n: print(report.render_interfaces(fig6_interface_comparison())),
     "fig7": lambda n: print(report.render_apps(exp.fig7_apps(n_packets=n))),
-    "fig7ir": lambda n: print(
-        report.render_apps_ir(exp.fig7_apps_ir(n_packets=n))
-    ),
     "multicore": lambda n: print(
         report.render_steering(exp.multicore_steering(n_packets=n))
     ),
@@ -92,7 +89,6 @@ RENDERERS = {
     "fig45": report.render_latency,
     "fig6": report.render_interfaces,
     "fig7": report.render_apps,
-    "fig7ir": report.render_apps_ir,
     "multicore": report.render_steering,
 }
 for _name, _title in SWEEP_TITLES.items():

@@ -11,6 +11,7 @@ Packet counts default low enough for CI; benches pass larger ones.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ebpf.cost_model import (
@@ -463,6 +464,15 @@ def _moderate_nf(name: str, rt: BpfRuntime, fg: FlowGenerator):
     return _heavy_nf(name, rt, fg)
 
 
+@functools.lru_cache(maxsize=1)
+def _fig7_trace(n_packets: int, seed: int) -> Tuple[Packet, ...]:
+    """The one trace every Fig. 7 build replays, generated once per
+    process: the parallel runner's per-app shards share it.  Frozen
+    packets in a tuple, so no replay can change it for the next."""
+    fg = FlowGenerator(n_flows=1024, seed=seed, distribution="zipf")
+    return tuple(fg.trace(n_packets))
+
+
 def fig7_apps(
     n_packets: int = 2500,
     seed: int = 14,
@@ -470,94 +480,26 @@ def fig7_apps(
 ) -> Dict[str, Dict[str, float]]:
     """Origin vs eNetSTL-integrated builds of the four real projects.
 
+    Each build replays the app's one verified-IR chain
+    (:func:`repro.apps.ir.fig7_nfs`); the builds differ only in what
+    each kfunc call charges, so the ratio is the component swap alone.
     Returns app -> {"origin_pps", "enetstl_pps", "improvement"}.
     ``apps`` restricts to a subset (the parallel runner shards on it).
     """
-    from ..apps import ALL_APPS
+    from ..apps.ir import IR_APP_NAMES, fig7_nfs
 
-    selected = ALL_APPS if apps is None else {
-        name: ALL_APPS[name] for name in apps
-    }
+    trace = _fig7_trace(n_packets, seed)
     out: Dict[str, Dict[str, float]] = {}
-    for app_name, app_cls in selected.items():
-        fg = FlowGenerator(n_flows=1024, seed=seed, distribution="zipf")
-        trace = fg.trace(n_packets)
-        results = {}
-        for integrated in (False, True):
-            app = app_cls(integrated=integrated, seed=seed)
-            result = _measure(app, trace)
-            results["enetstl" if integrated else "origin"] = result.pps
+    for app_name in IR_APP_NAMES if apps is None else apps:
+        pps = {
+            build: _measure(nf, trace).pps
+            for build, nf in fig7_nfs(app_name, seed=seed).items()
+        }
         out[app_name] = {
-            "origin_pps": results["origin"],
-            "enetstl_pps": results["enetstl"],
-            "improvement": results["enetstl"] / results["origin"] - 1.0,
+            "origin_pps": pps["origin"],
+            "enetstl_pps": pps["enetstl"],
+            "improvement": pps["enetstl"] / pps["origin"] - 1.0,
         }
-    return out
-
-
-IR_BACKENDS = ("interp", "fused")
-
-
-def fig7_apps_ir(
-    n_packets: int = 2500,
-    seed: int = 14,
-    apps: Optional[Sequence[str]] = None,
-    backends: Sequence[str] = IR_BACKENDS,
-) -> Dict[str, Dict[str, float]]:
-    """Fig. 7 measured end-to-end: the verified-IR app ports replayed
-    through both execution backends (interp / fused).
-
-    Unlike :func:`fig7_apps` — which *models* the component swap with
-    cycle constants — this runs the actual pipelines and reports
-    wall-clock packets/s per backend plus the modeled cycles/packet
-    (bit-identical across backends, asserted here: any parity break is
-    an experiment failure, not a data point).
-
-    Returns app -> {"<backend>_pps", ..., "fused_speedup",
-    "cycles_per_packet", "verdicts"}.
-    """
-    import time as _time
-
-    from ..apps.ir import IR_APP_NAMES, app_nf, ir_registry
-
-    selected = IR_APP_NAMES if apps is None else tuple(apps)
-    out: Dict[str, Dict[str, float]] = {}
-    for app_name in selected:
-        fg = FlowGenerator(n_flows=1024, seed=seed, distribution="zipf")
-        trace = fg.trace(n_packets)
-        row: Dict[str, float] = {}
-        witnesses = {}
-        for backend in backends:
-            registry = ir_registry(seed)
-            nf = app_nf(
-                app_name, backend=backend, seed=seed, registry=registry
-            )
-            t0 = _time.perf_counter()
-            nf.process_batch(trace)
-            elapsed = _time.perf_counter() - t0
-            row[f"{backend}_pps"] = n_packets / elapsed
-            witnesses[backend] = (
-                tuple(nf.returns),
-                nf.rt.cycles.total,
-                nf.stats.insn_cycles,
-            )
-        first = witnesses[backends[0]]
-        for backend in backends[1:]:
-            if witnesses[backend] != first:
-                raise AssertionError(
-                    f"{app_name}: backend {backend!r} broke parity"
-                )
-        row["cycles_per_packet"] = first[1] / n_packets
-        if "interp" in backends:
-            for backend in backends:
-                row[f"{backend}_speedup"] = (
-                    row[f"{backend}_pps"] / row["interp_pps"]
-                )
-        returns = first[0]
-        row["verdicts"] = {
-            str(r0): returns.count(r0) for r0 in sorted(set(returns))
-        }
-        out[app_name] = row
     return out
 
 

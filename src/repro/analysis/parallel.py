@@ -38,14 +38,16 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..apps.ir import IR_APP_NAMES
 from ..ebpf.cost_model import CPU_HZ, DEFAULT_COSTS
 from . import experiments as exp
 from .components import fig6_interface_comparison, table2_results
 from .results import Sweep
 from .survey import measured_degradations
 
-#: Bump when result container layouts change (invalidates the cache).
-CACHE_VERSION = 1
+#: Bump when result container layouts or what an experiment computes
+#: change (invalidates the cache).  2: Fig. 7 from the verified-IR builds.
+CACHE_VERSION = 2
 
 #: A subtask: (registered function name, kwargs).  Both picklable.
 Subtask = Tuple[str, Dict[str, Any]]
@@ -64,7 +66,6 @@ TASK_FNS: Dict[str, Callable[..., Any]] = {
     "fig4_fig5_latency": exp.fig4_fig5_latency,
     "fig1_behavior_shares": exp.fig1_behavior_shares,
     "fig7_apps": exp.fig7_apps,
-    "fig7_apps_ir": exp.fig7_apps_ir,
     "measured_degradations": measured_degradations,
     "table2_results": table2_results,
     "fig6_interface_comparison": fig6_interface_comparison,
@@ -290,16 +291,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig7": Experiment(
         lambda n: [
             ("fig7_apps", {"apps": (app,), "n_packets": n})
-            for app in ("katran", "rakelimit", "polycube", "sketches")
-        ],
-        _merge_dicts,
-    ),
-    # Measured end-to-end (wall-clock) variant over the verified-IR
-    # ports: one subtask per app, each replaying interp and fused.
-    "fig7ir": Experiment(
-        lambda n: [
-            ("fig7_apps_ir", {"apps": (app,), "n_packets": n})
-            for app in ("katran", "rakelimit", "polycube", "sketches")
+            for app in IR_APP_NAMES
         ],
         _merge_dicts,
     ),

@@ -116,36 +116,6 @@ def render_apps(results: Dict[str, Dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def render_apps_ir(results: Dict[str, Dict[str, float]]) -> str:
-    lines = ["== Fig. 7 (measured): verified-IR app ports, end to end =="]
-    lines.append(
-        f"{'app':>12} | {'interp':>12} | {'fused':>12} | {'fused up':>8}"
-    )
-    lines.append("-" * 53)
-    for app, d in results.items():
-        lines.append(
-            f"{app:>12} | {_fmt_pps(d['interp_pps'])} | "
-            f"{_fmt_pps(d['fused_pps'])} | "
-            f"{d.get('fused_speedup', 0.0):>7.2f}x"
-        )
-    ups = [d.get("fused_speedup", 0.0) for d in results.values()]
-    if ups:
-        lines.append(
-            f"fused vs interp, geometric mean: "
-            f"{(_geomean(ups)):.2f}x (parity bit-identical)"
-        )
-    return "\n".join(lines)
-
-
-def _geomean(values) -> float:
-    import math
-
-    vals = [v for v in values if v > 0]
-    if not vals:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
 def render_table1(measured: Dict[str, float]) -> str:
     from .survey import (
         DEGRADED,

@@ -1,13 +1,14 @@
 """Fig. 7 integrations: real-world eBPF projects with swappable cores.
 
-Two generations live side by side: the legacy cost-model apps
-(``ALL_APPS``) that charge cycle constants per helper call, and the
-verified-IR ports (:mod:`repro.apps.ir`) that run the same hot paths
-as NF chains on the interpreted or fused fast-path stack.
+Each app (Katran, RakeLimit, Polycube's bridge, the eBPF sketch suite)
+is one chain of verified IR programs (:mod:`repro.apps.ir`) that runs
+on the interpreted or fused fast-path stack.  The fleets run it
+uncharged; Fig. 7 runs it twice, as the stock "origin" build and the
+eNetSTL build, which differ only in what each kfunc call charges.
 """
 
-from .base import BaseApp
 from .ir import (
+    FIG7_BUILDS,
     IR_APP_NAMES,
     AppState,
     KatranState,
@@ -15,28 +16,14 @@ from .ir import (
     app_chains,
     app_nf,
     app_nf_factory,
+    fig7_charges,
+    fig7_nfs,
     ir_registry,
     verify_app_chains,
 )
-from .katran import KatranApp
-from .polycube import PolycubeBridgeApp
-from .rakelimit import RakeLimitApp
-from .sketchsuite import SketchSuiteApp
-
-ALL_APPS = {
-    "katran": KatranApp,
-    "rakelimit": RakeLimitApp,
-    "polycube": PolycubeBridgeApp,
-    "sketches": SketchSuiteApp,
-}
 
 __all__ = [
-    "BaseApp",
-    "KatranApp",
-    "PolycubeBridgeApp",
-    "RakeLimitApp",
-    "SketchSuiteApp",
-    "ALL_APPS",
+    "FIG7_BUILDS",
     "IR_APP_NAMES",
     "AppState",
     "KatranState",
@@ -44,6 +31,8 @@ __all__ = [
     "app_chains",
     "app_nf",
     "app_nf_factory",
+    "fig7_charges",
+    "fig7_nfs",
     "ir_registry",
     "verify_app_chains",
 ]

@@ -1,16 +1,10 @@
 """Verified-IR ports of the Fig. 7 application hot paths.
 
-The legacy apps in this package (:mod:`repro.apps.katran`,
-:mod:`repro.apps.rakelimit`, :mod:`repro.apps.polycube`,
-:mod:`repro.apps.sketchsuite`) model the paper's component-swap
-experiment with a standalone cost model: Python methods charge cycle
-constants per helper call.  This module re-expresses each app's
-per-packet hot path as a chain of *verified IR programs* — the same
-pipeline shape the production apps run as compiled XDP — so the whole
-app executes on the repo's fast-path stack: the range verifier proves
-the packet guards, the JIT lowers each stage, and
-:mod:`repro.ebpf.fuse` burns the full chain plus the batch loop into
-one closure per app.
+Each app's per-packet hot path is a chain of *verified IR programs* —
+the same pipeline shape the production apps run as compiled XDP — so
+the whole app executes on the repo's fast-path stack: the range
+verifier proves the packet guards, and :mod:`repro.ebpf.fuse` compiles
+the full chain plus the batch loop into one closure per app.
 
 The eNetSTL data-structure operations stay *out* of the IR, exactly as
 the paper argues they should: each one is a kfunc whose impl drives the
@@ -23,6 +17,20 @@ share one plain-Python closure between the two paths; table-lookup
 operations burn the *mutable* table into the generated code so the
 control plane (``KatranState.fail_real``) stays authoritative even for
 a fused build.
+
+Fig. 7 builds
+-------------
+
+The paper's component swap is a BPF helper-call path against a kfunc
+call path.  :func:`fig7_nfs` runs one app's chain as both builds:
+``"origin"`` (the stock project: BPF hash maps behind helpers,
+per-row software hashes, a ``bpf_get_prandom_u32`` per packet) or
+``"enetstl"`` (blocked-cuckoo lookups via ``hw_hash_crc`` +
+``find_simd``, unified ``hash_simd`` sketch updates, percpu state).
+Both builds share the verified chain and the kfunc impls (each on its
+own app state), so verdicts and app state are identical; they differ
+only in what each kfunc call charges (:func:`fig7_charges`).  The
+fleets run the uncharged :func:`ir_registry`.
 
 Apps, chain shapes, and verdict conventions
 -------------------------------------------
@@ -50,11 +58,14 @@ charges, and multi-core under
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.algorithms.hashing import fast_hash32
+from ..core.algorithms.simd import LANES
 from ..datastructs.cuckoo import BlockedCuckooTable
 from ..datastructs.heap import TopKHeap
+from ..datastructs.maglev import maglev_fill
 from ..ebpf.insn import (
     R0,
     R1,
@@ -78,6 +89,7 @@ from ..ebpf.insn import (
     Program,
     Store,
 )
+from ..ebpf.cost_model import Category, CostModel, ExecMode, simd_batches
 from ..ebpf.header import (
     HEADER_BYTES,
     PKT_DST_IP,
@@ -90,7 +102,7 @@ from ..ebpf.kfunc_meta import ARG_SCALAR, RET_SCALAR, KfuncRegistry
 from ..ebpf.progs import runnable_registry
 from ..ebpf.vm import MASK64
 
-#: App names, in Fig. 7 order (same keys as ``repro.apps.ALL_APPS``).
+#: App names, in Fig. 7 order: the one list every caller iterates.
 IR_APP_NAMES = ("katran", "rakelimit", "polycube", "sketches")
 
 # -- Katran geometry --------------------------------------------------------
@@ -206,23 +218,9 @@ class KatranState:
         """Maglev permutation fill over the currently alive reals,
         repacking ``self.ring`` *in place* (fused closures hold a
         reference to this exact list)."""
-        perms = {real: self._perm(real) for real in self.alive}
-        next_idx = {real: 0 for real in self.alive}
-        table = [-1] * CH_RING_SIZE
-        filled = 0
-        while filled < CH_RING_SIZE:
-            for real in self.alive:
-                offset, skip = perms[real]
-                while True:
-                    c = (offset + next_idx[real] * skip) % CH_RING_SIZE
-                    next_idx[real] += 1
-                    if table[c] < 0:
-                        table[c] = real
-                        filled += 1
-                        break
-                if filled == CH_RING_SIZE:
-                    break
-        self.ring[:] = table
+        alive = self.alive
+        owners = maglev_fill([self._perm(real) for real in alive], CH_RING_SIZE)
+        self.ring[:] = [alive[i] for i in owners]
 
     def fail_real(self, real: int) -> Dict[str, int]:
         """Control-plane backend failure: drop ``real`` from the alive
@@ -232,14 +230,16 @@ class KatranState:
         Returns a disruption report: ``moved`` counts ring slots that
         changed owner *among slots that did not point at the failed
         real* — Maglev's disruption metric — and ``evicted`` the
-        connection-table entries flushed.
+        connection-table entries flushed.  Failing a real that is not
+        alive, or the last alive one, raises ``ValueError`` and leaves
+        ``alive``, ``ring`` and ``conns`` as they were.
         """
         if real not in self.alive:
             raise ValueError(f"real {real} is not alive")
+        if len(self.alive) == 1:
+            raise ValueError("cannot fail the last alive real")
         before = list(self.ring)
         self.alive.remove(real)
-        if not self.alive:
-            raise ValueError("cannot fail the last alive real")
         self.fill_ring()
         moved = sum(
             1
@@ -266,8 +266,10 @@ class AppState:
     """All four apps' library structures for one kfunc registry."""
 
     def __init__(self, seed: int = 0, n_reals: int = KATRAN_REALS) -> None:
+        if n_reals <= 0:
+            raise ValueError("n_reals must be positive")
         self.seed = seed
-        self.katran = KatranState(n_reals=n_reals, seed=seed)
+        self.n_reals = n_reals
         self.rake_levels: List[List[int]] = [
             [0] * RAKE_WIDTH for _ in range(RAKE_LEVELS)
         ]
@@ -280,6 +282,12 @@ class AppState:
             [0] * SK_WIDTH for _ in range(SK_UNIV_LEVELS)
         ]
         self.heap = TopKHeap(SK_HEAP_CAPACITY)
+
+    @functools.cached_property
+    def katran(self) -> KatranState:
+        """Built on first use: its connection table and Maglev ring are
+        the costliest state, and only the Katran chain touches them."""
+        return KatranState(n_reals=self.n_reals, seed=self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +327,19 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
     """
     reg = runnable_registry(seed)
     state = AppState(seed=seed, n_reals=n_reals)
-    kat = state.katran
 
     # -- katran ---------------------------------------------------------
 
     def _conn_lookup(key: int) -> int:
-        real = kat.conns.lookup(key)
+        real = state.katran.conns.lookup(key)
         return 0 if real is None else real + 1
 
     def _conn_insert(key: int, real: int) -> int:
-        return 1 if kat.conns.insert(key, real) else 0
+        return 1 if state.katran.conns.insert(key, real) else 0
 
     def _lb_stats(real: int) -> int:
-        s = kat.stats
-        idx = real % kat.n_reals
+        s = state.katran.stats
+        idx = real % n_reals
         s[idx] += 1
         return s[idx]
 
@@ -343,7 +350,7 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
         return _conn_insert(key, real)
 
     def ch_pick(vm, flow_hash):
-        return kat.ring[flow_hash % CH_RING_SIZE]
+        return state.katran.ring[flow_hash % CH_RING_SIZE]
 
     def lb_stats(vm, real):
         return _lb_stats(real)
@@ -364,7 +371,7 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
         # The live ring list (not a copy): one modulo + one list index
         # per new flow, and fail_real()'s in-place repack is visible to
         # every already-fused closure.
-        ring = bind("kring", kat.ring)
+        ring = bind("kring", state.katran.ring)
         return [], f"{ring}[{args[0]} % {CH_RING_SIZE}]"
 
     ch_pick._fuse_inline = _inline_ch_pick
@@ -808,7 +815,7 @@ def app_chain(app: str) -> Tuple[Program, ...]:
 
 
 def app_chains() -> Dict[str, Tuple[Program, ...]]:
-    """All four app chains, keyed like ``repro.apps.ALL_APPS``."""
+    """All four app chains, keyed by :data:`IR_APP_NAMES`."""
     return {name: app_chain(name) for name in IR_APP_NAMES}
 
 
@@ -887,3 +894,198 @@ def verify_app_chains(strict: bool = True) -> Dict[str, int]:
             vp = verifier.verify(prog)
             states[prog.name] = getattr(vp, "states_explored", 0)
     return states
+
+
+# ---------------------------------------------------------------------------
+# Fig. 7: one chain, two builds
+# ---------------------------------------------------------------------------
+
+#: The builds Fig. 7 compares, in report order, with the execution mode
+#: each runtime is labelled with: the stock project on BPF helper calls
+#: and the eNetSTL integration on kfuncs.
+FIG7_BUILDS: Dict[str, ExecMode] = {
+    "origin": ExecMode.PURE_EBPF,
+    "enetstl": ExecMode.ENETSTL,
+}
+
+# Non-core work, charged identically in both builds.
+KATRAN_PARSE = 60         # L4 options / ICMP / QUIC CID peeking
+KATRAN_ENCAP = 90         # IPIP header push + checksum fixup
+CH_RING_MATH = 30         # consistent-hash ring position (new flows)
+RAKE_KEY_DERIVE = 6       # masking the 5-tuple down to one level key
+RAKE_DECISION = 35        # budget comparison + EWMA bookkeeping
+PCN_FORWARD_LOGIC = 140   # port state, VLAN tag, STP state, FDB aging
+#: The sketch suite is a chain of tail-called programs (parse -> sketch
+#: -> heavy-hitter -> export): tail calls, the secondary parse, the
+#: flow-state LRU map and the epoch/export checks.
+SK_PIPELINE_COMMON = 700
+SK_HEAP_AMORTIZED = 12    # heavy-hitter heap offer
+
+# Core work with no CostModel entry of its own.
+STATS_PERCPU = 22         # percpu array counter bump (eNetSTL stats)
+CUCKOO_KEY_VERIFY = 12    # full-key compare after a signature hit
+CUCKOO_INSERT_WORK = 40   # slot choice + key/value write on insert
+FILTER_BITS_SCALAR = 8    # learn-filter bit test/set, scalar hashes
+FILTER_BITS_SIMD = 4      # the same after one hash_simd batch
+UNIV_DRAW_CMP = 4         # compare the helper's u32 to the level bar
+UNIV_COUNTDOWN = 2        # geometric random-pool countdown step
+
+#: ``((cycles, category), ...)`` charged by one kfunc call.
+Charges = Tuple[Tuple[int, Category], ...]
+
+
+def fig7_charges(
+    build: str, costs: CostModel
+) -> Dict[str, Tuple[Charges, Charges]]:
+    """Fig. 7's charge table: app kfunc -> (charges on every executed
+    call, extra charges when the call returns nonzero).
+
+    ``origin`` charges the helper path: a full BPF hash-map lookup or
+    update for every key-value access, one ``map_lookup`` per sketch
+    map, one software hash per sketch row, and a
+    ``bpf_get_prandom_u32`` per universal-sketch sample.  ``enetstl`` charges
+    the kfunc path: ``hw_hash_crc`` + ``find_simd`` over one blocked
+    bucket, one ``hash_simd`` batch for all rows, and percpu lookups.
+    Non-core work rides on a kfunc each packet calls once, at the same
+    cost in both builds.  The only result-dependent charge is the FDB
+    update of a freshly learned MAC (``enetstl_fdb_learn`` returns 1);
+    Katran's new-flow work sits on ``ch_pick``/``conn_insert``, which
+    the chain calls only on a connection miss.
+    """
+    c = costs
+    OTHER, BUCKETS, MULTIHASH = Category.OTHER, Category.BUCKETS, Category.MULTIHASH
+    FRAMEWORK = Category.FRAMEWORK
+    row_soft = c.hash_scalar + c.counter_update
+    if build == "origin":
+        kv_lookup: Charges = ((c.bpf_hash_lookup_full, BUCKETS),)
+        kv_update: Charges = ((c.bpf_hash_update_full, BUCKETS),)
+        stats = c.map_update
+        rake: Charges = (
+            (c.map_lookup * RAKE_LEVELS, FRAMEWORK),
+            (row_soft * RAKE_LEVELS, MULTIHASH),
+        )
+        learn: Charges = (
+            (c.hash_scalar * 2, MULTIHASH),
+            (FILTER_BITS_SCALAR, Category.BITOPS),
+        )
+        sketch: Charges = (
+            (c.map_lookup, FRAMEWORK),
+            (row_soft * SK_ROWS, MULTIHASH),
+        )
+        univ: Charges = (
+            (c.prandom_helper + UNIV_DRAW_CMP, Category.RANDOM),
+            (row_soft, MULTIHASH),
+        )
+    elif build == "enetstl":
+        find = (c.simd_load + c.cmp_simd_batch) * simd_batches(
+            CONN_SLOTS, LANES
+        ) + c.kfunc_call
+        kv_lookup = (
+            (c.percpu_array_lookup + c.null_check, FRAMEWORK),
+            (c.hash_crc_hw + c.kfunc_call, MULTIHASH),
+            (find + CUCKOO_KEY_VERIFY, BUCKETS),
+        )
+        kv_update = (
+            (c.hash_crc_hw + 2 * c.kfunc_call + CUCKOO_INSERT_WORK, BUCKETS),
+        )
+        stats = STATS_PERCPU
+
+        def simd_rows(k: int) -> int:
+            return (
+                c.hash_simd_setup + c.hash_simd_lane * k + c.kfunc_call
+                + c.counter_update * k
+            )
+
+        # Each level's sketch still lives in its own BPF map: only the
+        # hashing + counting kfunc changed, so the per-level fetch stays.
+        rake = (
+            ((c.map_lookup + c.null_check) * RAKE_LEVELS, FRAMEWORK),
+            (simd_rows(RAKE_LEVELS), MULTIHASH),
+        )
+        learn = (
+            (c.hash_simd_setup + c.hash_simd_lane * 2 + c.kfunc_call,
+             MULTIHASH),
+            (FILTER_BITS_SIMD, Category.BITOPS),
+        )
+        sketch = (
+            (c.percpu_array_lookup + c.null_check, FRAMEWORK),
+            (simd_rows(SK_ROWS), MULTIHASH),
+        )
+        univ = (
+            (UNIV_COUNTDOWN, Category.RANDOM),
+            (c.hash_crc_hw + c.counter_update + c.kfunc_call, MULTIHASH),
+        )
+    else:
+        raise ValueError(
+            f"unknown build {build!r} (expected one of {tuple(FIG7_BUILDS)})"
+        )
+    return {
+        "enetstl_conn_lookup": (((KATRAN_PARSE, Category.PARSE),) + kv_lookup, ()),
+        "enetstl_ch_pick": (((CH_RING_MATH, OTHER),), ()),
+        "enetstl_conn_insert": (kv_update, ()),
+        "enetstl_lb_stats": (((stats + KATRAN_ENCAP, OTHER),), ()),
+        "enetstl_rake_update": (
+            rake + ((RAKE_KEY_DERIVE * RAKE_LEVELS + RAKE_DECISION, OTHER),),
+            (),
+        ),
+        "enetstl_fdb_learn": (learn, kv_update),
+        "enetstl_fdb_lookup": (kv_lookup + ((PCN_FORWARD_LOGIC, OTHER),), ()),
+        "enetstl_sketch_cnt": (sketch + ((SK_PIPELINE_COMMON, OTHER),), ()),
+        "enetstl_hh_offer": (
+            ((SK_HEAP_AMORTIZED, Category.FUNDAMENTAL_DS),), ()
+        ),
+        "enetstl_univ_sample": (univ, ()),
+    }
+
+
+def _charging(impl: Callable, charge: Callable, always: Charges,
+              if_nonzero: Charges) -> Callable:
+    """``impl`` plus its Fig. 7 charges.  No ``_fuse_inline`` spec, so
+    the interpreter and fused code both call it once per ``Call``."""
+
+    def call(vm, *args):
+        result = impl(vm, *args)
+        for cycles, category in always:
+            charge(cycles, category)
+        if result:
+            for cycles, category in if_nonzero:
+                charge(cycles, category)
+        return result
+
+    return call
+
+
+def fig7_nfs(app: str, seed: int = 0, backend: str = "fused") -> Dict[str, object]:
+    """Both Fig. 7 builds of one app, keyed like :data:`FIG7_BUILDS`.
+
+    Each build is an :class:`~repro.net.irnf.IrChainNf` on a fresh
+    runtime whose :func:`ir_registry` kfuncs also charge
+    :func:`fig7_charges`; ``nf.registry.app_state`` holds its
+    structures.  The builds share the app's chain, verified once:
+    charging changes no kfunc's metadata.
+    """
+    from ..ebpf.runtime import BpfRuntime
+    from ..ebpf.verifier import Verifier
+    from ..net.irnf import IrChainNf
+
+    verified = None
+    nfs: Dict[str, object] = {}
+    for build, mode in FIG7_BUILDS.items():
+        rt = BpfRuntime(mode=mode, seed=seed)
+        table = fig7_charges(build, rt.costs)
+        base = ir_registry(seed)
+        registry = KfuncRegistry()
+        for meta in base:
+            if meta.name in table:
+                meta = dataclasses.replace(
+                    meta, impl=_charging(meta.impl, rt.charge, *table[meta.name])
+                )
+            registry.register(meta)
+        registry.app_state = base.app_state
+        if verified is None:
+            verifier = Verifier(registry)
+            verified = [verifier.verify(prog) for prog in app_chain(app)]
+        nfs[build] = IrChainNf(
+            rt, verified, registry=registry, seed=seed, backend=backend
+        )
+    return nfs

@@ -11,11 +11,38 @@ to accelerate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.algorithms.hashing import fast_hash32
 
 DEFAULT_TABLE_SIZE = 65537   # prime, as the paper requires
+
+
+def maglev_fill(perms: Sequence[Tuple[int, int]], size: int) -> List[int]:
+    """Maglev's permutation fill: slot -> index into ``perms``.
+
+    ``size`` is prime and ``perms[b]`` is backend ``b``'s
+    ``(offset, skip)``, with ``0 <= offset < size`` and
+    ``0 < skip < size``: its preference list is
+    ``(offset + j * skip) % size`` for ``j = 0, 1, ...``.  Backends take
+    turns, each claiming the next free slot of its own list, until all
+    ``size`` slots are owned.
+    """
+    if not perms:
+        raise ValueError("at least one backend required")
+    table = [-1] * size
+    nxt = [offset for offset, _ in perms]   # next candidate slot each
+    filled = 0
+    while True:
+        for b, (_, skip) in enumerate(perms):
+            c = nxt[b]
+            while table[c] >= 0:
+                c = (c + skip) % size
+            table[c] = b
+            nxt[b] = (c + skip) % size
+            filled += 1
+            if filled == size:
+                return table
 
 
 def _is_prime(n: int) -> bool:
@@ -53,26 +80,10 @@ class MaglevTable:
         return offset, skip
 
     def _populate(self) -> List[int]:
-        m = self.table_size
-        n = len(self.backends)
-        params = [self._permutation_params(b) for b in self.backends]
-        next_idx = [0] * n
-        table = [-1] * m
-        filled = 0
-        while filled < m:
-            for b in range(n):
-                offset, skip = params[b]
-                # Walk backend b's permutation to its next free slot.
-                while True:
-                    c = (offset + next_idx[b] * skip) % m
-                    next_idx[b] += 1
-                    if table[c] == -1:
-                        table[c] = b
-                        filled += 1
-                        break
-                if filled == m:
-                    break
-        return table
+        return maglev_fill(
+            [self._permutation_params(b) for b in self.backends],
+            self.table_size,
+        )
 
     def lookup(self, flow_hash: int) -> str:
         return self.backends[self.table[flow_hash % self.table_size]]

@@ -1,9 +1,11 @@
 """Skip list (the NFD-HCS key-value store's core, [47]).
 
 A classic probabilistic ordered map.  This module holds the *pure*
-algorithm used by tests and the kernel-mode NF; the eNetSTL NF variant
-(:mod:`repro.nfs.kv_skiplist`) re-implements the same traversals on top
-of the memory wrapper so its costs and safety behavior are measured.
+algorithm; the NF (:mod:`repro.nfs.kv_skiplist`, both kernel and
+eNetSTL modes) re-implements the same traversals on top of the memory
+wrapper so its costs and safety behavior are measured.  This class is
+that NF's functional oracle: a differential test drives both with one
+insert/lookup/delete stream and compares every answer.
 """
 
 from __future__ import annotations

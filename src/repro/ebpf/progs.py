@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..datastructs.maglev import maglev_fill
 from .insn import (
     Alu,
     Call,
@@ -75,22 +76,7 @@ def _maglev_table(seed: int) -> List[int]:
          rng.randrange(1, MAGLEV_TABLE_SIZE))
         for _ in range(MAGLEV_BACKENDS)
     ]
-    table = [-1] * MAGLEV_TABLE_SIZE
-    next_idx = [0] * MAGLEV_BACKENDS
-    filled = 0
-    while filled < MAGLEV_TABLE_SIZE:
-        for b in range(MAGLEV_BACKENDS):
-            offset, skip = perms[b]
-            while True:
-                c = (offset + next_idx[b] * skip) % MAGLEV_TABLE_SIZE
-                next_idx[b] += 1
-                if table[c] < 0:
-                    table[c] = b
-                    filled += 1
-                    break
-            if filled == MAGLEV_TABLE_SIZE:
-                break
-    return table
+    return maglev_fill(perms, MAGLEV_TABLE_SIZE)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ class TestCli:
         expected = {
             "table1", "table2", "fig1", "fig3a", "fig3b", "fig3c", "fig3d",
             "fig3e", "fig3f", "fig3g", "fig3h", "others", "fig45", "fig6",
-            "fig7", "fig7ir", "multicore",
+            "fig7", "multicore",
         }
         assert set(RUNNERS) == expected
 

@@ -45,7 +45,7 @@ MEASURED_AT_250 = [
     ("table2", "max speedup", 5.176470588235294),
     ("fig6", "COMP degradation", 0.7083333333333333),
     ("fig6", "HASH degradation", 0.6002886002886003),
-    ("fig7", "avg improvement", 0.25037808895013136),
+    ("fig7", "avg improvement", 0.24186399367316996),
     ("table1", "infeasible works", 0.08571428571428572),
 ]
 

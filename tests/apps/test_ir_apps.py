@@ -228,6 +228,33 @@ def test_fail_last_real_rejected():
     kat.fail_real(0)
     with pytest.raises(ValueError):
         kat.fail_real(1)
+    assert kat.alive == [1]
+    assert set(kat.ring) == {1}
+
+
+@pytest.mark.parametrize(
+    "failed, rejected",
+    [(1, 0), (0, 1), (0, 0), (0, 7)],
+    ids=["last-alive-0", "last-alive-1", "already-failed", "unknown"],
+)
+def test_rejected_fail_real_changes_nothing(failed, rejected):
+    """A rejected failure (the last alive real, or one not alive)
+    leaves ``alive``, ``ring`` and ``conns`` exactly as they were."""
+    registry = ir_registry(4, n_reals=2)
+    nf = app_nf("katran", backend="fused", seed=4, registry=registry)
+    for pkt in _trace(n=300):
+        nf.process(pkt)
+    kat = registry.app_state.katran
+    kat.fail_real(failed)
+    for pkt in _trace(n=300):
+        nf.process(pkt)
+    before = (list(kat.alive), list(kat.ring), sorted(kat.conns.items()),
+              kat.evicted)
+    assert before[2]
+    with pytest.raises(ValueError):
+        kat.fail_real(rejected)
+    assert (list(kat.alive), list(kat.ring), sorted(kat.conns.items()),
+            kat.evicted) == before
 
 
 # -- multi-core -------------------------------------------------------------
