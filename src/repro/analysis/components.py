@@ -16,7 +16,7 @@ from ..core.algorithms.simd import SimdOps
 from ..core.memwrap import MemoryWrapper, NodeProxy
 from ..core.structures.list_buckets import ListBuckets
 from ..core.structures.random_pool import GeoRandomPool, RandomPool
-from ..ebpf.cost_model import Category, ExecMode
+from ..ebpf.cost_model import ExecMode
 from ..ebpf.runtime import BpfRuntime
 from .results import ComponentResult
 

@@ -12,14 +12,9 @@ Packet counts default low enough for CI; benches pass larger ones.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ebpf.cost_model import (
-    Category,
-    DEFAULT_COSTS,
-    ExecMode,
-    OBSERVATION_CATEGORIES,
-)
+from ..ebpf.cost_model import Category, ExecMode
 from ..ebpf.runtime import BpfRuntime
 from ..net.flowgen import FlowGenerator, make_flows, rate_to_inter_arrival_ns
 from ..net.packet import Packet

@@ -9,7 +9,7 @@ version of EXPERIMENTS.md.  The CLI exposes it as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from . import experiments as exp
 from .components import fig6_interface_comparison, table2_improvements

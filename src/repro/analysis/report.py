@@ -7,7 +7,7 @@ improvement and kernel-gap summaries, latency bars, component tables).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 from ..ebpf.cost_model import ExecMode
 from .results import BehaviorShare, ComponentResult, LatencyPoint, Sweep

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.algorithms.hashing import fast_hash32
 from ..core.algorithms.simd import LANES
@@ -306,18 +306,20 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
 
     Inline-spec strategy (two deliberate flavours):
 
-    - *Expression inlining* for table reads and unrollable sketch
-      updates (``enetstl_ch_pick``, ``enetstl_sketch_cnt``,
-      ``enetstl_rake_update``): geometry and salts become literals,
-      state lists become bound closure constants.  ``ch_pick`` binds
-      the **mutable** ring list — not a frozen copy — so control-plane
+    - *Expression inlining* for table reads, counters and unrollable
+      sketch updates (``enetstl_ch_pick``, ``enetstl_lb_stats``,
+      ``enetstl_sketch_cnt``, ``enetstl_rake_update``): geometry and
+      salts become literals, state lists become bound closure
+      constants.  ``ch_pick`` and ``lb_stats`` bind the **mutable**
+      ring and stats lists — not frozen copies — so control-plane
       repacks reach fused code.
     - *Bound-closure inlining* for operations whose body is a real
       library algorithm (cuckoo lookup/insert, heap offer): the spec
-      binds the same plain-Python closure the impl calls, collapsing
-      the per-call VM overhead (argument marshalling, r1-r5 clobber
-      bookkeeping) while keeping one source of truth for the data
-      structure's behaviour.
+      binds the live structure's own method (Katran's connection
+      table) or the same plain-Python closure the impl calls,
+      collapsing the per-call VM overhead (argument marshalling, r1-r5
+      clobber bookkeeping) while keeping one source of truth for the
+      data structure's behaviour.
 
     Either flavour reads a packet-pure argument's ``fast_hash32`` from
     the fuser's per-batch hash prologue when ``hashed`` offers it
@@ -356,13 +358,16 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
         return _lb_stats(real)
 
     def _inline_conn_lookup(args, bind, hashed):
-        fn = bind("kcl", _conn_lookup)
-        return [], f"{fn}({args[0]})"
+        # The live table's own lookup: one frame per packet, and a miss
+        # leaves its hashes for the conn_insert that follows.
+        fn = bind("kcl", state.katran.conns.lookup)
+        return [f"_res = {fn}({args[0]})"], "0 if _res is None else _res + 1"
 
     conn_lookup._fuse_inline = _inline_conn_lookup
 
     def _inline_conn_insert(args, bind, hashed):
-        fn = bind("kci", _conn_insert)
+        # ``insert`` returns a bool, which ``& MASK64`` turns into 1/0.
+        fn = bind("kci", state.katran.conns.insert)
         return [], f"{fn}({args[0]}, {args[1]})"
 
     conn_insert._fuse_inline = _inline_conn_insert
@@ -377,8 +382,10 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
     ch_pick._fuse_inline = _inline_ch_pick
 
     def _inline_lb_stats(args, bind, hashed):
-        fn = bind("kst", _lb_stats)
-        return [], f"{fn}({args[0]})"
+        # The live stats list, bumped in place like ``_lb_stats``.
+        s = bind("kst", state.katran.stats)
+        slot = f"{s}[{args[0]} % {n_reals}]"
+        return [f"{slot} += 1"], slot
 
     lb_stats._fuse_inline = _inline_lb_stats
 

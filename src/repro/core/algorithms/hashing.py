@@ -22,7 +22,7 @@ per the execution mode.
 from __future__ import annotations
 
 import struct
-from typing import List, MutableSequence, Sequence, Tuple, Union
+from typing import List, MutableSequence, Sequence, Union
 
 from ...ebpf.cost_model import Category, ExecMode, simd_batches
 from ...ebpf.runtime import BpfRuntime
@@ -148,6 +148,58 @@ def fast_hash32_lanes(keys: Sequence[int], seed: int = 0) -> List[int]:
         x = (x ^ x >> 31) & _LANE32
         lanes = _UNPACK32.unpack(x.to_bytes(LANES * _STRIDE, "little"))
         out += lanes if n == LANES else lanes[:n]
+    return out
+
+
+#: Inside one LANES-aligned block of event indexes ``i``, ``i << 7``
+#: varies only in bits 7 up to (not including) this one.
+_BLOCK_SHIFT = 7 + (LANES - 1).bit_length()
+#: ``_LANE_INDEX[c]`` holds ``(j ^ c) << 7`` in lane ``j``: the varying
+#: bits of ``(i << 7) ^ salt`` for a salt whose bits 7..12 are ``c``.
+_LANE_INDEX = tuple(
+    int.from_bytes(_PACK.pack(*((j ^ c) << 7 for j in range(LANES))), "little")
+    for c in range(LANES)
+)
+#: Bit 32 of every lane: the borrow bit of a lane-wise compare.
+_LANE_BIT32 = (1 << 32) * _ONES
+
+
+def fast_hash32_below(
+    start: int, end: int, salt: int, seed: int, threshold: int
+) -> List[int]:
+    """The indexes ``i`` in ``[start, end)`` with
+    ``fast_hash32((i << 7) ^ salt, seed) < threshold``, in order.
+
+    ``start`` and ``end`` are multiples of LANES, ``salt`` is
+    non-negative and ``threshold`` is in ``[0, 2^32]``.  Inside one
+    LANES-aligned block the keys differ only in bits 7..12, so each
+    block is one base times ``_ONES`` plus a per-salt lane constant;
+    no key list is built.  Lane ``j`` then holds ``h + 2^32 -
+    threshold``, whose bit 32 is clear exactly when ``h < threshold``,
+    and the clear bits name the firing indexes.
+    """
+    if start % LANES or end % LANES:
+        raise ValueError("start and end must be multiples of LANES")
+    if not 0 <= threshold <= 1 << 32:
+        raise ValueError("threshold must be in [0, 2^32]")
+    out: List[int] = []
+    lane_index = _LANE_INDEX[salt >> 7 & LANES - 1]
+    high = salt >> _BLOCK_SHIFT << _BLOCK_SHIFT
+    low = (salt & 0x7F) + ((seed + 1) * 0x9E3779B97F4A7C15 & M64)
+    below = ((1 << 32) - threshold) * _ONES
+    for block in range(start, end, LANES):
+        x = (((block << 7) ^ high) & M64) + low
+        x = x * _ONES + lane_index & _LANE64
+        x ^= x >> 30 & _LANE64
+        x = x * 0xBF58476D1CE4E5B9 & _LANE64
+        x ^= x >> 27 & _LANE64
+        x = x * 0x94D049BB133111EB & _LANE64
+        x = ((x ^ x >> 31) & _LANE32) + below
+        fired = x & _LANE_BIT32 ^ _LANE_BIT32
+        while fired:
+            bit = fired & -fired
+            out.append(block + (bit.bit_length() >> 7))
+            fired ^= bit
     return out
 
 

@@ -17,7 +17,7 @@ load/store round-trip, which Fig. 6 shows erases the SIMD win.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ...ebpf.cost_model import Category, ExecMode, simd_batches
 from ...ebpf.runtime import BpfRuntime

@@ -10,9 +10,9 @@ set of memories it manages.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Set
+from typing import Iterator, Set
 
-from ..errors import OwnershipError, UseAfterFreeError
+from ..errors import OwnershipError
 from .node import Node
 
 

@@ -9,7 +9,6 @@ to" — each filter represents one set.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 from ..core.algorithms.hashing import fast_hash32

@@ -20,6 +20,7 @@ from ..core.algorithms.hashing import crc_hash32, fast_hash32
 EMPTY = None
 DEFAULT_SLOTS_PER_BUCKET = 8
 MAX_KICKS = 128
+_SIG_SEED = 0xC0FFEE
 
 
 @dataclass
@@ -49,6 +50,8 @@ class BlockedCuckooTable:
         ]
         self._rng = random.Random(seed)
         self._len = 0
+        #: ``(key, index1, index2, signature)`` of the last lookup miss.
+        self._missed: Optional[Tuple[int, int, int, int]] = None
 
     # -- hashing ----------------------------------------------------------
 
@@ -61,7 +64,7 @@ class BlockedCuckooTable:
     @staticmethod
     def signature(key: int) -> int:
         """A compact 32-bit signature compared before full keys."""
-        return fast_hash32(key, 0xC0FFEE)
+        return fast_hash32(key, _SIG_SEED)
 
     # -- operations --------------------------------------------------------
 
@@ -85,17 +88,34 @@ class BlockedCuckooTable:
         return None
 
     def lookup(self, key: int) -> Optional[Any]:
-        sig = self.signature(key)
-        for index in (self.index1(key), self.index2(key)):
-            hit = self.probe_bucket(index, key, sig)
-            if hit is not None:
-                return hit[1]
+        """The value stored under ``key``, else None.
+
+        Bucket 2 is hashed only when bucket 1 misses.  A miss leaves
+        the key's ``(key, index1, index2, signature)`` behind for an
+        :meth:`insert` of the same key: the hashes are a pure function
+        of the key, so reusing them is exact whatever ran in between.
+        """
+        sig = fast_hash32(key, _SIG_SEED)
+        mask = self.n_buckets - 1
+        i1 = crc_hash32(key, 0) & mask
+        for entry in self._buckets[i1]:
+            if entry is not None and entry.sig == sig and entry.key == key:
+                return entry.value
+        i2 = crc_hash32(key, 1) & mask
+        for entry in self._buckets[i2]:
+            if entry is not None and entry.sig == sig and entry.key == key:
+                return entry.value
+        self._missed = (key, i1, i2, sig)
         return None
 
     def insert(self, key: int, value: Any) -> bool:
         """Insert or update; False when the table cannot place the key."""
-        i1, i2 = self.index1(key), self.index2(key)
-        sig = self.signature(key)
+        missed = self._missed
+        if missed is not None and missed[0] == key:
+            _, i1, i2, sig = missed
+        else:
+            i1, i2 = self.index1(key), self.index2(key)
+            sig = self.signature(key)
         for index in (i1, i2):
             hit = self.probe_bucket(index, key, sig)
             if hit is not None:

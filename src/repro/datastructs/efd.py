@@ -21,7 +21,7 @@ work again, so those restart the search at 0.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.algorithms.hashing import crc_hash32, fast_hash32
 

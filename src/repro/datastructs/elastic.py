@@ -15,7 +15,7 @@ residue from earlier evictions); everyone else reads the light part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.algorithms.hashing import fast_hash32
 

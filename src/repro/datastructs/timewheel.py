@@ -13,7 +13,7 @@ mode-aware) while tests may use the plain Python store.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 
 class PlainBuckets:

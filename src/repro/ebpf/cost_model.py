@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 #: Clock rate of the simulated CPU (paper testbed: Xeon E5-2630 v4 @2.2GHz).
 CPU_HZ = 2_200_000_000

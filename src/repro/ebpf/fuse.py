@@ -69,7 +69,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..core.algorithms.hashing import fast_hash32_lanes
 from .cost_model import CostModel, DEFAULT_COSTS

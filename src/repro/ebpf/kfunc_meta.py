@@ -23,7 +23,7 @@ pointer), or ``const`` (a compile-time-constant scalar).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 KF_ACQUIRE = "KF_ACQUIRE"

@@ -74,7 +74,6 @@ from .kfunc_meta import (
 )
 from .tnum import (
     ScalarRange,
-    U64_MAX,
     const_range,
     range_subsumes,
     range_widen,

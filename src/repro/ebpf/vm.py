@@ -22,8 +22,8 @@ and the cycles charged to each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Union
 
 from .cost_model import Category, CostModel, Cycles, DEFAULT_COSTS
 from .insn import (

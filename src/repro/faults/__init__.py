@@ -56,10 +56,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
-from ..core.algorithms.hashing import LANES, fast_hash32, fast_hash32_lanes
+from ..core.algorithms.hashing import LANES, fast_hash32, fast_hash32_below
 
 # -- fault kinds ------------------------------------------------------------
 
@@ -177,12 +176,8 @@ class _Schedule:
     def _hash_block(self) -> None:
         start = self._hashed
         end = start + self._block
-        salt = self.salt
-        hashes = fast_hash32_lanes(
-            [(i << 7) ^ salt for i in range(start, end)], self.seed
-        )
-        self._fired = list(
-            compress(range(start, end), map(self.threshold.__gt__, hashes))
+        self._fired = fast_hash32_below(
+            start, end, self.salt, self.seed, self.threshold
         )
         self._next = 0
         self._hashed = end
@@ -349,6 +344,10 @@ class FaultInjector:
             kind: _Schedule(seed, kind, rate)
             for kind, rate in plan.rates().items()
         }
+        #: The schedules one :meth:`screen` round advances.
+        self._screened = tuple(
+            self._schedules[kind] for kind in PACKET_KINDS + (HELPER,)
+        )
         #: Injected-fault counts by kind (the chaos report's ledger).
         self.injected: Counter = Counter()
 
@@ -412,10 +411,20 @@ class FaultInjector:
         Returns ``(offset, packet fault, helper fault)`` for the
         afflicted offsets only, in offset order, and books the same
         ledger entries the ``n`` rounds would; every other offset is
-        clean.  The cost follows the faults that fire, not ``n``.
+        clean.  The cost follows the faults that fire, not ``n``: when
+        no schedule is due inside the batch, it is one compare per
+        schedule.
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
+        screened = self._screened
+        for schedule in screened:
+            if schedule.due < schedule.index + n:
+                break
+        else:  # nothing is due inside the batch: every offset is clean
+            for schedule in screened:
+                schedule.index += n
+            return []
         faults: Dict[int, Optional[str]] = {}
         for kind in PACKET_KINDS:
             schedule = self._schedules[kind]

@@ -390,7 +390,6 @@ class Fleet:
         queue_of = policy.queue_of
         failover = self.failover
         latencies = self.latencies
-        wire_ns = cfg.wire_ns
         numa_penalty = self.numa_penalty
         warmup = self.warmup
         since_join = self.since_join
@@ -407,8 +406,8 @@ class Fleet:
                 self.lose(core, 1)
                 return
             q = queues[core]
-            if q.offer(pkt, at_ns):
-                next_pickup = min(next_pickup, q.pickup_ns())
+            if q.offer(pkt, at_ns) and q.pickup < next_pickup:
+                next_pickup = q.pickup
 
         def service(
             core: int, batch: List[Packet], arrivals: List[int], pickup_ns: int
@@ -425,8 +424,9 @@ class Fleet:
                 service_cyc += m * warmup.penalty_at(since_join[core] + m // 2)
                 since_join[core] += m
             service_ns = service_cyc * 1_000_000_000 // CPU_HZ
-            for soj in queues[core].complete(arrivals, pickup_ns, service_ns):
-                latencies.append(soj + wire_ns)
+            latencies.extend(
+                queues[core].complete(arrivals, pickup_ns, service_ns)
+            )
 
         def arrive(pkts: Iterable[Packet], at_ns: int) -> None:
             for pkt in pkts:
@@ -448,7 +448,7 @@ class Fleet:
                     q = queues[c]
                     if not q.pending or not serving[c] or wedged[c]:
                         continue
-                    pickup = q.pickup_ns()
+                    pickup = q.pickup
                     if pickup > horizon_ns:
                         next_pickup = min(next_pickup, pickup)
                     elif best is None or (pickup, c) < best:

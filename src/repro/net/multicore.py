@@ -77,7 +77,7 @@ from ..core.algorithms.hashing import fast_hash32
 from ..ebpf.cost_model import CPU_HZ, Category, NumaTopology
 from ..ebpf.percpu import or_words, sum_counts, sum_matrices
 from ..faults import FaultInjector, FaultPlan, WedgeDetection
-from .fleet import (  # noqa: F401  (re-exported: the watchdog's public names)
+from .fleet import (
     DEFAULT_WATCHDOG_DEADLINE,
     FAILOVER_SEED,
     AllCoresDeadError,
@@ -634,3 +634,24 @@ def _check_same_shape(nfs: Sequence) -> None:
     for nf in nfs[1:]:
         if getattr(nf, "depth", None) != depth or getattr(nf, "width", None) != width:
             raise ValueError("per-core sketches must share one geometry")
+
+
+#: Public names, including the watchdog's, which live in
+#: :mod:`repro.net.fleet` and are re-exported here.
+__all__ = [
+    "AllCoresDeadError",
+    "CoreFailure",
+    "DEFAULT_WATCHDOG_DEADLINE",
+    "FAILOVER_SEED",
+    "MulticoreResult",
+    "PacketAccounting",
+    "RSS_HASH_SEED",
+    "RssDispatcher",
+    "chain_nf_factory",
+    "merged_bloom_contains",
+    "merged_bloom_words",
+    "merged_countmin_estimate",
+    "merged_countmin_rows",
+    "merged_nitrosketch_estimate",
+    "shard_trace",
+]

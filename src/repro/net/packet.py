@@ -8,7 +8,7 @@ the library consumes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PROTO_TCP = 6
 PROTO_UDP = 17

@@ -29,8 +29,9 @@ existing cycle accounting:
   serviced in arrival order by a single server whose busy time is the
   batch's *measured* cycle cost (the existing :class:`CostModel`
   charges) converted to wall time.  :meth:`CoreQueue.complete` returns
-  each packet's **sojourn time** — queue wait + deferral + service —
-  which is what p50/p95/p99 latency is computed from.
+  each packet's **sojourn time** — queue wait + deferral + service,
+  plus the wire crossings — which is what p50/p95/p99 latency is
+  computed from.
 
 The model is attached to :class:`~repro.net.multicore.RssDispatcher`
 via ``queueing=QueueingConfig(...)`` and drives the fleet's timed loop
@@ -253,6 +254,11 @@ class CoreQueue:
     measured service time; the queue tracks ring occupancy, overflow,
     and the server's busy horizon, and converts (arrival, pickup,
     service) into per-packet sojourn times.
+
+    ``pickup`` is :meth:`pickup_ns` kept current: every method that
+    moves the ring's head, its batch-fill arrival or the server's free
+    time recomputes it, so a reader pays one attribute load.  With the
+    ring empty it is ``math.inf``.
     """
 
     __slots__ = (
@@ -261,6 +267,7 @@ class CoreQueue:
         "pending",
         "arrivals",
         "server_free_ns",
+        "pickup",
         "overflowed",
         "served",
         "busy_ns",
@@ -274,6 +281,8 @@ class CoreQueue:
         self.pending: List[Packet] = []
         self.arrivals: List[int] = []
         self.server_free_ns = 0
+        #: When the next batch is picked up (``math.inf``: ring empty).
+        self.pickup: float = math.inf
         #: Frames dropped on arrival because the ring was full.
         self.overflowed = 0
         #: Frames whose service has completed.
@@ -286,11 +295,18 @@ class CoreQueue:
 
     def offer(self, pkt: Packet, now_ns: int) -> bool:
         """Admit a frame to the ring; False == queue-overflow drop."""
-        if len(self.pending) >= self.cfg.rx_ring_size:
+        pending = self.pending
+        if len(pending) >= self.cfg.rx_ring_size:
             self.overflowed += 1
             return False
-        self.pending.append(pkt)
-        self.arrivals.append(now_ns)
+        pending.append(pkt)
+        arrivals = self.arrivals
+        arrivals.append(now_ns)
+        # Only the first frame (a new coalesce deadline) and the one
+        # that fills a batch move the pickup time.
+        n = len(arrivals)
+        if n == 1 or n == self.batch_size:
+            self.pickup = self.pickup_ns()
         return True
 
     def pickup_ns(self) -> int:
@@ -311,12 +327,14 @@ class CoreQueue:
         n = self.batch_size
         batch, self.pending = self.pending[:n], self.pending[n:]
         times, self.arrivals = self.arrivals[:n], self.arrivals[n:]
+        self.pickup = self.pickup_ns() if self.pending else math.inf
         return batch, times
 
     def drain(self) -> Tuple[List[Packet], List[int]]:
         """Pop everything (dead-core teardown)."""
         batch, self.pending = self.pending, []
         times, self.arrivals = self.arrivals, []
+        self.pickup = math.inf
         return batch, times
 
     def complete(
@@ -329,7 +347,8 @@ class CoreQueue:
         starts once the server is free and the softirq has dispatched,
         runs for ``service_ns`` (the measured cycle cost of the batch),
         and completions spread uniformly across the batch.  Sojourn =
-        completion − arrival: queue wait + deferral + service.
+        completion − arrival + ``cfg.wire_ns``: queue wait + deferral +
+        service, plus the wire crossings when the config includes them.
         """
         m = len(arrivals)
         if m == 0:
@@ -340,11 +359,13 @@ class CoreQueue:
         self.server_free_ns = start + service_ns
         self.busy_ns += service_ns
         self.served += m
-        sojourns = []
-        for i, arrived in enumerate(arrivals):
-            done = start + service_ns * (i + 1) // m
-            sojourns.append(done - arrived)
-        return sojourns
+        if self.pending:
+            self.pickup = self.pickup_ns()
+        base = start + self.cfg.wire_ns
+        return [
+            base + service_ns * i // m - arrived
+            for i, arrived in enumerate(arrivals, 1)
+        ]
 
 
 def latency_summary_us(latencies_ns: Sequence[int]) -> Dict[str, float]:

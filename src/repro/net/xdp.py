@@ -48,7 +48,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence
 from ..ebpf.cost_model import (
     CPU_HZ,
     Category,
-    CycleSnapshot,
     processing_time_ns,
     throughput_pps,
 )
@@ -411,9 +410,13 @@ class XdpPipeline:
         )
         if process_batch is not None:
             if advance_clock:
-                ts = max(pkt.timestamp_ns for pkt in batch)
-                if ts > rt.now_ns:
-                    rt.advance_time_ns(ts - rt.now_ns)
+                now = rt.now_ns
+                ts = now
+                for pkt in batch:
+                    if pkt.timestamp_ns > ts:
+                        ts = pkt.timestamp_ns
+                if ts > now:
+                    rt.advance_time_ns(ts - now)
             try:
                 verdicts = process_batch(batch)
             except Exception as exc:

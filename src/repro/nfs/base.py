@@ -17,11 +17,11 @@ paper's P1 ("incomplete functionality").  Constructing one raises
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, Tuple, Type
 
 from ..ebpf.cost_model import CostModel, DEFAULT_COSTS, ExecMode
 from ..ebpf.runtime import BpfRuntime
-from ..net.packet import Packet, XdpAction
+from ..net.packet import Packet
 
 
 class UnsupportedVariantError(NotImplementedError):

@@ -15,7 +15,7 @@ the bit-manipulation costs plus the usual framework overheads.
 from __future__ import annotations
 
 from ..core.algorithms.bitops import BitOps
-from ..datastructs.cffs import CFFSQueue, FANOUT
+from ..datastructs.cffs import CFFSQueue
 from ..ebpf.cost_model import Category
 from ..net.packet import Packet, XdpAction
 from .base import BaseNF

@@ -11,7 +11,7 @@ no evaluated NF exercises.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from ..core.algorithms.simd import SimdOps
 from ..datastructs.countmin import CountMinSketch

@@ -15,8 +15,6 @@ percpu bucket queues.  Empty-slot scanning uses the occupancy bitmap
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from ..core.algorithms.bitops import BitOps
 from ..core.structures.list_buckets import ListBuckets
 from ..datastructs.timewheel import TimingWheel

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..datastructs.tss import MaskTuple, Rule, TupleSpaceClassifier
+from ..datastructs.tss import Rule, TupleSpaceClassifier
 from ..ebpf.cost_model import Category
 from ..net.packet import Packet, XdpAction
 from .base import BaseNF

@@ -3,7 +3,8 @@
 :class:`FaultInjector` walks each kind's schedule in blocks hashed by
 the lane kernel, and :meth:`FaultInjector.screen` decides a whole batch
 at once.  Both must give exactly what one ``_chance`` draw per event
-gives, in any interleaving of the four entry points.
+gives, in any interleaving of the four entry points, and so must the
+lane kernel that draws each block.
 """
 
 from collections import Counter
@@ -11,6 +12,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.algorithms.hashing import LANES, fast_hash32_below
 from repro.ebpf.maps import MapFullError
 from repro.faults import (
     HELPER,
@@ -168,3 +170,90 @@ def test_threshold_is_exact_at_a_hash_boundary(nudge, fires):
     assert (5 in plan.schedule(HELPER, 6)) is fires
     injector = plan.injector()
     assert [injector.helper_fault() for _ in range(6)][5] is fires
+
+
+# -- the lane kernel behind every schedule block -------------------------------
+
+#: Thresholds at both ends of the compare and one step inside them.
+THRESHOLDS = (0, 1, (1 << 32) - 1, 1 << 32)
+
+
+@pytest.mark.parametrize("c", range(LANES))
+def test_lane_kernel_matches_chance_per_event(c):
+    """Every value of the salt's block bits ``(salt >> 7) & 63``, with
+    block counts 1..16 and starts on both sides of ``i << 7`` passing
+    64 bits."""
+    salt = (c << 7) | (0x2F if c % 2 else 0x51) | (0xB7E15 << 13)
+    seed = 0x5EED + c
+    n_blocks = c % 16 + 1
+    start = LANES * (7 * c) if c % 2 else (1 << 57) + LANES * (c + 1)
+    if c % 4 == 3:
+        start = (1 << 63) - LANES * c
+    end = start + n_blocks * LANES
+    draws = [_chance(seed, salt, i) for i in range(start, end)]
+    mid = int(draws[0] * 4294967296.0) + 1   # fires the first index
+    for threshold in THRESHOLDS + (mid,):
+        expected = [
+            i for i, draw in zip(range(start, end), draws)
+            if draw < threshold / 4294967296.0
+        ]
+        assert fast_hash32_below(start, end, salt, seed, threshold) == expected
+    assert fast_hash32_below(start, end, salt, seed, 0) == []
+    assert fast_hash32_below(start, end, salt, seed, 1 << 32) == list(
+        range(start, end)
+    )
+
+
+def test_lane_kernel_rejects_unaligned_blocks_and_bad_thresholds():
+    assert fast_hash32_below(LANES, LANES, 5, 1, 1 << 31) == []
+    for start, end in ((1, LANES), (0, LANES + 1)):
+        with pytest.raises(ValueError):
+            fast_hash32_below(start, end, 5, 1, 1 << 31)
+    for threshold in (-1, (1 << 32) + 1):
+        with pytest.raises(ValueError):
+            fast_hash32_below(0, LANES, 5, 1, threshold)
+
+
+sparse_plans = st.builds(
+    FaultPlan,
+    seed=st.integers(min_value=0, max_value=1 << 40),
+    drop_rate=st.sampled_from([0.0, 0.002, 0.01]),
+    corrupt_rate=st.sampled_from([0.0, 0.002]),
+    truncate_rate=st.sampled_from([0.0, 0.002]),
+    dup_rate=st.sampled_from([0.0, 0.01]),
+    helper_rate=st.sampled_from([0.0, 0.002, 0.01]),
+)
+
+
+def _screen_against_rounds(plan, core, sizes):
+    """Screen ``sizes`` against the reference; returns how many calls
+    found nothing due inside their batch (the early return)."""
+    injector = FaultInjector(plan, core=core)
+    reference = _Reference(plan, core)
+    screened = [injector._schedules[k] for k in PACKET_KINDS + (HELPER,)]
+    early = 0
+    for n in sizes:
+        early += all(s.due >= s.index + n for s in screened)
+        assert injector.screen(n) == reference.screen(n)
+        assert injector.injected == reference.injected
+        assert injector.describe()["events_seen"] == reference.index
+    return early
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    plan=sparse_plans,
+    core=st.integers(min_value=0, max_value=3),
+    sizes=st.lists(st.integers(min_value=0, max_value=8), max_size=120),
+)
+def test_screen_early_return_books_what_the_rounds_book(plan, core, sizes):
+    """Small batches under sparse plans mostly take the early return;
+    it must book the same ledger and event indexes as ``n`` rounds of
+    ``packet_fault``/``helper_fault``."""
+    _screen_against_rounds(plan, core, sizes)
+
+
+def test_screen_takes_the_early_return_on_small_batches():
+    sizes = [4] * 500
+    early = _screen_against_rounds(FaultPlan.uniform(0.01, seed=3), 1, sizes)
+    assert 300 < early < len(sizes)

@@ -1,6 +1,9 @@
 """Latency-faithful receive path: arrivals, rings, sojourn accounting."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.runtime import BpfRuntime
@@ -148,14 +151,20 @@ class TestCoreQueue:
     def test_complete_sojourns_spread_service(self):
         q = CoreQueue(self.cfg(softirq_delay_ns=100), batch_size=2)
         sojourns = q.complete([0, 50], ready_ns=50, service_ns=200)
-        # start = max(0, 50) + 100 = 150; completions at 250 and 350.
-        assert sojourns == [250, 300]
+        # start = max(0, 50) + 100 = 150; completions at 250 and 350,
+        # plus the two wire crossings the config includes.
+        wire = q.cfg.wire_ns
+        assert wire == 22_000
+        assert sojourns == [250 + wire, 300 + wire]
         assert q.server_free_ns == 350
         assert q.served == 2
         assert q.busy_ns == 200
 
     def test_busy_server_delays_next_batch(self):
-        q = CoreQueue(self.cfg(softirq_delay_ns=0), batch_size=1)
+        q = CoreQueue(
+            self.cfg(softirq_delay_ns=0, include_wire_latency=False),
+            batch_size=1,
+        )
         q.complete([0], ready_ns=0, service_ns=1000)
         sojourns = q.complete([10], ready_ns=10, service_ns=100)
         # Second batch waits for the server: starts at 1000, done 1100.
@@ -170,6 +179,62 @@ class TestCoreQueue:
         rest, rest_times = q.drain()
         assert len(rest) == 3 and rest_times == [20, 30, 40]
         assert len(q) == 0
+
+
+def _recomputed_pickup(q):
+    """``max(ready, server free)`` from the ring's arrivals alone."""
+    arrivals = q.arrivals
+    if not arrivals:
+        return math.inf
+    if len(arrivals) >= q.batch_size:
+        ready = arrivals[q.batch_size - 1]
+    else:
+        ready = arrivals[0] + q.cfg.batch_timeout_ns
+    return max(ready, q.server_free_ns)
+
+
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("offer"), st.integers(0, 3_000)),
+        st.tuples(st.just("take"), st.just(0)),
+        st.tuples(st.just("complete"), st.integers(0, 5_000)),
+        st.tuples(st.just("drain"), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ring=st.integers(min_value=1, max_value=6),
+    batch_size=st.integers(min_value=1, max_value=4),
+    timeout=st.sampled_from([0, 700, 20_000]),
+    ops=queue_ops,
+)
+def test_kept_pickup_equals_its_definition_after_every_op(
+    ring, batch_size, timeout, ops
+):
+    """The kept ``pickup`` is ``pickup_ns()`` after every offer (an
+    overflowing one included), take, complete and drain."""
+    cfg = QueueingConfig(rx_ring_size=ring, batch_timeout_ns=timeout)
+    q = CoreQueue(cfg, batch_size)
+    pkt = FlowGenerator(n_flows=4, seed=1).trace(1)[0]
+    now = 0
+    taken = []
+    for op, arg in ops:
+        if op == "offer":
+            now += arg
+            q.offer(pkt, now)
+        elif op == "take" and q.pending:
+            taken = q.take()[1]
+        elif op == "complete" and taken:
+            q.complete(taken, taken[-1], arg)
+            taken = []
+        elif op == "drain":
+            q.drain()
+        assert q.pickup == _recomputed_pickup(q)
+        if q.pending:
+            assert q.pickup == q.pickup_ns()
 
 
 class TestLatencySummary:
