@@ -61,8 +61,9 @@ import dataclasses
 import functools
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.algorithms.hashing import fast_hash32
+from ..core.algorithms.hashing import fast_hash32, salted_hash32
 from ..core.algorithms.simd import LANES
+from ..datastructs.countmin import CountMinSketch
 from ..datastructs.cuckoo import BlockedCuckooTable
 from ..datastructs.heap import TopKHeap
 from ..datastructs.maglev import maglev_fill
@@ -99,8 +100,7 @@ from ..ebpf.header import (
     PKT_SRC_PORT,
 )
 from ..ebpf.kfunc_meta import ARG_SCALAR, RET_SCALAR, KfuncRegistry
-from ..ebpf.progs import runnable_registry
-from ..ebpf.vm import MASK64
+from ..ebpf.progs import runnable_registry, salted_count_min_kfunc
 
 #: App names, in Fig. 7 order: the one list every caller iterates.
 IR_APP_NAMES = ("katran", "rakelimit", "polycube", "sketches")
@@ -132,16 +132,6 @@ SK_UNIV_LEVELS = 2
 SK_HEAP_CAPACITY = 64
 #: Default count-min estimate above which the policing pass drops.
 SK_DROP_THRESHOLD = 128
-#: Fixed per-row salts (splitmix64-style odd constants), mirroring the
-#: bundled count-min kfunc's determinism-without-PRNG approach.
-_SK_SALTS = (
-    0x9E3779B97F4A7C15,
-    0xC2B2AE3D27D4EB4F,
-    0x165667B19E3779F9,
-    0x27D4EB2F165667C5,
-    0x85EBCA77C2B2AE63,
-)
-_SK_MIX = 0x2545F4914F6CDD1D
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +265,9 @@ class AppState:
         ]
         self.fdb: Dict[int, int] = {}
         self.learn_filter: List[int] = [0] * PCN_FILTER_BITS
-        self.sk_rows: List[List[int]] = [
-            [0] * SK_WIDTH for _ in range(SK_ROWS)
-        ]
+        #: The sketch suite's count-min, salted rows like the bundled
+        #: ``enetstl_cm_update``.
+        self.sketch = CountMinSketch(SK_ROWS, SK_WIDTH, hash=salted_hash32)
         self.univ_rows: List[List[int]] = [
             [0] * SK_WIDTH for _ in range(SK_UNIV_LEVELS)
         ]
@@ -479,20 +469,9 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
 
     # -- sketchsuite ----------------------------------------------------
 
-    sk_rows = state.sk_rows
     univ_rows = state.univ_rows
     heap = state.heap
-
-    def _sketch_cnt(key: int) -> int:
-        est = None
-        for row, salt in enumerate(_SK_SALTS):
-            h = ((key ^ salt) * _SK_MIX) & MASK64
-            counters = sk_rows[row]
-            col = (h >> 32) % SK_WIDTH
-            counters[col] += 1
-            if est is None or counters[col] < est:
-                est = counters[col]
-        return est
+    sketch_cnt = salted_count_min_kfunc(state.sketch, "skr")
 
     def _hh_offer(key: int, est: int) -> int:
         return 1 if heap.offer(key, est) else 0
@@ -513,34 +492,11 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
     def _univ_sample(key: int) -> int:
         return _univ_sampled(key, fast_hash32(key, 500))
 
-    def sketch_cnt(vm, key):
-        return _sketch_cnt(key)
-
     def hh_offer(vm, key, est):
         return _hh_offer(key, est)
 
     def univ_sample(vm, key):
         return _univ_sample(key)
-
-    def _inline_sketch_cnt(args, bind, hashed):
-        # Five rows unrolled with salts, mixer, and width as literals;
-        # min() over the post-increment counts mirrors the impl's
-        # running minimum.
-        rows = bind("skr", sk_rows)
-        lines = [f"_sk = {args[0]}"]
-        mins = []
-        for i, salt in enumerate(_SK_SALTS):
-            lines.append(f"_sr{i} = {rows}[{i}]")
-            lines.append(
-                f"_sc{i} = ((((_sk ^ {salt}) * {_SK_MIX})"
-                f" & {MASK64}) >> 32) % {SK_WIDTH}"
-            )
-            lines.append(f"_sv{i} = _sr{i}[_sc{i}] + 1")
-            lines.append(f"_sr{i}[_sc{i}] = _sv{i}")
-            mins.append(f"_sv{i}")
-        return lines, f"min({', '.join(mins)})"
-
-    sketch_cnt._fuse_inline = _inline_sketch_cnt
 
     def _inline_hh_offer(args, bind, hashed):
         offer = bind("sho", heap.offer)

@@ -89,6 +89,30 @@ def crc_hash32(key: KeyLike, seed: int = 0) -> int:
     return x & M32
 
 
+#: Per-row salts of :func:`salted_hash32` (splitmix64-style odd
+#: constants), and the multiplier that mixes them in.
+SALTS = (
+    0x9E3779B97F4A7C15,
+    0xC2B2AE3D27D4EB4F,
+    0x165667B19E3779F9,
+    0x27D4EB2F165667C5,
+    0x85EBCA77C2B2AE63,
+)
+SALT_MIX = 0x2545F4914F6CDD1D
+
+
+def salted_hash32(key: int, row: int) -> int:
+    """Row ``row``'s salted-multiply hash of an int key: the high half
+    of ``(key ^ salt) * SALT_MIX`` mod 2^64.
+
+    The row hash of the IR count-min kfuncs: one xor and one multiply,
+    cheap enough to unroll into fused code with the salts as literals.
+    The low 64 bits of the product depend only on the key's low 64
+    bits, so wider keys hash as if masked.
+    """
+    return ((key ^ SALTS[row]) * SALT_MIX & M64) >> 32
+
+
 # -- lane kernel ---------------------------------------------------------------
 #
 # The software analogue of the multi-hash kfuncs: one Python big int

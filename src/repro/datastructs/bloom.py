@@ -15,7 +15,11 @@ from ..core.algorithms.hashing import fast_hash32
 
 
 class BloomFilter:
-    """Standard Bloom filter over integer keys; bitmap is u64 words."""
+    """Standard Bloom filter over integer keys; bitmap is u64 words.
+
+    The one Bloom implementation: :class:`repro.nfs.BloomFilterNF` and
+    the per-CPU merge hold one and charge their costs beside it.
+    """
 
     def __init__(self, n_bits: int = 1 << 16, n_hashes: int = 4) -> None:
         if n_bits <= 0 or n_bits % 64:
@@ -25,7 +29,6 @@ class BloomFilter:
         self.n_bits = n_bits
         self.n_hashes = n_hashes
         self.words: List[int] = [0] * (n_bits // 64)
-        self._len = 0
 
     def _positions(self, key: int) -> List[int]:
         return [fast_hash32(key, seed) % self.n_bits for seed in range(self.n_hashes)]
@@ -33,12 +36,14 @@ class BloomFilter:
     def add(self, key: int) -> None:
         for bit in self._positions(key):
             self.words[bit // 64] |= 1 << (bit % 64)
-        self._len += 1
 
     def __contains__(self, key: int) -> bool:
-        return all(
-            self.words[bit // 64] >> (bit % 64) & 1 for bit in self._positions(key)
-        )
+        words, n_bits = self.words, self.n_bits
+        for seed in range(self.n_hashes):
+            bit = fast_hash32(key, seed) % n_bits
+            if not words[bit // 64] >> (bit % 64) & 1:
+                return False
+        return True
 
     @property
     def fill_ratio(self) -> float:
@@ -48,9 +53,6 @@ class BloomFilter:
     def expected_fpr(self) -> float:
         """Theoretical false-positive rate at the current fill."""
         return self.fill_ratio ** self.n_hashes
-
-    def __len__(self) -> int:
-        return self._len
 
 
 class VectorBloomFilter:

@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.algorithms.hashing import SALT_MIX, SALTS, salted_hash32
+from ..datastructs.countmin import CountMinSketch
 from ..datastructs.maglev import maglev_fill
 from .insn import (
     Alu,
@@ -52,14 +54,6 @@ MASK64 = (1 << 64) - 1
 #: Count-min sketch geometry for the ``enetstl_cm_update`` kfunc impl.
 CM_ROWS = 4
 CM_WIDTH = 64
-#: Fixed per-row salts (splitmix64-style odd constants) so the sketch
-#: is deterministic without consuming the registry's PRNG stream.
-_CM_SALTS = (
-    0x9E3779B97F4A7C15,
-    0xC2B2AE3D27D4EB4F,
-    0x165667B19E3779F9,
-    0x27D4EB2F165667C5,
-)
 
 #: Maglev lookup-table geometry for ``enetstl_maglev_pick``.
 MAGLEV_BACKENDS = 8
@@ -536,6 +530,48 @@ def bundled_chains() -> Tuple[Tuple[str, ...], ...]:
     return tuple(out)
 
 
+def salted_count_min_kfunc(sketch: CountMinSketch, hint: str):
+    """The kfunc impl of a salted count-min over ``sketch``: bump the
+    key's counter in every row and return the new estimate
+    (:meth:`CountMinSketch.update`).
+
+    ``sketch`` hashes rows with ``salted_hash32`` and has a power-of-two
+    width.  The impl publishes a fusion inline spec: the row loop
+    unrolled with the salts, the mixer and the width mask burned in as
+    literals, the rows bound under ``hint``, and ``min()`` over the
+    post-increment counts for ``update``'s running minimum.  The
+    bundled ``enetstl_cm_update`` and the sketch suite's
+    ``enetstl_sketch_cnt`` are both this kfunc.
+    """
+    if sketch.hash is not salted_hash32:
+        raise ValueError("a salted count-min kfunc needs salted_hash32 rows")
+    mask = sketch.width - 1
+    if sketch.width & mask:
+        raise ValueError("a salted count-min kfunc needs a power-of-two width")
+    update = sketch.update
+
+    def impl(vm, key):
+        return update(key)
+
+    def inline(args, bind, hashed):
+        rows = bind(hint, sketch.rows)
+        lines = [f"_ck = {args[0]}"]
+        mins = []
+        for i in range(sketch.depth):
+            lines.append(f"_cr{i} = {rows}[{i}]")
+            lines.append(
+                f"_cx{i} = ((((_ck ^ {SALTS[i]}) * 0x{SALT_MIX:X})"
+                f" & {MASK64}) >> 32) & {mask}"
+            )
+            lines.append(f"_cv{i} = _cr{i}[_cx{i}] + 1")
+            lines.append(f"_cr{i}[_cx{i}] = _cv{i}")
+            mins.append(f"_cv{i}")
+        return lines, f"min({', '.join(mins)})"
+
+    impl._fuse_inline = inline
+    return impl
+
+
 def runnable_registry(seed: int = 0) -> KfuncRegistry:
     """:func:`default_registry` metadata with deterministic impls bound.
 
@@ -586,22 +622,12 @@ def runnable_registry(seed: int = 0) -> KfuncRegistry:
         state["xchg"] = kptr
         return prev
 
-    cm = [[0] * CM_WIDTH for _ in range(CM_ROWS)]
+    # Salted rows keep the sketch deterministic without consuming the
+    # registry's PRNG stream.
+    cm_update = salted_count_min_kfunc(
+        CountMinSketch(CM_ROWS, CM_WIDTH, hash=salted_hash32), "cm"
+    )
     maglev = _maglev_table(seed)
-
-    def cm_update(vm, key):
-        # Count-min: bump one counter per row, return the min estimate.
-        k = int(key) & MASK64
-        est = None
-        for row, salt in enumerate(_CM_SALTS):
-            h = ((k ^ salt) * 0x2545F4914F6CDD1D) & MASK64
-            counters = cm[row]
-            idx = (h >> 32) & (CM_WIDTH - 1)
-            counters[idx] += 1
-            c = counters[idx]
-            if est is None or c < est:
-                est = c
-        return est
 
     def maglev_pick(vm, flow_hash):
         return maglev[(int(flow_hash) & MASK64) % MAGLEV_TABLE_SIZE]
@@ -623,26 +649,6 @@ def runnable_registry(seed: int = 0) -> KfuncRegistry:
         return [], f"{grb}(32)"
 
     prandom._fuse_inline = _inline_prandom
-
-    def _inline_cm_update(args, bind, hashed):
-        # The row loop unrolled with salts, mixer, and geometry burned
-        # in as literals; min() over the post-increment counts mirrors
-        # cm_update's running minimum.
-        rows = bind("cm", cm)
-        lines = [f"_ck = {args[0]}"]
-        mins = []
-        for i, salt in enumerate(_CM_SALTS):
-            lines.append(f"_cr{i} = {rows}[{i}]")
-            lines.append(
-                f"_cx{i} = ((((_ck ^ {salt}) * 0x2545F4914F6CDD1D)"
-                f" & {MASK64}) >> 32) & {CM_WIDTH - 1}"
-            )
-            lines.append(f"_cv{i} = _cr{i}[_cx{i}] + 1")
-            lines.append(f"_cr{i}[_cx{i}] = _cv{i}")
-            mins.append(f"_cv{i}")
-        return lines, f"min({', '.join(mins)})"
-
-    cm_update._fuse_inline = _inline_cm_update
 
     def _inline_maglev_pick(args, bind, hashed):
         # The whole steering table becomes a closure constant: one

@@ -27,6 +27,9 @@ This module simulates that regime faithfully:
   (:mod:`repro.ebpf.percpu`) so count-min/NitroSketch estimates remain
   correct when sharded: each core counted a disjoint packet subset, so
   the element-wise sum of the rows is exactly the single-core sketch.
+  The merged estimate reads the columns of the NFs'
+  :class:`~repro.datastructs.CountMinSketch`, and the OR of the Bloom
+  bitmaps is queried as one :class:`~repro.datastructs.BloomFilter`.
 
 Three extensions on top of the PR 1 data plane:
 
@@ -74,6 +77,7 @@ from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.algorithms.hashing import fast_hash32
+from ..datastructs.bloom import BloomFilter
 from ..ebpf.cost_model import CPU_HZ, Category, NumaTopology
 from ..ebpf.percpu import or_words, sum_counts, sum_matrices
 from ..faults import FaultInjector, FaultPlan, WedgeDetection
@@ -590,24 +594,18 @@ def merged_countmin_rows(nfs: Sequence) -> List[List[int]]:
     return sum_matrices([nf.rows for nf in nfs])
 
 
-def merged_countmin_estimate(nfs: Sequence, key: int) -> int:
-    """Point query against the cross-core merged sketch.
+def merged_countmin_estimate(nfs: Sequence, key: int):
+    """Point query against the cross-core merged sketch, for count-min
+    and NitroSketch NFs alike.
 
     Each core saw a disjoint packet subset, so summing rows
     element-wise reconstructs the single-core sketch exactly; the
-    estimate is the usual min over the key's merged counters.
+    estimate is the usual min over the key's merged counters, at the
+    columns of the first core's sketch (every core shares its layout).
     """
     rows = merged_countmin_rows(nfs)
-    cols = nfs[0].columns(key)
-    return min(rows[r][cols[r]] for r in range(len(cols)))
-
-
-def merged_nitrosketch_estimate(nfs: Sequence, key: int) -> float:
-    """Cross-core NitroSketch estimate (rows summed, then min)."""
-    _check_same_shape(nfs)
-    rows = sum_matrices([nf.rows for nf in nfs])
-    cols = nfs[0].columns(key)
-    return min(rows[r][cols[r]] for r in range(len(cols)))
+    cols = nfs[0].sketch.columns(key)
+    return min(row[col] for row, col in zip(rows, cols))
 
 
 def merged_bloom_words(nfs: Sequence) -> List[int]:
@@ -617,13 +615,10 @@ def merged_bloom_words(nfs: Sequence) -> List[int]:
 
 def merged_bloom_contains(nfs: Sequence, key: int) -> bool:
     """Membership query against the cross-core merged Bloom filter."""
-    words = merged_bloom_words(nfs)
-    n_bits = len(words) * 64
-    for seed in range(nfs[0].n_hashes):
-        bit = fast_hash32(key, seed) % n_bits
-        if not words[bit // 64] >> (bit % 64) & 1:
-            return False
-    return True
+    first = nfs[0].bloom
+    merged = BloomFilter(first.n_bits, first.n_hashes)
+    merged.words[:] = merged_bloom_words(nfs)
+    return key in merged
 
 
 def _check_same_shape(nfs: Sequence) -> None:
@@ -652,6 +647,5 @@ __all__ = [
     "merged_bloom_words",
     "merged_countmin_estimate",
     "merged_countmin_rows",
-    "merged_nitrosketch_estimate",
     "shard_trace",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple, Type
 
-from ..ebpf.cost_model import CostModel, DEFAULT_COSTS, ExecMode
+from ..ebpf.cost_model import Category, CostModel, DEFAULT_COSTS, ExecMode
 from ..ebpf.runtime import BpfRuntime
 from ..net.packet import Packet
 
@@ -83,15 +83,12 @@ class BaseNF:
             return self.costs.kernel_call
         return 0
 
-    def fetch_state(self, category=None) -> None:
+    def fetch_state(self, category: Category = Category.FRAMEWORK) -> None:
         """Retrieve the NF's state (map value in eBPF/kernel, kptr in
         eNetSTL — which additionally pays the verifier's NULL check)."""
-        from ..ebpf.cost_model import Category
-
-        cat = category if category is not None else Category.FRAMEWORK
-        self.rt.charge(self.costs.map_lookup, cat)
+        self.rt.charge(self.costs.map_lookup, category)
         if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, cat)
+            self.rt.charge(self.costs.null_check, category)
 
 
 def build_nf(

@@ -3,12 +3,14 @@
 The oldest surveyed work: k bits per key, set-after-hashing on insert
 and test-after-hashing on query — the ``hash_simd_setbits`` /
 ``hash_simd_testbits`` unified kfuncs.  The eBPF baseline computes each
-hash in software and pays a bounds check per bit access.
+hash in software and pays a bounds check per bit access.  The bits
+are a :class:`~repro.datastructs.BloomFilter`'s own words.
 """
 
 from __future__ import annotations
 
-from ..core.algorithms.hashing import HashAlgos, fast_hash32
+from ..core.algorithms.hashing import HashAlgos
+from ..datastructs.bloom import BloomFilter
 from ..ebpf.cost_model import Category
 from ..net.packet import Packet, XdpAction
 from .base import BaseNF
@@ -25,48 +27,40 @@ class BloomFilterNF(BaseNF):
 
     def __init__(self, rt, n_bits: int = 1 << 16, n_hashes: int = 4) -> None:
         super().__init__(rt)
-        if n_bits <= 0 or n_bits % 64:
-            raise ValueError("n_bits must be a positive multiple of 64")
-        if n_hashes <= 0:
-            raise ValueError("n_hashes must be positive")
+        self.bloom = BloomFilter(n_bits, n_hashes)
         self.n_bits = n_bits
         self.n_hashes = n_hashes
-        self.words = [0] * (n_bits // 64)
+        #: The filter's own bitmap (the kfuncs set and test it in place).
+        self.words = self.bloom.words
         self.hash = HashAlgos(rt, Category.MULTIHASH)
         self.members = 0
         self.nonmembers = 0
 
-    def _positions(self, key: int):
-        return [
-            fast_hash32(key, seed) % self.n_bits for seed in range(self.n_hashes)
-        ]
+    def _charge_ebpf(self, n: int = 1) -> None:
+        """``n`` pure-eBPF passes: a software hash, a bit operation and
+        a bounds check per hash function."""
+        costs = self.costs
+        self.rt.charge(
+            (costs.hash_scalar + EBPF_BIT_OP + costs.bounds_check)
+            * self.n_hashes
+            * n,
+            Category.MULTIHASH,
+        )
 
     def add(self, key: int) -> None:
         """Cost-charged insert (control path, but measurable)."""
         self.fetch_state()
         if self.is_ebpf:
-            self.rt.charge(
-                (self.costs.hash_scalar + EBPF_BIT_OP + self.costs.bounds_check)
-                * self.n_hashes,
-                Category.MULTIHASH,
-            )
-            for bit in self._positions(key):
-                self.words[bit // 64] |= 1 << (bit % 64)
+            self._charge_ebpf()
+            self.bloom.add(key)
         else:
             self.hash.hash_setbits(self.words, key, self.n_hashes)
 
     def contains(self, key: int) -> bool:
         self.fetch_state()
         if self.is_ebpf:
-            self.rt.charge(
-                (self.costs.hash_scalar + EBPF_BIT_OP + self.costs.bounds_check)
-                * self.n_hashes,
-                Category.MULTIHASH,
-            )
-            return all(
-                self.words[bit // 64] >> (bit % 64) & 1
-                for bit in self._positions(key)
-            )
+            self._charge_ebpf()
+            return key in self.bloom
         return self.hash.hash_testbits(self.words, key, self.n_hashes)
 
     def process(self, packet: Packet) -> str:
@@ -91,16 +85,10 @@ class BloomFilterNF(BaseNF):
             return {}
         rt = self.rt
         costs = self.costs
-        words, k = self.words, self.n_hashes
-        n_bits = self.n_bits
+        bloom = self.bloom
         hits = 0
         for pkt in packets:
-            key = pkt.key_int
-            for seed in range(k):
-                bit = fast_hash32(key, seed) % n_bits
-                if not words[bit // 64] >> (bit % 64) & 1:
-                    break
-            else:
+            if pkt.key_int in bloom:
                 hits += 1
         misses = n - hits
         # n x fetch_state()
@@ -108,11 +96,9 @@ class BloomFilterNF(BaseNF):
         if self.is_enetstl:
             rt.charge(costs.null_check * n, Category.FRAMEWORK)
         if self.is_ebpf:
-            rt.charge(
-                (costs.hash_scalar + EBPF_BIT_OP + costs.bounds_check) * k * n,
-                Category.MULTIHASH,
-            )
+            self._charge_ebpf(n)
         else:
+            k = self.n_hashes
             per_call = (
                 costs.hash_simd_setup
                 + costs.hash_simd_lane * k
@@ -133,6 +119,6 @@ class BloomFilterNF(BaseNF):
 
     def populate(self, keys) -> None:
         """Uncosted bulk insert for workload setup."""
+        add = self.bloom.add
         for key in keys:
-            for bit in self._positions(key):
-                self.words[bit // 64] |= 1 << (bit % 64)
+            add(key)

@@ -9,13 +9,16 @@ row's column selected by an independent hash of the flow key — the O2
   per row), else the unified ``hash_simd_cnt`` kfunc — all hashes in
   one SIMD batch, counters bumped in place, nothing copied back;
 - kernel:    the same minus the kfunc-call overhead.
+
+The counters are a :class:`~repro.datastructs.CountMinSketch` whose
+row hash is ``crc_hash32`` on the CRC path and ``fast_hash32`` (the
+SIMD batch's and the software hashes') otherwise.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from ..core.algorithms.hashing import HashAlgos, crc_hash32, fast_hash32
+from ..datastructs.countmin import CountMinSketch
 from ..ebpf.cost_model import Category
 from ..net.packet import Packet, XdpAction
 from .base import BaseNF
@@ -32,53 +35,62 @@ class CountMinNF(BaseNF):
 
     def __init__(self, rt, depth: int = 4, width: int = 2048, degrade=None) -> None:
         super().__init__(rt)
-        if depth <= 0 or width <= 0:
-            raise ValueError("depth and width must be positive")
+        #: One hardware CRC per row instead of the SIMD batch.
+        self.crc = not self.is_ebpf and depth <= CRC_CUTOVER_DEPTH
+        self.sketch = CountMinSketch(
+            depth, width, hash=crc_hash32 if self.crc else fast_hash32
+        )
         self.depth = depth
         self.width = width
-        self.rows: List[List[int]] = [[0] * width for _ in range(depth)]
+        #: The sketch's own counter rows (the kfuncs bump them in place).
+        self.rows = self.sketch.rows
         self.hash = HashAlgos(rt, Category.MULTIHASH)
-        self.total = 0
         #: Optional :class:`~repro.nfs.degrade.SketchDegradation` aging
         #: policy, consulted after updates (uncosted control-plane
         #: maintenance — cycle accounting is unchanged either way).
         self.degrade = degrade
 
-    def _fetch_state(self) -> None:
-        """Retrieve the sketch memory (map value / kptr instance)."""
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
-    def _update(self, key: int) -> None:
+    def _crc_cost(self) -> int:
+        """One CRC kfunc call: a hash and a counter access per row."""
         costs = self.costs
-        if not self.is_ebpf and self.depth <= CRC_CUTOVER_DEPTH:
-            # Few hashes: hardware CRC per row, one kfunc crossing.
-            self.rt.charge(self.kfunc_overhead(), Category.MULTIHASH)
-            self.rt.charge(
-                (costs.hash_crc_hw + costs.counter_update) * self.depth,
-                Category.MULTIHASH,
-            )
-            for row in range(self.depth):
-                self.rows[row][crc_hash32(key, row) % self.width] += 1
+        return self.kfunc_overhead() + (
+            costs.hash_crc_hw + costs.counter_update
+        ) * self.depth
+
+    def _count(self, keys) -> None:
+        """Charged counter updates for ``keys`` (no aging check)."""
+        if self.crc:
+            self.rt.charge(self._crc_cost() * len(keys), Category.MULTIHASH)
+            update = self.sketch.update
+            for key in keys:
+                update(key)
         else:
-            # hash_cnt charges scalar-per-hash in eBPF mode and
+            # hash_cnt_bulk charges scalar-per-hash in eBPF mode and
             # SIMD-batch + kfunc in eNetSTL/kernel modes.
-            self.hash.hash_cnt(self.rows, key, self.depth)
-        self.total += 1
-        if self.degrade is not None:
-            self.degrade.maybe_apply(self.rows, self.total)
+            self.hash.hash_cnt_bulk(self.rows, keys, self.depth)
+            self.sketch.total += len(keys)
 
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
-        self._update(packet.key_int)
+        self.fetch_state()
+        key = packet.key_int
+        if self.crc:
+            # Few hashes: hardware CRC per row, one kfunc crossing.
+            self.rt.charge(self._crc_cost(), Category.MULTIHASH)
+            self.sketch.update(key)
+        else:
+            self.hash.hash_cnt(self.rows, key, self.depth)
+            self.sketch.total += 1
+        if self.degrade is not None:
+            self.degrade.maybe_apply(self.rows, self.sketch.total)
         return XdpAction.DROP
 
     def process_batch(self, packets) -> "dict":
-        """Batch fast path: cycle-identical to per-packet :meth:`process`.
+        """Batch fast path: identical to per-packet :meth:`process`.
 
         All framework and hash charges for the batch land in bulk
         ``charge`` calls; the real counter updates run in a tight loop.
+        An aging policy fires at the same update counts as per packet:
+        the keys are counted in runs that end where it is due.
         """
         n = len(packets)
         if n == 0:
@@ -88,57 +100,27 @@ class CountMinNF(BaseNF):
         rt.charge(costs.map_lookup * n, Category.FRAMEWORK)
         if self.is_enetstl:
             rt.charge(costs.null_check * n, Category.FRAMEWORK)
-        depth, width, rows = self.depth, self.width, self.rows
-        if not self.is_ebpf and depth <= CRC_CUTOVER_DEPTH:
-            per_key = self.kfunc_overhead() + (
-                costs.hash_crc_hw + costs.counter_update
-            ) * depth
-            rt.charge(per_key * n, Category.MULTIHASH)
-            for pkt in packets:
-                key = pkt.key_int
-                for row in range(depth):
-                    rows[row][crc_hash32(key, row) % width] += 1
-        else:
-            self.hash.hash_cnt_bulk(rows, [pkt.key_int for pkt in packets], depth)
-        self.total += n
-        if self.degrade is not None:
-            self.degrade.maybe_apply(self.rows, self.total)
+        keys = [pkt.key_int for pkt in packets]
+        degrade = self.degrade
+        if degrade is None:
+            self._count(keys)
+            return {XdpAction.DROP: n}
+        start = 0
+        while start < n:
+            stop = min(n, start + degrade.due_in(self.sketch.total))
+            self._count(keys[start:stop])
+            degrade.maybe_apply(self.rows, self.sketch.total)
+            start = stop
         return {XdpAction.DROP: n}
-
-    def columns(self, key: int) -> List[int]:
-        """Uncosted per-row column indexes for ``key`` (mode-faithful).
-
-        Used by the multicore percpu-merge helpers: the column layout
-        must match what :meth:`process` wrote so sharded rows can be
-        summed and queried coherently.
-        """
-        if not self.is_ebpf and self.depth <= CRC_CUTOVER_DEPTH:
-            return [crc_hash32(key, row) % self.width for row in range(self.depth)]
-        return [fast_hash32(key, row) % self.width for row in range(self.depth)]
 
     def estimate(self, key: int) -> int:
         """Point query: minimum over the key's counters (cost-charged)."""
-        self._fetch_state()
-        if not self.is_ebpf and self.depth <= CRC_CUTOVER_DEPTH:
-            self.rt.charge(self.kfunc_overhead(), Category.MULTIHASH)
-            self.rt.charge(
-                (self.costs.hash_crc_hw + self.costs.counter_update) * self.depth,
-                Category.MULTIHASH,
-            )
-            return min(
-                self.rows[row][crc_hash32(key, row) % self.width]
-                for row in range(self.depth)
-            )
+        self.fetch_state()
+        if self.crc:
+            self.rt.charge(self._crc_cost(), Category.MULTIHASH)
+            return self.sketch.estimate(key)
         return self.hash.hash_min_read(self.rows, key, self.depth)
 
     def true_free_estimate(self, key: int) -> int:
         """Uncosted estimate (for accuracy tests)."""
-        if not self.is_ebpf and self.depth <= CRC_CUTOVER_DEPTH:
-            return min(
-                self.rows[row][crc_hash32(key, row) % self.width]
-                for row in range(self.depth)
-            )
-        return min(
-            self.rows[row][fast_hash32(key, row) % self.width]
-            for row in range(self.depth)
-        )
+        return self.sketch.estimate(key)

@@ -38,11 +38,6 @@ class CuckooFilterNF(BaseNF):
         self.members = 0
         self.nonmembers = 0
 
-    def _fetch_state(self) -> None:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
     def _charge_hashing(self) -> None:
         costs = self.costs
         if self.is_ebpf:
@@ -83,7 +78,7 @@ class CuckooFilterNF(BaseNF):
         return found
 
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
+        self.fetch_state()
         if self.contains(packet.key_int):
             self.members += 1
             return XdpAction.PASS

@@ -48,11 +48,6 @@ class CuckooSwitchNF(BaseNF):
         self.hits = 0
         self.misses = 0
 
-    def _fetch_state(self) -> None:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
     def _charge_hash(self) -> None:
         costs = self.costs
         if self.is_ebpf:
@@ -94,7 +89,7 @@ class CuckooSwitchNF(BaseNF):
         return value
 
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
+        self.fetch_state()
         value = self.lookup(packet.key_int)
         if value is None:
             self.misses += 1

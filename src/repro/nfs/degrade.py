@@ -49,6 +49,11 @@ class SketchDegradation:
         self.events = 0
         self._last_applied_at = 0
 
+    def due_in(self, total: int) -> int:
+        """Updates after cumulative count ``total`` until the policy
+        fires (at least one: it is checked only after an update)."""
+        return max(1, self._last_applied_at + self.threshold - total)
+
     def maybe_apply(self, rows: List[List[int]], total: int) -> bool:
         """Fire the policy if ``total`` crossed the next threshold.
 

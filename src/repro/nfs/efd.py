@@ -30,11 +30,6 @@ class EfdLoadBalancerNF(BaseNF):
         self.table = EfdTable(n_groups=n_groups, n_targets=n_targets)
         self.dispatched = [0] * n_targets
 
-    def _fetch_state(self) -> None:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
     def lookup(self, key: int) -> int:
         costs = self.costs
         if self.is_ebpf:
@@ -48,7 +43,7 @@ class EfdLoadBalancerNF(BaseNF):
         return self.table.lookup(key)
 
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
+        self.fetch_state()
         target = self.lookup(packet.key_int)
         self.dispatched[target] += 1
         return XdpAction.REDIRECT

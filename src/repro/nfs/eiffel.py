@@ -48,17 +48,12 @@ class EiffelNF(BaseNF):
 
         return soft_ffs(x)
 
-    def _fetch_state(self) -> None:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
     def _priority_of(self, packet: Packet) -> int:
         # Flow-derived rank spread across the full priority range.
         return (packet.key_int * 2654435761) % self.queue.n_priorities
 
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
+        self.fetch_state()
         # Enqueue: bitmap set per level + bucket push.
         self.queue.enqueue(self._priority_of(packet), packet.five_tuple)
         self.rt.charge(

@@ -52,13 +52,8 @@ class HeavyKeeperNF(BaseNF):
             return self.rt.prandom_u32(Category.RANDOM) / (M32 + 1)
         return self.pool.draw() / (M32 + 1)
 
-    def _fetch_state(self) -> None:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
+        self.fetch_state()
         costs = self.costs
         if self.is_ebpf:
             self.rt.charge(

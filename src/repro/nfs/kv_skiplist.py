@@ -172,13 +172,8 @@ class SkipListKV(BaseNF):
 
     # -- packet path ------------------------------------------------------------
 
-    def _fetch_state(self) -> None:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
+        self.fetch_state()
         key = packet.key_int & ((1 << 64) - 1)
         if self.op_mix == OP_LOOKUP:
             self.lookup(key)

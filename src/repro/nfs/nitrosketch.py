@@ -14,14 +14,17 @@ number).
   row is a single decrement; fired rows draw fresh skip counts in one
   batched kfunc and update through ``hw_hash_crc``;
 - kernel: same as eNetSTL minus kfunc overheads.
+
+The counters are a :class:`~repro.datastructs.CountMinSketch` (row hash
+``fast_hash32`` in pure eBPF, ``crc_hash32`` otherwise); a fired row
+adds ``1/p`` at the key's column.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from ..core.algorithms.hashing import crc_hash32, fast_hash32
 from ..core.structures.random_pool import GeoRandomPool
+from ..datastructs.countmin import CountMinSketch
 from ..ebpf.cost_model import Category
 from ..net.packet import Packet, XdpAction
 from .base import BaseNF
@@ -47,77 +50,68 @@ class NitroSketchNF(BaseNF):
         super().__init__(rt)
         if not 0.0 < update_prob <= 1.0:
             raise ValueError("update_prob must be in (0, 1]")
+        self.sketch = CountMinSketch(
+            depth, width, hash=fast_hash32 if self.is_ebpf else crc_hash32
+        )
         self.depth = depth
         self.width = width
         self.p = update_prob
-        self.rows: List[List[float]] = [[0.0] * width for _ in range(depth)]
-        self.total = 0
+        #: The sketch's own counter rows.
+        self.rows = self.sketch.rows
+        costs = self.costs
+        #: Cycles per fired row: its hash plus the counter update.
         if self.is_ebpf:
+            self._row_cost = (
+                costs.hash_scalar + EBPF_UPDATE_EXTRA + costs.counter_update
+            )
             self.pool = None
             self._countdown = None
         else:
+            self._row_cost = costs.hash_crc_hw + costs.counter_update
             self.pool = GeoRandomPool(rt, update_prob, category=Category.RANDOM)
             # Packets remaining until each row's next update.
             self._countdown = list(self.pool.draw_many(depth))
 
-    def _fetch_state(self) -> None:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
-    def _update_row(self, row: int, key: int) -> None:
-        costs = self.costs
-        if self.is_ebpf:
-            self.rt.charge(
-                costs.hash_scalar + EBPF_UPDATE_EXTRA, Category.MULTIHASH
-            )
-            col = fast_hash32(key, row) % self.width
-        else:
-            self.rt.charge(costs.hash_crc_hw, Category.MULTIHASH)
-            col = crc_hash32(key, row) % self.width
-        self.rt.charge(costs.counter_update, Category.MULTIHASH)
-        self.rows[row][col] += 1.0 / self.p
+    def _update_rows(self, fired, key: int) -> None:
+        """Add ``1/p`` to ``key``'s counter in each fired row."""
+        self.rt.charge(self._row_cost * len(fired), Category.MULTIHASH)
+        column = self.sketch.column
+        rows = self.rows
+        inc = 1.0 / self.p
+        for row in fired:
+            rows[row][column(key, row)] += inc
 
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
-        costs = self.costs
-        key = packet.key_int
+        self.fetch_state()
+        rt = self.rt
+        depth = self.depth
         if self.is_ebpf:
             # One helper draw; rows sample from its bits.
-            draw = self.rt.prandom_u32(Category.RANDOM)
-            self.rt.charge(ROW_TEST_COST * self.depth, Category.RANDOM)
+            draw = rt.prandom_u32(Category.RANDOM)
+            rt.charge(ROW_TEST_COST * depth, Category.RANDOM)
             threshold = int(self.p * (1 << 32))
-            for row in range(self.depth):
-                if fast_hash32(draw, row) < threshold:
-                    self._update_row(row, key)
+            fired = [
+                row for row in range(depth) if fast_hash32(draw, row) < threshold
+            ]
+            if fired:
+                self._update_rows(fired, packet.key_int)
         else:
-            self.rt.charge(COUNTDOWN_COST * self.depth, Category.RANDOM)
+            rt.charge(COUNTDOWN_COST * depth, Category.RANDOM)
+            countdown = self._countdown
             fired = []
-            for row in range(self.depth):
-                self._countdown[row] -= 1
-                if self._countdown[row] <= 0:
+            for row in range(depth):
+                countdown[row] -= 1
+                if countdown[row] <= 0:
                     fired.append(row)
             if fired:
                 if self.is_enetstl:
-                    self.rt.charge(costs.kfunc_call, Category.MULTIHASH)
-                for row in fired:
-                    self._update_row(row, key)
+                    rt.charge(self.costs.kfunc_call, Category.MULTIHASH)
+                self._update_rows(fired, packet.key_int)
                 for row, skip in zip(fired, self.pool.draw_many(len(fired))):
-                    self._countdown[row] = skip
-        self.total += 1
+                    countdown[row] = skip
+        self.sketch.total += 1
         return XdpAction.DROP
-
-    def columns(self, key: int) -> List[int]:
-        """Uncosted per-row column indexes for ``key`` (mode-faithful).
-
-        Exposed for the multicore percpu-merge helpers, which sum
-        sharded rows across cores and re-run the column selection.
-        """
-        if self.is_ebpf:
-            return [fast_hash32(key, row) % self.width for row in range(self.depth)]
-        return [crc_hash32(key, row) % self.width for row in range(self.depth)]
 
     def estimate(self, key: int) -> float:
         """Median-free NitroSketch estimate: min over rows (uncosted)."""
-        cols = self.columns(key)
-        return min(self.rows[row][cols[row]] for row in range(self.depth))
+        return self.sketch.estimate(key)

@@ -53,11 +53,6 @@ class TimeWheelNF(BaseNF):
         self.enqueued = 0
         self.dequeued = 0
 
-    def _fetch_state(self) -> None:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
     def _charge_slot_scans(self, ticks_advanced: int) -> None:
         """Cost of skipping over (mostly empty) slots while advancing.
 
@@ -77,7 +72,7 @@ class TimeWheelNF(BaseNF):
                 self.bits.ffs(1)
 
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
+        self.fetch_state()
         costs = self.costs
         now = self.rt.now_ns
         self.rt.charge(costs.helper_call, Category.FRAMEWORK)  # bpf_ktime_get_ns

@@ -42,11 +42,6 @@ class TssClassifierNF(BaseNF):
         self.matched = 0
         self.unmatched = 0
 
-    def _fetch_state(self) -> None:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
     def install_rules(self, rules: List[Rule]) -> None:
         for rule in rules:
             self.classifier.add_rule(rule)
@@ -74,7 +69,7 @@ class TssClassifierNF(BaseNF):
         return self.classifier.classify(packet)
 
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
+        self.fetch_state()
         rule = self.classify(packet)
         if rule is None:
             self.unmatched += 1

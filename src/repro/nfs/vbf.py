@@ -40,11 +40,6 @@ class VbfNF(BaseNF):
         self.hits = 0
         self.misses = 0
 
-    def _fetch_state(self) -> None:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
-
     def lookup(self, key: int):
         """Cost-charged set lookup; returns the set id or None."""
         costs = self.costs
@@ -63,7 +58,7 @@ class VbfNF(BaseNF):
         return self.bits.ffs(mask) - 1
 
     def process(self, packet: Packet) -> str:
-        self._fetch_state()
+        self.fetch_state()
         set_id = self.lookup(packet.key_int)
         if set_id is None:
             self.misses += 1

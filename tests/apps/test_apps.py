@@ -57,7 +57,7 @@ def state_of(nf):
         tuple(map(tuple, st.rake_levels)),
         tuple(sorted(st.fdb.items())),
         tuple(st.learn_filter),
-        tuple(map(tuple, st.sk_rows)),
+        tuple(map(tuple, st.sketch.rows)),
         tuple(map(tuple, st.univ_rows)),
         tuple(st.heap.topk()),
     )
@@ -144,7 +144,7 @@ class TestSketchSuite:
     def test_same_cm_estimates(self):
         nfs, _ = run_both("sketches")
         a_st, b_st = (nf.registry.app_state for nf in nfs.values())
-        assert a_st.sk_rows == b_st.sk_rows
+        assert a_st.sketch.rows == b_st.sketch.rows
         assert a_st.heap.topk() == b_st.heap.topk()
 
     def test_integration_improves_throughput(self):

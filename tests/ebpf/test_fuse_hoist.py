@@ -122,7 +122,7 @@ def _app_state(registry):
         st.rake_levels,
         sorted(st.fdb.items()),
         st.learn_filter,
-        st.sk_rows,
+        st.sketch.rows,
         st.univ_rows,
         sorted(st.heap),
         sorted(kat.conns.items()),

@@ -12,7 +12,6 @@ from repro.net.multicore import (
     merged_bloom_words,
     merged_countmin_estimate,
     merged_countmin_rows,
-    merged_nitrosketch_estimate,
     shard_trace,
 )
 from repro.net.steering import RssSteering
@@ -258,10 +257,7 @@ class TestPercpuMerge:
         ref.populate(members)
         assert merged_bloom_words(disp.nfs) == ref.words
         for f in fg.flows:
-            expected = all(
-                ref.words[bit // 64] >> (bit % 64) & 1
-                for bit in ref._positions(f.key_int)
-            )
+            expected = f.key_int in ref.bloom
             assert merged_bloom_contains(disp.nfs, f.key_int) == expected
         for key in members:
             assert merged_bloom_contains(disp.nfs, key)
@@ -279,7 +275,7 @@ class TestPercpuMerge:
         # p=1.0 makes NitroSketch deterministic: every row updates on
         # every packet, so the sharded merge is exact.
         for flow in fg.flows[:16]:
-            assert merged_nitrosketch_estimate(disp.nfs, flow.key_int) == pytest.approx(
+            assert merged_countmin_estimate(disp.nfs, flow.key_int) == pytest.approx(
                 ref.estimate(flow.key_int)
             )
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.maps import MapFullError
 from repro.ebpf.runtime import BpfRuntime
 from repro.faults import FaultPlan
@@ -137,6 +138,27 @@ class TestSketchDegradation:
         # Never-firing policy: bit-identical state and cycles.
         assert with_policy.rows == plain.rows
         assert with_policy.rt.cycles.total == plain.rt.cycles.total
+
+    @pytest.mark.parametrize("depth", [2, 4], ids=["crc", "simd"])
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    @pytest.mark.parametrize("threshold", [1, 10])
+    @pytest.mark.parametrize("policy", ["halve", "reset", "clamp"])
+    def test_batch_ages_like_per_packet(self, policy, threshold, batch_size, depth):
+        """The batch path fires at the same update counts as per packet,
+        so the rows, the events and every charge match."""
+        trace = FlowGenerator(n_flows=8, seed=2).trace(256)
+        nfs = [
+            CountMinNF(
+                BpfRuntime(mode=ExecMode.ENETSTL), depth=depth, width=64,
+                degrade=SketchDegradation(threshold, policy=policy, cap=3),
+            )
+            for _ in range(2)
+        ]
+        per_packet = XdpPipeline(nfs[0]).run(trace)
+        batched = XdpPipeline(nfs[1]).run_batch(trace, batch_size=batch_size)
+        assert nfs[1].degrade.events == nfs[0].degrade.events == 256 // threshold
+        assert nfs[1].rows == nfs[0].rows
+        assert batched.by_category == per_packet.by_category
 
     def test_validation(self):
         with pytest.raises(ValueError):

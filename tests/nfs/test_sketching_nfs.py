@@ -44,7 +44,7 @@ class TestCountMinNF:
         fg = FlowGenerator(8, seed=1)
         result = XdpPipeline(nf).run(fg.trace(50))
         assert result.actions == {XdpAction.DROP: 50}
-        assert nf.total == 50
+        assert nf.sketch.total == 50
 
     def test_crc_cutover_for_shallow_sketches(self):
         """depth <= 2 uses per-row CRC instead of the SIMD batch."""
@@ -143,3 +143,15 @@ class TestNitroSketchNF:
             NitroSketchNF(rt_for(ExecMode.KERNEL), update_prob=0.0)
         with pytest.raises(ValueError):
             NitroSketchNF(rt_for(ExecMode.KERNEL), update_prob=1.5)
+
+    @pytest.mark.parametrize("mode", list(ExecMode))
+    @pytest.mark.parametrize(
+        "geometry",
+        [{"width": 0}, {"depth": 0}, {"depth": -1}, {"width": -5}],
+        ids=["width0", "depth0", "depth-1", "width-5"],
+    )
+    def test_invalid_geometry(self, mode, geometry):
+        """Rejected at construction in every mode, as CountMinNF does,
+        instead of aborting every packet later."""
+        with pytest.raises(ValueError):
+            NitroSketchNF(rt_for(mode), **geometry)
