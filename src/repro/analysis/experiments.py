@@ -108,8 +108,38 @@ def _skiplist_sweep(name, op_mix, loads, n_packets, seed) -> Sweep:
 
 
 # ---------------------------------------------------------------------------
-# Fig. 3(c): CuckooSwitch vs load factor
+# Fig. 3(c)/(g): cuckoo tables vs load factor
 # ---------------------------------------------------------------------------
+
+def _fill_through(load_factors, capacity, seed, fresh):
+    """Yield ``(alpha, flows, filled)`` per load factor, in order.
+
+    ``flows`` is ``make_flows(int(alpha * capacity), seed)``, the
+    resident keys, and ``filled`` an NF from ``fresh()`` populated with
+    exactly those keys in order.  One population is drawn for the
+    whole sweep and one table is filled through it: ``make_flows(n,
+    seed)`` is a prefix of any larger population and inserts are
+    deterministic (kick RNG included), so topping up the previous
+    point's table with the next keys leaves it as a fresh fill would.
+    A smaller load factor than the one before starts a fresh table.
+    The fill is uncharged control-plane set-up; callers copy
+    ``filled`` per mode and never probe it.
+    """
+    sizes = [int(alpha * capacity) for alpha in load_factors]
+    if not sizes:
+        return
+    population = make_flows(max(sizes), seed)
+    filled, done = None, 0
+    for alpha, n in zip(load_factors, sizes):
+        if n <= 0:
+            raise ValueError("n_flows must be positive")
+        if filled is None or n < done:
+            filled, done = fresh(), 0
+        flows = population[:n]
+        filled.populate(f.key_int for f in flows[done:])
+        done = n
+        yield alpha, flows, filled
+
 
 def fig3c_cuckoo_switch(
     load_factors: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 0.95),
@@ -119,18 +149,17 @@ def fig3c_cuckoo_switch(
     seed: int = 5,
 ) -> Sweep:
     sweep = Sweep("fig3c", "load factor")
-    capacity = n_buckets * slots
-    for alpha in load_factors:
-        # The resident keys: make_flows(n, seed) is a prefix of any
-        # larger population.  Traffic is restricted to them.
-        flows = make_flows(int(alpha * capacity), seed)
-        fg = FlowGenerator(seed=seed + 1, flows=flows)
-        trace = fg.trace(n_packets)
-        # One fill per point; every mode probes its own copy.
-        filled = CuckooSwitchNF(
+    fills = _fill_through(
+        load_factors,
+        n_buckets * slots,
+        seed,
+        lambda: CuckooSwitchNF(
             BpfRuntime(), n_buckets=n_buckets, slots_per_bucket=slots
-        )
-        filled.populate(f.key_int for f in flows)
+        ),
+    )
+    for alpha, flows, filled in fills:
+        # Traffic is restricted to the resident keys.
+        trace = FlowGenerator(seed=seed + 1, flows=flows).trace(n_packets)
         for mode in ALL_MODES:
             rt = BpfRuntime(mode=mode, seed=seed)
             nf = CuckooSwitchNF(rt, n_buckets=n_buckets, slots_per_bucket=slots)
@@ -222,15 +251,16 @@ def fig3g_cuckoo_filter(
     seed: int = 9,
 ) -> Sweep:
     sweep = Sweep("fig3g", "load factor")
-    capacity = n_buckets * slots
-    for alpha in load_factors:
-        flows = make_flows(int(alpha * capacity), seed)
-        fg = FlowGenerator(seed=seed + 1, flows=flows)
-        trace = fg.trace(n_packets)
-        filled = CuckooFilterNF(
+    fills = _fill_through(
+        load_factors,
+        n_buckets * slots,
+        seed,
+        lambda: CuckooFilterNF(
             BpfRuntime(), n_buckets=n_buckets, slots_per_bucket=slots
-        )
-        filled.populate(f.key_int for f in flows)
+        ),
+    )
+    for alpha, flows, filled in fills:
+        trace = FlowGenerator(seed=seed + 1, flows=flows).trace(n_packets)
         for mode in ALL_MODES:
             rt = BpfRuntime(mode=mode, seed=seed)
             nf = CuckooFilterNF(rt, n_buckets=n_buckets, slots_per_bucket=slots)

@@ -6,10 +6,15 @@ rebuilds its own :class:`FlowGenerator` and :class:`BpfRuntime` from
 fixed per-experiment seeds — so the matrix fans out across worker
 processes with **bit-identical** results:
 
-1. Each experiment *splits* into subtasks, one per sweep point (one
-   table size / load factor / depth / NF / app), each a plain
+1. Each experiment *splits* into subtasks, each a plain
    ``(function-name, kwargs)`` pair that re-invokes the original
-   experiment function on a singleton parameter subset.
+   experiment function.  Most split one per sweep point (one table
+   size / depth / NF / app) on a singleton parameter subset.  The
+   cuckoo load sweeps (Fig. 3(c)/(g)) are one subtask each: they fill
+   one table through every load factor, each point topping up the
+   last, which is far cheaper than a fresh fill per point.  Splitting
+   them would need the population and table shared across subtasks;
+   a process-wide memo for that raised peak memory when it was tried.
 2. Subtasks run across a ``multiprocessing.Pool`` (stdlib only) and the
    ordered partial results *merge* back into the exact object the
    serial call would have produced (points are appended in the same
@@ -229,11 +234,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         _merge_sweeps,
     ),
+    # One subtask per cuckoo load sweep: it fills one table through
+    # every load factor (see the module docstring).
     "fig3c": Experiment(
-        _sweep_splitter(
-            "fig3c_cuckoo_switch", "load_factors", (0.2, 0.4, 0.6, 0.8, 0.95)
-        ),
-        _merge_sweeps,
+        lambda n: [("fig3c_cuckoo_switch", {"n_packets": n})], _single
     ),
     "fig3d": Experiment(
         _sweep_splitter(
@@ -252,10 +256,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         _merge_sweeps,
     ),
     "fig3g": Experiment(
-        _sweep_splitter(
-            "fig3g_cuckoo_filter", "load_factors", (0.2, 0.4, 0.6, 0.8, 0.95)
-        ),
-        _merge_sweeps,
+        lambda n: [("fig3g_cuckoo_filter", {"n_packets": n})], _single
     ),
     "fig3h": Experiment(
         _sweep_splitter("fig3h_eiffel", "levels", (1, 2, 3, 4)),

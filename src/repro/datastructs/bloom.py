@@ -45,6 +45,12 @@ class BloomFilter:
                 return False
         return True
 
+    def check_mergeable(self, other: "BloomFilter") -> None:
+        """Raise ``ValueError`` unless ``other`` has this filter's size
+        and hash count, so that its bitmap ORs into this one's."""
+        if (other.n_bits, other.n_hashes) != (self.n_bits, self.n_hashes):
+            raise ValueError("Bloom filter sizes or hash counts differ")
+
     @property
     def fill_ratio(self) -> float:
         set_bits = sum(bin(w).count("1") for w in self.words)

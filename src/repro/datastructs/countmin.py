@@ -65,12 +65,17 @@ class CountMinSketch:
             for row, counters in enumerate(self.rows)
         )
 
-    def merge(self, other: "CountMinSketch") -> None:
-        """Add another sketch with identical dimensions into this one."""
+    def check_mergeable(self, other: "CountMinSketch") -> None:
+        """Raise ``ValueError`` unless ``other`` has this sketch's depth,
+        width and row hash, so that its counters add into this one's."""
         if (other.depth, other.width, other.hash) != (
             self.depth, self.width, self.hash
         ):
             raise ValueError("sketch dimensions or row hashes differ")
+
+    def merge(self, other: "CountMinSketch") -> None:
+        """Add another sketch with identical dimensions into this one."""
+        self.check_mergeable(other)
         for row in range(self.depth):
             mine, theirs = self.rows[row], other.rows[row]
             for col in range(self.width):

@@ -5,6 +5,10 @@ contiguous block of slots holding (signature, key, value) entries so a
 probe compares the key against all slots of a bucket — the O6 behavior
 eNetSTL's ``find_simd`` accelerates.  Inserts displace entries along a
 cuckoo path up to a bounded number of kicks.
+
+Entries are immutable and carry both of their key's bucket indexes: an
+update replaces the entry, a copy shares the entries of its original,
+and a path search reads an occupant's buckets without rehashing it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,7 @@ from __future__ import annotations
 import copy
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from ..core.algorithms.hashing import crc_hash32, fast_hash32
 
@@ -23,11 +26,13 @@ MAX_KICKS = 128
 _SIG_SEED = 0xC0FFEE
 
 
-@dataclass
-class _Entry:
+class _Entry(NamedTuple):
     sig: int
     key: int
     value: Any
+    #: The key's two candidate buckets, ``index1(key)`` and ``index2(key)``.
+    i1: int
+    i2: int
 
 
 class BlockedCuckooTable:
@@ -114,27 +119,29 @@ class BlockedCuckooTable:
         if missed is not None and missed[0] == key:
             _, i1, i2, sig = missed
         else:
-            i1, i2 = self.index1(key), self.index2(key)
-            sig = self.signature(key)
+            mask = self.n_buckets - 1
+            i1 = crc_hash32(key, 0) & mask
+            i2 = crc_hash32(key, 1) & mask
+            sig = fast_hash32(key, _SIG_SEED)
+        entry = _Entry(sig, key, value, i1, i2)
+        buckets = self._buckets
         for index in (i1, i2):
-            hit = self.probe_bucket(index, key, sig)
-            if hit is not None:
-                self._buckets[index][hit[0]].value = value
-                return True
-        entry = _Entry(sig, key, value)
+            bucket = buckets[index]
+            for slot, e in enumerate(bucket):
+                if e is not None and e.sig == sig and e.key == key:
+                    bucket[slot] = entry
+                    return True
         for index in (i1, i2):
-            slot = self._free_slot(index)
-            if slot is not None:
-                self._buckets[index][slot] = entry
+            bucket = buckets[index]
+            if EMPTY in bucket:
+                bucket[bucket.index(EMPTY)] = entry
                 self._len += 1
                 return True
         return self._insert_with_path(entry, (i1, i2))
 
     def _free_slot(self, index: int) -> Optional[int]:
-        for slot, e in enumerate(self._buckets[index]):
-            if e is EMPTY:
-                return slot
-        return None
+        bucket = self._buckets[index]
+        return bucket.index(EMPTY) if EMPTY in bucket else None
 
     def _insert_with_path(self, entry: _Entry, starts: Tuple[int, int]) -> bool:
         """BFS for an eviction path ending at a free slot.
@@ -143,23 +150,23 @@ class BlockedCuckooTable:
         displaced entry: either a full path to a free slot exists and
         every move is applied, or the table is left untouched.
         """
+        buckets = self._buckets
         visited = set(starts)
         queue = deque((idx, []) for idx in starts)
         while queue and len(visited) <= MAX_KICKS:
             index, path = queue.popleft()
-            free = self._free_slot(index)
-            if free is not None:
+            bucket = buckets[index]
+            if EMPTY in bucket:
                 # Shift entries along the path, last hop first.
-                dst = (index, free)
-                for bucket, slot in reversed(path):
-                    self._buckets[dst[0]][dst[1]] = self._buckets[bucket][slot]
-                    dst = (bucket, slot)
-                self._buckets[dst[0]][dst[1]] = entry
+                dst = (index, bucket.index(EMPTY))
+                for src in reversed(path):
+                    buckets[dst[0]][dst[1]] = buckets[src[0]][src[1]]
+                    dst = src
+                buckets[dst[0]][dst[1]] = entry
                 self._len += 1
                 return True
-            for slot, occupant in enumerate(self._buckets[index]):
-                home = self.index1(occupant.key)
-                alt = self.index2(occupant.key) if index == home else home
+            for slot, occupant in enumerate(bucket):
+                alt = occupant.i2 if index == occupant.i1 else occupant.i1
                 if alt not in visited:
                     visited.add(alt)
                     queue.append((alt, path + [(index, slot)]))
@@ -177,13 +184,11 @@ class BlockedCuckooTable:
 
     def copy(self) -> "BlockedCuckooTable":
         """An independent table in this one's exact state: the same
-        entries in the same slots (as new entry objects), the same
-        length and the same kick RNG state."""
+        entries in the same slots, the same length and the same kick
+        RNG state.  Entries are immutable, so the copy shares them and
+        copies only the bucket lists."""
         dup = copy.copy(self)
-        dup._buckets = [
-            [EMPTY if e is EMPTY else _Entry(e.sig, e.key, e.value) for e in bucket]
-            for bucket in self._buckets
-        ]
+        dup._buckets = [bucket[:] for bucket in self._buckets]
         dup._rng = copy.deepcopy(self._rng)
         return dup
 

@@ -68,23 +68,27 @@ class CuckooFilter:
         return fp in self._buckets[i1] or fp in self._buckets[i2]
 
     def insert(self, key: int) -> bool:
-        fp = self.fingerprint(key)
-        i1 = self.index1(key)
-        i2 = self.alt_index(i1, fp)
+        # fingerprint, index1 and alt_index, inlined: set-up fills call
+        # this once per member.
+        fp = fast_hash32(key, 0xF00D) & self._fp_mask or 1
+        mask = self.n_buckets - 1
+        i1 = crc_hash32(key, 2) & mask
+        i2 = (i1 ^ crc_hash32(fp, 3)) & mask
+        buckets = self._buckets
         for index in (i1, i2):
-            slot = self._free_slot(index)
-            if slot is not None:
-                self._buckets[index][slot] = fp
+            bucket = buckets[index]
+            if 0 in bucket:
+                bucket[bucket.index(0)] = fp
                 self._len += 1
                 return True
         index = self._rng.choice((i1, i2))
         for _ in range(MAX_KICKS):
             slot = self._rng.randrange(self.slots_per_bucket)
-            fp, self._buckets[index][slot] = self._buckets[index][slot], fp
+            fp, buckets[index][slot] = buckets[index][slot], fp
             index = self.alt_index(index, fp)
             free = self._free_slot(index)
             if free is not None:
-                self._buckets[index][free] = fp
+                buckets[index][free] = fp
                 self._len += 1
                 return True
         return False
@@ -112,10 +116,8 @@ class CuckooFilter:
         return dup
 
     def _free_slot(self, index: int) -> Optional[int]:
-        for slot, fp in enumerate(self._buckets[index]):
-            if fp == 0:
-                return slot
-        return None
+        bucket = self._buckets[index]
+        return bucket.index(0) if 0 in bucket else None
 
     @property
     def capacity(self) -> int:

@@ -589,8 +589,12 @@ def chain_nf_factory(
 
 
 def merged_countmin_rows(nfs: Sequence) -> List[List[int]]:
-    """Sum sharded count-min rows across cores (control-plane fold)."""
-    _check_same_shape(nfs)
+    """Sum sharded count-min rows across cores (control-plane fold).
+
+    Raises ``ValueError`` unless every core's sketch shares the first
+    one's depth, width and row hash.
+    """
+    _check_mergeable([nf.sketch for nf in nfs])
     return sum_matrices([nf.rows for nf in nfs])
 
 
@@ -609,26 +613,30 @@ def merged_countmin_estimate(nfs: Sequence, key: int):
 
 
 def merged_bloom_words(nfs: Sequence) -> List[int]:
-    """OR sharded Bloom bitmaps across cores."""
+    """OR sharded Bloom bitmaps across cores.
+
+    Raises ``ValueError`` unless every core's filter shares the first
+    one's size and hash count.
+    """
+    _check_mergeable([nf.bloom for nf in nfs])
     return or_words([nf.words for nf in nfs])
 
 
 def merged_bloom_contains(nfs: Sequence, key: int) -> bool:
     """Membership query against the cross-core merged Bloom filter."""
+    words = merged_bloom_words(nfs)
     first = nfs[0].bloom
     merged = BloomFilter(first.n_bits, first.n_hashes)
-    merged.words[:] = merged_bloom_words(nfs)
+    merged.words[:] = words
     return key in merged
 
 
-def _check_same_shape(nfs: Sequence) -> None:
-    if not nfs:
+def _check_mergeable(structs: Sequence) -> None:
+    """Each per-core structure must merge with the first one."""
+    if not structs:
         raise ValueError("need at least one per-core NF instance")
-    depth = getattr(nfs[0], "depth", None)
-    width = getattr(nfs[0], "width", None)
-    for nf in nfs[1:]:
-        if getattr(nf, "depth", None) != depth or getattr(nf, "width", None) != width:
-            raise ValueError("per-core sketches must share one geometry")
+    for other in structs[1:]:
+        structs[0].check_mergeable(other)
 
 
 #: Public names, including the watchdog's, which live in

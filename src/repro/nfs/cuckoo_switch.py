@@ -59,10 +59,13 @@ class CuckooSwitchNF(BaseNF):
                 Category.MULTIHASH,
             )
 
-    def _probe(self, index: int, key: int) -> Optional[int]:
-        """Probe one bucket; returns the stored value on a hit."""
+    def _probe(self, index: int, key: int, sig: int) -> Optional[int]:
+        """Probe one bucket for ``key`` (signature ``sig``); returns the
+        stored value on a hit."""
         costs = self.costs
-        occupied = sum(1 for s in self.table.bucket_signatures(index) if s)
+        table = self.table
+        sigs = table.bucket_signatures(index)
+        occupied = len(sigs) - sigs.count(0)
         # Streaming the bucket's occupied entries from memory costs the
         # same regardless of how they are compared.
         self.rt.charge(costs.slot_mem_read * occupied, Category.BUCKETS)
@@ -71,11 +74,10 @@ class CuckooSwitchNF(BaseNF):
                 (costs.cmp_scalar_per_item + costs.bounds_check) * max(occupied, 1),
                 Category.BUCKETS,
             )
-            hit = self.table.probe_bucket(index, key)
+            hit = table.probe_bucket(index, key, sig)
         else:
-            sigs = self.table.bucket_signatures(index)
-            slot = self.simd.find(sigs, self.table.signature(key))
-            hit = self.table.probe_bucket(index, key) if slot >= 0 else None
+            slot = self.simd.find(sigs, sig)
+            hit = table.probe_bucket(index, key, sig) if slot >= 0 else None
         if hit is not None:
             self.rt.charge(KEY_VERIFY_COST, Category.BUCKETS)
             return hit[1]
@@ -83,9 +85,11 @@ class CuckooSwitchNF(BaseNF):
 
     def lookup(self, key: int) -> Optional[int]:
         self._charge_hash()
-        value = self._probe(self.table.index1(key), key)
+        table = self.table
+        sig = table.signature(key)
+        value = self._probe(table.index1(key), key, sig)
         if value is None:
-            value = self._probe(self.table.index2(key), key)
+            value = self._probe(table.index2(key), key, sig)
         return value
 
     def process(self, packet: Packet) -> str:

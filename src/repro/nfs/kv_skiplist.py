@@ -215,23 +215,32 @@ class SkipListKV(BaseNF):
         """
         if self._len:
             raise ValueError("populate builds an empty list")
+        rand = self.rt.raw_random
+        max_height = self.max_height
+        alloc = self.wrapper.setup_alloc
+        adopt = self.proxy.adopt
+        top = self.height
         placed = {}
         for key in keys:
             key &= (1 << 64) - 1
             if key in placed:
                 continue
-            height = self._random_height()
-            node = self.wrapper.setup_alloc(height, height, 8 + VALUE_SIZE)
+            height = 1   # _random_height, inlined
+            while height < max_height and rand() < 0.5:
+                height += 1
+            node = alloc(height, height, 8 + VALUE_SIZE)
             if node is None:
                 continue
-            self.proxy.adopt(node)
-            node.write_u64(key, 0)
-            node.write(8, b"\x00" * 16)
+            adopt(node)
+            # The key, as write_u64 lays it out; the payload stays the
+            # zeros the allocation starts with.
+            node.data[:8] = key.to_bytes(8, "little")
             node.refcount = 0   # the allocating reference, returned
             placed[key] = node
-            if height > self.height:
-                self.height = height
-        tails = [self.head] * self.max_height
+            if height > top:
+                top = height
+        self.height = top
+        tails = [self.head] * max_height
         for key in sorted(placed):
             node = placed[key]
             for level in range(len(node.outs)):

@@ -24,12 +24,12 @@ def cold_insert(t, key, value):
     computed from the key."""
     i1, i2 = t.index1(key), t.index2(key)
     sig = t.signature(key)
+    entry = _Entry(sig, key, value, i1, i2)
     for index in (i1, i2):
         hit = t.probe_bucket(index, key, sig)
         if hit is not None:
-            t._buckets[index][hit[0]].value = value
+            t._buckets[index][hit[0]] = entry
             return True
-    entry = _Entry(sig, key, value)
     for index in (i1, i2):
         slot = t._free_slot(index)
         if slot is not None:

@@ -287,6 +287,38 @@ class TestPercpuMerge:
         with pytest.raises(ValueError):
             merged_countmin_rows([])
 
+    def test_merge_rejects_mixed_row_hashes(self):
+        """At depth 2 a pure-eBPF count-min hashes its rows with
+        ``fast_hash32`` and a kernel one with ``crc_hash32``: one packet
+        on each core must not merge into an estimate of 1."""
+        pkt = FlowGenerator(n_flows=1, seed=3).flows[0]
+        a = CountMinNF(BpfRuntime(mode=ExecMode.PURE_EBPF, seed=0), depth=2)
+        b = CountMinNF(BpfRuntime(mode=ExecMode.KERNEL, seed=1), depth=2)
+        for nf in (a, b):
+            nf.process(pkt)
+        assert (a.depth, a.width) == (b.depth, b.width)
+        with pytest.raises(ValueError):
+            merged_countmin_estimate([a, b], pkt.key_int)
+        with pytest.raises(ValueError):
+            merged_countmin_rows([a, b])
+
+    def test_bloom_merge_rejects_mixed_geometry(self):
+        """A key added on a core with one hash must not read absent
+        through a merge that queries with the first core's four."""
+        rt = lambda core: BpfRuntime(mode=ExecMode.ENETSTL, seed=core)
+        a = BloomFilterNF(rt(0), n_hashes=4)
+        b = BloomFilterNF(rt(1), n_hashes=1)
+        key = FlowGenerator(n_flows=1, seed=3).flows[0].key_int
+        b.populate([key])
+        with pytest.raises(ValueError):
+            merged_bloom_contains([a, b], key)
+        with pytest.raises(ValueError):
+            merged_bloom_words([a, b])
+        with pytest.raises(ValueError):
+            merged_bloom_words([a, BloomFilterNF(rt(2), n_bits=1 << 12)])
+        with pytest.raises(ValueError):
+            merged_bloom_words([])
+
 
 class TestPercpuPrimitives:
     def test_sum_vectors(self):

@@ -103,8 +103,8 @@ class TestFlowGenerator:
     @example(n=3276, extra=16384 - 3276, seed=5)   # fig3c's alpha = 0.2
     def test_make_flows_is_a_prefix_of_larger_populations(self, n, extra, seed):
         # One RNG stream plus a deterministic dedup: the Fig. 3(c)/(g)
-        # sweeps draw make_flows(n_keys, seed) per load factor and rely
-        # on it being the head of the full-capacity population.
+        # sweeps draw their largest population once and rely on each
+        # load factor's make_flows(n_keys, seed) being its head.
         assert make_flows(n, seed) == make_flows(n + extra, seed)[:n]
 
     @pytest.mark.parametrize("seed", [1, 3, 4, 5, 9, 11, 12, 2**64 + 7])
