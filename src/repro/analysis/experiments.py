@@ -119,7 +119,7 @@ def _fill_through(load_factors, capacity, seed, fresh):
     exactly those keys in order.  One population is drawn for the
     whole sweep and one table is filled through it: ``make_flows(n,
     seed)`` is a prefix of any larger population and inserts are
-    deterministic (kick RNG included), so topping up the previous
+    deterministic (the filter's kick RNG included), so topping up the previous
     point's table with the next keys leaves it as a fresh fill would.
     A smaller load factor than the one before starts a fresh table.
     The fill is uncharged control-plane set-up; callers copy

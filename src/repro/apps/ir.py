@@ -188,9 +188,7 @@ class KatranState:
         self.seed = seed
         self.alive: List[int] = list(range(n_reals))
         self.ring: List[int] = [0] * CH_RING_SIZE
-        self.conns = BlockedCuckooTable(
-            CONN_BUCKETS, CONN_SLOTS, seed=seed + 11
-        )
+        self.conns = BlockedCuckooTable(CONN_BUCKETS, CONN_SLOTS)
         self.stats: List[int] = [0] * n_reals
         self.evicted = 0
         self.fill_ring()

@@ -14,7 +14,6 @@ and a path search reads an occupant's buckets without rehashing it.
 from __future__ import annotations
 
 import copy
-import random
 from collections import deque
 from typing import Any, List, NamedTuple, Optional, Tuple
 
@@ -42,7 +41,6 @@ class BlockedCuckooTable:
         self,
         n_buckets: int = 1024,
         slots_per_bucket: int = DEFAULT_SLOTS_PER_BUCKET,
-        seed: int = 11,
     ) -> None:
         if n_buckets <= 0 or n_buckets & (n_buckets - 1):
             raise ValueError("n_buckets must be a positive power of two")
@@ -53,7 +51,6 @@ class BlockedCuckooTable:
         self._buckets: List[List[Optional[_Entry]]] = [
             [EMPTY] * slots_per_bucket for _ in range(n_buckets)
         ]
-        self._rng = random.Random(seed)
         self._len = 0
         #: ``(key, index1, index2, signature)`` of the last lookup miss.
         self._missed: Optional[Tuple[int, int, int, int]] = None
@@ -184,12 +181,12 @@ class BlockedCuckooTable:
 
     def copy(self) -> "BlockedCuckooTable":
         """An independent table in this one's exact state: the same
-        entries in the same slots, the same length and the same kick
-        RNG state.  Entries are immutable, so the copy shares them and
-        copies only the bucket lists."""
+        entries in the same slots and the same length.  Entries are
+        immutable, so the copy shares them and copies only the bucket
+        lists.  Inserts search their path breadth-first, so no RNG
+        state needs copying."""
         dup = copy.copy(self)
         dup._buckets = [bucket[:] for bucket in self._buckets]
-        dup._rng = copy.deepcopy(self._rng)
         return dup
 
     def items(self) -> List[Tuple[int, Any]]:

@@ -12,9 +12,12 @@ generated function that contains the batch loop, the packet encoder,
 every stage's compiled body, the early-exit verdict logic between
 stages, and a single per-batch accounting flush:
 
-- **Early-exit codegen** — a stage's non-``PASS`` verdict counts the
-  packet and ``continue``\\ s the batch loop; later stages are never
-  branched to.  The last stage has no verdict test at all.
+- **Early-exit codegen** — each stage is emitted as structured code,
+  or as a dispatch loop where a back-edge survives unrolling
+  (:mod:`repro.ebpf.jit`); a stage's final verdict appends r0 to
+  ``nf.returns`` and ``continue``\\ s the batch loop, so later stages
+  are never branched to, and ``PASS`` falls through into the next
+  stage.  A constant verdict needs no run-time test.
 - **Cross-program specialization** — the packet-header layout, the
   chain's verdict threshold, and the cost-model constants are burned
   in as literals; kfunc impls that publish a ``_fuse_inline`` codegen
@@ -48,7 +51,9 @@ stages, and a single per-batch accounting flush:
 - **Per-batch accounting** — step/check tallies accumulate in locals
   across the whole batch and flush once (in a ``finally``, so a
   faulting batch still accounts its executed prefix), with cycle
-  charges folded to two multiplications.
+  charges folded to two multiplications.  The raw-verdict histogram
+  is counted once, from the verdicts the batch appended, and the
+  prologue binds only the buffers and counters the body uses.
 
 Parity contract: identical per-packet r0 sequence, identical
 ``VmStats`` totals, identical ``Cycles`` charges by category, and
@@ -68,6 +73,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from collections import _count_elements
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
@@ -79,10 +85,6 @@ from .kfunc_meta import KfuncRegistry
 from .vm import MASK64, Pointer
 
 _HEX_M = "0x%X" % MASK64
-
-#: The XDP verdict that hands the packet to the next stage.  Any other
-#: r0 is final (``enum xdp_action``: 2 == XDP_PASS).
-PASS_VERDICT = 2
 
 #: Packet offset -> the loop-local expression for the header field
 #: stored there (``_pp`` is the packet, ``_n`` its size).  Drives both
@@ -129,6 +131,11 @@ class FusedChain:
     hoisted_calls: int = 0
     #: per-stage regions whose buffers the stage may write.
     stage_writes: Tuple[frozenset, ...] = ()
+    #: stages whose back-edge survived unrolling, so they kept the
+    #: ``_b`` dispatch loop (every other stage is structured code).
+    dispatch_stages: Tuple[str, ...] = ()
+    #: stack loads read from a scalar stored earlier in their block.
+    forwarded_stack_loads: int = 0
     unrolled: Dict[str, Dict[int, int]] = field(default_factory=dict)
 
 
@@ -297,46 +304,20 @@ def fuse_chain(
 
     names = tuple(prog.name for prog, _ in stages)
     fname = "_fused_" + "__".join(re.sub(r"\W", "_", n) for n in names)
-
-    em = _Emitter()
-    em.emit(0, f"def {fname}(nf, batch):")
-    for line in (
-        "vm = nf._vm",
-        "_stats = nf.stats",
-        "_rapp = nf.returns.append",
-        "_charge = nf.rt.charge",
-        "_stack = vm.stack",
-        "_ctx = vm.ctx",
-        "_pkt = vm.packet",
-        "_slots = vm._ptr_slots",
-        "_rd = vm.read_u64",
-        "_wr = vm.write_u64",
-        "_bf = vm._buffer_for",
-        "_bu = vm._buffer_unchecked",
-        # Objects a previous batch's programs allocated (and provably
-        # released) need not accumulate on the persistent VM.
-        "del vm.live_objects[:]",
-        "_counts = {}",
-        "_steps = 0",
-        "_mem = 0",
-        "_div = 0",
-        "_eli = 0",
-    ):
-        em.emit(1, line)
+    n_last = len(compilers) - 1
 
     # Per-stage bodies are rendered first (into scratch emitters) so
-    # the packet-loop prologue can specialize on what the stages
-    # actually do: whether any stage writes pkt/ctx, whether anyone
-    # reads data_end or the packet bytes, whether a back-edge survived
-    # unrolling.
+    # the packet loop and its prologue can specialize on what the
+    # stages actually do: whether any stage writes pkt/ctx, whether
+    # anyone reads data_end or the packet bytes.
     def render(
         header_loads: Dict[int, str]
     ) -> Tuple[List[_Emitter], _HashPrologue]:
         bodies = []
         prologue = _HashPrologue()
-        for comp in compilers:
+        for i, comp in enumerate(compilers):
             body = _Emitter()
-            comp.emit_dispatch(body, 0, header_loads, prologue)
+            comp.emit_stage(body, 0, header_loads, prologue, i == n_last)
             bodies.append(body)
         return bodies, prologue
 
@@ -351,10 +332,52 @@ def fuse_chain(
         # Nothing is packet-pure without forwarded loads: no prologue.
         stage_bodies, prologue = render({})
     encodes_packet = writes_pkt or any(c.reads_packet for c in compilers)
-
-    all_text = "\n".join("\n".join(b.lines) for b in stage_bodies)
-    uses_pktend = "_PKTEND" in all_text
     any_writes_ctx = any("ctx" in c.writes for c in compilers)
+
+    # The packet loop's body, one level below the ``for``.
+    loop = _Emitter()
+    if encodes_packet:
+        # Packet encode, specialized: zeroed template + pack_into, no
+        # intermediate bytearray/bytes round-trip (encode_packet
+        # allocates twice per packet).
+        loop.emit(0, "_pkt[:] = _zb(_n)")
+        loop.emit(0, _ENCODE)
+    if any_writes_ctx:
+        # A fresh per-stage VM would see a zero ctx; re-zero once per
+        # packet only because some stage may dirty it.
+        loop.emit(0, "_ctx[:] = _ZCTX")
+    wrote_pkt = False
+    wrote_ctx = False
+    for i, (comp, body) in enumerate(zip(compilers, stage_bodies)):
+        loop.emit(0, f"# -- stage {i}: {names[i]}")
+        if i > 0:
+            # Buffer refresh between stages: a fresh interpreted VM
+            # re-encodes the packet and zeroes ctx for every stage, but
+            # that is only *observable* if an earlier stage wrote the
+            # buffer — the writes tracking makes the refresh free for
+            # read-only chains (all the bundled NFs).
+            if wrote_pkt:
+                loop.emit(0, "_pkt[:] = _zb(_n)")
+                loop.emit(0, _ENCODE)
+            if wrote_ctx:
+                loop.emit(0, "_ctx[:] = _ZCTX")
+        # Each stage ends in a verdict: a final one is appended and
+        # ``continue``\ s the loop, so later stages are never branched
+        # to; PASS falls through into the next stage.
+        loop.lines.extend(body.lines)
+        wrote_pkt = wrote_pkt or "pkt" in comp.writes
+        wrote_ctx = wrote_ctx or "ctx" in comp.writes
+    names_used = set(re.findall(r"\b_\w+", "\n".join(loop.lines)))
+
+    def used(name: str) -> bool:
+        return name in names_used
+
+    uses_n = used("_n")
+    uses_pktend = used("_PKTEND")
+    checked = used("_mem") or used("_div")
+    counters = (("_mem", "_div") if checked else ()) + (
+        ("_eli",) if used("_eli") else ()
+    )
 
     g: Dict[str, Any] = {
         "_zb": _zero_bytes_cache(),
@@ -362,9 +385,39 @@ def fuse_chain(
         "_CTXP": Pointer("ctx", 0),
         "_STKP": Pointer("stack", 0),
         "_PKT0": Pointer("pkt", 0),
+        # collections.Counter's C counting loop, into a plain dict.
+        "_cnt": _count_elements,
     }
     if uses_pktend:
         g["_pe"] = _pktend_cache()
+
+    em = _Emitter()
+    em.emit(0, f"def {fname}(nf, batch):")
+    em.emit(1, "vm = nf._vm")
+    em.emit(1, "_stats = nf.stats")
+    em.emit(1, "_rets = nf.returns")
+    em.emit(1, "_nret = len(_rets)")
+    em.emit(1, "_rapp = _rets.append")
+    em.emit(1, "_charge = nf.rt.charge")
+    # Only the bindings the body reads (a tiny batch pays for each).
+    for name, expr in (
+        ("_stack", "vm.stack"),
+        ("_ctx", "vm.ctx"),
+        ("_pkt", "vm.packet"),
+        ("_slots", "vm._ptr_slots"),
+        ("_rd", "vm.read_u64"),
+        ("_wr", "vm.write_u64"),
+        ("_bf", "vm._buffer_for"),
+        ("_bu", "vm._buffer_unchecked"),
+    ):
+        if used(name):
+            em.emit(1, f"{name} = {expr}")
+    # Objects a previous batch's programs allocated (and provably
+    # released) need not accumulate on the persistent VM.
+    em.emit(1, "del vm.live_objects[:]")
+    em.emit(1, "_steps = 0")
+    for name in counters:
+        em.emit(1, f"{name} = 0")
 
     L = 2  # packet-loop body level (def=0, try=1, for=2... body=3)
     em.emit(1, "try:")
@@ -376,73 +429,39 @@ def fuse_chain(
     else:
         em.emit(L, "for _pp in batch:")
     B = L + 1
-    em.emit(B, "_n = _pp.size")
-    if encodes_packet:
-        # Packet encode, specialized: zeroed template + pack_into, no
-        # intermediate bytearray/bytes round-trip (encode_packet
-        # allocates twice per packet).
-        em.emit(B, "_pkt[:] = _zb(_n)")
-        em.emit(B, _ENCODE)
+    if uses_n:
+        em.emit(B, "_n = _pp.size")
     if uses_pktend:
         em.emit(B, "_PKTEND = _pe(_n)")
-    if any_writes_ctx:
-        # A fresh per-stage VM would see a zero ctx; re-zero once per
-        # packet only because some stage may dirty it.
-        em.emit(B, "_ctx[:] = _ZCTX")
-
-    wrote_pkt = False
-    wrote_ctx = False
-    n_last = len(compilers) - 1
-    for i, (comp, body) in enumerate(zip(compilers, stage_bodies)):
-        em.emit(B, f"# -- stage {i}: {names[i]}")
-        if i > 0:
-            # Buffer refresh between stages: a fresh interpreted VM
-            # re-encodes the packet and zeroes ctx for every stage, but
-            # that is only *observable* if an earlier stage wrote the
-            # buffer — the writes tracking makes the refresh free for
-            # read-only chains (all the bundled NFs).
-            if wrote_pkt:
-                em.emit(B, "_pkt[:] = _zb(_n)")
-                em.emit(B, _ENCODE)
-            if wrote_ctx:
-                em.emit(B, "_ctx[:] = _ZCTX")
-        em.emit(B, "r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0")
-        em.emit(B, "r1 = _CTXP")
-        em.emit(B, "r10 = _STKP")
-        if comp.used_step_guard:
-            em.emit(B, "_s0 = _steps")
-        for line in body.lines:
-            em.lines.append("    " * B + line)
-        if i < n_last:
-            # Early exit: any non-PASS verdict is final — later stages
-            # are never branched to for this packet.
-            em.emit(B, f"if _rr != {PASS_VERDICT}:")
-            em.emit(B + 1, "_rapp(_rr)")
-            em.emit(B + 1, "_counts[_rr] = _counts.get(_rr, 0) + 1")
-            em.emit(B + 1, "continue")
-        wrote_pkt = wrote_pkt or "pkt" in comp.writes
-        wrote_ctx = wrote_ctx or "ctx" in comp.writes
-    em.emit(B, "_rapp(_rr)")
-    em.emit(B, "_counts[_rr] = _counts.get(_rr, 0) + 1")
+    for line in loop.lines:
+        em.emit(B, line)
 
     # One accounting flush per batch, cost constants folded in.  Runs
     # in a finally so a (verified-unreachable) mid-batch fault still
     # books the executed prefix's steps and charges.
-    em.emit(1, "finally:")
-    for line in (
+    flush = [
         "_stats.steps += _steps",
-        "_stats.checks_performed += _mem + _div",
-        "_stats.checks_elided += _eli",
         f"_ic = _steps * {costs.insn_exec}",
-        f"_cc = _mem * {costs.bounds_check} + _div * {costs.div_check}",
         "_stats.insn_cycles += _ic",
-        "_stats.check_cycles += _cc",
         "if _ic:",
         "    _charge(_ic, _OTHER)",
-        "if _cc:",
-        "    _charge(_cc, _FRAMEWORK)",
-    ):
+    ]
+    if checked:
+        flush += [
+            "_stats.checks_performed += _mem + _div",
+            f"_cc = _mem * {costs.bounds_check} + _div * {costs.div_check}",
+            "_stats.check_cycles += _cc",
+            "if _cc:",
+            "    _charge(_cc, _FRAMEWORK)",
+        ]
+    if "_eli" in counters:
+        flush.append("_stats.checks_elided += _eli")
+    em.emit(1, "finally:")
+    for line in flush:
         em.emit(2, line)
+    # The raw-verdict histogram, counted once per batch.
+    em.emit(1, "_counts = {}")
+    em.emit(1, "_cnt(_counts, _rets[_nret:])")
     em.emit(1, "return _counts")
 
     source = "\n".join(em.lines) + "\n"
@@ -474,6 +493,10 @@ def fuse_chain(
         encodes_packet=encodes_packet,
         hoisted_calls=sum(c.hoisted_calls for c in compilers),
         stage_writes=tuple(frozenset(c.writes) for c in compilers),
+        dispatch_stages=tuple(
+            names[i] for i, c in enumerate(compilers) if c.dispatch
+        ),
+        forwarded_stack_loads=sum(c.forwarded_stack_loads for c in compilers),
         unrolled={
             names[i]: {s: N + 1 for (t, s, N) in c._loops}
             for i, c in enumerate(compilers)

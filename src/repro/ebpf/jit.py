@@ -1,4 +1,4 @@
-"""Lower verified IR programs to straight-line Python source.
+"""Lower verified IR programs to generated Python source.
 
 The interpreter (:mod:`repro.ebpf.vm`) pays per-instruction dispatch on
 every packet: fetch, ``isinstance`` fan-out, operand decode, method
@@ -7,14 +7,32 @@ instruction sequence, the kfunc bindings, which checks were proven
 away, even loop trip counts.  :class:`_Compiler` burns those facts into
 generated Python (``compile()`` + ``exec`` of synthesized source — no
 per-instruction ``eval``), and :mod:`repro.ebpf.fuse` emits one or more
-compiled programs, plus the batch loop around them, as one closure:
+compiled programs, plus the batch loop around them, as one closure.
+Like the kernel, which rewrites a verified program before it JITs it
+(dead branches hard-wired, dead code removed, r1-r5 unreadable after
+calls), the compiler emits only the work the proofs leave live:
 
-- **Basic blocks** become a flat ``while True:`` guard chain; forward
-  control flow falls through integer guards, only genuine back-edges
-  re-enter the dispatch loop.
 - **Constant-trip loops** are unrolled using the verifier's
   ``loop_bounds`` proof, turning the hot loop body into straight-line
   code with forward-only control flow.
+- **Structured blocks.**  A program with no back-edge left after
+  unrolling is emitted as nested ``if``/``else`` in block order, with
+  its exit blocks inlined at their branch sites and a constant r0
+  folded into the verdict.  Only a program whose back-edge survives
+  (an oversized or widened loop) keeps the ``_b`` dispatch loop, with
+  the interpreter's step budget as its runaway guard.
+- **Liveness-pruned registers.**  A backward liveness pass over the
+  expanded CFG drops every side-effect-free definition nobody reads:
+  the interpreter's register zeroing at entry and after a call (the
+  verifier rejects reads of uninitialized registers), dead moves and
+  loads, and a kfunc result's assignment (the call itself stays).
+  ``r1``/``r10`` are bound only where the program reads them.
+- **Folded packet bounds.**  A compare between a packet pointer at a
+  known offset and ``data_end`` compares the offset against the frame
+  size; two packet pointers at known offsets compare statically.
+- **Stack-load forwarding.**  A load of a stack slot stored earlier in
+  the same block with a known scalar reads that scalar; the store
+  itself stays, so the stack bytes match the interpreter's.
 - **Proven checks** (``safe_mem`` / ``safe_div``) disappear: the
   generated code reads buffers directly where the interpreter would
   branch through ``_mem_checked``.
@@ -28,19 +46,23 @@ compiled programs, plus the batch loop around them, as one closure:
   the whole block's steps where the interpreter charges only the
   executed prefix.
 
-A light abstract-type pass (int / pointer-per-region / top) runs over
-the unrolled CFG so the common cases — packet loads at proven offsets,
-stack spills, scalar ALU — compile to single Python statements; code
-whose types cannot be pinned statically falls back to inlined generic
-sequences that mirror the interpreter branch-for-branch, so parity
-never depends on the specializer.
+The unrolled CFG and a light abstract-type pass over it (int /
+pointer-per-region / top) come from :mod:`repro.ebpf.cfg`, so the
+common cases — packet loads at proven offsets, stack spills, scalar
+ALU — compile to single Python statements; code whose types cannot be
+pinned statically falls back to inlined generic sequences that mirror
+the interpreter branch-for-branch, so parity never depends on the
+specializer.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+import re
+from dataclasses import dataclass, field
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union,
+)
 
 from .cost_model import Category
 from .disasm import disassemble_one
@@ -60,24 +82,23 @@ from .insn import (
     R10,
     N_REGS,
 )
+from .cfg import (
+    T_INT,
+    T_TOP,
+    _StackFwd,
+    _expand_nodes,
+    _infer_entry_types,
+    _is_ptr,
+    _Node,
+    _reachability,
+    _Resolver,
+    _select_loops,
+    _transfer,
+)
 from .kfunc_meta import KfuncRegistry, RET_KPTR, RET_VOID
 from .vm import MASK64, Pointer, VmFault
 
-#: Loops whose proven trip count exceeds this run un-unrolled (dispatch
-#: loop with a real back-edge) — still compiled, just not flattened.
-UNROLL_MAX_TRIPS = 64
-#: Cap on ``body_insns * copies`` per loop, bounding generated code size.
-UNROLL_INSN_BUDGET = 4096
-
 _HEX_M = "0x%X" % MASK64
-
-# -- abstract types for the specializer -------------------------------------
-# "i"            definitely an int (always masked to 64 bits)
-# ("p", region, off)  definitely a Pointer into `region`; `off` is the
-#                statically known byte offset or None
-# "t"            top: int or Pointer (generic code emitted)
-T_INT = "i"
-T_TOP = "t"
 
 _PY_CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
@@ -126,230 +147,6 @@ def program_hash(prog: Program) -> str:
     return h
 
 
-# -- CFG construction --------------------------------------------------------
-
-
-def _block_starts(prog: Program) -> List[int]:
-    leaders: Set[int] = {0}
-    n = len(prog)
-    for pc, insn in enumerate(prog):
-        if isinstance(insn, (Jmp, JmpIf)):
-            leaders.add(insn.target)
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-        elif isinstance(insn, Exit):
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-    return sorted(leaders)
-
-
-def _select_loops(
-    prog: Program, loop_bounds: Dict[int, int]
-) -> List[Tuple[int, int, int]]:
-    """Pick back-edges safe to unroll: single back-edge per body, entry
-    only at the header, bounded expansion.  Returns ``(T, S, N)``
-    triples (header pc, back-edge pc, proven trips), non-overlapping."""
-    chosen: List[Tuple[int, int, int]] = []
-    for s_pc in sorted(loop_bounds):
-        trips = loop_bounds[s_pc]
-        insn = prog[s_pc]
-        if not isinstance(insn, (Jmp, JmpIf)):
-            continue
-        t_pc = insn.target
-        if t_pc > s_pc:
-            continue
-        if not 1 <= trips <= UNROLL_MAX_TRIPS:
-            continue
-        if (s_pc - t_pc + 1) * (trips + 1) > UNROLL_INSN_BUDGET:
-            continue
-        ok = True
-        # The back-edge at S must be the body's only backward jump.
-        for pc in range(t_pc, s_pc):
-            i2 = prog[pc]
-            if isinstance(i2, (Jmp, JmpIf)) and i2.target <= pc:
-                ok = False
-                break
-        # Entry only at the header: nothing outside jumps into (T, S].
-        if ok:
-            for pc, i2 in enumerate(prog):
-                if t_pc <= pc <= s_pc:
-                    continue
-                if isinstance(i2, (Jmp, JmpIf)) and t_pc < i2.target <= s_pc:
-                    ok = False
-                    break
-        if ok:
-            for t2, s2, _ in chosen:
-                if not (s_pc < t2 or t_pc > s2):
-                    ok = False
-                    break
-        if ok:
-            chosen.append((t_pc, s_pc, trips))
-    return chosen
-
-
-# copy-key: None for un-cloned code, (T, S, N, c) for copy c (1-based)
-_CKey = Optional[Tuple[int, int, int, int]]
-
-
-@dataclass
-class _Node:
-    label: int
-    start: int
-    end: int            # exclusive
-    ckey: _CKey
-
-
-def _expand_nodes(
-    prog: Program, loops: List[Tuple[int, int, int]]
-) -> List[_Node]:
-    starts = _block_starts(prog)
-    n = len(prog)
-    blocks: List[Tuple[int, int]] = []
-    for i, bs in enumerate(starts):
-        be = starts[i + 1] if i + 1 < len(starts) else n
-        blocks.append((bs, be))
-    loop_at = {t: (t, s, N) for (t, s, N) in loops}
-    nodes: List[_Node] = []
-    i = 0
-    while i < len(blocks):
-        bs, be = blocks[i]
-        loop = loop_at.get(bs)
-        if loop is not None:
-            t_pc, s_pc, trips = loop
-            j = i
-            body = []
-            while True:
-                body.append(blocks[j])
-                if blocks[j][1] == s_pc + 1:
-                    break
-                j += 1
-            for c in range(1, trips + 2):
-                for (cbs, cbe) in body:
-                    nodes.append(
-                        _Node(len(nodes), cbs, cbe, (t_pc, s_pc, trips, c))
-                    )
-            i = j + 1
-        else:
-            nodes.append(_Node(len(nodes), bs, be, None))
-            i += 1
-    return nodes
-
-
-class _Resolver:
-    """Maps (target pc, source copy context) -> dispatch label."""
-
-    def __init__(
-        self, nodes: List[_Node], loops: List[Tuple[int, int, int]]
-    ) -> None:
-        self.label: Dict[Tuple[int, _CKey], int] = {
-            (nd.start, nd.ckey): nd.label for nd in nodes
-        }
-        self.loop_at = {t: (t, s, N) for (t, s, N) in loops}
-        self.block_start: Dict[int, int] = {}
-        for nd in nodes:
-            if nd.ckey is None or nd.ckey[3] == 1:
-                for pc in range(nd.start, nd.end):
-                    self.block_start[pc] = nd.start
-        self.runaway_label = len(nodes)
-        self.runaway_used = False
-
-    def resolve(self, target_pc: int, ckey: _CKey) -> int:
-        bs = self.block_start[target_pc]
-        if ckey is not None and ckey[0] <= target_pc <= ckey[1]:
-            t_pc, s_pc, trips, c = ckey
-            if target_pc == t_pc:
-                # The loop's one back-edge: next copy, or (provably
-                # unreachable) the runaway trap after the last copy.
-                if c <= trips:
-                    return self.label[(t_pc, (t_pc, s_pc, trips, c + 1))]
-                self.runaway_used = True
-                return self.runaway_label
-            return self.label[(bs, ckey)]
-        loop = self.loop_at.get(bs)
-        if loop is not None:
-            t_pc, s_pc, trips = loop
-            return self.label[(bs, (t_pc, s_pc, trips, 1))]
-        return self.label[(bs, None)]
-
-
-# -- abstract-type inference -------------------------------------------------
-
-
-def _join(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a == b:
-        return a
-    if a == T_TOP or b == T_TOP or a == T_INT or b == T_INT:
-        return T_TOP
-    if a[1] != b[1]:
-        return T_TOP
-    off = a[2] if a[2] == b[2] else None
-    return ("p", a[1], off)
-
-
-def _is_ptr(t) -> bool:
-    return isinstance(t, tuple)
-
-
-def _transfer(types: List[Any], insn, registry: KfuncRegistry) -> None:
-    """Apply one instruction's effect to the abstract register types."""
-    if isinstance(insn, Mov):
-        if isinstance(insn.src, Imm):
-            types[insn.dst] = T_INT
-        else:
-            types[insn.dst] = types[insn.src]
-    elif isinstance(insn, Alu):
-        t = types[insn.dst]
-        if _is_ptr(t):
-            if isinstance(insn.src, Imm) and t[2] is not None:
-                delta = insn.src.value & MASK64
-                if insn.op == "sub":
-                    delta = -delta
-                types[insn.dst] = ("p", t[1], t[2] + delta)
-            else:
-                types[insn.dst] = ("p", t[1], None)
-        elif t == T_TOP:
-            types[insn.dst] = T_TOP
-        else:
-            types[insn.dst] = T_INT
-    elif isinstance(insn, Load):
-        bt = types[insn.base]
-        if _is_ptr(bt) and bt[1] == "ctx" and bt[2] is not None:
-            addr = bt[2] + insn.off
-            if addr == 0:
-                types[insn.dst] = ("p", "pkt", 0)
-            elif addr == 8:
-                types[insn.dst] = ("p", "pktend", None)
-            else:
-                types[insn.dst] = T_INT
-        elif _is_ptr(bt) and bt[1] in ("pkt", "pktend"):
-            types[insn.dst] = T_INT
-        else:
-            # stack loads may yield spilled pointers; ctx at unknown
-            # offsets may yield packet pointers; kptr/top are opaque.
-            types[insn.dst] = T_TOP
-    elif isinstance(insn, Store):
-        pass
-    elif isinstance(insn, Call):
-        meta = registry.get(insn.func)
-        if meta is None or meta.ret == RET_KPTR:
-            types[0] = T_TOP
-        else:
-            types[0] = T_INT
-        for i in range(R1, R1 + 5):
-            types[i] = T_INT
-
-
-def _entry_types() -> List[Any]:
-    t: List[Any] = [T_INT] * N_REGS
-    t[R1] = ("p", "ctx", 0)
-    t[R10] = ("p", "stack", 0)
-    return t
-
-
 # -- code generation ---------------------------------------------------------
 
 
@@ -371,6 +168,97 @@ def _src_txt(src: Union[int, Imm]) -> str:
     return f"r{src}"
 
 
+_ASSIGN = re.compile(r"^\s*r\d+ = (?!=)")
+_REG = re.compile(r"\br(\d+)\b")
+
+
+def _reads(lines: List[str]) -> FrozenSet[int]:
+    """Registers the generated ``lines`` read: every ``rN`` token except
+    the target of a plain ``rN = ...`` assignment."""
+    out: Set[int] = set()
+    for line in lines:
+        out.update(int(m) for m in _REG.findall(_ASSIGN.sub("", line, 1)))
+    return frozenset(out)
+
+
+#: The XDP verdict that hands the packet to the next stage.  Any other
+#: r0 is final (``enum xdp_action``: 2 == XDP_PASS).
+PASS_VERDICT = 2
+
+_INVERT = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "le": "gt", "gt": "le"}
+
+#: Where a stage's fall-through paths meet: past its last line (and past
+#: every label).
+_EXIT = 1 << 62
+#: Structured emission nests at most this deep below the stage (Python's
+#: tokenizer caps indentation at 100 levels, and the packet loop sits
+#: three deep); a deeper stage keeps the dispatch loop.  A fully
+#: unrolled loop nests one level per copy (at most UNROLL_MAX_TRIPS + 1).
+_MAX_NEST = 80
+
+_RAISE_END = "raise _VmFault('fell off the end of the program')"
+_RAISE_RUNAWAY = "raise _VmFault('step limit exceeded (runaway program)')"
+
+
+class _Stmt:
+    """One instruction's generated lines, with what liveness needs:
+    the registers it defines and reads, whether it may be dropped when
+    every def is dead (``pure``), and the lines that still run in that
+    case when it may not (``dead``: a call whose result nobody reads)."""
+
+    __slots__ = ("lines", "defs", "pure", "dead", "uses", "dead_uses")
+
+    def __init__(
+        self,
+        lines: List[str],
+        defs: Tuple[int, ...] = (),
+        pure: bool = False,
+        dead: Optional[List[str]] = None,
+    ) -> None:
+        self.lines = lines
+        self.defs = frozenset(defs)
+        self.pure = pure
+        self.dead = dead
+        self.uses = _reads(lines)
+        self.dead_uses = _reads(dead) if dead is not None else None
+
+    def apply(self, live: Set[int]) -> Optional[List[str]]:
+        """Step ``live`` backward over this statement; returns the lines
+        to emit, or None when the statement is dropped."""
+        if self.defs and live.isdisjoint(self.defs):
+            if self.pure:
+                return None
+            if self.dead is not None:
+                live |= self.dead_uses
+                return self.dead
+        live -= self.defs
+        live |= self.uses
+        return self.lines
+
+
+@dataclass
+class _Block:
+    """One expanded CFG node, generated but not yet placed.
+
+    ``term`` is ``("exit", const_r0_or_None, r0_is_int)``,
+    ``("goto", target)`` or ``("br", cond, negated_cond, taken, fall)``;
+    a target is a node label, the runaway label, or None (fell off the
+    end of the program)."""
+
+    label: int
+    steps: int
+    tallies: Dict[str, int]
+    stmts: List[_Stmt]
+    term: Tuple
+    succs: Tuple[int, ...]
+    term_uses: FrozenSet[int]
+    lines: List[str] = field(default_factory=list)
+
+
+class _Unstructured(Exception):
+    """Structured emission gave up; the stage keeps the dispatch loop."""
+
+
 class _Compiler:
     """Lowers one verified program to generated-Python source, as one
     stage of a closure that :mod:`repro.ebpf.fuse` assembles.
@@ -378,11 +266,12 @@ class _Compiler:
     ``sym_prefix`` keeps per-stage global names (``_P*``/``_kf*``)
     collision-free when several programs share one namespace, and
     ``inline_kfuncs`` expands kfunc impls that publish a
-    ``_fuse_inline`` codegen spec directly into the body.  At an exit
-    the emitted body stores the stage's r0 in ``_rr`` and breaks out of
-    its dispatch loop; its runaway-step guard counts from ``_s0``, the
-    ``_steps`` value the fuser saves at stage entry (``_steps``
-    accumulates across a whole fused batch).
+    ``_fuse_inline`` codegen spec directly into the body.  The emitted
+    stage appends a final verdict with ``_rapp`` and ``continue``\\ s
+    the packet loop, or falls through to the next stage on ``PASS``.
+    A surviving back-edge's runaway-step guard counts from ``_s0``, the
+    ``_steps`` value at stage entry (``_steps`` accumulates across a
+    whole fused batch).
     """
 
     def __init__(
@@ -417,10 +306,15 @@ class _Compiler:
         self.writes: Set[str] = set()
         #: Whether any emitted back-edge needed the runaway guard.
         self.used_step_guard = False
+        #: Whether the last emission kept the ``_b`` dispatch loop.
+        self.dispatch = False
         #: kfunc call sites expanded inline (``inline_kfuncs`` only).
         self.inlined_calls = 0
-        #: Loads ``header_loads`` replaced in the last emission.
+        #: Header load sites ``header_loads`` rewrote in the last
+        #: emission (liveness may drop a rewritten load afterwards).
         self.forwarded_loads = 0
+        #: Stack loads the last emission read from a known scalar.
+        self.forwarded_stack_loads = 0
         #: Whether the last emission reads the packet buffer's bytes,
         #: or hands ``vm`` to a kfunc that may.
         self.reads_packet = False
@@ -472,245 +366,152 @@ class _Compiler:
 
     def prepare(self) -> None:
         """CFG expansion, reachability, and type inference — everything
-        :meth:`emit_dispatch` needs, separated so the fuser can emit
+        :meth:`emit_stage` needs, separated so the fuser can emit
         several prepared programs into one function body."""
         prog, ann = self.prog, self.ann
         self._loops = _select_loops(prog, dict(ann.loop_bounds))
         self._nodes = _expand_nodes(prog, self._loops)
         self._res = _Resolver(self._nodes, self._loops)
-        self._reachable, succs = self._reachability(self._nodes, self._res)
-        self._entry_types = self._infer_types(
-            self._nodes, self._res, self._reachable, succs
+        self._reachable, succs = _reachability(prog, self._nodes, self._res)
+        self._entry_types = _infer_entry_types(
+            prog, self.registry, self._nodes, self._res, self._reachable,
+            succs,
         )
 
-    def emit_dispatch(
+    def emit_stage(
         self,
         em: "_Emitter",
         level: int,
         header_loads: Dict[int, str],
         hoist: Callable[[str, int], str],
+        last: bool,
     ) -> None:
-        """Emit the prepared program's ``_b``-dispatch loop at ``level``.
+        """Emit the prepared program as one stage of the packet loop.
 
-        Assumes r0..r10, ``_s0``, the accounting accumulators, and the
-        buffer bindings of the fuser's prologue are in scope.
-        ``header_loads`` maps a packet offset to the expression for the
-        header field stored there: a check-elided u64 load at one of
-        those constant offsets reads the expression instead of the
-        packet buffer.  ``hoist(key_expr, seed)`` names the prologue
-        list whose ``[_i]`` is ``fast_hash32(key_expr, seed)`` for
-        packet ``_i`` of the batch.
+        Assumes ``_steps``, the accounting accumulators, ``_rapp`` and
+        the buffer bindings of the fuser's prologue are in scope.
+        ``last`` says whether a ``PASS`` verdict is final (else it
+        falls through to the code after the stage).  ``header_loads``
+        maps a packet offset to the expression for the header field
+        stored there: a check-elided u64 load at one of those constant
+        offsets reads the expression instead of the packet buffer.
+        ``hoist(key_expr, seed)`` names the prologue list whose
+        ``[_i]`` is ``fast_hash32(key_expr, seed)`` for packet ``_i``
+        of the batch.
         """
         self.header_loads = header_loads
         self.hoist = hoist
-        res = self._res
+        self.last = last
         self.writes = set()
+        self.used_step_guard = False
         self.inlined_calls = 0
         self.forwarded_loads = 0
+        self.forwarded_stack_loads = 0
         self.reads_packet = False
         self.hoisted_calls = 0
-        em.emit(level, "_b = 0")
-        em.emit(level, "while True:")
-        for nd in self._nodes:
-            if nd.label not in self._reachable:
-                continue
-            em.emit(level + 1, f"if _b == {nd.label}:")
-            self._emit_node(
-                em, nd, res, list(self._entry_types[nd.label]), level + 2
-            )
-        if res.runaway_used:
-            em.emit(level + 1, f"if _b == {res.runaway_label}:")
-            em.emit(
-                level + 2,
-                "raise _VmFault('step limit exceeded (runaway program)')",
-            )
-        em.emit(level + 1, "raise _VmFault('fell off the end of the program')")
-
-    # -- reachability ----------------------------------------------------
-
-    def _node_succ_labels(self, nd: _Node, res: _Resolver) -> List[int]:
-        last_pc = nd.end - 1
-        insn = self.prog[last_pc]
-        if isinstance(insn, Exit):
-            return []
-        if isinstance(insn, Jmp):
-            return [res.resolve(insn.target, nd.ckey)]
-        if isinstance(insn, JmpIf):
-            out = [res.resolve(insn.target, nd.ckey)]
-            if nd.end < len(self.prog):
-                out.append(res.resolve(nd.end, nd.ckey))
-            return out
-        if nd.end < len(self.prog):
-            return [res.resolve(nd.end, nd.ckey)]
-        return []
-
-    def _reachability(
-        self, nodes: List[_Node], res: _Resolver
-    ) -> Tuple[Set[int], Dict[int, List[int]]]:
-        succs = {nd.label: self._node_succ_labels(nd, res) for nd in nodes}
-        reachable: Set[int] = set()
-        work = [0]
-        while work:
-            lbl = work.pop()
-            if lbl in reachable or lbl == res.runaway_label:
-                continue
-            reachable.add(lbl)
-            work.extend(succs.get(lbl, ()))
-        return reachable, succs
-
-    # -- type inference --------------------------------------------------
-
-    def _infer_types(
-        self,
-        nodes: List[_Node],
-        res: _Resolver,
-        reachable: Set[int],
-        succs: Dict[int, List[int]],
-    ) -> Dict[int, List[Any]]:
-        entry: Dict[int, List[Any]] = {nd.label: [None] * N_REGS for nd in nodes}
-        entry[0] = _entry_types()
-        work = [0]
-        while work:
-            lbl = work.pop()
-            if lbl not in reachable:
-                continue
-            nd = nodes[lbl]
-            types = list(entry[lbl])
-            for pc in range(nd.start, nd.end):
-                _transfer(types, self.prog[pc], self.registry)
-            for s in succs[lbl]:
-                if s == res.runaway_label:
-                    continue
-                tgt = entry[s]
-                changed = False
-                for i in range(N_REGS):
-                    j = _join(tgt[i], types[i])
-                    if j != tgt[i]:
-                        tgt[i] = j
-                        changed = True
-                if changed:
-                    work.append(s)
-        return entry
-
-    # -- node emission ---------------------------------------------------
-
-    def _emit_node(
-        self,
-        em: _Emitter,
-        nd: _Node,
-        res: _Resolver,
-        types: List[Any],
-        level: int = 4,
-    ) -> None:
-        prog = self.prog
-        body = _Emitter()
-        tallies = {"eli": 0, "mem": 0, "div": 0}
-        n_steps = 0
-        # Block entry: no register is known packet-pure.
-        self._pure = [None] * N_REGS
-        for pc in range(nd.start, nd.end - 1):
-            n_steps += 1
-            self._emit_insn(body, pc, prog[pc], types, tallies)
-            _transfer(types, prog[pc], self.registry)
-        last_pc = nd.end - 1
-        last = prog[last_pc]
-        terminator: List[str] = []
-        if isinstance(last, Exit):
-            terminator = [f"_rr = r0 & {_HEX_M}", "break"]
-        else:
-            n_steps += 1
-            if isinstance(last, (Mov, Alu, Load, Store, Call)):
-                self._emit_insn(body, last_pc, last, types, tallies)
-                _transfer(types, last, self.registry)
-                terminator = self._goto(nd, res, nd.end)
-            elif isinstance(last, Jmp):
-                terminator = self._goto(nd, res, last.target)
-            elif isinstance(last, JmpIf):
-                terminator = self._emit_jmp_if(nd, res, last_pc, last, types)
-        # Header: folded per-node accounting constants.
-        if n_steps:
-            em.emit(level, f"_steps += {n_steps}")
-        for name in ("eli", "mem", "div"):
-            if tallies[name]:
-                em.emit(level, f"_{name} += {tallies[name]}")
-        for line in body.lines:
-            em.emit(level, line)
-        for line in terminator:
-            em.emit(level, line)
-
-    def _goto(self, nd: _Node, res: _Resolver, target_pc: int) -> List[str]:
-        if target_pc >= len(self.prog):
-            return ["raise _VmFault('fell off the end of the program')"]
-        lbl = res.resolve(target_pc, nd.ckey)
-        return self._goto_label(nd, lbl)
-
-    def _goto_label(self, nd: _Node, lbl: int) -> List[str]:
-        if lbl <= nd.label:
-            self.used_step_guard = True
-            return [
-                f"_b = {lbl}",
-                f"if _steps - _s0 > {self.max_steps}:",
-                "    raise _VmFault("
-                "'step limit exceeded (runaway program)')",
-                "continue",
-            ]
-        return [f"_b = {lbl}"]
-
-    # -- branches --------------------------------------------------------
-
-    def _emit_jmp_if(
-        self, nd: _Node, res: _Resolver, pc: int, insn: JmpIf, types: List[Any]
-    ) -> List[str]:
-        lt = types[insn.lhs]
-        rhs_imm = insn.rhs.value & MASK64 if isinstance(insn.rhs, Imm) else None
-        rt = T_INT if rhs_imm is not None else types[insn.rhs]
-        cond: Optional[str] = None
-        static: Optional[bool] = None
-
-        def region(t):
-            return "pkt" if t[1] == "pktend" else t[1]
-
-        if lt == T_INT and rt == T_INT:
-            cond = f"r{insn.lhs} {_PY_CMP[insn.op]} {_src_txt(insn.rhs)}"
-        elif _is_ptr(lt) and _is_ptr(rt) and region(lt) == region(rt):
-            cond = f"r{insn.lhs}.off {_PY_CMP[insn.op]} r{insn.rhs}.off"
-        elif _is_ptr(lt) and rhs_imm is not None:
-            # Pointer vs immediate: the interpreter compares 1 <op> imm.
-            static = _jmp_taken(insn.op, Pointer("x"), rhs_imm)
-        elif lt == T_TOP and rhs_imm == 0 and insn.op in ("eq", "ne"):
-            if insn.op == "eq":
-                cond = f"r{insn.lhs}.__class__ is not _Ptr and r{insn.lhs} == 0"
+        blocks = {
+            lbl: self._gen_block(self._nodes[lbl], list(self._entry_types[lbl]))
+            for lbl in sorted(self._reachable)
+        }
+        live = self._prune(blocks)
+        # The interpreter starts every run with r1 = ctx, r10 = fp and
+        # zeros elsewhere; only what the program reads is bound.
+        for r in sorted(live):
+            if r == R1:
+                em.emit(level, "r1 = _CTXP")
+            elif r == R10:
+                em.emit(level, "r10 = _STKP")
             else:
-                cond = f"r{insn.lhs}.__class__ is _Ptr or r{insn.lhs} != 0"
+                em.emit(level, f"r{r} = 0")
+        self.dispatch = any(
+            s <= b.label for b in blocks.values() for s in b.succs
+        )
+        if not self.dispatch:
+            body = _Emitter()
+            try:
+                self._emit_structured(body, blocks, level)
+            except _Unstructured:
+                self.dispatch = True
+            else:
+                em.lines.extend(body.lines)
+                return
+        self._emit_dispatch_loop(em, blocks, level)
+
+    # -- block generation --------------------------------------------------
+
+    def _target(self, nd: _Node, target_pc: int) -> Optional[int]:
+        if target_pc >= len(self.prog):
+            return None
+        return self._res.resolve(target_pc, nd.ckey)
+
+    def _gen_block(self, nd: _Node, types: List[Any]) -> _Block:
+        """Generate one node's statements, tallies and terminator."""
+        prog = self.prog
+        tallies = {"eli": 0, "mem": 0, "div": 0}
+        stmts: List[_Stmt] = []
+        steps = 0
+        # Block entry: no register is known packet-pure or constant,
+        # and no stack slot is forwarded.
+        self._pure = [None] * N_REGS
+        fwd = _StackFwd()
+        consts: Dict[int, int] = {}
+        last = prog[nd.end - 1]
+        for pc in range(nd.start, nd.end):
+            insn = prog[pc]
+            if isinstance(insn, (Exit, Jmp, JmpIf)):
+                break
+            steps += 1
+            src = fwd.source(insn, types)
+            stmts.extend(self._gen_insn(pc, insn, types, tallies, src))
+            fwd.step(insn, types)
+            _transfer(types, insn, self.registry, src is not None)
+            if isinstance(insn, Mov) and isinstance(insn.src, Imm):
+                consts[insn.dst] = insn.src.value & MASK64
+            elif isinstance(insn, Mov) and insn.src in consts:
+                consts[insn.dst] = consts[insn.src]
+            elif src is not None and not src.startswith("r"):
+                consts[insn.dst] = int(src)
+            elif isinstance(insn, (Mov, Alu, Load)):
+                consts.pop(insn.dst, None)
+            elif isinstance(insn, Call):
+                for r in range(R0, R1 + 5):
+                    consts.pop(r, None)
+        uses: FrozenSet[int] = frozenset()
+        targets: Tuple[Optional[int], ...] = ()
+        if isinstance(last, Exit):
+            const = consts.get(R0)
+            term: Tuple = ("exit", const, types[R0] == T_INT)
+            if const is None:
+                uses = frozenset((R0,))
         else:
-            cond = f"_jcmp('{insn.op}', r{insn.lhs}, {_src_txt(insn.rhs)})"
+            if isinstance(last, JmpIf):
+                term = self._branch(nd, nd.end - 1, last, types)
+            else:
+                target = last.target if isinstance(last, Jmp) else nd.end
+                term = ("goto", self._target(nd, target))
+            if isinstance(last, (Jmp, JmpIf)):
+                steps += 1
+            if term[0] == "br":
+                uses = _reads([term[1]])
+                targets = term[3:]
+            else:
+                targets = term[1:]
+        succs = tuple(
+            t for t in targets
+            if t is not None and t != self._res.runaway_label
+        )
+        return _Block(nd.label, steps, tallies, stmts, term, succs, uses)
 
-        if static is not None:
-            return self._goto(nd, res, insn.target if static else pc + 1)
-        taken = self._goto(nd, res, insn.target)
-        fall = self._goto(nd, res, pc + 1)
-        if len(taken) == 1 and len(fall) == 1:
-            # Both forward: single conditional dispatch assignment.
-            t_lbl = taken[0].split("= ")[1]
-            f_lbl = fall[0].split("= ")[1]
-            return [f"_b = {t_lbl} if ({cond}) else {f_lbl}"]
-        out = [f"if {cond}:"]
-        out.extend("    " + line for line in taken)
-        out.append("else:")
-        out.extend("    " + line for line in fall)
-        return out
-
-    # -- straight-line instructions --------------------------------------
-
-    def _emit_insn(
+    def _gen_insn(
         self,
-        em: _Emitter,
         pc: int,
         insn,
         types: List[Any],
         tallies: Dict[str, int],
-    ) -> None:
+        fwd_src: Optional[str],
+    ) -> List[_Stmt]:
         pure = self._pure
+        em = _Emitter()
         if isinstance(insn, Mov):
             if isinstance(insn.src, Imm):
                 pure[insn.dst] = _imm_txt(insn.src.value)
@@ -718,19 +519,356 @@ class _Compiler:
             else:
                 pure[insn.dst] = pure[insn.src]
                 em.emit(0, f"r{insn.dst} = r{insn.src}")
-        elif isinstance(insn, Alu):
+            return [_Stmt(em.lines, (insn.dst,), pure=True)]
+        if isinstance(insn, Alu):
             pure[insn.dst] = self._pure_alu(insn, types)
-            self._emit_alu(em, pc, insn, types, tallies)
-        elif isinstance(insn, Load):
-            pure[insn.dst] = None  # a forwarded load sets it again
-            self._emit_load(em, pc, insn, types, tallies)
-        elif isinstance(insn, Store):
+            ok = self._emit_alu(em, pc, insn, types, tallies)
+            return [_Stmt(em.lines, (insn.dst,), pure=ok)]
+        if isinstance(insn, Load):
+            if fwd_src is not None:
+                # The slot holds a scalar stored earlier in this block:
+                # the load's check is still tallied, the read is gone.
+                # A stack load stays packet-impure, as unforwarded.
+                self.forwarded_stack_loads += 1
+                tallies["eli" if pc in self.safe_mem else "mem"] += 1
+                pure[insn.dst] = None
+                return [
+                    _Stmt([f"r{insn.dst} = {fwd_src}"], (insn.dst,), pure=True)
+                ]
+            pure[insn.dst] = None  # a forwarded header load sets it again
+            ok = self._emit_load(em, pc, insn, types, tallies)
+            return [_Stmt(em.lines, (insn.dst,), pure=ok)]
+        if isinstance(insn, Store):
             self._emit_store(em, pc, insn, types, tallies)
-        elif isinstance(insn, Call):
-            self._emit_call(em, insn)
+            return [_Stmt(em.lines)]
+        if isinstance(insn, Call):
+            out = self._emit_call(insn)
             pure[R0:R1 + 5] = [None] * (R1 + 5 - R0)
-        else:  # pragma: no cover - structurally impossible
-            raise JitError(f"unexpected mid-block instruction {insn!r}")
+            return out
+        raise JitError(f"unexpected mid-block instruction {insn!r}")
+
+    # -- liveness ----------------------------------------------------------
+
+    def _prune(self, blocks: Dict[int, _Block]) -> FrozenSet[int]:
+        """Backward liveness over the expanded CFG; fills each block's
+        ``lines`` with the statements that survive and returns the
+        registers live at program entry.
+
+        Starting from nothing live and iterating up to the least
+        fixpoint also drops a register that only feeds itself around a
+        loop."""
+        live_in = {lbl: frozenset() for lbl in blocks}
+        order = sorted(blocks, reverse=True)
+        changed = True
+        while changed:
+            changed = False
+            for lbl in order:
+                b = blocks[lbl]
+                live = set(b.term_uses)
+                for s in b.succs:
+                    live |= live_in[s]
+                lines: List[List[str]] = []
+                for st in reversed(b.stmts):
+                    kept = st.apply(live)
+                    if kept is not None:
+                        lines.append(kept)
+                b.lines = [ln for kept in reversed(lines) for ln in kept]
+                if live != live_in[lbl]:
+                    live_in[lbl] = frozenset(live)
+                    changed = True
+        return live_in[0]
+
+    def _emit_body(self, em: _Emitter, b: _Block, level: int) -> None:
+        """A block's folded accounting constants, then its live lines."""
+        if b.steps:
+            em.emit(level, f"_steps += {b.steps}")
+        for name in ("eli", "mem", "div"):
+            if b.tallies[name]:
+                em.emit(level, f"_{name} += {b.tallies[name]}")
+        for line in b.lines:
+            em.emit(level, line)
+
+    def _verdict(self, b: _Block) -> str:
+        _, const, r0_int = b.term
+        if const is not None:
+            return str(const)
+        return "r0" if r0_int else f"r0 & {_HEX_M}"
+
+    # -- structured emission -------------------------------------------------
+
+    def _emit_structured(
+        self, em: _Emitter, blocks: Dict[int, _Block], level: int
+    ) -> None:
+        """Emit an acyclic stage as nested ``if``/``else`` in block
+        order, from the entry to the stage's end.
+
+        A path *leaves* the stage at a final verdict (``_rapp(K);
+        continue``) or a raise; a ``PASS`` in a non-final stage instead
+        falls through, past the stage's last line.  Each branch's arms
+        run to its join: the first node every path through it reaches
+        unless it leaves (its post-dominator once leaving paths are
+        cut).  Emission then continues at the join, at the same level.
+        An arm that always leaves is a bare ``if`` and the other arm
+        follows flat, so exit blocks are inlined at their branch sites.
+        A branch whose arms only meet past a fall-through joins at the
+        stage's end: both arms carry the code to it.  Past a size or
+        nesting budget the stage gives up (:class:`_Unstructured`)."""
+        self._blocks = blocks
+        self._budget = 4 * len(blocks) + 16
+        self._max_level = level + _MAX_NEST
+        leaves: Dict[Optional[int], bool] = {
+            None: True, self._res.runaway_label: True
+        }
+        ipdom: Dict[int, int] = {}
+        for lbl in sorted(blocks, reverse=True):
+            b = blocks[lbl]
+            kind = b.term[0]
+            if kind == "exit":
+                leaves[lbl] = not self._falls_through(b)
+                ipdom[lbl] = _EXIT
+            elif kind == "goto":
+                leaves[lbl] = leaves[b.term[1]]
+                ipdom[lbl] = b.term[1]
+            else:
+                t, f = b.term[3:]
+                leaves[lbl] = leaves[t] and leaves[f]
+                if leaves[t] or leaves[f]:
+                    ipdom[lbl] = f if leaves[t] else t
+                    continue
+                while t != f:
+                    if t < f:
+                        t = ipdom[t]
+                    else:
+                        f = ipdom[f]
+                ipdom[lbl] = t
+        self._ipdom = ipdom
+        self._region(em, 0, _EXIT, True, level)
+
+    def _falls_through(self, b: _Block) -> bool:
+        return (
+            not self.last
+            and b.term[0] == "exit"
+            and b.term[1] in (None, PASS_VERDICT)
+        )
+
+    def _open(self, x: Optional[int], stop: int) -> bool:
+        """Whether some path from ``x`` reaches ``stop`` or falls
+        through a verdict, instead of leaving the stage."""
+        seen: Set[int] = set()
+        work = [x]
+        while work:
+            y = work.pop()
+            if y == stop:
+                return True
+            if y is None or y == self._res.runaway_label or y in seen:
+                continue
+            seen.add(y)
+            b = self._blocks[y]
+            if self._falls_through(b):
+                return True
+            work.extend(b.succs)
+        return False
+
+    def _region(
+        self, em: _Emitter, lbl: Optional[int], stop: int, tail: bool,
+        level: int,
+    ) -> None:
+        """Emit from node ``lbl`` until control reaches ``stop``.
+        ``tail``: nothing follows the region in the stage."""
+        while lbl != stop:
+            if lbl is None:
+                em.emit(level, _RAISE_END)
+                return
+            if lbl == self._res.runaway_label:
+                em.emit(level, _RAISE_RUNAWAY)
+                return
+            self._budget -= 1
+            if self._budget < 0 or level > self._max_level:
+                raise _Unstructured()
+            b = self._blocks[lbl]
+            self._emit_body(em, b, level)
+            kind = b.term[0]
+            if kind == "exit":
+                self._emit_exit(em, b, tail, level)
+                return
+            if kind == "goto":
+                lbl = b.term[1]
+                continue
+            _, cond, ncond, t, f = b.term
+            join = self._ipdom[lbl]
+            # An arm that always leaves is a bare ``if``; the other
+            # arm's code follows it, so it is not the tail.
+            if not self._open(t, join):
+                self._emit_arm(em, cond, t, join, False, level)
+                lbl = f
+                continue
+            if not self._open(f, join):
+                self._emit_arm(em, ncond, f, join, False, level)
+                lbl = t
+                continue
+            arm_tail = tail and join == _EXIT
+            if t == join:
+                if f != join:
+                    self._emit_arm(em, ncond, f, join, arm_tail, level)
+            elif f == join:
+                self._emit_arm(em, cond, t, join, arm_tail, level)
+            else:
+                self._emit_arm(em, cond, t, join, arm_tail, level)
+                em.emit(level, "else:")
+                self._emit_nested(em, f, join, arm_tail, level + 1)
+            if join == _EXIT:
+                return
+            lbl = join
+
+    def _emit_arm(
+        self, em: _Emitter, cond: str, lbl: Optional[int], stop: int,
+        tail: bool, level: int,
+    ) -> None:
+        em.emit(level, f"if {cond}:")
+        self._emit_nested(em, lbl, stop, tail, level + 1)
+
+    def _emit_nested(
+        self, em: _Emitter, lbl: Optional[int], stop: int, tail: bool,
+        level: int,
+    ) -> None:
+        n = len(em.lines)
+        self._region(em, lbl, stop, tail, level)
+        if len(em.lines) == n:
+            em.emit(level, "pass")
+
+    def _emit_exit(
+        self, em: _Emitter, b: _Block, tail: bool, level: int
+    ) -> None:
+        const = b.term[1]
+        if self.last or (const is not None and const != PASS_VERDICT):
+            em.emit(level, f"_rapp({self._verdict(b)})")
+            if not (self.last and tail):
+                em.emit(level, "continue")
+            return
+        if not tail:
+            raise _Unstructured()
+        if const is None:
+            # PASS falls through to the next stage; anything else is final.
+            v = self._verdict(b)
+            if v != "r0":
+                em.emit(level, f"_rr = {v}")
+                v = "_rr"
+            em.emit(level, f"if {v} != {PASS_VERDICT}:")
+            em.emit(level + 1, f"_rapp({v})")
+            em.emit(level + 1, "continue")
+
+    # -- dispatch-loop emission ---------------------------------------------
+
+    def _emit_dispatch_loop(
+        self, em: _Emitter, blocks: Dict[int, _Block], level: int
+    ) -> None:
+        """A stage with a surviving back-edge: one ``if _b == K:`` arm
+        per block inside ``while True``; forward control flow falls
+        through the guards, back-edges ``continue`` past the step
+        budget check."""
+        loop = _Emitter()
+        loop.emit(level, "_b = 0")
+        loop.emit(level, "while True:")
+        for lbl in sorted(blocks):
+            b = blocks[lbl]
+            loop.emit(level + 1, f"if _b == {lbl}:")
+            self._emit_body(loop, b, level + 2)
+            for line in self._dispatch_term(b):
+                loop.emit(level + 2, line)
+        if self._res.runaway_used:
+            loop.emit(level + 1, f"if _b == {self._res.runaway_label}:")
+            loop.emit(level + 2, _RAISE_RUNAWAY)
+        loop.emit(level + 1, _RAISE_END)
+        if self.used_step_guard:
+            em.emit(level, "_s0 = _steps")
+        em.lines.extend(loop.lines)
+        if self.last:
+            em.emit(level, "_rapp(_rr)")
+        else:
+            em.emit(level, f"if _rr != {PASS_VERDICT}:")
+            em.emit(level + 1, "_rapp(_rr)")
+            em.emit(level + 1, "continue")
+
+    def _dispatch_term(self, b: _Block) -> List[str]:
+        kind = b.term[0]
+        if kind == "exit":
+            return [f"_rr = {self._verdict(b)}", "break"]
+        if kind == "goto":
+            return self._goto_label(b.label, b.term[1])
+        _, cond, _, t, f = b.term
+        taken = self._goto_label(b.label, t)
+        fall = self._goto_label(b.label, f)
+        if (
+            len(taken) == 1 and len(fall) == 1
+            and taken[0].startswith("_b = ") and fall[0].startswith("_b = ")
+        ):
+            # Both forward: single conditional dispatch assignment.
+            return [f"_b = {taken[0][5:]} if ({cond}) else {fall[0][5:]}"]
+        out = [f"if {cond}:"]
+        out.extend("    " + line for line in taken)
+        out.append("else:")
+        out.extend("    " + line for line in fall)
+        return out
+
+    def _goto_label(self, label: int, lbl: Optional[int]) -> List[str]:
+        if lbl is None:
+            return [_RAISE_END]
+        if lbl <= label:
+            self.used_step_guard = True
+            return [
+                f"_b = {lbl}",
+                f"if _steps - _s0 > {self.max_steps}:",
+                "    " + _RAISE_RUNAWAY,
+                "continue",
+            ]
+        return [f"_b = {lbl}"]
+
+    # -- branches --------------------------------------------------------
+
+    def _branch(
+        self, nd: _Node, pc: int, insn: JmpIf, types: List[Any]
+    ) -> Tuple:
+        taken = self._target(nd, insn.target)
+        fall = self._target(nd, pc + 1)
+        lt = types[insn.lhs]
+        rhs_imm = insn.rhs.value & MASK64 if isinstance(insn.rhs, Imm) else None
+        rt = T_INT if rhs_imm is not None else types[insn.rhs]
+        lhs, rhs = f"r{insn.lhs}", _src_txt(insn.rhs)
+        static: Optional[bool] = None
+        cond: Callable[[str], str]
+
+        def region(t):
+            return "pkt" if t[1] == "pktend" else t[1]
+
+        if lt == T_INT and rt == T_INT:
+            cond = lambda op: f"{lhs} {_PY_CMP[op]} {rhs}"
+        elif _is_ptr(lt) and _is_ptr(rt) and region(lt) == region(rt):
+            known = lt[2] is not None and rt[2] is not None
+            if known and lt[1] == rt[1]:
+                static = _jmp_taken(insn.op, lt[2], rt[2])
+            elif known and lt[1] == "pkt":
+                # data + K <op> data_end + D, with data_end == data + _n.
+                k = lt[2] - rt[2]
+                cond = lambda op: f"{k} {_PY_CMP[op]} _n"
+            elif known:
+                k = rt[2] - lt[2]
+                cond = lambda op: f"_n {_PY_CMP[op]} {k}"
+            else:
+                cond = lambda op: f"{lhs}.off {_PY_CMP[op]} {rhs}.off"
+        elif _is_ptr(lt) and rhs_imm is not None:
+            # Pointer vs immediate: the interpreter compares 1 <op> imm.
+            static = _jmp_taken(insn.op, Pointer("x"), rhs_imm)
+        elif lt == T_TOP and rhs_imm == 0 and insn.op in ("eq", "ne"):
+            cond = {
+                "eq": f"{lhs}.__class__ is not _Ptr and {lhs} == 0",
+                "ne": f"{lhs}.__class__ is _Ptr or {lhs} != 0",
+            }.__getitem__
+        else:
+            cond = lambda op: f"_jcmp('{op}', {lhs}, {rhs})"
+
+        if static is not None:
+            return ("goto", taken if static else fall)
+        return ("br", cond(insn.op), cond(_INVERT[insn.op]), taken, fall)
 
     # -- packet purity ----------------------------------------------------
 
@@ -773,7 +911,8 @@ class _Compiler:
         insn: Alu,
         types: List[Any],
         tallies: Dict[str, int],
-    ) -> None:
+    ) -> bool:
+        """Emit one ALU op; returns whether the code cannot fault."""
         d = insn.dst
         t = types[d]
         s = _src_txt(insn.src)
@@ -791,17 +930,18 @@ class _Compiler:
                 em.emit(0, f"r{d} = _Ptr('{t[1]}', {t[2]} {sign} {s})")
             else:
                 em.emit(0, f"r{d} = _Ptr(r{d}.region, r{d}.off {sign} {s})")
-            return
+            return True
         if t == T_TOP and op in ("add", "sub"):
             sign = "+" if op == "add" else "-"
             em.emit(0, f"if r{d}.__class__ is _Ptr:")
             em.emit(1, f"r{d} = _Ptr(r{d}.region, r{d}.off {sign} {s})")
             em.emit(0, "else:")
             em.emit(1, f"r{d} = (r{d} {sign} {s}) & {_HEX_M}")
-            return
+            return True
         if op in ("div", "mod"):
             pyop = "//" if op == "div" else "%"
             word = "division" if op == "div" else "modulo"
+            checked = False
             if pc in self.safe_div:
                 tallies["eli"] += 1
             else:
@@ -809,12 +949,13 @@ class _Compiler:
                 if isinstance(insn.src, Imm):
                     if insn.src.value & MASK64 == 0:
                         em.emit(0, f"raise _VmFault('{word} by zero')")
-                        return
+                        return False
                 else:
+                    checked = True
                     em.emit(0, f"if {s} == 0:")
                     em.emit(1, f"raise _VmFault('{word} by zero')")
             em.emit(0, f"r{d} {pyop}= {s}")
-            return
+            return not checked
         if op == "add":
             em.emit(0, f"r{d} = (r{d} + {s}) & {_HEX_M}")
         elif op == "sub":
@@ -839,6 +980,7 @@ class _Compiler:
                 em.emit(0, f"r{d} >>= ({s} & 63)")
         else:  # pragma: no cover - Alu validates ops
             raise JitError(f"unknown ALU op {op!r}")
+        return True
 
     # -- memory -----------------------------------------------------------
 
@@ -857,13 +999,15 @@ class _Compiler:
         insn: Load,
         types: List[Any],
         tallies: Dict[str, int],
-    ) -> None:
+    ) -> bool:
+        """Emit one load; returns whether the code cannot fault and
+        tallies no check at run time (so a dead one may go)."""
         bt = types[insn.base]
         d = insn.dst
         elided = pc in self.safe_mem
         if bt == T_INT:
             em.emit(0, f"raise _VmFault('load via non-pointer r{insn.base}')")
-            return
+            return False
         if _is_ptr(bt) and bt[1] == "ctx" and bt[2] is not None:
             addr = bt[2] + insn.off
             if addr == 0:
@@ -876,7 +1020,8 @@ class _Compiler:
             else:
                 tallies["mem"] += 1
                 em.emit(0, f"r{d} = _rd(_Ptr('ctx', {addr}))")
-            return
+                return False
+            return True
         if _is_ptr(bt) and bt[1] == "pkt":
             a_txt, a_const = self._addr_txt(insn.base, bt, insn.off)
             if elided:
@@ -886,7 +1031,7 @@ class _Compiler:
                     self.forwarded_loads += 1
                     self._pure[d] = fwd
                     em.emit(0, f"r{d} = {fwd}")
-                    return
+                    return True
                 self.reads_packet = True
                 if a_const is not None:
                     em.emit(
@@ -896,11 +1041,11 @@ class _Compiler:
                 else:
                     em.emit(0, f"_t = {a_txt}")
                     em.emit(0, f"r{d} = _ifb(_pkt[_t:_t + 8], 'little')")
-            else:
-                tallies["mem"] += 1
-                self.reads_packet = True
-                em.emit(0, f"r{d} = _rd(_Ptr('pkt', {a_txt}))")
-            return
+                return True
+            tallies["mem"] += 1
+            self.reads_packet = True
+            em.emit(0, f"r{d} = _rd(_Ptr('pkt', {a_txt}))")
+            return False
         if _is_ptr(bt) and bt[1] == "stack":
             a_txt, a_const = self._addr_txt(insn.base, bt, insn.off)
             if a_const is not None:
@@ -924,7 +1069,7 @@ class _Compiler:
             else:
                 em.emit(1, "_mem += 1")
                 em.emit(1, f"r{d} = _rd(_Ptr('stack', {t}))")
-            return
+            return False
         # Generic: unknown base (spilled/kptr/ctx-at-unknown-offset).
         self.reads_packet = True
         em.emit(0, f"_bp = r{insn.base}")
@@ -947,6 +1092,7 @@ class _Compiler:
         else:
             em.emit(1, "_mem += 1")
             em.emit(1, f"r{d} = _rd(_Ptr(_rg, _t))")
+        return False
 
     def _emit_store(
         self,
@@ -1071,20 +1217,21 @@ class _Compiler:
 
     # -- calls -------------------------------------------------------------
 
-    def _emit_call(self, em: _Emitter, insn: Call) -> None:
+    def _emit_call(self, insn: Call) -> List[_Stmt]:
+        """The call (kept even when its result is dead), then the
+        interpreter's r1-r5 clobber as one droppable zero per register:
+        the verifier rejects reading them, so liveness drops them all
+        unless the CFG holds a path it proved infeasible."""
         meta = self.registry.get(insn.func)
         if meta is None:
-            em.emit(
-                0, f"raise _VmFault('call to unknown kfunc {insn.func!r}')"
-            )
-            return
+            return [_Stmt(
+                [f"raise _VmFault('call to unknown kfunc {insn.func!r}')"]
+            )]
         if meta.impl is None:
-            em.emit(
-                0,
+            return [_Stmt([
                 f"raise _VmFault("
-                f"\"kfunc '{insn.func}' has no implementation bound\")",
-            )
-            return
+                f"\"kfunc '{insn.func}' has no implementation bound\")"
+            ])]
         spec = (
             getattr(meta.impl, "_fuse_inline", None)
             if self.inline_kfuncs
@@ -1098,31 +1245,39 @@ class _Compiler:
             # and packet-pure hashes read from the prologue via
             # ``self._hashed``.  Only valid for RET_SCALAR impls whose
             # expression equals ``int(impl(...)) & MASK64`` bit for bit.
+            # The expression may have effects, so a dead result still
+            # evaluates it.
             arg_names = [f"r{R1 + i}" for i in range(len(meta.args))]
             setup, expr = spec(arg_names, self._bind, self._hashed)
             self.inlined_calls += 1
-            for line in setup:
-                em.emit(0, line)
-            em.emit(0, f"r0 = ({expr}) & {_HEX_M}")
-            em.emit(0, "r1 = r2 = r3 = r4 = r5 = 0")
-            return
-        args = "".join(f", r{R1 + i}" for i in range(len(meta.args)))
-        self.reads_packet = True
-        em.emit(0, f"_res = {self._kf(insn.func)}(vm{args})")
-        for i in range(R1, R1 + 5):
-            em.emit(0, f"r{i} = 0")
-        if meta.ret == RET_VOID:
-            em.emit(0, "r0 = 0")
-        elif meta.ret == RET_KPTR:
-            em.emit(0, "if _res is None or _res == 0:")
-            em.emit(1, "r0 = 0")
-            em.emit(0, "elif _res.__class__ is not _Ptr:")
-            em.emit(
-                1,
-                f"raise _VmFault('{insn.func}: kptr impl returned '"
-                " + repr(_res))",
+            call = _Stmt(
+                list(setup) + [f"r0 = ({expr}) & {_HEX_M}"],
+                (R0,),
+                dead=list(setup) + [expr],
             )
-            em.emit(0, "else:")
-            em.emit(1, "r0 = _res")
         else:
-            em.emit(0, f"r0 = int(_res or 0) & {_HEX_M}")
+            args = "".join(f", r{R1 + i}" for i in range(len(meta.args)))
+            self.reads_packet = True
+            fn = f"{self._kf(insn.func)}(vm{args})"
+            if meta.ret == RET_VOID:
+                call = _Stmt([fn, "r0 = 0"], (R0,), dead=[fn])
+            elif meta.ret == RET_KPTR:
+                call = _Stmt([
+                    f"_res = {fn}",
+                    "if _res is None or _res == 0:",
+                    "    r0 = 0",
+                    "elif _res.__class__ is not _Ptr:",
+                    f"    raise _VmFault('{insn.func}: kptr impl returned '"
+                    " + repr(_res))",
+                    "else:",
+                    "    r0 = _res",
+                ], (R0,))
+            else:
+                call = _Stmt(
+                    [f"_res = {fn}", f"r0 = int(_res or 0) & {_HEX_M}"],
+                    (R0,),
+                    dead=[fn],
+                )
+        return [call] + [
+            _Stmt([f"r{i} = 0"], (i,), pure=True) for i in range(R1, R1 + 5)
+        ]

@@ -22,7 +22,9 @@ Programs and chains share one ``compiled`` report: it pins
 bit-identical verdicts, VM stats, and cycle accounting, and records
 the unrolled loops, how many kfuncs were inlined and header loads
 forwarded, how many kfunc hashes moved into the per-batch hash
-prologue, and whether the fused loop still encodes each packet.
+prologue, whether the fused loop still encodes each packet, which
+stages kept the ``_b`` dispatch loop (a back-edge survived unrolling)
+and how many stack loads read a scalar stored earlier in their block.
 
 ``--strict`` exits non-zero when any bundled program's verdict differs
 from its expected accept/reject or an accepted program elides zero
@@ -143,6 +145,8 @@ def _chain_report(verified: List[VerifiedProgram]) -> Dict[str, Any]:
         "forwarded_loads": fused.forwarded_loads,
         "hoisted_calls": fused.hoisted_calls,
         "encodes_packet": fused.encodes_packet,
+        "dispatch_stages": list(fused.dispatch_stages),
+        "forwarded_stack_loads": fused.forwarded_stack_loads,
     }
     pkts = _chain_trace(_CHAIN_PACKETS, _CHAIN_SEED)
     observed = {}

@@ -73,7 +73,7 @@ def _table_state(t):
         [None if e is None else (e.sig, e.key, e.value, e.i1, e.i2) for e in b]
         for b in t._buckets
     ]
-    return layout, len(t), t._rng.getstate()
+    return layout, len(t)
 
 
 def _filter_state(f):

@@ -12,6 +12,7 @@ disruption and connection eviction.
 
 import ast
 import itertools
+import re
 
 import pytest
 
@@ -122,6 +123,18 @@ def test_fusion_inlines_app_kfuncs():
     for app in IR_APP_NAMES:
         nf = app_nf(app, backend="fused", seed=1)
         assert nf._fused.inlined_kfuncs >= 1, app
+
+
+@pytest.mark.parametrize("app", IR_APP_NAMES)
+def test_fused_app_emits_only_live_work(app):
+    """Each app chain is acyclic, reads no uninitialized register and
+    compares its bounds against the frame size: its fused source has
+    no dispatch loop, no register zeroing and no ``data_end`` pointer."""
+    fused = app_nf(app, backend="fused")._fused
+    assert fused.dispatch_stages == ()
+    assert "while True" not in fused.source
+    assert not re.search(r"^\s*r\d+ = 0$", fused.source, re.M)
+    assert "_pe(" not in fused.source
 
 
 def test_reversed_polycube_chain_parity():
@@ -370,7 +383,7 @@ def test_multicore_per_core_state_is_private():
 
 
 def test_cuckoo_items_snapshot():
-    table = BlockedCuckooTable(64, 4, seed=3)
+    table = BlockedCuckooTable(64, 4)
     pairs = {k: k * 7 for k in range(40)}
     for k, v in pairs.items():
         assert table.insert(k, v)

@@ -97,12 +97,12 @@ class TestBlockedCuckooTable:
         assert all(t.lookup(k) == k for k in keys)
 
     def test_kicks_relocate_entries(self):
-        t = BlockedCuckooTable(4, 2, seed=7)   # tiny: forces kicks
+        t = BlockedCuckooTable(4, 2)   # tiny: forces kicks
         inserted = [k for k in range(8) if t.insert(k, k)]
         assert all(t.lookup(k) == k for k in inserted)
 
     def test_insert_fails_when_saturated(self):
-        t = BlockedCuckooTable(2, 1, seed=7)
+        t = BlockedCuckooTable(2, 1)
         results = [t.insert(k, k) for k in range(10)]
         assert not all(results)   # a 2-slot table cannot hold 10 keys
 

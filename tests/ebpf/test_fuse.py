@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.datastructs.countmin import CountMinSketch
 from repro.ebpf.fuse import (
     FuseError,
     cache_info,
@@ -28,7 +29,8 @@ from repro.ebpf.progs import (
 )
 from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
-from repro.net.irnf import IrChainNf
+from repro.ebpf.vm import Vm
+from repro.net.irnf import PASS_R0, IrChainNf, encode_packet
 from repro.net.packet import Packet
 
 from tests.ebpf.test_verifier_differential import _gen_program
@@ -54,21 +56,30 @@ def _mk_packets(n, seed):
     ]
 
 
+def _closure_value(registry, name, kind):
+    """The ``kind`` object in kfunc ``name``'s impl closure; a bound
+    method stands for the object it is bound to."""
+    for cell in registry.get(name).impl.__closure__:
+        v = cell.cell_contents
+        v = getattr(v, "__self__", v)
+        if isinstance(v, kind):
+            return v
+    raise LookupError(f"{name}: no {kind.__name__} in its closure")
+
+
+def _cm_sketch(registry):
+    return _closure_value(registry, "enetstl_cm_update", CountMinSketch)
+
+
 def _kfunc_state(registry):
     """Mutable closure state behind the runnable kfuncs: count-min rows
     and the PRNG position (steering tables are immutable)."""
-    state = []
-    for name in ("enetstl_cm_update", "enetstl_prandom_u32"):
-        meta = registry.get(name)
-        if meta is None or meta.impl is None:
-            continue
-        for cell in meta.impl.__closure__ or ():
-            v = cell.cell_contents
-            if isinstance(v, list):
-                state.append(tuple(map(tuple, v)))
-            elif isinstance(v, random.Random):
-                state.append(v.getstate())
-    return tuple(state)
+    return (
+        tuple(map(tuple, _cm_sketch(registry).rows)),
+        _closure_value(
+            registry, "bpf_get_prandom_u32", random.Random
+        ).getstate(),
+    )
 
 
 def _observe(nf, rt, registry, actions):
@@ -150,13 +161,58 @@ def test_fused_chain_metadata():
     assert fc.inlined_kfuncs == 2
 
 
-def test_early_exit_emitted_between_stages_only():
-    reg = runnable_registry(0)
-    for combo in bundled_chains():
-        fc = fuse_chain(reg, _verified(combo, reg))
-        # One early-exit branch per non-final stage: a non-PASS verdict
-        # skips all later stages at runtime.
-        assert fc.source.count("if _rr != 2:") == len(combo) - 1
+def _deciding_stage(verified, registry, pkt):
+    """The reference: run ``pkt`` through the chain stage by stage on
+    fresh interpreted VMs until a verdict other than PASS.  Returns the
+    index of the stage whose verdict was final and the steps taken."""
+    enc = encode_packet(pkt)
+    steps = 0
+    for k, vp in enumerate(verified):
+        vm = Vm(registry, packet=enc, proofs=vp)
+        r0 = vm.run(vp.prog)
+        steps += vm.stats.steps
+        if r0 != PASS_R0:
+            break
+    return k, steps
+
+
+def _prime_heavy_hitters(registry):
+    """Count-min counters at the police threshold in the first three
+    quarters of every row: a flow whose columns all land there is a
+    heavy hitter, so ``nf_cm_sketch`` drops about a third of flows."""
+    for row in _cm_sketch(registry).rows:
+        row[: 3 * len(row) // 4] = [4096] * (3 * len(row) // 4)
+
+
+@pytest.mark.parametrize(
+    "combo", [c for c in bundled_chains() if len(c) > 1], ids="->".join
+)
+def test_rejected_packet_reaches_no_later_stage(combo):
+    """A packet a non-final stage rejects runs no later stage.  Packet
+    by packet, the fused chain's verdict, ``VmStats`` and kfunc state
+    match the interpreted chain's and the stage-by-stage reference's,
+    which stops at the rejecting stage, and the packet's steps are
+    those of the stages up to that one.  Every non-final stage rejects
+    some packet."""
+    verified = _verified(combo, runnable_registry(0))
+    ref, reg_i, reg_f = (runnable_registry(0) for _ in range(3))
+    for reg in (ref, reg_i, reg_f):
+        _prime_heavy_hitters(reg)
+    nf_i = IrChainNf(BpfRuntime(), verified, registry=reg_i, backend="interp")
+    nf_f = IrChainNf(BpfRuntime(), verified, registry=reg_f, backend="fused")
+    rejected = set()
+    for pkt in _mk_packets(96, seed=SEED + 5):
+        stage, steps = _deciding_stage(verified, ref, pkt)
+        before = nf_f.stats.steps
+        assert nf_f.process(pkt) == nf_i.process(pkt)
+        assert nf_f.returns == nf_i.returns
+        assert nf_f.stats == nf_i.stats
+        assert nf_f.stats.steps - before == steps
+        assert _kfunc_state(reg_f) == _kfunc_state(reg_i) == _kfunc_state(ref)
+        if stage < len(combo) - 1:
+            assert nf_f.returns[-1] != PASS_R0
+            rejected.add(stage)
+    assert rejected == set(range(len(combo) - 1))
 
 
 def test_inlining_can_be_disabled():

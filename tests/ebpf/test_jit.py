@@ -19,6 +19,7 @@ import pytest
 from repro.ebpf.fuse import fuse_chain, fused_for
 from repro.ebpf.insn import (
     Alu,
+    Call,
     Exit,
     Imm,
     JmpIf,
@@ -176,14 +177,14 @@ def test_unknown_backend_rejected():
 
 def test_loop_unrolled_to_straight_line():
     """loop_counted's proven 15 back-edge traversals unroll into 16
-    body copies with forward-only dispatch — no `continue` (the
-    generated code's only backward-jump construct, and a one-stage
-    chain has no early exit) survives."""
+    body copies with forward-only control flow: no back-edge survives,
+    so the stage is structured code with no ``_b`` dispatch loop."""
     reg = runnable_registry(0)
     vp = Verifier(reg).verify(get_case("loop_counted").prog)
     fused = fuse_chain(reg, [vp])
     assert fused.unrolled == {"loop_counted": {4: 16}}
-    assert "continue" not in fused.source
+    assert fused.dispatch_stages == ()
+    assert "while True" not in fused.source
     assert "eval" not in fused.source
 
 
@@ -204,8 +205,42 @@ def test_oversized_loop_falls_back_to_dispatch():
     vp = Verifier(reg).verify(prog)
     fused = fuse_chain(reg, [vp])
     assert fused.unrolled == {"loop_wide": {}}
-    assert "continue" in fused.source
+    assert fused.dispatch_stages == ("loop_wide",)
     _assert_parity(vp, _rand_packet(random.Random(SEED)))
+
+
+def test_deep_fall_through_keeps_dispatch_loop():
+    """A non-final stage whose 90 checks each pass the packet on nests
+    one level per check as structured code (a pass falls out of the
+    stage, so no arm can end early); past the nesting budget the stage
+    keeps the dispatch loop although it is acyclic, and stays
+    bit-identical to the interpreted chain."""
+    checks = 90
+    insns = [
+        Call("bpf_get_prandom_u32"),
+        Mov(R6, R0),
+        Alu("and", R6, Imm(127)),
+    ]
+    insns += [JmpIf("eq", R6, Imm(k), checks + 5) for k in range(checks)]
+    insns += [Mov(R0, Imm(1)), Exit(), Mov(R0, Imm(2)), Exit()]
+    verifier = Verifier(runnable_registry(0))
+    chain = [
+        verifier.verify(Program(insns, name="deep_pass")),
+        verifier.verify(Program([Mov(R0, Imm(3)), Exit()], name="tx")),
+    ]
+    assert fuse_chain(runnable_registry(0), chain).dispatch_stages == (
+        "deep_pass",
+    )
+    pkts = [_rand_packet(random.Random(SEED + i)) for i in range(64)]
+    seen = {}
+    for backend in ("interp", "fused"):
+        rt = BpfRuntime()
+        reg = runnable_registry(3)
+        nf = IrChainNf(rt, chain, registry=reg, backend=backend)
+        nf.process_batch(pkts)
+        seen[backend] = (_observable(nf, rt), _kfunc_state(reg))
+    assert seen["interp"] == seen["fused"]
+    assert set(seen["fused"][0][0]) == {1, 3}
 
 
 def test_compiled_program_metadata():

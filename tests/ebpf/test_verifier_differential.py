@@ -52,8 +52,11 @@ from repro.ebpf.insn import (
     R5,
     R6,
     R7,
+    R8,
+    R9,
     R10,
 )
+from repro.ebpf.fuse import fuse_chain
 from repro.ebpf.progs import runnable_registry
 from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
@@ -225,6 +228,61 @@ def _t_data_loop(rng: random.Random):
     return insns
 
 
+def _t_spill_reload(rng: random.Random):
+    """Scalar and pointer spills to one ``r10`` slot around a kfunc
+    call, then a register a branch leaves dead on one path.
+
+    The slot first holds a masked scalar, reloaded at once in the same
+    block (the compiled backend forwards that load).  Most variants
+    then spill a stack pointer to the same slot, and a kfunc call sits
+    between a store and the final reload, so the reload is a scalar or
+    a pointer the program reads a third slot through.  After that,
+    ``r7`` is read past a branch whose fall-through path overwrites it:
+    its earlier value is dead on one path only."""
+    off = rng.choice([-8, -16, -24])
+    mask = rng.choice([0xF, 0xFF, 0xFFFF])
+    parts = {
+        "scalar": [
+            Store(R10, off, R6),
+            Load(R7, R10, off),
+            Alu("add", R7, Imm(rng.randint(0, 9))),
+        ],
+        "pointer": [
+            Mov(R9, R10),
+            Alu("sub", R9, Imm(32)),
+            Store(R9, 0, Imm(rng.randint(0, 1 << 20))),
+            Store(R10, off, R9),
+        ],
+        "call": [Call(rng.choice(["bpf_get_prandom_u32", "bpf_ktime_get_ns"]))],
+    }
+    order = rng.choice([
+        ("scalar", "call", "pointer"),
+        ("scalar", "pointer", "call"),
+        ("call", "scalar", "pointer"),
+        ("scalar", "call"),
+    ])
+    insns = [
+        Call("bpf_get_prandom_u32"),
+        Mov(R6, R0),
+        Alu("and", R6, Imm(mask)),
+    ]
+    for part in order:
+        insns += parts[part]
+    insns.append(Load(R8, R10, off))
+    if "pointer" in order:
+        insns.append(Load(R8, R8, 0))
+    tail = len(insns) + 2
+    insns += [
+        JmpIf("gt", R6, Imm(mask // 2), tail),
+        Mov(R7, Imm(rng.randint(0, 9))),
+        Alu("add", R7, R8),
+        Mov(R0, R7),
+        Alu("and", R0, Imm(3)),
+        Exit(),
+    ]
+    return insns
+
+
 def _t_junk(rng: random.Random):
     """Random instruction soup (forward jumps only); mostly rejected."""
     n = rng.randint(3, 10)
@@ -250,7 +308,7 @@ def _t_junk(rng: random.Random):
 
 TEMPLATES = [_t_guarded_pkt, _t_counted_loop, _t_masked_div,
              _t_stack_table, _t_kptr, _t_eq_dispatch, _t_data_loop,
-             _t_junk]
+             _t_spill_reload, _t_junk]
 
 
 def _mutate(rng: random.Random, insns):
@@ -398,6 +456,24 @@ def test_fused_guard_fail_family():
         else:
             passed += 1
     assert passed >= 30 and failed >= 30, (passed, failed)
+
+
+def test_spill_reload_family():
+    """Compiled parity on every variant of the spill/reload template,
+    unmutated: each verifies, its same-block reload is forwarded, and
+    the fused run matches the interpreter in r0, stack bytes and
+    ``VmStats`` whichever way the branch goes."""
+    rng = random.Random(SEED + 4)
+    verifier = Verifier(runnable_registry(SEED))
+    for idx in range(60):
+        vp = verifier.verify(
+            Program(_t_spill_reload(rng), name=f"spill_reload_{idx}")
+        )
+        assert fuse_chain(runnable_registry(0), [vp]).forwarded_stack_loads
+        for _ in range(PACKETS_PER_PROGRAM):
+            _assert_fused_matches_interp(
+                vp, _rand_frame(rng), kfunc_seed=rng.randrange(1 << 30)
+            )
 
 
 def test_data_loop_family_states_bounded():
