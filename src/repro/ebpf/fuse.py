@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from collections import _count_elements
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
@@ -83,6 +82,17 @@ from .header import HEADER_FIELDS, HEADER_STRUCT, WRAPPED_FIELD
 from .jit import JitError, _Compiler, _Emitter, program_hash
 from .kfunc_meta import KfuncRegistry
 from .vm import MASK64, Pointer
+
+try:
+    # collections.Counter's C counting loop (CPython's private helper,
+    # what Counter.update runs): no Counter built per batch.
+    from collections import _count_elements
+except ImportError:  # pragma: no cover - other Pythons
+
+    def _count_elements(mapping, iterable):
+        get = mapping.get
+        for elem in iterable:
+            mapping[elem] = get(elem, 0) + 1
 
 _HEX_M = "0x%X" % MASK64
 
@@ -134,7 +144,8 @@ class FusedChain:
     #: stages whose back-edge survived unrolling, so they kept the
     #: ``_b`` dispatch loop (every other stage is structured code).
     dispatch_stages: Tuple[str, ...] = ()
-    #: stack loads read from a scalar stored earlier in their block.
+    #: stack loads read from a scalar stored earlier in their block
+    #: (counted after liveness: only loads the fused code runs).
     forwarded_stack_loads: int = 0
     unrolled: Dict[str, Dict[int, int]] = field(default_factory=dict)
 
@@ -372,8 +383,10 @@ def fuse_chain(
     def used(name: str) -> bool:
         return name in names_used
 
-    uses_n = used("_n")
     uses_pktend = used("_PKTEND")
+    # ``_PKTEND = _pe(_n)`` reads ``_n`` even where nothing else does
+    # (a program that only spills data_end).
+    uses_n = used("_n") or uses_pktend
     checked = used("_mem") or used("_div")
     counters = (("_mem", "_div") if checked else ()) + (
         ("_eli",) if used("_eli") else ()
@@ -385,7 +398,6 @@ def fuse_chain(
         "_CTXP": Pointer("ctx", 0),
         "_STKP": Pointer("stack", 0),
         "_PKT0": Pointer("pkt", 0),
-        # collections.Counter's C counting loop, into a plain dict.
         "_cnt": _count_elements,
     }
     if uses_pktend:

@@ -204,9 +204,13 @@ class _Stmt:
     """One instruction's generated lines, with what liveness needs:
     the registers it defines and reads, whether it may be dropped when
     every def is dead (``pure``), and the lines that still run in that
-    case when it may not (``dead``: a call whose result nobody reads)."""
+    case when it may not (``dead``: a call whose result nobody reads).
+    ``fwd`` marks a forwarded stack load; ``kept`` records whether the
+    last backward step kept the statement."""
 
-    __slots__ = ("lines", "defs", "pure", "dead", "uses", "dead_uses")
+    __slots__ = (
+        "lines", "defs", "pure", "dead", "uses", "dead_uses", "fwd", "kept"
+    )
 
     def __init__(
         self,
@@ -214,6 +218,7 @@ class _Stmt:
         defs: Tuple[int, ...] = (),
         pure: bool = False,
         dead: Optional[List[str]] = None,
+        fwd: bool = False,
     ) -> None:
         self.lines = lines
         self.defs = frozenset(defs)
@@ -221,12 +226,16 @@ class _Stmt:
         self.dead = dead
         self.uses = _reads(lines)
         self.dead_uses = _reads(dead) if dead is not None else None
+        self.fwd = fwd
+        self.kept = True
 
     def apply(self, live: Set[int]) -> Optional[List[str]]:
         """Step ``live`` backward over this statement; returns the lines
         to emit, or None when the statement is dropped."""
+        self.kept = True
         if self.defs and live.isdisjoint(self.defs):
             if self.pure:
+                self.kept = False
                 return None
             if self.dead is not None:
                 live |= self.dead_uses
@@ -313,7 +322,8 @@ class _Compiler:
         #: Header load sites ``header_loads`` rewrote in the last
         #: emission (liveness may drop a rewritten load afterwards).
         self.forwarded_loads = 0
-        #: Stack loads the last emission read from a known scalar.
+        #: Stack loads the last emission read from a known scalar and
+        #: liveness kept.
         self.forwarded_stack_loads = 0
         #: Whether the last emission reads the packet buffer's bytes,
         #: or hands ``vm`` to a kfunc that may.
@@ -529,12 +539,12 @@ class _Compiler:
                 # The slot holds a scalar stored earlier in this block:
                 # the load's check is still tallied, the read is gone.
                 # A stack load stays packet-impure, as unforwarded.
-                self.forwarded_stack_loads += 1
                 tallies["eli" if pc in self.safe_mem else "mem"] += 1
                 pure[insn.dst] = None
-                return [
-                    _Stmt([f"r{insn.dst} = {fwd_src}"], (insn.dst,), pure=True)
-                ]
+                return [_Stmt(
+                    [f"r{insn.dst} = {fwd_src}"], (insn.dst,), pure=True,
+                    fwd=True,
+                )]
             pure[insn.dst] = None  # a forwarded header load sets it again
             ok = self._emit_load(em, pc, insn, types, tallies)
             return [_Stmt(em.lines, (insn.dst,), pure=ok)]
@@ -576,6 +586,10 @@ class _Compiler:
                 if live != live_in[lbl]:
                     live_in[lbl] = frozenset(live)
                     changed = True
+        # The last pass stepped every statement at the fixpoint.
+        self.forwarded_stack_loads = sum(
+            st.fwd and st.kept for b in blocks.values() for st in b.stmts
+        )
         return live_in[0]
 
     def _emit_body(self, em: _Emitter, b: _Block, level: int) -> None:

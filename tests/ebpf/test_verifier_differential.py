@@ -476,6 +476,55 @@ def test_spill_reload_family():
             )
 
 
+def _t_pktend_spill(rng: random.Random):
+    """``data_end`` spilled to an ``r10`` slot, read back or not.
+
+    The ``bare`` variant reads no packet byte and compares no bound:
+    the spill is the only use of ``data_end``.  ``guard`` reloads the
+    spilled ``data_end`` for a bound check, and ``respill`` moves it to
+    a second slot across a kfunc call."""
+    off = rng.choice([-8, -16, -24])
+    head = [Load(R3, R1, 8), Store(R10, off, R3)]
+    kind = rng.choice(["bare", "guard", "respill"])
+    if kind == "bare":
+        return head + [Mov(R0, Imm(rng.randint(0, 3))), Exit()]
+    if kind == "respill":
+        return head + [
+            Call(rng.choice(["bpf_get_prandom_u32", "bpf_ktime_get_ns"])),
+            Load(R4, R10, off),
+            Store(R10, off - 8, R4),
+            Alu("and", R0, Imm(3)),
+            Exit(),
+        ]
+    need = 8 * rng.randint(1, 4)
+    return [Load(R2, R1, 0)] + head + [
+        Load(R4, R10, off),
+        Mov(R5, R2),
+        Alu("add", R5, Imm(need)),
+        JmpIf("gt", R5, R4, 10),
+        Load(R0, R2, need - 8),
+        Alu("and", R0, Imm(3)),
+        Exit(),
+        Mov(R0, Imm(1)),
+        Exit(),
+    ]
+
+
+def test_pktend_spill_family():
+    """Compiled parity when ``data_end`` lives on only through a stack
+    spill: the fused code still binds the packet end it stores."""
+    rng = random.Random(SEED + 5)
+    verifier = Verifier(runnable_registry(SEED))
+    for idx in range(30):
+        vp = verifier.verify(
+            Program(_t_pktend_spill(rng), name=f"pktend_spill_{idx}")
+        )
+        for _ in range(PACKETS_PER_PROGRAM):
+            _assert_fused_matches_interp(
+                vp, _rand_frame(rng), kfunc_seed=rng.randrange(1 << 30)
+            )
+
+
 def test_data_loop_family_states_bounded():
     """Widened data-dependent loops verify in O(1) abstract states per
     header: across the template family the accepted programs' state
