@@ -18,7 +18,7 @@ from ..ebpf.cost_model import Category, ExecMode
 from ..ebpf.runtime import BpfRuntime
 from ..net.flowgen import FlowGenerator, make_flows, rate_to_inter_arrival_ns
 from ..net.packet import Packet
-from ..net.xdp import PipelineResult, XdpPipeline
+from ..net.xdp import PipelineResult, XdpPipeline, warm_then_measure
 from ..nfs import (
     CountMinNF,
     CuckooFilterNF,
@@ -48,10 +48,7 @@ def _measure(
     warmup: Optional[Sequence[Packet]] = None,
     latency: bool = False,
 ) -> PipelineResult:
-    pipe = XdpPipeline(nf)
-    if warmup:
-        pipe.run(warmup)
-    return pipe.run(trace, measure_latency=latency)
+    return warm_then_measure(XdpPipeline(nf), warmup, trace, latency)
 
 
 def _point(x: float, mode: ExecMode, result: PipelineResult, **extra) -> ModePoint:

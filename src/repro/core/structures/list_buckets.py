@@ -140,9 +140,5 @@ class ListBuckets:
         """The w-th 64-bucket occupancy word (for FFS-assisted scans)."""
         return self._bitmap[w]
 
-    @property
-    def n_words(self) -> int:
-        return len(self._bitmap)
-
     def __len__(self) -> int:
         return self._size

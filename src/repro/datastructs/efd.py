@@ -112,9 +112,6 @@ class EfdTable:
         group = self.group_of(key)
         return self._value_hash(key, self._group_seed[group])
 
-    def group_size(self, group: int) -> int:
-        return len(self._group_members[group])
-
     @property
     def n_flows(self) -> int:
         return sum(len(m) for m in self._group_members)

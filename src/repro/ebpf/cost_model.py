@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 #: Clock rate of the simulated CPU (paper testbed: Xeon E5-2630 v4 @2.2GHz).
 CPU_HZ = 2_200_000_000
@@ -349,7 +349,3 @@ def simd_batches(n_items: int, lane_width: int = 8) -> int:
     if n_items < 0:
         raise ValueError("n_items must be non-negative")
     return (n_items + lane_width - 1) // lane_width
-
-
-def iter_modes() -> Iterator[ExecMode]:
-    yield from ExecMode

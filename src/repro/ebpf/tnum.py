@@ -540,17 +540,3 @@ def _trim_endpoint(r: ScalarRange, c: int) -> Optional[ScalarRange]:
     if umin > umax:
         return None
     return ScalarRange(r.tnum, umin, umax, r.smin, r.smax).normalized()
-
-
-def eval_cmp(op: str, a: ScalarRange, b: ScalarRange) -> Optional[bool]:
-    """Decide ``a <op> b`` statically when the ranges force one outcome;
-    ``None`` when both outcomes are feasible."""
-    t = refine_cmp(op, a, b, True)
-    f = refine_cmp(op, a, b, False)
-    if t is None and f is None:
-        raise AssertionError("comparison with no feasible outcome")
-    if f is None:
-        return True
-    if t is None:
-        return False
-    return None

@@ -20,9 +20,9 @@ Two pieces:
   plane asks it per event ("does this packet fault?", "does this map
   update fail?") and it answers from a counter-indexed hash of the
   seed, so the schedule is independent of *when* the questions are
-  asked and reproducible across runs, cores, and replay paths
-  (per-packet :meth:`~repro.net.xdp.XdpPipeline.run` and batched
-  :meth:`~repro.net.xdp.XdpPipeline.run_batch` see identical faults).
+  asked and reproducible across runs, cores, and batch sizes
+  (:meth:`~repro.net.xdp.XdpPipeline.run` sees identical faults at
+  every batch granularity).
 
 How injected faults map to the real system:
 
@@ -331,7 +331,8 @@ class FaultInjector:
     deterministic ``(seed, kind, index)`` hash, so identical plans
     produce identical fault sequences.  The data plane attaches one
     injector per core: :class:`~repro.net.xdp.XdpPipeline` consults
-    :meth:`packet_fault` per packet (or :meth:`screen` per batch), and
+    :meth:`screen` per batch (the :meth:`packet_fault` and
+    :meth:`helper_fault` draws of each of its packets), and
     the simulated BPF maps consult :meth:`map_update_fault` per update
     through ``rt.faults``.
     """

@@ -49,30 +49,18 @@ from ..net.multicore import (
     RssDispatcher,
 )
 from ..net.queueing import ArrivalProcess, QueueingConfig
+from ..net.replay import (
+    NF_BUILDERS as REPLAY_NFS,
+    check_slo_args,
+    positive_float,
+    positive_int,
+)
 from ..net.slo import SloConfig, SloController
 from ..net.steering import POLICIES
 from ..net.trace import iter_trace
 from ..net.xdp import DEFAULT_BATCH_SIZE
 from ..nfs.degrade import ColdStartWarmup
 from . import FaultPlan, WedgeDetection
-
-
-def _countmin(rt):
-    from ..nfs import CountMinNF
-
-    return CountMinNF(rt, depth=4)
-
-
-def _bloom(rt):
-    from ..nfs import BloomFilterNF
-
-    return BloomFilterNF(rt)
-
-
-def _maglev(rt):
-    from ..nfs import MaglevNF
-
-    return MaglevNF(rt)
 
 
 def _flow_monitor(rt):
@@ -83,36 +71,7 @@ def _flow_monitor(rt):
     return FlowMonitorNF(rt, max_entries=1024, on_full="fallback")
 
 
-NF_BUILDERS = {
-    "countmin": _countmin,
-    "bloom": _bloom,
-    "maglev": _maglev,
-    "flow_monitor": _flow_monitor,
-}
-
-
-def _positive_int(value: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return parsed
-
-
-def _positive_float(value: str) -> float:
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number, got {value}"
-        )
-    return parsed
+NF_BUILDERS = {**REPLAY_NFS, "flow_monitor": _flow_monitor}
 
 
 def _rate(value: str) -> float:
@@ -333,7 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "recoverable kinds (default 0.01)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cores", type=_positive_int, default=8)
+    parser.add_argument("--cores", type=positive_int, default=8)
     parser.add_argument("--nf", choices=sorted(NF_BUILDERS), default="countmin")
     parser.add_argument(
         "--mode",
@@ -344,14 +303,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--policy", choices=sorted(POLICIES), default="rss",
     )
     parser.add_argument(
-        "--batch-size", type=_positive_int, default=DEFAULT_BATCH_SIZE
+        "--batch-size", type=positive_int, default=DEFAULT_BATCH_SIZE
     )
     parser.add_argument(
-        "--packets", type=_positive_int, default=20_000,
+        "--packets", type=positive_int, default=20_000,
         help="synthetic trace length (ignored with a trace file)",
     )
     parser.add_argument(
-        "--flows", type=_positive_int, default=1024,
+        "--flows", type=positive_int, default=1024,
         help="synthetic flow population (ignored with a trace file)",
     )
     parser.add_argument(
@@ -375,7 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="packets the wedging core processes before stalling",
     )
     parser.add_argument(
-        "--watchdog-deadline", type=_positive_int,
+        "--watchdog-deadline", type=positive_int,
         default=DEFAULT_WATCHDOG_DEADLINE,
         help="lost packets before a wedged core is declared dead",
     )
@@ -386,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(flash crowd); adds p50/p95/p99 latency to the report",
     )
     parser.add_argument(
-        "--slo-p99", type=_positive_float, default=None, metavar="US",
+        "--slo-p99", type=positive_float, default=None, metavar="US",
         help="p99 sojourn-latency target in microseconds (needs --burst)",
     )
     parser.add_argument(
@@ -395,12 +354,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "with warm-up, p99 autoscaler); needs --burst and --slo-p99",
     )
     parser.add_argument(
-        "--initial-cores", type=_positive_int, default=None,
+        "--initial-cores", type=positive_int, default=None,
         help="active cores at start under --autoscale "
         "(default: all of --cores)",
     )
     parser.add_argument(
-        "--detection-mean", type=_positive_int, default=None,
+        "--detection-mean", type=positive_int, default=None,
         help="mean wedge-detection latency in packets (probabilistic "
         "detection instead of the fixed --watchdog-deadline)",
     )
@@ -424,18 +383,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--json", action="store_true", help="emit the report as JSON"
     )
     args = parser.parse_args(argv)
-    if args.slo_p99 is not None and args.burst is None:
-        parser.error("--slo-p99 needs --burst (latency requires the "
-                     "queueing model)")
-    if args.autoscale and (args.burst is None or args.slo_p99 is None):
-        parser.error("--autoscale needs --burst and --slo-p99")
-    if args.initial_cores is not None and not args.autoscale:
-        parser.error("--initial-cores only makes sense with --autoscale")
-    if args.initial_cores is not None and args.initial_cores > args.cores:
-        parser.error(
-            f"--initial-cores {args.initial_cores} exceeds --cores "
-            f"{args.cores}"
-        )
+    check_slo_args(parser, args)
     if args.expect_recovery and not args.autoscale:
         parser.error("--expect-recovery needs --autoscale")
     if args.burst is not None:

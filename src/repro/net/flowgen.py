@@ -139,8 +139,8 @@ class FlowGenerator:
         The zero-materialization spelling of :meth:`trace` — packets
         are synthesized one at a time, so a billion-packet replay
         holds O(1) packets resident.  Feeds directly into
-        :meth:`XdpPipeline.run`/:meth:`run_batch` and
-        :meth:`RssDispatcher.run` (all accept arbitrary iterables) and
+        :meth:`XdpPipeline.run` and :meth:`RssDispatcher.run` (both
+        accept arbitrary iterables) and
         :func:`repro.net.trace.write_trace_iter`.  Deterministic: for
         a given generator state it yields exactly the packets
         :meth:`trace` would materialize.

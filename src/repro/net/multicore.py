@@ -238,10 +238,6 @@ class MulticoreResult(PacketAccounting):
         ]
 
     @property
-    def per_core_cycles_per_packet(self) -> List[float]:
-        return [r.cycles_per_packet for r in self.per_core]
-
-    @property
     def busiest_core_cycles(self) -> int:
         loaded = self.per_core_loaded_cycles
         return max(loaded) if loaded else 0
@@ -436,8 +432,6 @@ class RssDispatcher:
         self,
         trace: Iterable[Packet],
         batch_size: int = DEFAULT_BATCH_SIZE,
-        use_batch: bool = True,
-        advance_clock: bool = True,
     ) -> MulticoreResult:
         """Steer ``trace`` across the queues and replay each on its core.
 
@@ -456,9 +450,9 @@ class RssDispatcher:
         from the head of the stream to fit the policy, then replayed
         first — no packet is dropped or double-counted.
 
-        ``use_batch`` selects the batched replay path (cycle-identical
-        to per-packet, just faster); disable it for NFs that need
-        per-packet clock advance.
+        Each core's session hands a batch to the NF's
+        ``process_batch`` when it has one and runs ``process`` per
+        packet otherwise; the cycle accounting is the same either way.
 
         When the fault plan names a ``crash_core``/``wedge_core``, the
         watchdog engages: the victim's traffic is re-steered onto
@@ -479,12 +473,7 @@ class RssDispatcher:
             for core in range(self.n_cores)
         ]
         fleet = Fleet(
-            [
-                ReplaySession(
-                    pipeline, advance_clock=advance_clock, use_batch=use_batch
-                )
-                for pipeline in self.pipelines
-            ],
+            [ReplaySession(pipeline) for pipeline in self.pipelines],
             policy,
             faults=self.faults,
             detection=self.detection,

@@ -41,13 +41,6 @@ from .steering import POLICIES
 from .trace import iter_trace, load_trace
 from .xdp import DEFAULT_BATCH_SIZE
 
-#: NFs with a ``process_batch`` fast path — the replay-friendly subset.
-NF_BUILDERS = {
-    "countmin": lambda rt: _countmin(rt),
-    "bloom": lambda rt: _bloom(rt),
-    "maglev": lambda rt: _maglev(rt),
-}
-
 
 def _countmin(rt):
     from ..nfs import CountMinNF
@@ -65,6 +58,10 @@ def _maglev(rt):
     from ..nfs import MaglevNF
 
     return MaglevNF(rt)
+
+
+#: NFs with a ``process_batch`` fast path — the replay-friendly subset.
+NF_BUILDERS = {"countmin": _countmin, "bloom": _bloom, "maglev": _maglev}
 
 
 def replay(
@@ -233,7 +230,7 @@ def _json_report_slo(run, args) -> dict:
     }
 
 
-def _positive_int(value: str) -> int:
+def positive_int(value: str) -> int:
     """argparse type: a strictly positive integer, clearly rejected.
 
     Keeps bad values (``--cores 0``, ``--numa-nodes -3``) from being
@@ -251,7 +248,7 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _positive_float(value: str) -> float:
+def positive_float(value: str) -> float:
     """argparse type: a strictly positive float, clearly rejected."""
     try:
         parsed = float(value)
@@ -262,6 +259,23 @@ def _positive_float(value: str) -> float:
             f"must be a positive number, got {value}"
         )
     return parsed
+
+
+def check_slo_args(parser: argparse.ArgumentParser, args) -> None:
+    """Reject inconsistent ``--burst``/``--slo-p99``/``--autoscale``/
+    ``--initial-cores`` combinations as usage errors (exit 2)."""
+    if args.slo_p99 is not None and args.burst is None:
+        parser.error("--slo-p99 needs --burst (latency requires the "
+                     "queueing model)")
+    if args.autoscale and (args.burst is None or args.slo_p99 is None):
+        parser.error("--autoscale needs --burst and --slo-p99")
+    if args.initial_cores is not None and not args.autoscale:
+        parser.error("--initial-cores only makes sense with --autoscale")
+    if args.initial_cores is not None and args.initial_cores > args.cores:
+        parser.error(
+            f"--initial-cores {args.initial_cores} exceeds --cores "
+            f"{args.cores}"
+        )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -285,16 +299,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=[m.value for m in ExecMode],
         default=ExecMode.ENETSTL.value,
     )
-    parser.add_argument("--cores", type=_positive_int, default=8)
+    parser.add_argument("--cores", type=positive_int, default=8)
     parser.add_argument(
         "--policy", choices=sorted(POLICIES), default="rss",
         help="steering policy (default: plain RSS)",
     )
     parser.add_argument(
-        "--batch-size", type=_positive_int, default=DEFAULT_BATCH_SIZE
+        "--batch-size", type=positive_int, default=DEFAULT_BATCH_SIZE
     )
     parser.add_argument(
-        "--numa-nodes", type=_positive_int, default=1,
+        "--numa-nodes", type=positive_int, default=1,
         help="NUMA nodes to spread the cores over (default 1: no penalty)",
     )
     parser.add_argument(
@@ -308,7 +322,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="arrival-jitter seed for --burst (default 0)",
     )
     parser.add_argument(
-        "--slo-p99", type=_positive_float, default=None, metavar="US",
+        "--slo-p99", type=positive_float, default=None, metavar="US",
         help="p99 sojourn-latency target in microseconds (needs --burst)",
     )
     parser.add_argument(
@@ -318,7 +332,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(needs --burst and --slo-p99)",
     )
     parser.add_argument(
-        "--initial-cores", type=_positive_int, default=None,
+        "--initial-cores", type=positive_int, default=None,
         help="active cores at start under --autoscale "
         "(default: all of --cores)",
     )
@@ -326,18 +340,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--json", action="store_true", help="emit the report as JSON"
     )
     args = parser.parse_args(argv)
-    if args.slo_p99 is not None and args.burst is None:
-        parser.error("--slo-p99 needs --burst (latency requires the "
-                     "queueing model)")
-    if args.autoscale and (args.burst is None or args.slo_p99 is None):
-        parser.error("--autoscale needs --burst and --slo-p99")
-    if args.initial_cores is not None and not args.autoscale:
-        parser.error("--initial-cores only makes sense with --autoscale")
-    if args.initial_cores is not None and args.initial_cores > args.cores:
-        parser.error(
-            f"--initial-cores {args.initial_cores} exceeds --cores "
-            f"{args.cores}"
-        )
+    check_slo_args(parser, args)
     arrivals = None
     if args.burst is not None:
         try:

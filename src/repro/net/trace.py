@@ -12,8 +12,8 @@ Two I/O regimes coexist:
 - **Streaming** (:func:`iter_trace` / :func:`write_trace_iter`): packets
   flow through a generator one row at a time, so replaying or writing a
   multi-gigabyte trace holds O(1) packets in memory.  The streaming
-  reader feeds :meth:`XdpPipeline.run`/:meth:`run_batch` and
-  :meth:`RssDispatcher.run` directly — all accept arbitrary iterables.
+  reader feeds :meth:`XdpPipeline.run` and :meth:`RssDispatcher.run`
+  directly — both accept arbitrary iterables.
 
 Both regimes share one row codec, so malformed rows raise the same
 line-numbered :class:`ValueError` either way.

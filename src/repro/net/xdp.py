@@ -7,22 +7,20 @@ packets-per-second derived from cycles-per-packet; for latency runs the
 NF forwards packets back and end-to-end latency is wire base plus
 processing time.
 
-Two replay paths exist:
+One replay loop exists.  :meth:`XdpPipeline.run` opens a
+:class:`ReplaySession` and feeds it the trace in batches, as the
+kernel's NAPI poll hands XDP its frames; the multi-queue fleet feeds
+one session per core.  Framework costs (XDP dispatch + parse) are
+charged in bulk per batch.  An NF that implements ``process_batch``
+gets the whole batch in one call; otherwise, or when latency is
+measured, its ``process`` runs per packet with per-packet clock
+advance (required for time-driven NFs).  Cycle accounting is the same
+either way (tested); only the Python-side wall-clock cost differs.
 
-- :meth:`XdpPipeline.run` — per-packet, supports latency measurement
-  and per-packet clock advance (required for time-driven NFs);
-- :meth:`XdpPipeline.run_batch` — batched: framework costs are charged
-  in bulk per batch and NFs that implement ``process_batch`` handle a
-  whole batch in one call.  Cycle-accounting is identical to ``run``
-  by construction (tested); only the Python-side wall-clock cost drops.
-
-Both paths consume **arbitrary iterables**: a generator source
+Replay consumes **arbitrary iterables**: a generator source
 (:meth:`FlowGenerator.iter_trace`, :func:`repro.net.trace.iter_trace`)
 replays with O(batch) peak memory — the full trace is never
-materialized.  :class:`ReplaySession` exposes the same accounting
-incrementally (``feed`` batches as they arrive, ``finish`` for the
-result), which is how the streaming multi-queue dispatcher drives one
-pipeline per core off a single shared packet stream.
+materialized.
 
 **Fault containment** mirrors the eBPF runtime's safety guarantee (an
 XDP program cannot crash the kernel): an NF exception on one packet
@@ -31,8 +29,8 @@ per-CPU error counter — the simulated ``xdp_exception`` tracepoint —
 and the replay continues.  Attach a
 :class:`~repro.faults.FaultInjector` to inject packet-level faults
 (drop / corruption / truncation / duplication), helper error returns,
-and map-update failures on a deterministic, seed-driven schedule; both
-replay paths see the identical fault sequence.  Pass
+and map-update failures on a deterministic, seed-driven schedule; every
+batch granularity sees the identical fault sequence.  Pass
 ``on_error="raise"`` to restore fail-fast propagation for debugging.
 
 Multi-queue (RSS) replay lives in :mod:`repro.net.multicore`.
@@ -52,14 +50,14 @@ from ..ebpf.cost_model import (
     throughput_pps,
 )
 from ..ebpf.runtime import BpfRuntime
-from ..faults import FaultInjector, PKT_CORRUPT, PKT_DROP, PKT_DUP, PKT_TRUNCATE
+from ..faults import FaultInjector, PKT_CORRUPT, PKT_DROP, PKT_TRUNCATE
 from .packet import Packet, XdpAction
 from .stats import percentile
 
 #: One-way wire + NIC + driver latency on the back-to-back testbed, ns.
 BASE_WIRE_LATENCY_NS = 11_000
 
-#: Default batch granularity for :meth:`XdpPipeline.run_batch` —
+#: Default batch granularity for :meth:`XdpPipeline.run` —
 #: mirrors the NAPI poll budget (the kernel hands XDP up to 64 frames
 #: per poll; we default larger since the simulator has no IRQ cadence).
 DEFAULT_BATCH_SIZE = 256
@@ -84,7 +82,8 @@ class NetworkFunction(Protocol):
     not depend on the simulated clock may implement it to process a
     whole batch in one call, charging the *identical* cycles the
     equivalent ``process`` calls would have charged.  It returns an
-    action -> count mapping for the batch.
+    action -> count mapping for the batch.  The replay core uses it
+    whenever it exists and no latency is measured.
     """
 
     rt: BpfRuntime
@@ -211,12 +210,12 @@ class XdpPipeline:
     """Replay traces through one NF on one simulated core.
 
     ``faults`` attaches a :class:`~repro.faults.FaultInjector`: the
-    pipeline consults it per packet (drop / parse faults / duplication
-    / helper errors) and also installs it on the NF's runtime so map
-    updates fail on the same schedule.  ``on_error`` selects what an NF
-    exception does: ``"abort"`` (default) converts it to an
-    ``XDP_ABORTED`` verdict plus an error-counter entry — the replay
-    survives, as a real XDP program would — while ``"raise"``
+    pipeline screens each batch with it (per-packet drop / parse faults
+    / duplication / helper errors) and also installs it on the NF's
+    runtime so map updates fail on the same schedule.  ``on_error``
+    selects what an NF exception does: ``"abort"`` (default) converts
+    it to an ``XDP_ABORTED`` verdict plus an error-counter entry — the
+    replay survives, as a real XDP program would — while ``"raise"``
     propagates it (fail-fast debugging).
     """
 
@@ -241,130 +240,62 @@ class XdpPipeline:
         self,
         trace: Iterable[Packet],
         measure_latency: bool = False,
-        advance_clock: bool = True,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> PipelineResult:
-        """Process every packet in ``trace`` and aggregate metrics."""
-        rt = self.rt
-        costs = rt.costs
-        # Hoist everything the per-packet loop touches: attribute and
-        # dict lookups dominate the Python-side cost at trace scale.
-        charge = rt.charge
-        cycles = rt.cycles
-        nf_process = self.nf.process
-        dispatch_cost = costs.xdp_dispatch
-        parse_cost = costs.packet_parse
-        framework_cat = Category.FRAMEWORK
-        parse_cat = Category.PARSE
-        faults = self.faults
-        contain = self.on_error == "abort"
-        actions: Counter = Counter()
-        errors: Counter = Counter()
-        latencies: List[int] = []
-        start = cycles.checkpoint()
-        n = 0
-        duplicated = 0
-        for pkt in trace:
-            ts = pkt.timestamp_ns
-            if advance_clock and ts > rt.now_ns:
-                rt.advance_time_ns(ts - rt.now_ns)
-            copies = 1
-            if faults is not None:
-                pf = faults.packet_fault()
-                helper = faults.helper_fault()
-                if pf == PKT_DROP:
-                    # Lost before the XDP hook (NIC/ring drop): no
-                    # cycles are spent, but the packet is accounted.
-                    actions[XdpAction.DROP] += 1
-                    n += 1
-                    continue
-                if pf in _PARSE_FAULTS or helper:
-                    # Unparseable frame or failed helper: the program
-                    # bails out -> XDP_ABORTED after dispatch + parse.
-                    before = cycles.total
-                    charge(dispatch_cost, framework_cat)
-                    charge(parse_cost, parse_cat)
-                    actions[XdpAction.ABORTED] += 1
-                    errors[
-                        PARSE_ERROR if pf in _PARSE_FAULTS else HELPER_ERROR
-                    ] += 1
-                    if measure_latency:
-                        proc_ns = int((cycles.total - before) * 1e9 / CPU_HZ)
-                        latencies.append(2 * BASE_WIRE_LATENCY_NS + proc_ns)
-                    n += 1
-                    continue
-                if pf == PKT_DUP:
-                    copies = 2
-                    duplicated += 1
-            while copies:
-                copies -= 1
-                before = cycles.total
-                charge(dispatch_cost, framework_cat)
-                charge(parse_cost, parse_cat)
-                try:
-                    action = nf_process(pkt)
-                except Exception as exc:
-                    if not contain:
-                        raise
-                    # Fault containment: one bad packet aborts, the
-                    # replay continues (the eBPF safety guarantee).
-                    action = XdpAction.ABORTED
-                    errors[type(exc).__name__] += 1
-                if action not in _VALID_ACTIONS:
-                    raise ValueError(
-                        f"NF returned invalid XDP action {action!r}"
-                    )
-                actions[action] += 1
-                if measure_latency:
-                    proc_ns = int((cycles.total - before) * 1e9 / CPU_HZ)
-                    # Sender -> NF -> back to sender: two wire crossings.
-                    latencies.append(2 * BASE_WIRE_LATENCY_NS + proc_ns)
-                n += 1
-        delta = cycles.delta_since(start)
-        return PipelineResult(
-            n_packets=n,
-            total_cycles=delta.total,
-            actions=dict(actions),
-            by_category=delta.by_category,
-            latencies_ns=latencies,
-            errors=dict(errors),
-            duplicated=duplicated,
-        )
+        """Replay every packet in ``trace`` and aggregate metrics.
+
+        Opens a :class:`ReplaySession` and feeds it ``trace`` in
+        batches of ``batch_size``; ``measure_latency`` records each
+        packet's end-to-end latency.  ``trace`` may be any iterable: a
+        generator is drained one batch at a time, so peak memory is
+        O(``batch_size``), never O(trace).
+        """
+        session = ReplaySession(self, measure_latency)
+        for batch in iter_batches(trace, batch_size):
+            session.feed(batch)
+        return session.finish()
 
     def _replay_batch(
         self,
         batch: Sequence[Packet],
         actions: Counter,
         errors: Counter,
-        advance_clock: bool,
-        use_batch: bool = True,
+        latencies: Optional[List[int]] = None,
     ) -> int:
-        """Charge and process one batch (the shared batched-replay core).
+        """Charge and process one batch (the one replay core).
 
-        Framework costs (XDP dispatch + parse) are charged in bulk —
-        identical in total and category to the per-packet charges
-        :meth:`run` makes.  If ``use_batch`` and the NF implements
-        ``process_batch``, the whole batch is handed over in one call;
-        otherwise ``process`` runs per packet with per-packet clock
-        advance, exactly as :meth:`run`.
+        Framework costs (XDP dispatch + parse) are charged in bulk per
+        batch.  If the NF implements ``process_batch`` and no latency
+        is measured (``latencies is None``), the whole batch is handed
+        over in one call and the clock advances once to the batch's
+        latest arrival; otherwise ``process`` runs per packet, the
+        clock advancing to each packet's arrival, and each packet's
+        end-to-end latency (two wire crossings plus its dispatch,
+        parse and NF cycles) is appended to ``latencies``.
 
         With a fault injector attached, the batch is pre-screened by
-        one :meth:`~repro.faults.FaultInjector.screen` call — the same
-        per-packet fault draws :meth:`run` makes, so both paths see the
-        identical schedule: dropped packets are verdicts without
-        charges, parse/helper faults abort after dispatch + parse,
-        duplicates replay twice, and a batch nothing afflicts goes to
-        the NF untouched.  An exception from ``process_batch`` aborts
-        the *whole* batch (its charges and partial state mutations
-        stand, as a crashed program's would); the per-packet fallback
-        aborts only the faulting packet.
+        one :meth:`~repro.faults.FaultInjector.screen` call — exactly
+        the per-packet ``packet_fault``/``helper_fault`` draws:
+        dropped packets are verdicts without charges, parse/helper
+        faults abort after dispatch + parse (their latencies are booked
+        first in the batch), duplicates replay twice, and a batch
+        nothing afflicts goes to the NF untouched.  The clock still
+        reaches a faulted packet's arrival.  An exception from
+        ``process_batch`` aborts the *whole* batch (its charges and
+        partial state mutations stand, as a crashed program's would);
+        the per-packet loop aborts only the faulting packet.
 
         Returns the number of packets accounted (== verdicts added):
         ``len(batch)`` plus one per duplicate copy replayed.
         """
         rt = self.rt
+        costs = rt.costs
+        dispatch_cost = costs.xdp_dispatch
+        parse_cost = costs.packet_parse
         faults = self.faults
         contain = self.on_error == "abort"
         accounted = 0
+        late = 0
         hits = faults.screen(len(batch)) if faults is not None else None
         if hits:
             clean: List[Packet] = []
@@ -375,6 +306,7 @@ class XdpPipeline:
             for offset, pf, helper in hits:
                 clean += batch[done:offset]
                 done = offset + 1
+                pkt = batch[offset]
                 if pf == PKT_DROP:
                     n_dropped += 1
                 elif pf in _PARSE_FAULTS:
@@ -382,8 +314,10 @@ class XdpPipeline:
                 elif helper:
                     n_helper += 1
                 else:  # a duplicate: the frame replays twice
-                    pkt = batch[offset]
                     clean += (pkt, pkt)
+                    continue
+                if pkt.timestamp_ns > late:
+                    late = pkt.timestamp_ns
             clean += batch[done:]
             bailed = n_parse + n_helper
             if n_dropped:
@@ -394,22 +328,22 @@ class XdpPipeline:
                     errors[PARSE_ERROR] += n_parse
                 if n_helper:
                     errors[HELPER_ERROR] += n_helper
-                costs = rt.costs
-                rt.charge(costs.xdp_dispatch * bailed, Category.FRAMEWORK)
-                rt.charge(costs.packet_parse * bailed, Category.PARSE)
+                rt.charge(dispatch_cost * bailed, Category.FRAMEWORK)
+                rt.charge(parse_cost * bailed, Category.PARSE)
+                if latencies is not None:
+                    bail_ns = _latency_ns(dispatch_cost + parse_cost)
+                    latencies += [bail_ns] * bailed
             accounted += n_dropped + bailed
             batch = clean
-            if not batch:
-                return accounted
         m = len(batch)
-        costs = rt.costs
-        rt.charge(costs.xdp_dispatch * m, Category.FRAMEWORK)
-        rt.charge(costs.packet_parse * m, Category.PARSE)
-        process_batch = (
-            getattr(self.nf, "process_batch", None) if use_batch else None
-        )
-        if process_batch is not None:
-            if advance_clock:
+        if m:
+            rt.charge(dispatch_cost * m, Category.FRAMEWORK)
+            rt.charge(parse_cost * m, Category.PARSE)
+            process_batch = (
+                None if latencies is not None
+                else getattr(self.nf, "process_batch", None)
+            )
+            if process_batch is not None:
                 now = rt.now_ns
                 ts = now
                 for pkt in batch:
@@ -417,82 +351,55 @@ class XdpPipeline:
                         ts = pkt.timestamp_ns
                 if ts > now:
                     rt.advance_time_ns(ts - now)
-            try:
-                verdicts = process_batch(batch)
-            except Exception as exc:
-                if not contain:
-                    raise
-                actions[XdpAction.ABORTED] += m
-                errors[type(exc).__name__] += 1
-                return accounted + m
-            for action, count in verdicts.items():
-                if action not in _VALID_ACTIONS:
-                    raise ValueError(
-                        f"NF returned invalid XDP action {action!r}"
-                    )
-                actions[action] += count
-        else:
-            nf_process = self.nf.process
-            for pkt in batch:
-                ts = pkt.timestamp_ns
-                if advance_clock and ts > rt.now_ns:
-                    rt.advance_time_ns(ts - rt.now_ns)
                 try:
-                    action = nf_process(pkt)
+                    verdicts = process_batch(batch)
                 except Exception as exc:
                     if not contain:
                         raise
-                    action = XdpAction.ABORTED
+                    verdicts = {XdpAction.ABORTED: m}
                     errors[type(exc).__name__] += 1
-                if action not in _VALID_ACTIONS:
-                    raise ValueError(
-                        f"NF returned invalid XDP action {action!r}"
-                    )
-                actions[action] += 1
+                for action, count in verdicts.items():
+                    if action not in _VALID_ACTIONS:
+                        raise ValueError(
+                            f"NF returned invalid XDP action {action!r}"
+                        )
+                    actions[action] += count
+            else:
+                nf_process = self.nf.process
+                cycles = rt.cycles
+                framework = dispatch_cost + parse_cost
+                for pkt in batch:
+                    ts = pkt.timestamp_ns
+                    if ts > rt.now_ns:
+                        rt.advance_time_ns(ts - rt.now_ns)
+                    before = cycles.total
+                    try:
+                        action = nf_process(pkt)
+                    except Exception as exc:
+                        if not contain:
+                            raise
+                        # Fault containment: one bad packet aborts, the
+                        # replay continues (the eBPF safety guarantee).
+                        action = XdpAction.ABORTED
+                        errors[type(exc).__name__] += 1
+                    if action not in _VALID_ACTIONS:
+                        raise ValueError(
+                            f"NF returned invalid XDP action {action!r}"
+                        )
+                    actions[action] += 1
+                    if latencies is not None:
+                        latencies.append(
+                            _latency_ns(framework + cycles.total - before)
+                        )
+        if late > rt.now_ns:
+            rt.advance_time_ns(late - rt.now_ns)
         return accounted + m
 
-    def run_batch(
-        self,
-        trace: Iterable[Packet],
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        advance_clock: bool = True,
-    ) -> PipelineResult:
-        """Batched replay: same cycle accounting as :meth:`run`, faster.
 
-        Framework costs (XDP dispatch + parse) are charged once per
-        batch in bulk.  If the NF implements ``process_batch``, the
-        whole batch is handed over in one call and the simulated clock
-        advances at batch granularity (such NFs must not read the clock
-        per packet — the sketch/membership/LB NFs qualify); otherwise
-        the NF's ``process`` runs per packet with per-packet clock
-        advance, exactly as :meth:`run`.
-
-        ``trace`` may be any iterable.  Generator sources are consumed
-        one batch at a time, so peak memory is O(``batch_size``), never
-        O(trace) — the streaming replay path.
-
-        Latency measurement needs per-packet cycle deltas; use
-        :meth:`run` for latency experiments.
-        """
-        cycles = self.rt.cycles
-        actions: Counter = Counter()
-        errors: Counter = Counter()
-        start = cycles.checkpoint()
-        n = 0
-        offered = 0
-        for batch in iter_batches(trace, batch_size):
-            n += self._replay_batch(batch, actions, errors, advance_clock)
-            offered += len(batch)
-        delta = cycles.delta_since(start)
-        return PipelineResult(
-            n_packets=n,
-            total_cycles=delta.total,
-            actions=dict(actions),
-            by_category=delta.by_category,
-            latencies_ns=[],
-            errors=dict(errors),
-            duplicated=n - offered,
-        )
+def _latency_ns(cycles: int) -> int:
+    """Sender -> NF -> back to sender: two wire crossings plus the
+    packet's processing time."""
+    return 2 * BASE_WIRE_LATENCY_NS + int(cycles * 1e9 / CPU_HZ)
 
 
 def iter_batches(
@@ -521,27 +428,23 @@ def iter_batches(
 class ReplaySession:
     """Incremental replay: ``feed`` packet batches, ``finish`` -> result.
 
-    The streaming multi-queue dispatcher shards one shared packet
-    stream across cores and hands each core its packets as they
-    arrive; a session accumulates that core's replay without ever
-    seeing the whole trace.  Cycle accounting is identical to
-    :meth:`XdpPipeline.run_batch` (and, with ``use_batch=False``, to
-    :meth:`XdpPipeline.run`) by construction: both call the same
-    batch-replay core, and the final result is the cycle delta since
-    the session opened.
+    The one replay loop: :meth:`XdpPipeline.run` feeds a session its
+    trace in batches, and the multi-queue fleet hands each core's
+    session that core's packets as they arrive, so a session
+    accumulates a replay without ever seeing the whole trace.  Every
+    batch goes through the same core, and the final result is the
+    cycle delta since the session opened.  ``measure_latency`` keeps
+    the NF on its per-packet ``process`` and records each packet's
+    end-to-end latency.
     """
 
     def __init__(
-        self,
-        pipeline: XdpPipeline,
-        advance_clock: bool = True,
-        use_batch: bool = True,
+        self, pipeline: XdpPipeline, measure_latency: bool = False
     ) -> None:
         self.pipeline = pipeline
-        self.advance_clock = advance_clock
-        self.use_batch = use_batch
         self._actions: Counter = Counter()
         self._errors: Counter = Counter()
+        self._latencies: Optional[List[int]] = [] if measure_latency else None
         self._n = 0
         self._offered = 0
         self._start = pipeline.rt.cycles.checkpoint()
@@ -558,8 +461,7 @@ class ReplaySession:
         if not batch:
             return
         self._n += self.pipeline._replay_batch(
-            batch, self._actions, self._errors, self.advance_clock,
-            self.use_batch,
+            batch, self._actions, self._errors, self._latencies
         )
         self._offered += len(batch)
 
@@ -572,7 +474,7 @@ class ReplaySession:
             total_cycles=delta.total,
             actions=dict(self._actions),
             by_category=delta.by_category,
-            latencies_ns=[],
+            latencies_ns=self._latencies or [],
             errors=dict(self._errors),
             duplicated=self._n - self._offered,
         )
@@ -580,10 +482,11 @@ class ReplaySession:
 
 def warm_then_measure(
     pipeline: XdpPipeline,
-    warmup: Iterable[Packet],
+    warmup: Optional[Iterable[Packet]],
     trace: Iterable[Packet],
     measure_latency: bool = False,
 ) -> PipelineResult:
     """Replay a warmup trace (tables filled, caches primed), then measure."""
-    pipeline.run(warmup)
+    if warmup:
+        pipeline.run(warmup)
     return pipeline.run(trace, measure_latency=measure_latency)

@@ -8,14 +8,15 @@ from repro.net.flowgen import FlowGenerator
 from repro.net.packet import XdpAction
 from repro.net.xdp import DEFAULT_BATCH_SIZE, PipelineResult, XdpPipeline
 from repro.nfs import BloomFilterNF, CountMinNF, MaglevNF
+from tests.net.per_packet import PerPacketNF
 
 MODES = list(ExecMode)
 
 
 def replay_both(make_nf, trace, batch_size=DEFAULT_BATCH_SIZE):
     """Run the same trace per-packet and batched on twin NF instances."""
-    per_packet = XdpPipeline(make_nf()).run(trace)
-    batched = XdpPipeline(make_nf()).run_batch(trace, batch_size=batch_size)
+    per_packet = XdpPipeline(PerPacketNF(make_nf())).run(trace)
+    batched = XdpPipeline(make_nf()).run(trace, batch_size=batch_size)
     return per_packet, batched
 
 
@@ -39,8 +40,8 @@ class TestBatchCycleIdentity:
         # The sketches themselves must agree too.
         a = make()
         b = make()
-        XdpPipeline(a).run(trace)
-        XdpPipeline(b).run_batch(trace)
+        XdpPipeline(PerPacketNF(a)).run(trace)
+        XdpPipeline(b).run(trace)
         assert a.rows == b.rows
 
     @pytest.mark.parametrize("mode", MODES)
@@ -70,8 +71,8 @@ class TestBatchCycleIdentity:
         # Backend dispatch counters must match as well.
         a = make()
         b = make()
-        XdpPipeline(a).run(trace)
-        XdpPipeline(b).run_batch(trace)
+        XdpPipeline(PerPacketNF(a)).run(trace)
+        XdpPipeline(b).run(trace)
         assert a.dispatched == b.dispatched
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 256, 10_000])
@@ -84,7 +85,7 @@ class TestBatchCycleIdentity:
         assert_cycle_identical(per_packet, batched)
 
     def test_fallback_without_process_batch(self):
-        """NFs lacking process_batch replay per-packet inside run_batch."""
+        """NFs lacking process_batch replay per-packet inside each batch."""
 
         class FixedCostNF:
             def __init__(self, rt):
@@ -102,12 +103,12 @@ class TestBatchCycleIdentity:
         assert_cycle_identical(per_packet, batched)
 
     def test_generator_source_identical_to_list(self):
-        """run_batch over a one-shot iterator == over the same list."""
+        """run over a one-shot iterator == over the same list."""
         fg = FlowGenerator(n_flows=128, seed=3, distribution="zipf")
         trace = fg.trace(2000)
         make = lambda: CountMinNF(BpfRuntime(mode=ExecMode.ENETSTL, seed=1))
-        from_list = XdpPipeline(make()).run_batch(trace)
-        from_iter = XdpPipeline(make()).run_batch(iter(trace))
+        from_list = XdpPipeline(make()).run(trace)
+        from_iter = XdpPipeline(make()).run(iter(trace))
         assert from_list == from_iter
 
     def test_run_accepts_generators(self):
@@ -121,11 +122,11 @@ class TestBatchCycleIdentity:
     def test_invalid_batch_size(self):
         nf = CountMinNF(BpfRuntime(seed=1))
         with pytest.raises(ValueError):
-            XdpPipeline(nf).run_batch([], batch_size=0)
+            XdpPipeline(nf).run([], batch_size=0)
 
     def test_empty_trace(self):
         nf = CountMinNF(BpfRuntime(seed=1))
-        result = XdpPipeline(nf).run_batch([])
+        result = XdpPipeline(nf).run([])
         assert result.n_packets == 0
         assert result.total_cycles == 0
         assert result.actions == {}
@@ -144,7 +145,7 @@ class TestBatchCycleIdentity:
         fg = FlowGenerator(n_flows=4, seed=1)
         nf = BadBatchNF(BpfRuntime(seed=1))
         with pytest.raises(ValueError):
-            XdpPipeline(nf).run_batch(fg.trace(10))
+            XdpPipeline(nf).run(fg.trace(10))
 
 
 class TestLatencyPercentiles:
@@ -183,8 +184,9 @@ class TestLatencyPercentiles:
         assert result.latency_percentile_us(0.0) <= result.avg_latency_us
 
     def test_run_batch_has_no_latencies(self):
+        """A replay that measures no latency records none."""
         fg = FlowGenerator(n_flows=16, seed=15)
         nf = CountMinNF(BpfRuntime(mode=ExecMode.ENETSTL, seed=1))
-        result = XdpPipeline(nf).run_batch(fg.trace(100))
+        result = XdpPipeline(nf).run(fg.trace(100))
         assert result.latencies_ns == []
         assert result.p99_latency_us == 0.0

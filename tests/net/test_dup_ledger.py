@@ -19,6 +19,7 @@ from repro.net.queueing import ArrivalProcess, QueueingConfig
 from repro.net.slo import SloConfig, SloController
 from repro.net.xdp import XdpPipeline
 from repro.nfs import CountMinNF
+from tests.net.per_packet import PerPacketNF
 
 #: Dense enough that dup and helper draws coincide on many packets.
 DUP_HELPER = FaultPlan(seed=3, dup_rate=0.3, helper_rate=0.3)
@@ -40,9 +41,10 @@ def _drawn(injectors):
 @pytest.mark.parametrize("batched", [False, True])
 def test_pipeline_counts_only_replayed_copies(batched):
     injector = DUP_HELPER.injector()
-    pipeline = XdpPipeline(_countmin(0), faults=injector)
+    nf = _countmin(0) if batched else PerPacketNF(_countmin(0))
+    pipeline = XdpPipeline(nf, faults=injector)
     trace = _trace(600)
-    result = pipeline.run_batch(trace) if batched else pipeline.run(trace)
+    result = pipeline.run(trace)
     # Some dup draws were shadowed by a helper abort...
     assert 0 < result.duplicated < injector.injected[PKT_DUP]
     # ...and every verdict is an offered packet or a replayed copy.

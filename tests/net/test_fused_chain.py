@@ -19,6 +19,7 @@ from repro.faults import FaultPlan
 from repro.net.multicore import RssDispatcher, chain_nf_factory
 from repro.net.packet import Packet
 from repro.net.xdp import ReplaySession, XdpPipeline
+from tests.net.per_packet import PerPacketNF
 
 SEED = 20260809
 PROGS = [get_case(n).prog for n in NF_CHAIN_STAGES]
@@ -82,13 +83,15 @@ def test_pipeline_and_replay_session_parity():
             rt, PROGS, registry=runnable_registry(0), backend=backend
         )
         pipe = XdpPipeline(nf)
-        batch_result = pipe.run_batch(pkts[:100])
+        batch_result = pipe.run(pkts[:100])
+        packet_result = XdpPipeline(PerPacketNF(nf)).run(pkts[100:150])
 
         sess = ReplaySession(pipe)
-        for i in range(100, 200, 32):
-            sess.feed(pkts[i:i + 32])
+        for i in range(150, 200, 16):
+            sess.feed(pkts[i:i + 16])
         observed[backend] = (
-            batch_result, sess.finish(), tuple(nf.returns), rt.cycles.total
+            batch_result, packet_result, sess.finish(), tuple(nf.returns),
+            rt.cycles.total,
         )
     assert observed["interp"] == observed["fused"]
 

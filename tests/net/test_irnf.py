@@ -15,6 +15,7 @@ from repro.net.flowgen import FlowGenerator
 from repro.net.irnf import IrChainNf, XDP_RETURN_CODES, encode_packet
 from repro.net.packet import Packet, XdpAction
 from repro.net.xdp import XdpPipeline
+from tests.net.per_packet import PerPacketNF
 
 MASK64 = (1 << 64) - 1
 
@@ -147,10 +148,15 @@ class TestFusedBackend:
         assert nf_a.returns == nf_b.returns
 
     def test_fused_runs_under_batched_pipeline(self):
-        rt = BpfRuntime(mode=ExecMode.ENETSTL, seed=9)
-        nf = _nf(rt, get_case("nf_cm_sketch").prog, seed=9, backend="fused")
-        fg = FlowGenerator(n_flows=64, seed=9)
-        result = XdpPipeline(nf).run_batch(fg.trace(256), batch_size=32)
+        trace = FlowGenerator(n_flows=64, seed=9).trace(256)
+        nfs = [
+            _nf(BpfRuntime(mode=ExecMode.ENETSTL, seed=9),
+                get_case("nf_cm_sketch").prog, seed=9, backend="fused")
+            for _ in range(2)
+        ]
+        result = XdpPipeline(nfs[0]).run(trace, batch_size=32)
         assert result.n_packets == 256
         assert not result.errors
         assert set(result.actions) <= {XdpAction.PASS, XdpAction.DROP}
+        assert XdpPipeline(PerPacketNF(nfs[1])).run(trace) == result
+        assert nfs[0].returns == nfs[1].returns

@@ -17,6 +17,7 @@ from repro.net.multicore import (
 from repro.net.steering import RssSteering
 from repro.net.xdp import XdpPipeline
 from repro.nfs import BloomFilterNF, CountMinNF, MaglevNF, NitroSketchNF
+from tests.net.per_packet import PerPacketNF
 
 
 def countmin_factory(mode=ExecMode.ENETSTL, depth=4):
@@ -80,9 +81,10 @@ class TestRssDispatcher:
         fg = FlowGenerator(n_flows=256, seed=7)
         trace = fg.trace(4000)
         batched = RssDispatcher(countmin_factory(), n_cores=4).run(trace)
-        unbatched = RssDispatcher(countmin_factory(), n_cores=4).run(
-            trace, use_batch=False
-        )
+        factory = countmin_factory()
+        unbatched = RssDispatcher(
+            lambda core: PerPacketNF(factory(core)), n_cores=4
+        ).run(trace)
         assert batched.per_core_cycles == unbatched.per_core_cycles
         assert batched.actions == unbatched.actions
         assert batched.by_category == unbatched.by_category
@@ -126,9 +128,7 @@ class TestRssDispatcher:
                 BpfRuntime(mode=ExecMode.ENETSTL, seed=core),
                 [prog], seed=core, backend=backend,
             )
-            results[backend] = RssDispatcher(factory, n_cores=4).run(
-                trace, use_batch=True
-            )
+            results[backend] = RssDispatcher(factory, n_cores=4).run(trace)
         interp, fused = results["interp"], results["fused"]
         assert fused.per_core_cycles == interp.per_core_cycles
         assert fused.actions == interp.actions
@@ -269,7 +269,7 @@ class TestPercpuMerge:
             BpfRuntime(mode=ExecMode.KERNEL, seed=core), depth=4, update_prob=1.0
         )
         disp = RssDispatcher(factory, n_cores=4)
-        disp.run(trace, use_batch=False)
+        disp.run(trace)
         ref = NitroSketchNF(BpfRuntime(mode=ExecMode.KERNEL, seed=0), depth=4, update_prob=1.0)
         XdpPipeline(ref).run(trace)
         # p=1.0 makes NitroSketch deterministic: every row updates on

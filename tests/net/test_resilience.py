@@ -14,6 +14,7 @@ from repro.net.multicore import (
 from repro.net.packet import XdpAction
 from repro.net.xdp import HELPER_ERROR, PARSE_ERROR, XdpPipeline
 from repro.nfs import CountMinNF
+from tests.net.per_packet import PerPacketNF
 
 
 def trace(n, seed=5, n_flows=512):
@@ -84,14 +85,14 @@ class TestContainment:
 
     def test_batch_path_contains_per_packet_fallback(self):
         pipeline = XdpPipeline(ExplodingNF(BpfRuntime()))
-        result = pipeline.run_batch(trace(30), batch_size=8)
+        result = pipeline.run(trace(30), batch_size=8)
         assert result.aborted == 10
         assert result.errors == {"RuntimeError": 10}
         assert result.n_packets == 30
 
     def test_batch_exception_aborts_whole_batch(self):
         pipeline = XdpPipeline(ExplodingBatchNF(BpfRuntime(), every=100))
-        result = pipeline.run_batch(trace(300), batch_size=64)
+        result = pipeline.run(trace(300), batch_size=64)
         # Batches containing packet 100/200/300 abort wholesale; the
         # rest pass.  Every packet still lands in exactly one verdict.
         assert result.n_packets == 300
@@ -103,10 +104,10 @@ class TestContainment:
 class TestInjectedFaults:
     def test_fault_free_run_unchanged(self):
         t = trace(1000)
-        plain = XdpPipeline(countmin_factory(0)).run_batch(t)
+        plain = XdpPipeline(countmin_factory(0)).run(t)
         with_plan = XdpPipeline(
             countmin_factory(0), faults=FaultPlan(seed=1).injector()
-        ).run_batch(t)
+        ).run(t)
         assert with_plan.n_packets == plain.n_packets
         assert with_plan.actions == plain.actions
         assert with_plan.total_cycles == plain.total_cycles
@@ -115,11 +116,11 @@ class TestInjectedFaults:
         t = trace(2000)
         plan = FaultPlan.uniform(0.02, seed=13)
         per_packet = XdpPipeline(
-            countmin_factory(0), faults=plan.injector()
+            PerPacketNF(countmin_factory(0)), faults=plan.injector()
         ).run(t)
         batched = XdpPipeline(
             countmin_factory(0), faults=plan.injector()
-        ).run_batch(t, batch_size=128)
+        ).run(t, batch_size=128)
         assert per_packet.actions == batched.actions
         assert per_packet.errors == batched.errors
         assert per_packet.n_packets == batched.n_packets
@@ -146,7 +147,7 @@ class TestInjectedFaults:
         plan = FaultPlan(helper_rate=1.0, seed=3)
         result = XdpPipeline(
             countmin_factory(0), faults=plan.injector()
-        ).run_batch(trace(100))
+        ).run(trace(100))
         assert result.aborted == 100
         assert result.errors == {HELPER_ERROR: 100}
 

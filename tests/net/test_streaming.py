@@ -12,6 +12,7 @@ from repro.net.multicore import RssDispatcher
 from repro.net.xdp import ReplaySession, XdpPipeline, iter_batches
 from repro.net.packet import XdpAction
 from repro.nfs import BloomFilterNF, CountMinNF
+from tests.net.per_packet import PerPacketNF
 
 
 def countmin_factory(core):
@@ -79,7 +80,7 @@ class TestBoundedResidency:
         probe = ResidencyProbe()
         fg = FlowGenerator(n_flows=1024, seed=7, distribution="zipf")
         stream = probe.wrap(fg.iter_trace(self.N_PACKETS))
-        result = XdpPipeline(ProbedNF(probe)).run_batch(
+        result = XdpPipeline(ProbedNF(probe)).run(
             stream, batch_size=self.BATCH
         )
         gc.collect()
@@ -130,9 +131,10 @@ class TestStreamedEqualsMaterialized:
         return FlowGenerator(n_flows=256, seed=3, distribution="zipf").trace(n)
 
     def test_pipeline_run_batch(self):
+        """Batched over the list == per packet over a one-shot iterator."""
         trace = self.trace()
-        a = XdpPipeline(countmin_factory(0)).run_batch(trace)
-        b = XdpPipeline(countmin_factory(0)).run_batch(iter(trace))
+        a = XdpPipeline(countmin_factory(0)).run(trace)
+        b = XdpPipeline(PerPacketNF(countmin_factory(0))).run(iter(trace))
         assert a == b
 
     def test_pipeline_run(self):
@@ -160,7 +162,7 @@ class TestStreamedEqualsMaterialized:
         trace = self.trace()
         streamed = RssDispatcher(countmin_factory, n_cores=4).run(iter(trace))
         for core, queue in enumerate(shard_trace(trace, 4)):
-            ref = XdpPipeline(countmin_factory(core)).run_batch(queue)
+            ref = XdpPipeline(countmin_factory(core)).run(queue)
             assert streamed.per_core[core] == ref
 
     def test_sketch_state_identical(self):
@@ -193,8 +195,9 @@ class TestIterBatches:
 
 class TestReplaySession:
     def test_feed_finish_matches_run_batch(self):
+        """Fed batches of 128 == the per-packet reference."""
         trace = FlowGenerator(n_flows=64, seed=1).trace(1000)
-        ref = XdpPipeline(countmin_factory(0)).run_batch(trace, batch_size=128)
+        ref = XdpPipeline(PerPacketNF(countmin_factory(0))).run(trace)
         session = ReplaySession(XdpPipeline(countmin_factory(0)))
         for batch in iter_batches(trace, 128):
             session.feed(batch)
@@ -214,14 +217,16 @@ class TestReplaySession:
         assert result.total_cycles == 0
 
     def test_per_packet_mode_matches_run(self):
-        """use_batch=False streams through process(), matching run()."""
+        """A session over the per-packet wrapper streams through
+        process(), matching the batched run()."""
         trace = FlowGenerator(n_flows=64, seed=1).trace(500)
         ref = XdpPipeline(
             BloomFilterNF(BpfRuntime(mode=ExecMode.ENETSTL, seed=0))
         ).run(trace)
         session = ReplaySession(
-            XdpPipeline(BloomFilterNF(BpfRuntime(mode=ExecMode.ENETSTL, seed=0))),
-            use_batch=False,
+            XdpPipeline(
+                PerPacketNF(BloomFilterNF(BpfRuntime(mode=ExecMode.ENETSTL, seed=0)))
+            )
         )
         for batch in iter_batches(iter(trace), 128):
             session.feed(batch)

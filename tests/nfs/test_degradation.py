@@ -10,6 +10,7 @@ from repro.net.flowgen import FlowGenerator
 from repro.net.packet import XdpAction
 from repro.net.xdp import XdpPipeline
 from repro.nfs import CountMinNF, FlowMonitorNF, MaglevNF, SketchDegradation
+from tests.net.per_packet import PerPacketNF
 
 
 def overflow_trace(n_flows, packets_per_flow=2, seed=9):
@@ -122,7 +123,7 @@ class TestSketchDegradation:
     def test_fires_every_threshold(self):
         nf = self.make_nf("halve", threshold=50)
         fg = FlowGenerator(n_flows=8, seed=2)
-        XdpPipeline(nf).run_batch(fg.trace(500), batch_size=64)
+        XdpPipeline(nf).run(fg.trace(500), batch_size=64)
         assert nf.degrade.events >= 7
 
     def test_no_policy_no_change(self):
@@ -154,8 +155,8 @@ class TestSketchDegradation:
             )
             for _ in range(2)
         ]
-        per_packet = XdpPipeline(nfs[0]).run(trace)
-        batched = XdpPipeline(nfs[1]).run_batch(trace, batch_size=batch_size)
+        per_packet = XdpPipeline(PerPacketNF(nfs[0])).run(trace)
+        batched = XdpPipeline(nfs[1]).run(trace, batch_size=batch_size)
         assert nfs[1].degrade.events == nfs[0].degrade.events == 256 // threshold
         assert nfs[1].rows == nfs[0].rows
         assert batched.by_category == per_packet.by_category
