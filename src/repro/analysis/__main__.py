@@ -21,11 +21,8 @@ import argparse
 import sys
 import time
 
-from . import experiments as exp
 from . import report
-from .components import fig6_interface_comparison, table2_results
 from .parallel import ResultCache, run_experiments
-from .survey import measured_degradations
 
 SWEEP_TITLES = {
     "fig3a": "Fig. 3(a): skip-list KV lookup",
@@ -41,45 +38,13 @@ SWEEP_TITLES = {
 #: CLI names that fan out to several underlying experiments.
 EXPAND = {"others": ("efd", "tss", "heavykeeper", "vbf")}
 
-
-def _sweep_runner(fn, title):
-    def run(n):
-        print(report.render_sweep(fn(n_packets=n), title))
-
-    return run
-
-
-# Legacy serial runners (kept as the stable registry of experiment
-# names; the CLI now computes through repro.analysis.parallel).
-RUNNERS = {
-    "table1": lambda n: print(
-        report.render_table1(measured_degradations(n_packets=min(n, 1000)))
-    ),
-    "fig1": lambda n: print(
-        report.render_behavior_shares(exp.fig1_behavior_shares(n_packets=n))
-    ),
-    "table2": lambda n: print(report.render_components(table2_results())),
-    "fig3a": _sweep_runner(exp.fig3a_skiplist_lookup, SWEEP_TITLES["fig3a"]),
-    "fig3b": _sweep_runner(exp.fig3b_skiplist_update_delete, SWEEP_TITLES["fig3b"]),
-    "fig3c": _sweep_runner(exp.fig3c_cuckoo_switch, SWEEP_TITLES["fig3c"]),
-    "fig3d": _sweep_runner(exp.fig3d_nitrosketch, SWEEP_TITLES["fig3d"]),
-    "fig3e": _sweep_runner(exp.fig3e_countmin, SWEEP_TITLES["fig3e"]),
-    "fig3f": _sweep_runner(exp.fig3f_timewheel, SWEEP_TITLES["fig3f"]),
-    "fig3g": _sweep_runner(exp.fig3g_cuckoo_filter, SWEEP_TITLES["fig3g"]),
-    "fig3h": _sweep_runner(exp.fig3h_eiffel, SWEEP_TITLES["fig3h"]),
-    "others": lambda n: [
-        print(report.render_sweep(exp.other_nf(nf, n_packets=n), f"{nf}"))
-        for nf in ("efd", "tss", "heavykeeper", "vbf")
-    ],
-    "fig45": lambda n: print(
-        report.render_latency(exp.fig4_fig5_latency(n_packets=min(n, 500)))
-    ),
-    "fig6": lambda n: print(report.render_interfaces(fig6_interface_comparison())),
-    "fig7": lambda n: print(report.render_apps(exp.fig7_apps(n_packets=n))),
-    "multicore": lambda n: print(
-        report.render_steering(exp.multicore_steering(n_packets=n))
-    ),
-}
+#: Every experiment the CLI runs, in report order (``--only`` picks a
+#: subset; ``EXPAND`` fans a name out to several computed experiments).
+FIGURES = (
+    "table1", "fig1", "table2", "fig3a", "fig3b", "fig3c", "fig3d",
+    "fig3e", "fig3f", "fig3g", "fig3h", "others", "fig45", "fig6", "fig7",
+    "multicore",
+)
 
 #: Experiment name -> renderer over a computed result object.
 RENDERERS = {
@@ -128,7 +93,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--only",
         nargs="+",
-        choices=sorted(RUNNERS),
+        choices=sorted(FIGURES),
         help="run only these experiments (default: all)",
     )
     parser.add_argument(
@@ -193,7 +158,7 @@ def main(argv=None) -> int:
         print(render_check(results))
         return 0 if all(r.ok for r in results) else 1
 
-    selected = args.only or list(RUNNERS)
+    selected = args.only or list(FIGURES)
     exp_names = []
     for name in selected:
         exp_names.extend(EXPAND.get(name, (name,)))

@@ -9,9 +9,8 @@ version of EXPERIMENTS.md.  The CLI exposes it as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List
 
-from . import experiments as exp
 from .components import fig6_interface_comparison, table2_improvements
 from .survey import survey_summary
 
@@ -56,6 +55,8 @@ def _sweep_targets(name, paper_imp, paper_gap, imp_band, gap_hi):
     return out
 
 
+#: Headline targets per sweep experiment; ``check_all`` computes the
+#: sweeps in this key order.
 TARGETS: Dict[str, List[Target]] = {
     "fig3a": _sweep_targets("fig3a skiplist lookup", None, 0.0733, None, 0.12),
     "fig3b": _sweep_targets("fig3b skiplist upd/del", None, 0.0854, None, 0.13),
@@ -78,22 +79,6 @@ TARGETS: Dict[str, List[Target]] = {
     "vbf": _sweep_targets("vbf", 0.158, 0.0262, (0.10, 0.22), 0.06),
 }
 
-SWEEP_RUNNERS: Dict[str, Callable] = {
-    "fig3a": exp.fig3a_skiplist_lookup,
-    "fig3b": exp.fig3b_skiplist_update_delete,
-    "fig3c": exp.fig3c_cuckoo_switch,
-    "fig3d": exp.fig3d_nitrosketch,
-    "fig3e": exp.fig3e_countmin,
-    "fig3f": exp.fig3f_timewheel,
-    "fig3g": exp.fig3g_cuckoo_filter,
-    "fig3h": exp.fig3h_eiffel,
-    "efd": lambda **kw: exp.other_nf("efd", **kw),
-    "tss": lambda **kw: exp.other_nf("tss", **kw),
-    "heavykeeper": lambda **kw: exp.other_nf("heavykeeper", **kw),
-    "vbf": lambda **kw: exp.other_nf("vbf", **kw),
-}
-
-
 def check_all(
     n_packets: int = 800, jobs=1, cache=None, retries: int = 1
 ) -> List[CheckResult]:
@@ -108,12 +93,12 @@ def check_all(
 
     results: List[CheckResult] = []
 
-    names = list(SWEEP_RUNNERS) + ["fig1", "fig7"]
+    names = list(TARGETS) + ["fig1", "fig7"]
     computed = run_experiments(
         names, n_packets=n_packets, jobs=jobs, cache=cache, retries=retries
     )
 
-    for key in SWEEP_RUNNERS:
+    for key in TARGETS:
         sweep = computed[key]
         for target in TARGETS[key]:
             if target.metric == "avg improvement":

@@ -48,7 +48,8 @@ and :meth:`FaultPlan.wedge_point` for every dispatch path
 and the SLO controller), splits the batch that crosses the point, and
 draws wedge deadlines from :class:`WedgeDetection`.
 
-The chaos-harness CLI lives in ``python -m repro.faults``.
+Chaos runs from the shell go through the data-plane replay CLI,
+``python -m repro.net.replay`` (``--rate``, ``--crash-core``, ...).
 """
 
 from __future__ import annotations

@@ -141,7 +141,7 @@ class FlowGenerator:
         holds O(1) packets resident.  Feeds directly into
         :meth:`XdpPipeline.run` and :meth:`RssDispatcher.run` (both
         accept arbitrary iterables) and
-        :func:`repro.net.trace.write_trace_iter`.  Deterministic: for
+        :func:`repro.net.trace.dump_trace`.  Deterministic: for
         a given generator state it yields exactly the packets
         :meth:`trace` would materialize.
         """

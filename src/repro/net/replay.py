@@ -1,28 +1,46 @@
-"""Replay a CSV packet trace through the data plane from the shell.
+"""Replay packet traffic through the data plane from the shell.
 
-    python -m repro.net.replay TRACE.csv --cores 8 --policy ntuple --stream
+    python -m repro.net.replay TRACE.csv --cores 8 --policy ntuple
     python -m repro.net.replay TRACE.csv --burst 8e6:2e7:0.002:0.003 --json
-    python -m repro.net.replay TRACE.csv --burst 1e7 --slo-p99 60 \\
-        --autoscale --initial-cores 4
+    python -m repro.net.replay --packets 20000 --rate 0.01 --cores 8 \\
+        --expect-faults
+    python -m repro.net.replay --crash-core 3 --crash-at 1000 --cores 8
+    python -m repro.net.replay --crash-core 1 --crash-at 5000 \\
+        --burst 1.2e7:2.2e7:0.002:0.003 --slo-p99 60 --autoscale \\
+        --initial-cores 4 --cores 8
 
-``--stream`` replays the trace straight off disk through
-:func:`repro.net.trace.iter_trace` — the packet list is **never**
-materialized, so arbitrarily large traces replay with
-O(cores x batch) peak memory.  Without it, the trace is loaded fully
-first (byte-identical results; only the memory profile differs).
+The traffic is a CSV trace, streamed off disk row by row through
+:func:`repro.net.trace.iter_trace` (the packet list is never
+materialized, so any trace replays with O(cores x batch) peak memory),
+or without one, synthetic traffic: ``--packets`` packets over
+``--flows`` flows drawn from ``--dist``.
 
-Knobs cover the PR 2 data plane: steering policy
-(``rss``/``rekey``/``ntuple``), queue count, batch size, NF and
-execution mode, and an optional 2-socket NUMA layout
-(``--numa-nodes 2``).
+Knobs cover the data plane: steering policy (``rss``/``rekey``/
+``ntuple``), queue count, batch size, NF and execution mode, and an
+optional 2-socket NUMA layout (``--numa-nodes 2``).  A seed-driven
+:class:`~repro.faults.FaultPlan` injects faults: ``--rate`` splits an
+aggregate packet/helper/map fault rate across the recoverable kinds,
+and ``--crash-core``/``--wedge-core`` kill or stall a core mid-run for
+the watchdog to detect.  The report carries packet accounting (every
+packet offered must end forwarded, dropped, or aborted), the
+injected-fault and error ledgers, watchdog events, cycles and
+throughput.
 
-``--burst`` attaches the receive-path queueing model: the trace is
-re-timed onto a deterministic (bursty) arrival process and the report
-gains p50/p95/p99 sojourn latency plus queue-overflow drops.  Add
-``--slo-p99`` to check the tail against a target, and ``--autoscale``
-to run the full SLO control loop (``--cores`` provisioned,
-``--initial-cores`` active) instead of the fixed fleet.  ``--json``
-emits the machine-readable report.
+``--burst`` re-times the traffic onto a (bursty) arrival process and
+replays it through the receive-path queueing model, adding p50/p95/p99
+sojourn latency and queue-overflow drops; ``--slo-p99`` checks the
+tail against a target.  ``--autoscale`` runs the full SLO control loop
+instead of the fixed fleet (``--cores`` provisioned, ``--initial-cores``
+active; fault-aware re-pack, rejoin with cold-sketch warm-up, p99
+autoscaler).  ``--json`` emits the report the text is rendered from.
+
+Exit codes:
+
+- 0 — the run completed and every packet is accounted for;
+- 1 — the trace is unreadable or malformed, the data plane crashed,
+  accounting failed, or an ``--expect-faults``/``--expect-recovery``
+  assertion did not hold (CI smoke assertions);
+- 2 — bad command-line arguments.
 """
 
 from __future__ import annotations
@@ -34,11 +52,14 @@ from typing import List, Optional
 
 from ..ebpf.cost_model import ExecMode, NumaTopology
 from ..ebpf.runtime import BpfRuntime
-from .multicore import MulticoreResult, RssDispatcher
+from ..faults import FaultPlan, WedgeDetection
+from ..nfs.degrade import ColdStartWarmup
+from .flowgen import DISTRIBUTIONS, FlowGenerator
+from .multicore import DEFAULT_WATCHDOG_DEADLINE, RssDispatcher
 from .queueing import ArrivalProcess, QueueingConfig
 from .slo import SloConfig, SloController
 from .steering import POLICIES
-from .trace import iter_trace, load_trace
+from .trace import iter_trace
 from .xdp import DEFAULT_BATCH_SIZE
 
 
@@ -60,174 +81,224 @@ def _maglev(rt):
     return MaglevNF(rt)
 
 
-#: NFs with a ``process_batch`` fast path — the replay-friendly subset.
-NF_BUILDERS = {"countmin": _countmin, "bloom": _bloom, "maglev": _maglev}
+def _flow_monitor(rt):
+    from ..nfs import FlowMonitorNF
+
+    # Small LRU-fallback monitor: map-full faults hit a degradation
+    # path instead of aborting, which is what chaos runs measure.
+    return FlowMonitorNF(rt, max_entries=1024, on_full="fallback")
 
 
-def replay(
-    path: str,
-    nf: str = "countmin",
-    mode: ExecMode = ExecMode.ENETSTL,
-    cores: int = 8,
-    policy: str = "rss",
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    stream: bool = False,
-    numa_nodes: int = 1,
-    arrivals: Optional[ArrivalProcess] = None,
-) -> MulticoreResult:
-    """Replay ``path`` and return the aggregate result (CLI core).
+NF_BUILDERS = {
+    "countmin": _countmin,
+    "bloom": _bloom,
+    "maglev": _maglev,
+    "flow_monitor": _flow_monitor,
+}
 
-    With ``arrivals`` the trace is re-timed onto the arrival process
-    and replayed through the queueing model (latency + overflow on the
-    result); cycle totals are identical either way.
+
+def replay(args, plan: Optional[FaultPlan] = None):
+    """Run the traffic ``args`` name through the data plane (CLI core).
+
+    Builds the fixed :class:`RssDispatcher` fleet, or under
+    ``--autoscale`` the :class:`SloController`, with ``plan``'s faults
+    and the wedge-detection model, and returns its
+    :class:`~repro.net.multicore.MulticoreResult` or
+    :class:`~repro.net.slo.SloRun`.
     """
-    builder = NF_BUILDERS[nf]
+    builder = NF_BUILDERS[args.nf]
+    mode = ExecMode(args.mode)
     factory = lambda core: builder(BpfRuntime(mode=mode, seed=core))
-    numa = NumaTopology(n_nodes=numa_nodes) if numa_nodes > 1 else None
-    queueing = QueueingConfig() if arrivals is not None else None
+    detection = None
+    if args.detection_mean is not None:
+        detection = WedgeDetection(
+            mean_packets=args.detection_mean, seed=args.seed
+        )
+    if args.trace is not None:
+        source = iter_trace(args.trace)
+    else:
+        source = FlowGenerator(
+            n_flows=args.flows, distribution=args.dist, seed=args.seed + 1
+        ).iter_trace(args.packets)
+    if args.burst is not None:
+        arrivals = ArrivalProcess.from_spec(args.burst, seed=args.seed)
+        source = arrivals.stamp(source)
+    if args.autoscale:
+        return SloController(
+            factory,
+            max_cores=args.cores,
+            initial_cores=args.initial_cores,
+            config=SloConfig(target_p99_us=args.slo_p99),
+            queueing=QueueingConfig(),
+            faults=plan,
+            detection=detection,
+            warmup=ColdStartWarmup(),
+            watchdog_deadline=args.watchdog_deadline,
+            batch_size=args.batch_size,
+        ).run(source)
+    numa = None
+    if args.numa_nodes > 1:
+        numa = NumaTopology(n_nodes=args.numa_nodes)
     dispatcher = RssDispatcher(
-        factory, n_cores=cores, steering=policy, numa=numa,
-        queueing=queueing,
-    )
-    source = iter_trace(path) if stream else load_trace(path)
-    if arrivals is not None:
-        source = arrivals.stamp(iter(source))
-    return dispatcher.run(source, batch_size=batch_size)
-
-
-def replay_slo(
-    path: str,
-    arrivals: ArrivalProcess,
-    target_p99_us: float,
-    nf: str = "countmin",
-    mode: ExecMode = ExecMode.ENETSTL,
-    cores: int = 8,
-    initial_cores: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    stream: bool = False,
-):
-    """Replay through the SLO control loop (``--autoscale`` CLI core)."""
-    builder = NF_BUILDERS[nf]
-    factory = lambda core: builder(BpfRuntime(mode=mode, seed=core))
-    controller = SloController(
         factory,
-        max_cores=cores,
-        initial_cores=initial_cores,
-        config=SloConfig(target_p99_us=target_p99_us),
-        queueing=QueueingConfig(),
-        batch_size=batch_size,
+        n_cores=args.cores,
+        steering=args.policy,
+        numa=numa,
+        faults=plan,
+        watchdog_deadline=args.watchdog_deadline,
+        queueing=QueueingConfig() if args.burst is not None else None,
+        detection=detection,
+        repack_on_failure=args.repack,
     )
-    source = iter_trace(path) if stream else load_trace(path)
-    return controller.run(arrivals.stamp(iter(source)))
+    return dispatcher.run(source, batch_size=args.batch_size)
 
 
-def _render(result: MulticoreResult, args) -> str:
-    lines = [
-        f"replayed {result.n_packets} packets on {result.n_cores} core(s) "
-        f"[nf={args.nf}, mode={args.mode}, policy={args.policy}"
-        + (", streamed" if args.stream else ", materialized")
-        + (f", numa={args.numa_nodes} nodes" if args.numa_nodes > 1 else "")
-        + "]",
-        f"  aggregate:    {result.aggregate_mpps:8.2f} Mpps",
-        f"  imbalance:    {result.imbalance:8.3f}",
-        f"  total cycles: {result.total_cycles}",
+def report(run, args) -> dict:
+    """The run's report: what ``--json`` prints and the text renders."""
+    out = {
+        "source": args.trace or f"synthetic-{args.dist}",
+        "nf": args.nf,
+        "mode": args.mode,
+        "cores": args.cores,
+        "rate": args.rate,
+        "seed": args.seed,
+        "burst": args.burst,
+        "accounting": run.accounting(),
+        "accounted": run.is_fully_accounted,
+        "failures": [f.describe() for f in run.failures],
+        "latency": run.latency_summary(),
+        "overflow": run.overflow_drops,
+    }
+    if args.autoscale:
+        out.update(
+            autoscale=True,
+            initial_cores=args.initial_cores,
+            slo={
+                "target_p99_us": args.slo_p99,
+                "worst_p99_us": run.worst_p99_us,
+                "violating_epochs": run.violating_epochs(),
+                "recovery_s": run.recovery_s(),
+            },
+            timeline=[e.describe() for e in run.timeline],
+        )
+        return out
+    out.update(
+        policy=args.policy,
+        numa_nodes=args.numa_nodes,
+        injected=dict(run.injected),
+        total_injected=sum(run.injected.values()),
+        errors=dict(run.errors),
+        actions=dict(run.actions),
+        total_cycles=run.total_cycles,
+        numa_cycles=run.total_numa_cycles,
+        per_core_packets=[r.n_packets for r in run.per_core],
+        aggregate_mpps=round(run.aggregate_mpps, 3),
+        imbalance=round(run.imbalance, 3),
+    )
+    if args.slo_p99 is not None:
+        out["slo"] = {
+            "target_p99_us": args.slo_p99,
+            "p99_us": round(run.p99_latency_us, 3),
+            "met": bool(
+                run.latencies_ns and run.p99_latency_us <= args.slo_p99
+            ),
+        }
+    return out
+
+
+def render(rep: dict) -> str:
+    """The text form of :func:`report`'s dict."""
+    acc = rep["accounting"]
+    lat = rep["latency"]
+    slo = rep.get("slo")
+    tags = (
+        f"nf={rep['nf']}, mode={rep['mode']}, rate={rep['rate']}, "
+        f"seed={rep['seed']}"
+    )
+    if rep.get("autoscale"):
+        lines = [
+            f"slo replay: {acc['packets_in']} packets, {rep['cores']} "
+            f"core(s) provisioned ({rep['initial_cores'] or rep['cores']} "
+            f"active) [{tags}, burst={rep['burst']}]",
+        ]
+    else:
+        numa = rep["numa_nodes"]
+        lines = [
+            f"replayed {acc['packets_in']} packets on {rep['cores']} "
+            f"core(s) [{tags}, policy={rep['policy']}"
+            + (f", numa={numa} nodes" if numa > 1 else "") + "]",
+            f"  aggregate:    {rep['aggregate_mpps']:8.2f} Mpps"
+            f"  imbalance: {rep['imbalance']:.3f}",
+            f"  total cycles: {rep['total_cycles']}",
+        ]
+        if rep["numa_cycles"]:
+            lines.append(f"  numa cycles:  {rep['numa_cycles']}")
+        lines.append(
+            "  per-core packets: "
+            + " ".join(map(str, rep["per_core_packets"]))
+        )
+    lines += [
+        f"  forwarded: {acc['forwarded']}  dropped: {acc['dropped']}"
+        f"  aborted: {acc['aborted']}  lost: {acc['lost']}"
+        f"  duplicated: {acc['duplicated']}",
+        f"  accounting: {'OK' if rep['accounted'] else 'BROKEN'}"
+        f" (in + dup == fwd + drop + abort)",
     ]
-    if result.numa_cycles:
-        lines.append(f"  numa cycles:  {result.total_numa_cycles}")
-    lines.append(
-        "  per-core packets: "
-        + " ".join(str(r.n_packets) for r in result.per_core)
-    )
-    for action, count in sorted(result.actions.items()):
-        lines.append(f"  {action}: {count}")
-    if result.latencies_ns:
-        lat = result.latency_summary()
+    if lat["n"]:
         lines.append(
             f"  latency us:   p50={lat['p50_us']}  p95={lat['p95_us']}"
             f"  p99={lat['p99_us']}  max={lat['max_us']}"
         )
-        lines.append(f"  overflow:     {result.overflow_drops}")
-    if args.slo_p99 is not None and result.latencies_ns:
-        met = result.p99_latency_us <= args.slo_p99
+        lines.append(f"  overflow:     {rep['overflow']}")
+    if rep.get("autoscale"):
         lines.append(
-            f"  slo p99<={args.slo_p99}us: {'MET' if met else 'VIOLATED'}"
-            f" (p99={round(result.p99_latency_us, 3)}us)"
+            f"  slo: target p99 {slo['target_p99_us']}us, worst epoch "
+            f"{slo['worst_p99_us']}us, "
+            f"{len(slo['violating_epochs'])}/{len(rep['timeline'])} "
+            f"epochs violating"
         )
+        if slo["recovery_s"] is not None:
+            lines.append(
+                f"  time-to-SLO: {round(slo['recovery_s'] * 1e3, 3)} ms"
+            )
+    elif slo is not None and lat["n"]:
+        lines.append(
+            f"  slo p99<={slo['target_p99_us']}us: "
+            f"{'MET' if slo['met'] else 'VIOLATED'} (p99={slo['p99_us']}us)"
+        )
+    if rep.get("injected"):
+        inj = "  ".join(f"{k}={v}" for k, v in sorted(rep["injected"].items()))
+        lines.append(f"  injected ({rep['total_injected']}): {inj}")
+    if rep.get("errors"):
+        err = "  ".join(f"{k}={v}" for k, v in sorted(rep["errors"].items()))
+        lines.append(f"  errors: {err}")
+    for failure in rep["failures"]:
+        lines.append(
+            f"  core {failure['core']} {failure['kind']}: "
+            f"processed {failure['processed']}, lost {failure['lost']}, "
+            f"re-steered {failure['resteered']}"
+        )
+    for epoch in rep.get("timeline", ()):
+        for event in epoch["events"]:
+            lines.append(f"  epoch {epoch['epoch']}: {event}")
     return "\n".join(lines)
 
 
-def _json_report(result: MulticoreResult, args) -> dict:
-    report = {
-        "trace": args.trace,
-        "nf": args.nf,
-        "mode": args.mode,
-        "cores": args.cores,
-        "policy": args.policy,
-        "burst": args.burst,
-        "aggregate_mpps": round(result.aggregate_mpps, 3),
-        "imbalance": round(result.imbalance, 3),
-        "total_cycles": result.total_cycles,
-        "actions": dict(result.actions),
-        "latency": result.latency_summary(),
-        "overflow": result.overflow_drops,
-    }
-    if args.slo_p99 is not None:
-        report["slo"] = {
-            "target_p99_us": args.slo_p99,
-            "p99_us": round(result.p99_latency_us, 3),
-            "met": bool(
-                result.latencies_ns
-                and result.p99_latency_us <= args.slo_p99
-            ),
-        }
-    return report
-
-
-def _render_slo(run, args) -> str:
-    lat = run.latency_summary()
-    scale_ups = sum(
-        1 for ep in run.timeline for e in ep.events
-        if e.startswith("scale-up")
-    )
-    lines = [
-        f"slo replay: {run.packets_in} packets, {args.cores} core(s) "
-        f"provisioned [nf={args.nf}, target p99 {args.slo_p99}us, "
-        f"autoscale on]",
-        f"  latency us:  p50={lat['p50_us']}  p95={lat['p95_us']}"
-        f"  p99={lat['p99_us']}",
-        f"  worst epoch p99: {run.worst_p99_us}us"
-        f"  violating epochs: {len(run.violating_epochs())}"
-        f"/{len(run.timeline)}",
-        f"  scale-ups: {scale_ups}"
-        f"  overflow: {run.overflow}  lost: {run.lost}",
-        f"  accounting: {'OK' if run.is_fully_accounted else 'BROKEN'}",
-    ]
-    recovery = run.recovery_s()
-    if recovery is not None:
-        lines.append(f"  time-to-SLO: {round(recovery * 1e3, 3)} ms")
-    return "\n".join(lines)
-
-
-def _json_report_slo(run, args) -> dict:
-    return {
-        "trace": args.trace,
-        "nf": args.nf,
-        "mode": args.mode,
-        "cores": args.cores,
-        "initial_cores": args.initial_cores,
-        "burst": args.burst,
-        "autoscale": True,
-        "latency": run.latency_summary(),
-        "slo": {
-            "target_p99_us": args.slo_p99,
-            "worst_p99_us": run.worst_p99_us,
-            "violating_epochs": run.violating_epochs(),
-            "recovery_s": run.recovery_s(),
-        },
-        "accounting": run.accounting(),
-        "accounted": run.is_fully_accounted,
-        "timeline": [e.describe() for e in run.timeline],
-    }
+def _failure(rep: dict, args) -> Optional[str]:
+    """Why the run fails its assertions (exit 1), or None."""
+    if not rep["accounted"]:
+        return "packet accounting does not balance"
+    if args.expect_faults:
+        if rep["total_injected"] == 0:
+            return "expected injected faults, saw none"
+        if rep["accounting"]["aborted"] == 0:
+            return "expected aborted packets from injected faults, saw none"
+    if args.expect_recovery:
+        if not rep["slo"]["violating_epochs"]:
+            return "expected an SLO breach to recover from, saw none"
+        if rep["slo"]["recovery_s"] is None:
+            return "SLO breached and never recovered"
+    return None
 
 
 def positive_int(value: str) -> int:
@@ -261,9 +332,19 @@ def positive_float(value: str) -> float:
     return parsed
 
 
-def check_slo_args(parser: argparse.ArgumentParser, args) -> None:
-    """Reject inconsistent ``--burst``/``--slo-p99``/``--autoscale``/
-    ``--initial-cores`` combinations as usage errors (exit 2)."""
+def _rate(value: str) -> float:
+    try:
+        parsed = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
+    if not 0.0 <= parsed <= 1.0:
+        raise argparse.ArgumentTypeError(f"rate must be in [0, 1], got {value}")
+    return parsed
+
+
+def _check_args(parser: argparse.ArgumentParser, args) -> FaultPlan:
+    """Reject inconsistent flag combinations as usage errors (exit 2);
+    returns the run's fault plan, checked against ``--cores``."""
     if args.slo_p99 is not None and args.burst is None:
         parser.error("--slo-p99 needs --burst (latency requires the "
                      "queueing model)")
@@ -276,24 +357,40 @@ def check_slo_args(parser: argparse.ArgumentParser, args) -> None:
             f"--initial-cores {args.initial_cores} exceeds --cores "
             f"{args.cores}"
         )
+    if args.expect_recovery and not args.autoscale:
+        parser.error("--expect-recovery needs --autoscale")
+    if args.expect_faults and args.autoscale:
+        parser.error("--expect-faults needs the fixed fleet (no --autoscale)")
+    try:
+        if args.burst is not None:
+            ArrivalProcess.from_spec(args.burst, seed=args.seed)
+        plan = FaultPlan.uniform(
+            args.rate,
+            seed=args.seed,
+            crash_core=args.crash_core,
+            crash_at=args.crash_at,
+            wedge_core=args.wedge_core,
+            wedge_at=args.wedge_at,
+        )
+        plan.validate_for_cores(args.cores)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return plan
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def parse_args(argv: Optional[List[str]] = None):
+    """The parsed command line and its fault plan; bad arguments exit 2."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.net.replay",
-        description="Replay a CSV packet trace through the multi-queue "
-        "data plane.",
-    )
-    parser.add_argument("trace", help="CSV trace (see repro.net.trace)")
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="stream the trace off disk row by row instead of loading it "
-        "fully (O(cores x batch) peak memory; identical results)",
+        description="Replay a CSV trace or synthetic traffic through the "
+        "multi-queue data plane, optionally under injected faults.",
     )
     parser.add_argument(
-        "--nf", choices=sorted(NF_BUILDERS), default="countmin"
+        "trace", nargs="?", default=None,
+        help="CSV trace to replay (see repro.net.trace; default: "
+        "synthetic traffic)",
     )
+    parser.add_argument("--nf", choices=sorted(NF_BUILDERS), default="countmin")
     parser.add_argument(
         "--mode",
         choices=[m.value for m in ExecMode],
@@ -312,14 +409,64 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="NUMA nodes to spread the cores over (default 1: no penalty)",
     )
     parser.add_argument(
+        "--packets", type=positive_int, default=20_000,
+        help="synthetic trace length (ignored with a trace file)",
+    )
+    parser.add_argument(
+        "--flows", type=positive_int, default=1024,
+        help="synthetic flow population (ignored with a trace file)",
+    )
+    parser.add_argument(
+        "--dist", choices=DISTRIBUTIONS, default="zipf",
+        help="synthetic flow-size distribution (default zipf)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="seed for the fault plan, arrival jitter, wedge detection "
+        "and synthetic traffic (default 0)",
+    )
+    parser.add_argument(
+        "--rate", type=_rate, default=0.0,
+        help="aggregate injected fault rate, split uniformly across the "
+        "recoverable kinds (default 0: no faults)",
+    )
+    parser.add_argument(
+        "--crash-core", type=int, default=None,
+        help="core to kill mid-run (watchdog re-steers its traffic)",
+    )
+    parser.add_argument(
+        "--crash-at", type=int, default=0,
+        help="packets the crashing core processes before dying",
+    )
+    parser.add_argument(
+        "--wedge-core", type=int, default=None,
+        help="core that stops consuming mid-run (deadline detection)",
+    )
+    parser.add_argument(
+        "--wedge-at", type=int, default=0,
+        help="packets the wedging core processes before stalling",
+    )
+    parser.add_argument(
+        "--watchdog-deadline", type=positive_int,
+        default=DEFAULT_WATCHDOG_DEADLINE,
+        help="lost packets before a wedged core is declared dead",
+    )
+    parser.add_argument(
+        "--detection-mean", type=positive_int, default=None,
+        help="mean wedge-detection latency in packets (probabilistic "
+        "detection instead of the fixed --watchdog-deadline)",
+    )
+    parser.add_argument(
+        "--repack", action="store_true",
+        help="let a table-owning steering policy re-pack placement "
+        "over the survivors after a watchdog event (needs --policy "
+        "ntuple to have an effect)",
+    )
+    parser.add_argument(
         "--burst", default=None, metavar="SPEC",
         help="attach the queueing model, re-timing arrivals onto "
         "BASE_PPS (steady Poisson) or BASE:PEAK:LEAD_S:BURST_S "
         "(flash crowd); enables latency/overflow reporting",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="arrival-jitter seed for --burst (default 0)",
     )
     parser.add_argument(
         "--slo-p99", type=positive_float, default=None, metavar="US",
@@ -337,54 +484,41 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: all of --cores)",
     )
     parser.add_argument(
+        "--expect-faults", action="store_true",
+        help="fail (exit 1) unless faults were actually injected and "
+        "surfaced as aborted packets — the CI smoke assertion",
+    )
+    parser.add_argument(
+        "--expect-recovery", action="store_true",
+        help="fail (exit 1) unless the run breached the SLO and "
+        "recovered to it (needs --autoscale) — the CI chaos assertion",
+    )
+    parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
     args = parser.parse_args(argv)
-    check_slo_args(parser, args)
-    arrivals = None
-    if args.burst is not None:
-        try:
-            arrivals = ArrivalProcess.from_spec(args.burst, seed=args.seed)
-        except ValueError as exc:
-            parser.error(str(exc))
+    return args, _check_args(parser, args)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args, plan = parse_args(argv)
     try:
-        if args.autoscale:
-            run = replay_slo(
-                args.trace,
-                arrivals,
-                target_p99_us=args.slo_p99,
-                nf=args.nf,
-                mode=ExecMode(args.mode),
-                cores=args.cores,
-                initial_cores=args.initial_cores,
-                batch_size=args.batch_size,
-                stream=args.stream,
-            )
-        else:
-            result = replay(
-                args.trace,
-                nf=args.nf,
-                mode=ExecMode(args.mode),
-                cores=args.cores,
-                policy=args.policy,
-                batch_size=args.batch_size,
-                stream=args.stream,
-                numa_nodes=args.numa_nodes,
-                arrivals=arrivals,
-            )
+        run = replay(args, plan)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.autoscale:
+    except Exception as exc:  # the thing chaos runs exist to catch
         print(
-            json.dumps(_json_report_slo(run, args), indent=2)
-            if args.json else _render_slo(run, args)
+            f"error: data plane crashed: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
         )
-    else:
-        print(
-            json.dumps(_json_report(result, args), indent=2)
-            if args.json else _render(result, args)
-        )
+        return 1
+    rep = report(run, args)
+    print(json.dumps(rep, indent=2) if args.json else render(rep))
+    failure = _failure(rep, args)
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
     return 0
 
 

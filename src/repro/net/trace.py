@@ -5,18 +5,13 @@ measurement replayable byte-for-byte across machines and lets users
 bring their own traces (one packet per row: the 5-tuple, frame size,
 timestamp).
 
-Two I/O regimes coexist:
-
-- **Materialized** (:func:`load_trace` / :func:`dump_trace`): the whole
-  trace as a list — convenient for small traces and tests.
-- **Streaming** (:func:`iter_trace` / :func:`write_trace_iter`): packets
-  flow through a generator one row at a time, so replaying or writing a
-  multi-gigabyte trace holds O(1) packets in memory.  The streaming
-  reader feeds :meth:`XdpPipeline.run` and :meth:`RssDispatcher.run`
-  directly — both accept arbitrary iterables.
-
-Both regimes share one row codec, so malformed rows raise the same
-line-numbered :class:`ValueError` either way.
+One reader and one writer, both streaming: :func:`iter_trace` yields
+packets one row at a time and :func:`dump_trace` writes any iterable,
+so replaying or writing a multi-gigabyte trace holds O(1) packets in
+memory.  The reader feeds :meth:`XdpPipeline.run` and
+:meth:`RssDispatcher.run` directly (both accept arbitrary iterables);
+``list(iter_trace(path))`` materializes a small trace.  Malformed rows
+raise a line-numbered :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -70,35 +65,12 @@ def dump_trace_file(trace: Iterable[Packet], fh: IO[str]) -> int:
     return count
 
 
-def write_trace_iter(packets: Iterable[Packet], path: Union[str, Path]) -> int:
-    """Stream ``packets`` to a CSV file without materializing them.
-
-    The streaming spelling of :func:`dump_trace` — pairs with generator
-    sources (:meth:`FlowGenerator.iter_trace`, :func:`iter_trace`) so a
-    trace of any length is written with O(1) packets resident.  Returns
-    the number of rows written.
-    """
-    return dump_trace(packets, path)
-
-
-def load_trace(path: Union[str, Path]) -> List[Packet]:
-    """Read a CSV trace written by :func:`dump_trace`."""
-    with open(path, newline="") as fh:
-        return load_trace_file(fh)
-
-
-def load_trace_file(fh: IO[str]) -> List[Packet]:
-    return list(iter_trace_file(fh))
-
-
 def iter_trace(path: Union[str, Path]) -> Iterator[Packet]:
     """Stream a CSV trace from disk one packet at a time.
 
     A generator: the file is opened lazily on first iteration and
     closed when the generator is exhausted or garbage-collected, so an
-    arbitrarily large trace replays with O(1) packets resident.  Rows
-    are validated exactly like :func:`load_trace` (same line-numbered
-    errors).
+    arbitrarily large trace replays with O(1) packets resident.
     """
     with open(path, newline="") as fh:
         for pkt in iter_trace_file(fh):
@@ -122,10 +94,6 @@ def dumps_trace(trace: Iterable[Packet]) -> str:
     return buf.getvalue()
 
 
-def loads_trace(text: str) -> List[Packet]:
-    return load_trace_file(io.StringIO(text))
-
-
 def iter_trace_str(text: str) -> Iterator[Packet]:
-    """Streaming counterpart of :func:`loads_trace`."""
+    """Stream packets from a CSV string (see :func:`dumps_trace`)."""
     return iter_trace_file(io.StringIO(text))

@@ -280,7 +280,9 @@ class XdpPipeline:
         faults abort after dispatch + parse (their latencies are booked
         first in the batch), duplicates replay twice, and a batch
         nothing afflicts goes to the NF untouched.  The clock still
-        reaches a faulted packet's arrival.  An exception from
+        reaches a faulted packet's arrival: on the per-packet path
+        before the next clean packet, as replaying in trace order
+        would, and by the end of the batch otherwise.  An exception from
         ``process_batch`` aborts the *whole* batch (its charges and
         partial state mutations stand, as a crashed program's would);
         the per-packet loop aborts only the faulting packet.
@@ -303,6 +305,8 @@ class XdpPipeline:
             n_parse = 0
             n_helper = 0
             done = 0
+            # floors[i]: the latest faulted arrival ahead of clean[i].
+            floors: Dict[int, int] = {}
             for offset, pf, helper in hits:
                 clean += batch[done:offset]
                 done = offset + 1
@@ -318,6 +322,7 @@ class XdpPipeline:
                     continue
                 if pkt.timestamp_ns > late:
                     late = pkt.timestamp_ns
+                floors[len(clean)] = late
             clean += batch[done:]
             bailed = n_parse + n_helper
             if n_dropped:
@@ -335,6 +340,17 @@ class XdpPipeline:
                     latencies += [bail_ns] * bailed
             accounted += n_dropped + bailed
             batch = clean
+            # Only a floor later than its frame's own arrival moves the
+            # clock, and only the per-packet path reads it per frame.
+            floors = {
+                i: ts for i, ts in floors.items()
+                if i < len(clean) and ts > clean[i].timestamp_ns
+            }
+            if floors and (
+                latencies is not None
+                or getattr(self.nf, "process_batch", None) is None
+            ):
+                batch = _ClockFloors(clean, floors, rt)
         m = len(batch)
         if m:
             rt.charge(dispatch_cost * m, Category.FRAMEWORK)
@@ -394,6 +410,29 @@ class XdpPipeline:
         if late > rt.now_ns:
             rt.advance_time_ns(late - rt.now_ns)
         return accounted + m
+
+
+class _ClockFloors(list):
+    """The clean frames of a faulted batch for the per-packet loop.
+
+    Taking frame ``i`` first moves the clock to ``floors[i]``, the
+    latest faulted arrival ahead of it, so an out-of-order trace sees
+    the clock that replaying its frames one by one would give.
+    """
+
+    def __init__(self, frames: List[Packet], floors: Dict[int, int], rt):
+        super().__init__(frames)
+        self.floors = floors
+        self.rt = rt
+
+    def __iter__(self) -> Iterator[Packet]:
+        rt = self.rt
+        floors = self.floors
+        for i, pkt in enumerate(list.__iter__(self)):
+            floor = floors.get(i, 0)
+            if floor > rt.now_ns:
+                rt.advance_time_ns(floor - rt.now_ns)
+            yield pkt
 
 
 def _latency_ns(cycles: int) -> int:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.__main__ import RUNNERS, main
+from repro.analysis.__main__ import EXPAND, FIGURES, RENDERERS, main
+from repro.analysis.parallel import EXPERIMENTS
 
 
 class TestCli:
@@ -54,7 +55,10 @@ class TestCli:
             "fig3e", "fig3f", "fig3g", "fig3h", "others", "fig45", "fig6",
             "fig7", "multicore",
         }
-        assert set(RUNNERS) == expected
+        assert set(FIGURES) == expected
+        for name in FIGURES:
+            for exp_name in EXPAND.get(name, (name,)):
+                assert exp_name in EXPERIMENTS and exp_name in RENDERERS
 
 
 class TestCacheFailures:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.paper_targets import (
     CheckResult,
-    SWEEP_RUNNERS,
     TARGETS,
     Target,
     check_all,
@@ -64,7 +63,11 @@ class TestTarget:
         assert "PASS" in text and "55" in text
 
     def test_targets_cover_every_sweep(self):
-        assert set(TARGETS) == set(SWEEP_RUNNERS)
+        from repro.analysis.__main__ import EXPAND, SWEEP_TITLES
+        from repro.analysis.parallel import EXPERIMENTS
+
+        assert set(TARGETS) == set(SWEEP_TITLES) | set(EXPAND["others"])
+        assert set(TARGETS) <= set(EXPERIMENTS)
 
     def test_bands_contain_paper_values(self):
         """Our acceptance bands must be honest: each contains (or is

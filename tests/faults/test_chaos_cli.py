@@ -1,11 +1,17 @@
-"""Tests for the chaos harness CLI (python -m repro.faults)."""
+"""Fault injection through the data-plane replay CLI
+(``python -m repro.net.replay`` with ``--rate``, ``--crash-core``,
+``--wedge-core`` and the ``--expect-*`` assertions).
+
+The trace, steering and latency flags are covered in
+``tests/net/test_replay_cli.py``.
+"""
 
 import json
 
 import pytest
 
-from repro.faults.__main__ import main
 from repro.net.flowgen import FlowGenerator
+from repro.net.replay import main
 from repro.net.trace import dump_trace
 
 QUICK = ["--packets", "2000", "--cores", "4", "--flows", "128"]
@@ -25,14 +31,14 @@ class TestChaosRuns:
     def test_synthetic_run_accounts_and_exits_zero(self, capsys):
         assert main(QUICK + ["--rate", "0.01", "--expect-faults"]) == 0
         out = capsys.readouterr().out
-        assert "chaos replay: 2000 packets" in out
+        assert "replayed 2000 packets" in out
         assert "accounting: OK" in out
         assert "injected" in out
 
     def test_trace_file_run(self, trace_csv, capsys):
         assert main([trace_csv, "--cores", "4", "--rate", "0.02"]) == 0
         out = capsys.readouterr().out
-        assert "chaos replay: 1500 packets" in out
+        assert "replayed 1500 packets" in out
 
     def test_zero_rate_injects_nothing(self, capsys):
         assert main(QUICK + ["--rate", "0"]) == 0

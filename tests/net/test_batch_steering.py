@@ -201,7 +201,7 @@ def test_malformed_row_mid_stream_fails_cleanly(tmp_path, capsys, extra):
     lines = path.read_text().splitlines()
     lines[STEER_CHUNK + 45] = "1,2,3"   # inside the second chunk
     path.write_text("\n".join(lines) + "\n")
-    argv = [str(path), "--stream", "--cores", "4"] + extra
+    argv = [str(path), "--cores", "4"] + extra
     assert replay_main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: line {STEER_CHUNK + 46}: expected 7 fields\n"

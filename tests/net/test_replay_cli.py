@@ -1,12 +1,30 @@
-"""Tests for the trace-replay CLI (python -m repro.net.replay)."""
+"""Tests for the data-plane replay CLI (python -m repro.net.replay).
+
+Trace, steering, NUMA and latency flags, the plumbing from flags to the
+dispatcher and controller, and fault flags combined with them.  The
+fault-injection flags on their own are covered in
+``tests/faults/test_chaos_cli.py``.
+"""
 
 import json
 
 import pytest
 
+from repro.ebpf.cost_model import ExecMode
+from repro.ebpf.runtime import BpfRuntime
+from repro.faults import FaultPlan, WedgeDetection
 from repro.net.flowgen import FlowGenerator
-from repro.net.replay import main, replay
+from repro.net.multicore import RssDispatcher
+from repro.net.queueing import ArrivalProcess, QueueingConfig
+from repro.net.replay import main, parse_args, replay, report
+from repro.net.slo import SloConfig, SloController
 from repro.net.trace import dump_trace
+from repro.nfs import CountMinNF
+from repro.nfs.degrade import ColdStartWarmup
+
+
+def _replay(*argv):
+    return replay(*parse_args(list(argv)))
 
 
 @pytest.fixture()
@@ -20,20 +38,14 @@ def trace_csv(tmp_path):
 
 
 class TestReplayFunction:
-    def test_streamed_equals_materialized(self, trace_csv):
-        a = replay(trace_csv, cores=4, stream=False)
-        b = replay(trace_csv, cores=4, stream=True)
-        assert a.per_core == b.per_core
-        assert a.actions == b.actions
-
     @pytest.mark.parametrize("policy", ["rss", "rekey", "ntuple"])
     def test_policies_accepted(self, trace_csv, policy):
-        result = replay(trace_csv, cores=4, policy=policy, stream=True)
+        result = _replay(trace_csv, "--cores", "4", "--policy", policy)
         assert result.n_packets == 2000
 
     def test_numa_nodes(self, trace_csv):
-        local = replay(trace_csv, cores=4)
-        remote = replay(trace_csv, cores=4, numa_nodes=2)
+        local = _replay(trace_csv, "--cores", "4")
+        remote = _replay(trace_csv, "--cores", "4", "--numa-nodes", "2")
         assert remote.total_cycles == local.total_cycles
         assert remote.total_numa_cycles > 0
 
@@ -44,26 +56,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "replayed 2000 packets on 4 core(s)" in out
         assert "imbalance" in out
+        assert "accounting: OK" in out
+        assert "injected" not in out
 
-    def test_stream_flag_reports_streaming(self, trace_csv, capsys):
-        assert main([trace_csv, "--stream", "--policy", "ntuple"]) == 0
-        out = capsys.readouterr().out
-        assert "streamed" in out
-        assert "policy=ntuple" in out
-
-    def test_stream_and_materialized_print_same_metrics(
-        self, trace_csv, capsys
-    ):
-        main([trace_csv, "--cores", "4"])
-        materialized = capsys.readouterr().out
-        main([trace_csv, "--cores", "4", "--stream"])
-        streamed = capsys.readouterr().out
-        keep = ("aggregate", "imbalance", "total cycles", "per-core packets")
-        pick = lambda text: [
-            line for line in text.splitlines()
-            if any(k in line for k in keep)
-        ]
-        assert pick(materialized) == pick(streamed)
+    def test_policy_flag_reported(self, trace_csv, capsys):
+        assert main([trace_csv, "--policy", "ntuple"]) == 0
+        assert "policy=ntuple" in capsys.readouterr().out
 
     def test_numa_flag_prints_penalty(self, trace_csv, capsys):
         assert main([trace_csv, "--numa-nodes", "2"]) == 0
@@ -76,7 +74,7 @@ class TestCli:
     def test_malformed_trace_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,trace\n")
-        assert main([str(bad), "--stream"]) == 1
+        assert main([str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_policy_rejected_by_argparse(self, trace_csv):
@@ -166,3 +164,112 @@ class TestLatencyFlags:
             main([trace_csv] + argv)
         assert exc.value.code == 2
         assert hint in capsys.readouterr().err
+
+
+class TestPlumbing:
+    """``main`` builds what a caller building the fleet directly would."""
+
+    def _main_json(self, argv, capsys):
+        assert main(argv + ["--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def _factory(core):
+        return CountMinNF(BpfRuntime(mode=ExecMode.ENETSTL, seed=core), depth=4)
+
+    @staticmethod
+    def _stamped(n_packets, n_flows, spec, seed):
+        trace = FlowGenerator(
+            n_flows=n_flows, distribution="zipf", seed=seed + 1
+        ).iter_trace(n_packets)
+        return ArrivalProcess.from_spec(spec, seed=seed).stamp(trace)
+
+    def test_fixed_fleet_chaos_matches_direct_dispatcher(self, capsys):
+        argv = [
+            "--packets", "1500", "--flows", "128", "--cores", "4",
+            "--policy", "ntuple", "--repack", "--rate", "0.02",
+            "--seed", "3", "--crash-core", "2", "--crash-at", "200",
+            "--burst", "8e6", "--slo-p99", "80",
+        ]
+        got = self._main_json(argv, capsys)
+        dispatcher = RssDispatcher(
+            self._factory,
+            n_cores=4,
+            steering="ntuple",
+            faults=FaultPlan.uniform(
+                0.02, seed=3, crash_core=2, crash_at=200
+            ),
+            queueing=QueueingConfig(),
+            repack_on_failure=True,
+        )
+        run = dispatcher.run(self._stamped(1500, 128, "8e6", 3))
+        args, _ = parse_args(argv)
+        assert got == json.loads(json.dumps(report(run, args)))
+        assert got["total_injected"] > 0
+        assert got["failures"][0]["repacked"] is True
+
+    def test_autoscale_matches_direct_controller(self, capsys):
+        argv = [
+            "--packets", "4000", "--flows", "256", "--cores", "4",
+            "--initial-cores", "2", "--rate", "0.01", "--seed", "5",
+            "--wedge-core", "1", "--wedge-at", "300",
+            "--detection-mean", "200", "--burst", "9e6",
+            "--slo-p99", "60", "--autoscale",
+        ]
+        got = self._main_json(argv, capsys)
+        controller = SloController(
+            self._factory,
+            max_cores=4,
+            initial_cores=2,
+            config=SloConfig(target_p99_us=60),
+            queueing=QueueingConfig(),
+            faults=FaultPlan.uniform(
+                0.01, seed=5, wedge_core=1, wedge_at=300
+            ),
+            detection=WedgeDetection(mean_packets=200, seed=5),
+            warmup=ColdStartWarmup(),
+        )
+        run = controller.run(self._stamped(4000, 256, "9e6", 5))
+        args, _ = parse_args(argv)
+        assert got == json.loads(json.dumps(report(run, args)))
+        assert got["failures"][0]["kind"] == "wedge"
+
+
+class TestFaultFlagCombinations:
+    def test_faults_on_a_trace_file_with_numa(self, trace_csv, capsys):
+        argv = [trace_csv, "--cores", "4", "--rate", "0.05", "--json"]
+        assert main(argv + ["--numa-nodes", "2"]) == 0
+        remote = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        local = json.loads(capsys.readouterr().out)
+        assert remote["accounted"] is True
+        assert remote["total_injected"] > 0
+        assert remote["numa_cycles"] > 0 == local["numa_cycles"]
+        for key in ("total_cycles", "accounting", "injected", "errors"):
+            assert remote[key] == local[key]
+
+    def test_flow_monitor_without_faults(self, trace_csv, capsys):
+        argv = [trace_csv, "--cores", "4", "--nf", "flow_monitor", "--json"]
+        assert main(argv) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["accounted"] is True
+        assert rep["injected"] == {} and rep["errors"] == {}
+        assert rep["accounting"]["packets_in"] == 2000
+        assert rep["accounting"]["aborted"] == 0
+
+    def test_expect_faults_at_zero_rate_exits_one(self, trace_csv, capsys):
+        argv = [trace_csv, "--cores", "4", "--expect-faults", "--rate", "0"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "accounting: OK" in captured.out
+        assert captured.err == "error: expected injected faults, saw none\n"
+
+    def test_expect_faults_under_autoscale_exits_two(self, trace_csv, capsys):
+        argv = [trace_csv, "--burst", "1e6", "--slo-p99", "60",
+                "--autoscale", "--expect-faults"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--expect-faults needs the fixed fleet" in err
+        assert "Traceback" not in err

@@ -12,6 +12,8 @@ without faults, with and without latency, at any batch size.
 
 from __future__ import annotations
 
+import dataclasses
+import random
 from collections import Counter
 from typing import List
 
@@ -219,3 +221,26 @@ def test_clock_reaches_faulted_arrivals(plan, batch_size):
     got = pipes[1].run(TRACE, batch_size=batch_size)
     assert got == want
     assert pipes[1].rt.now_ns == pipes[0].rt.now_ns == TRACE[-1].timestamp_ns
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+@pytest.mark.parametrize("shuffle_seed", [2, 6])
+def test_clock_reaches_out_of_order_faulted_arrivals(shuffle_seed, batch_size):
+    """A faulted frame's arrival reaches the clock before the next clean
+    frame of its batch, even when that frame is stamped earlier."""
+    stamps = [pkt.timestamp_ns for pkt in TRACE]
+    random.Random(shuffle_seed).shuffle(stamps)
+    trace = [
+        dataclasses.replace(pkt, timestamp_ns=ts)
+        for pkt, ts in zip(TRACE, stamps)
+    ]
+    pipes = [
+        XdpPipeline(_build_nf("timewheel"), faults=ALL_FAULTS.injector())
+        for _ in range(2)
+    ]
+    want = oracle_run(pipes[0], trace, measure_latency=True)
+    got = pipes[1].run(trace, measure_latency=True, batch_size=batch_size)
+    want.latencies_ns.sort()
+    got.latencies_ns.sort()
+    assert got == want
+    assert pipes[1].rt.now_ns == pipes[0].rt.now_ns

@@ -10,10 +10,11 @@ from repro.net.trace import (
     dumps_trace,
     iter_trace,
     iter_trace_str,
-    load_trace,
-    loads_trace,
-    write_trace_iter,
 )
+
+
+def loads(text):
+    return list(iter_trace_str(text))
 
 
 class TestRoundTrip:
@@ -21,15 +22,15 @@ class TestRoundTrip:
         trace = FlowGenerator(32, seed=4).trace(100, inter_arrival_ns=50)
         path = tmp_path / "trace.csv"
         assert dump_trace(trace, path) == 100
-        loaded = load_trace(path)
+        loaded = list(iter_trace(path))
         assert loaded == trace
 
     def test_string_round_trip(self):
         trace = FlowGenerator(8, seed=4).trace(25)
-        assert loads_trace(dumps_trace(trace)) == trace
+        assert loads(dumps_trace(trace)) == trace
 
     def test_empty_trace(self):
-        assert loads_trace(dumps_trace([])) == []
+        assert loads(dumps_trace([])) == []
 
     @given(
         st.lists(
@@ -48,21 +49,15 @@ class TestRoundTrip:
     )
     @settings(max_examples=40, deadline=None)
     def test_round_trip_property(self, trace):
-        assert loads_trace(dumps_trace(trace)) == trace
+        assert loads(dumps_trace(trace)) == trace
 
 
 class TestStreamingIO:
-    def test_iter_trace_matches_load_trace(self, tmp_path):
-        trace = FlowGenerator(32, seed=4).trace(200, inter_arrival_ns=50)
-        path = tmp_path / "trace.csv"
-        dump_trace(trace, path)
-        assert list(iter_trace(path)) == load_trace(path) == trace
-
     def test_generator_to_disk_and_back(self, tmp_path):
         """Full streaming round trip: generator in, generator out."""
         fg = FlowGenerator(16, seed=9, distribution="zipf")
         path = tmp_path / "trace.csv"
-        assert write_trace_iter(fg.iter_trace(500), path) == 500
+        assert dump_trace(fg.iter_trace(500), path) == 500
         # A fresh generator with the same seed replays the same packets.
         ref = FlowGenerator(16, seed=9, distribution="zipf").trace(500)
         assert list(iter_trace(path)) == ref
@@ -90,28 +85,28 @@ class TestStreamingIO:
         fg = FlowGenerator(8, seed=2)
         path = tmp_path / "trace.csv"
         assert dump_trace(fg.iter_trace(50), path) == 50
-        assert load_trace(path) == FlowGenerator(8, seed=2).trace(50)
+        assert list(iter_trace(path)) == FlowGenerator(8, seed=2).trace(50)
 
 
 class TestValidation:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="not a trace file"):
-            loads_trace("a,b,c\n1,2,3\n")
+            loads("a,b,c\n1,2,3\n")
 
     def test_bad_field_count_rejected(self):
         text = dumps_trace(FlowGenerator(2, seed=1).trace(1))
         with pytest.raises(ValueError, match="expected 7 fields"):
-            loads_trace(text + "1,2,3\n")
+            loads(text + "1,2,3\n")
 
     def test_non_integer_rejected(self):
         text = dumps_trace([]) + "a,b,c,d,e,f,g\n"
         with pytest.raises(ValueError, match="line 2"):
-            loads_trace(text)
+            loads(text)
 
     def test_invalid_packet_values_propagate(self):
         text = dumps_trace([]) + "99999999999,0,0,0,17,64,0\n"
         with pytest.raises(ValueError):
-            loads_trace(text)
+            loads(text)
 
     @pytest.mark.parametrize(
         "bad_row, match",
@@ -123,14 +118,11 @@ class TestValidation:
     def test_streaming_reader_raises_same_line_numbered_errors(
         self, bad_row, match
     ):
-        """Streaming and materialized readers share one row codec."""
         text = dumps_trace(FlowGenerator(2, seed=1).trace(1)) + bad_row + "\n"
         it = iter_trace_str(text)
         next(it)  # the good row streams out fine
         with pytest.raises(ValueError, match=match):
             next(it)
-        with pytest.raises(ValueError, match=match):
-            loads_trace(text)
 
     def test_streaming_reader_rejects_bad_header_eagerly(self):
         with pytest.raises(ValueError, match="not a trace file"):
@@ -147,7 +139,7 @@ class TestValidation:
         path = tmp_path / "t.csv"
         dump_trace(trace, path)
         results = []
-        for t in (trace, load_trace(path)):
+        for t in (trace, iter_trace(path)):
             nf = CountMinNF(BpfRuntime(mode=ExecMode.ENETSTL, seed=4), depth=4)
             results.append(XdpPipeline(nf).run(t).cycles_per_packet)
         assert results[0] == results[1]
