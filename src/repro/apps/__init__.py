@@ -19,7 +19,6 @@ from .ir import (
     fig7_charges,
     fig7_nfs,
     ir_registry,
-    verify_app_chains,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "fig7_charges",
     "fig7_nfs",
     "ir_registry",
-    "verify_app_chains",
 ]

@@ -789,7 +789,6 @@ def app_nf(
     rt=None,
     backend: str = "fused",
     seed: int = 0,
-    elide_checks: bool = True,
     registry: Optional[KfuncRegistry] = None,
 ):
     """One app pipeline as an :class:`~repro.net.irnf.IrChainNf`.
@@ -809,7 +808,6 @@ def app_nf(
         rt,
         app_chain(app),
         registry=registry,
-        elide_checks=elide_checks,
         seed=seed,
         backend=backend,
     )
@@ -819,9 +817,6 @@ def app_nf_factory(
     app: str,
     backend: str = "fused",
     registry_seed: int = 0,
-    elide_checks: bool = True,
-    nf_seed: int = 0,
-    n_reals: int = KATRAN_REALS,
 ) -> Callable[[int], object]:
     """An ``nf_factory`` for :class:`~repro.net.multicore.RssDispatcher`
     running one app's fused or interpreted chain on every core, each
@@ -832,29 +827,8 @@ def app_nf_factory(
     return chain_nf_factory(
         app_chain(app),
         backend=backend,
-        registry_seed=registry_seed,
-        elide_checks=elide_checks,
-        nf_seed=nf_seed,
-        registry_factory=lambda core: ir_registry(
-            registry_seed + core, n_reals=n_reals
-        ),
+        registry_factory=lambda core: ir_registry(registry_seed + core),
     )
-
-
-def verify_app_chains(strict: bool = True) -> Dict[str, int]:
-    """Verify every app stage against :func:`ir_registry` metadata;
-    returns ``{program_name: analyzed_state_count}``.  Raises on the
-    first rejection — all four hot paths are accept cases by contract.
-    """
-    from ..ebpf.verifier import Verifier
-
-    verifier = Verifier(ir_registry(0))
-    states: Dict[str, int] = {}
-    for name in IR_APP_NAMES:
-        for prog in app_chain(name):
-            vp = verifier.verify(prog)
-            states[prog.name] = getattr(vp, "states_explored", 0)
-    return states
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ range-aware verifier proved:
   fused as a one-stage chain (:mod:`repro.ebpf.fuse`) and replayed on
   a deterministic trace against the interpreter (see ``docs/JIT.md``),
 - chain fusion (``--chains``): every bundled NF chain combination is
-  fused into one closure and replayed the same way.
+  fused into one closure and replayed the same way, and so is each
+  Fig. 7 app chain (:mod:`repro.apps.ir`), verified against its own
+  kfunc registry; the ``apps`` entries also carry each stage's
+  explored states.
+
+Every program and chain replays one deterministic Zipf trace whose
+flows repeat, so stateful kfuncs see hits as well as first packets.
 
 Programs and chains share one ``compiled`` report: it pins
 bit-identical verdicts, VM stats, and cycle accounting, and records
@@ -29,6 +35,8 @@ and how many stack loads read a scalar stored earlier in their block.
 ``--strict`` exits non-zero when any bundled program's verdict differs
 from its expected accept/reject or an accepted program elides zero
 checks it was expected to elide — the CI ``verify-smoke`` contract.
+An ``--asm`` program is expected to be accepted: a rejection exits 1
+with or without ``--strict``.
 Under ``--bench`` and ``--chains`` a fuse failure or an interp/fused
 divergence is also an unexpected result.  Their JSON reports carry a
 ``caches`` block (:func:`repro.ebpf.fuse.cache_info`) so CI can assert
@@ -47,17 +55,26 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import random
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..apps.ir import IR_APP_NAMES, app_chain, ir_registry
 from .asm import AsmError, assemble
 from .disasm import disassemble_one
 from .insn import Program
-from .kfunc_meta import default_registry
-from .progs import ProgCase, bundled_cases, get_case
+from .kfunc_meta import KfuncRegistry, default_registry
+from .progs import (
+    ProgCase,
+    bundled_cases,
+    bundled_chains,
+    get_case,
+    runnable_registry,
+)
 from .verifier import VerifiedProgram, Verifier, VerifierError
 
 
@@ -96,42 +113,49 @@ def _verify_one(
     }
 
 
-#: Parity replay: packets per program or chain, and the trace seed.
-_CHAIN_PACKETS = 96
-_CHAIN_SEED = 20260809
+#: The one parity trace: packets, Zipf flow population and seeds.
+_PARITY_PACKETS = 256
+_PARITY_FLOWS = 256
+_PARITY_SEED = 20260809
 
 
-def _chain_trace(n: int, seed: int) -> List[Any]:
-    """Deterministic synthetic 5-tuple trace for the parity runs."""
-    from ..net.packet import Packet
+@functools.lru_cache(maxsize=1)
+def _parity_trace() -> Tuple[Any, ...]:
+    """The deterministic trace every program and chain replays.
 
-    rng = random.Random(seed)
-    return [
-        Packet(
-            src_ip=rng.getrandbits(32),
-            dst_ip=rng.getrandbits(32),
-            src_port=rng.getrandbits(16),
-            dst_port=rng.getrandbits(16),
-            proto=rng.choice((6, 17)),
-            size=rng.randint(64, 1500),
-            timestamp_ns=rng.getrandbits(40),
+    Zipf(2) flows repeat (the 256 packets carry 25 distinct flows), so
+    stateful kfuncs replay hits as well as misses — Katran's connection
+    table — and the heavy hitters cross RakeLimit's and the sketch
+    suite's drop thresholds.  Sizes and timestamps are drawn per packet.
+    """
+    from ..net.flowgen import FlowGenerator
+
+    rng = random.Random(_PARITY_SEED)
+    flows = FlowGenerator(
+        n_flows=_PARITY_FLOWS, distribution="zipf", zipf_s=2.0, seed=14
+    ).iter_trace(_PARITY_PACKETS)
+    return tuple(
+        dataclasses.replace(
+            p, size=rng.randint(64, 1500), timestamp_ns=rng.getrandbits(40)
         )
-        for _ in range(n)
-    ]
+        for p in flows
+    )
 
 
-def _chain_report(verified: List[VerifiedProgram]) -> Dict[str, Any]:
+def _chain_report(
+    make_registry: Callable[[], KfuncRegistry],
+    verified: List[VerifiedProgram],
+) -> Dict[str, Any]:
     """Fuse one program chain (one program is a chain of one) and replay
-    it on both the interpreted and the fused backend; bit-for-bit
-    observable compare."""
+    it on both the interpreted and the fused backend, each against a
+    fresh ``make_registry()``; bit-for-bit observable compare."""
     from ..net.irnf import IrChainNf
     from .fuse import FuseError, fuse_chain
-    from .progs import runnable_registry
     from .runtime import BpfRuntime
 
     t0 = time.perf_counter()
     try:
-        fused = fuse_chain(runnable_registry(0), verified)
+        fused = fuse_chain(make_registry(), verified)
     except FuseError as exc:
         return {"error": str(exc)}
     out: Dict[str, Any] = {
@@ -148,14 +172,11 @@ def _chain_report(verified: List[VerifiedProgram]) -> Dict[str, Any]:
         "dispatch_stages": list(fused.dispatch_stages),
         "forwarded_stack_loads": fused.forwarded_stack_loads,
     }
-    pkts = _chain_trace(_CHAIN_PACKETS, _CHAIN_SEED)
     observed = {}
     for backend in ("interp", "fused"):
         rt = BpfRuntime()
-        nf = IrChainNf(
-            rt, verified, registry=runnable_registry(0), backend=backend
-        )
-        actions = nf.process_batch(pkts)
+        nf = IrChainNf(rt, verified, registry=make_registry(), backend=backend)
+        actions = nf.process_batch(_parity_trace())
         observed[backend] = (
             tuple(nf.returns),
             nf.stats.steps,
@@ -178,7 +199,7 @@ def _chain_report(verified: List[VerifiedProgram]) -> Dict[str, Any]:
     return out
 
 
-def _print_compiled(label: str, cr: Dict[str, Any]) -> None:
+def _print_compiled(label: str, cr: Dict[str, Any], tag: str = "FUSED") -> None:
     """One summary line for a fused program or chain."""
     if "error" in cr:
         print(f"FUSE FAIL  {label}: {cr['error']}")
@@ -190,7 +211,7 @@ def _print_compiled(label: str, cr: Dict[str, Any]) -> None:
     )
     verdict = "parity OK" if cr["parity"] else "PARITY MISMATCH"
     print(
-        f"FUSED   {label}  ({cr['n_nodes']} nodes{unrolled}, "
+        f"{tag:8s}{label}  ({cr['n_nodes']} nodes{unrolled}, "
         f"{cr['inlined_kfuncs']} kfuncs inlined, "
         f"{cr['forwarded_loads']} header loads forwarded, "
         f"{cr['hoisted_calls']} hashes hoisted, "
@@ -339,13 +360,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         for case in bundled_cases():
             verdict = "accept" if case.accept else "reject"
             print(f"{case.name:32s} {verdict:7s} {case.summary}")
+        for app in IR_APP_NAMES:
+            stages = " -> ".join(p.name for p in app_chain(app))
+            print(f"{app:32s} {'app':7s} {stages}")
         return 0
 
-    registry = default_registry()
-    kwargs: Dict[str, Any] = {"collect_facts": True, "widen": args.widen}
+    kwargs: Dict[str, Any] = {"widen": args.widen}
     if args.max_states is not None:
         kwargs["max_states"] = args.max_states
-    verifier = Verifier(registry, **kwargs)
+    verifier = Verifier(default_registry(), collect_facts=True, **kwargs)
 
     if args.asm:
         try:
@@ -366,21 +389,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         except AsmError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return 2
-        result = _verify_one(prog, verifier)
-        vp = result.pop("_verified", None)
-        if args.bench and vp is not None:
-            result["compiled"] = _chain_report([vp])
-        if args.json:
-            print(json.dumps(result, indent=2))
-        else:
-            _print_facts(prog, vp, getattr(vp, "annotations", None).facts
-                         if vp is not None else {})
-            _print_result(result, None, args.explain or True)
-            if "compiled" in result:
-                _print_compiled(prog.name, result["compiled"])
-        return 0 if result["verdict"] == "accept" else 1
-
-    if args.program:
+        # A hand-written program is expected to load: a rejection fails
+        # the run even without --strict.
+        cases = [ProgCase(prog=prog, accept=True, summary=args.asm)]
+    elif args.program:
         try:
             cases = [get_case(name) for name in args.program]
         except KeyError as exc:
@@ -389,6 +401,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         cases = list(bundled_cases())
     show_facts = args.facts or len(cases) == 1
+    explain = args.explain or bool(args.asm)
 
     report: Dict[str, Any] = {"programs": [], "unexpected": []}
     for case in cases:
@@ -396,7 +409,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         vp = result.pop("_verified", None)
         result["expected"] = "accept" if case.accept else "reject"
         problem = _unexpected(result, case)
-        if problem is None and case.accept and vp is not None:
+        if problem is None and vp is not None and not args.asm:
             # Elision regression guard: every accepted bundled program
             # proves at least the checks its listing marks elidable.
             if vp.stats.checks_elided == 0 and (
@@ -406,7 +419,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if problem is not None:
             report["unexpected"].append(problem)
         if args.bench and vp is not None:
-            result["compiled"] = _chain_report([vp])
+            result["compiled"] = _chain_report(runnable_registry, [vp])
             problem = _compiled_problem(case.name, result["compiled"])
             if problem is not None:
                 report["unexpected"].append(problem)
@@ -415,18 +428,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             if show_facts:
                 _print_facts(case.prog, vp,
                              vp.annotations.facts if vp is not None else {})
-            _print_result(result, case, args.explain)
+            _print_result(result, case, explain)
             if "compiled" in result:
                 _print_compiled(case.name, result["compiled"])
 
     if args.chains:
-        from .progs import bundled_chains
-
         report["chains"] = []
         for combo in bundled_chains():
             label = " -> ".join(combo)
             cr = {"chain": list(combo), **_chain_report(
-                [verifier.verify(get_case(name).prog) for name in combo]
+                runnable_registry,
+                [verifier.verify(get_case(name).prog) for name in combo],
             )}
             report["chains"].append(cr)
             problem = _compiled_problem(f"chain {label}", cr)
@@ -434,6 +446,29 @@ def main(argv: Optional[List[str]] = None) -> int:
                 report["unexpected"].append(problem)
             if not args.json:
                 _print_compiled(label, cr)
+
+        # The Fig. 7 app chains, verified against their own kfuncs.
+        app_verifier = Verifier(ir_registry(), **kwargs)
+        report["apps"] = []
+        for app in IR_APP_NAMES:
+            verified = [app_verifier.verify(p) for p in app_chain(app)]
+            cr = {
+                "app": app,
+                "chain": [vp.prog.name for vp in verified],
+                "states_explored": {
+                    vp.prog.name: vp.states_explored for vp in verified
+                },
+                **_chain_report(ir_registry, verified),
+            }
+            report["apps"].append(cr)
+            problem = _compiled_problem(f"app {app}", cr)
+            if problem is not None:
+                report["unexpected"].append(problem)
+            if not args.json:
+                _print_compiled(f"{app}: " + " -> ".join(
+                    f"{name} ({n} states)"
+                    for name, n in cr["states_explored"].items()
+                ), cr, tag="APP")
 
     if args.bench or args.chains:
         from .fuse import cache_info as fuse_cache_info
@@ -467,9 +502,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "unexpected": len(report["unexpected"]),
     }
     if args.chains:
-        report["summary"]["chains"] = len(report["chains"])
-        report["summary"]["chains_parity_ok"] = sum(
-            1 for c in report["chains"] if c.get("parity"))
+        for key in ("chains", "apps"):
+            report["summary"][key] = len(report[key])
+            report["summary"][f"{key}_parity_ok"] = sum(
+                1 for c in report[key] if c.get("parity"))
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -484,7 +520,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         for problem in report["unexpected"]:
             print(f"UNEXPECTED: {problem}", file=sys.stderr)
-    if args.strict and report["unexpected"]:
+    if (args.strict or args.asm) and report["unexpected"]:
         return 1
     return 0
 

@@ -521,8 +521,6 @@ def chain_nf_factory(
     progs: Sequence,
     backend: str = "fused",
     registry_seed: int = 0,
-    elide_checks: bool = True,
-    nf_seed: int = 0,
     registry_factory: Optional[Callable[[int], "KfuncRegistry"]] = None,
 ) -> Callable[[int], NetworkFunction]:
     """Build an ``nf_factory`` for :class:`RssDispatcher` that runs an
@@ -569,8 +567,7 @@ def chain_nf_factory(
             rt,
             verified,
             registry=registry,
-            elide_checks=elide_checks,
-            seed=nf_seed + core_id,
+            seed=core_id,
             backend=backend,
         )
 

@@ -17,7 +17,11 @@ or without one, synthetic traffic: ``--packets`` packets over
 
 Knobs cover the data plane: steering policy (``rss``/``rekey``/
 ``ntuple``), queue count, batch size, NF and execution mode, and an
-optional 2-socket NUMA layout (``--numa-nodes 2``).  A seed-driven
+optional 2-socket NUMA layout (``--numa-nodes 2``).  ``--nf`` also
+runs a Fig. 7 app (``katran``, ``rakelimit``, ``polycube``,
+``sketches``): its fused IR chain on every core, each core with a
+private kfunc registry seeded from ``--seed``; ``--mode`` is the
+library NFs' knob and a usage error with an app.  A seed-driven
 :class:`~repro.faults.FaultPlan` injects faults: ``--rate`` splits an
 aggregate packet/helper/map fault rate across the recoverable kinds,
 and ``--crash-core``/``--wedge-core`` kill or stall a core mid-run for
@@ -32,7 +36,9 @@ sojourn latency and queue-overflow drops; ``--slo-p99`` checks the
 tail against a target.  ``--autoscale`` runs the full SLO control loop
 instead of the fixed fleet (``--cores`` provisioned, ``--initial-cores``
 active; fault-aware re-pack, rejoin with cold-sketch warm-up, p99
-autoscaler).  ``--json`` emits the report the text is rendered from.
+autoscaler); it steers through its own indirection table, so
+``--policy``, ``--numa-nodes`` and ``--repack`` are usage errors there.
+``--json`` emits the report the text is rendered from.
 
 Exit codes:
 
@@ -50,6 +56,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..apps.ir import IR_APP_NAMES, app_nf_factory
 from ..ebpf.cost_model import ExecMode, NumaTopology
 from ..ebpf.runtime import BpfRuntime
 from ..faults import FaultPlan, WedgeDetection
@@ -106,9 +113,12 @@ def replay(args, plan: Optional[FaultPlan] = None):
     :class:`~repro.net.multicore.MulticoreResult` or
     :class:`~repro.net.slo.SloRun`.
     """
-    builder = NF_BUILDERS[args.nf]
-    mode = ExecMode(args.mode)
-    factory = lambda core: builder(BpfRuntime(mode=mode, seed=core))
+    if args.nf in IR_APP_NAMES:
+        factory = app_nf_factory(args.nf, registry_seed=args.seed)
+    else:
+        builder = NF_BUILDERS[args.nf]
+        mode = ExecMode(args.mode)
+        factory = lambda core: builder(BpfRuntime(mode=mode, seed=core))
     detection = None
     if args.detection_mean is not None:
         detection = WedgeDetection(
@@ -165,6 +175,9 @@ def report(run, args) -> dict:
         "burst": args.burst,
         "accounting": run.accounting(),
         "accounted": run.is_fully_accounted,
+        "injected": dict(run.injected),
+        "total_injected": sum(run.injected.values()),
+        "errors": dict(run.errors),
         "failures": [f.describe() for f in run.failures],
         "latency": run.latency_summary(),
         "overflow": run.overflow_drops,
@@ -185,9 +198,6 @@ def report(run, args) -> dict:
     out.update(
         policy=args.policy,
         numa_nodes=args.numa_nodes,
-        injected=dict(run.injected),
-        total_injected=sum(run.injected.values()),
-        errors=dict(run.errors),
         actions=dict(run.actions),
         total_cycles=run.total_cycles,
         numa_cycles=run.total_numa_cycles,
@@ -211,9 +221,9 @@ def render(rep: dict) -> str:
     acc = rep["accounting"]
     lat = rep["latency"]
     slo = rep.get("slo")
-    tags = (
-        f"nf={rep['nf']}, mode={rep['mode']}, rate={rep['rate']}, "
-        f"seed={rep['seed']}"
+    tags = ", ".join(
+        f"{key}={rep[key]}" for key in ("nf", "mode", "rate", "seed")
+        if rep[key] is not None
     )
     if rep.get("autoscale"):
         lines = [
@@ -343,8 +353,9 @@ def _rate(value: str) -> float:
 
 
 def _check_args(parser: argparse.ArgumentParser, args) -> FaultPlan:
-    """Reject inconsistent flag combinations as usage errors (exit 2);
-    returns the run's fault plan, checked against ``--cores``."""
+    """Reject inconsistent or ignored flag combinations as usage errors
+    (exit 2) and fill in the defaults the run kind reads; returns the
+    run's fault plan, checked against ``--cores``."""
     if args.slo_p99 is not None and args.burst is None:
         parser.error("--slo-p99 needs --burst (latency requires the "
                      "queueing model)")
@@ -359,8 +370,32 @@ def _check_args(parser: argparse.ArgumentParser, args) -> FaultPlan:
         )
     if args.expect_recovery and not args.autoscale:
         parser.error("--expect-recovery needs --autoscale")
-    if args.expect_faults and args.autoscale:
-        parser.error("--expect-faults needs the fixed fleet (no --autoscale)")
+    if args.autoscale:
+        ignored = [
+            flag for flag, given in (
+                ("--policy", args.policy is not None),
+                ("--numa-nodes", args.numa_nodes is not None),
+                ("--repack", args.repack),
+            ) if given
+        ]
+        if ignored:
+            parser.error(
+                f"{', '.join(ignored)}: not read under --autoscale (the "
+                "SLO loop steers through its own indirection table, "
+                "re-packs on every failure and models no NUMA layout)"
+            )
+    else:
+        args.policy = args.policy or "rss"
+        args.numa_nodes = args.numa_nodes or 1
+        if args.repack and args.policy != "ntuple":
+            parser.error(f"--repack: --policy {args.policy} has no table "
+                         "to re-pack (only ntuple does)")
+    if args.nf in IR_APP_NAMES:
+        if args.mode is not None:
+            parser.error(f"--mode: the {args.nf} IR chain does not read "
+                         "an execution mode")
+    else:
+        args.mode = args.mode or ExecMode.ENETSTL.value
     try:
         if args.burst is not None:
             ArrivalProcess.from_spec(args.burst, seed=args.seed)
@@ -390,22 +425,26 @@ def parse_args(argv: Optional[List[str]] = None):
         help="CSV trace to replay (see repro.net.trace; default: "
         "synthetic traffic)",
     )
-    parser.add_argument("--nf", choices=sorted(NF_BUILDERS), default="countmin")
     parser.add_argument(
-        "--mode",
-        choices=[m.value for m in ExecMode],
-        default=ExecMode.ENETSTL.value,
+        "--nf", choices=sorted(NF_BUILDERS) + list(IR_APP_NAMES),
+        default="countmin",
+        help="NF on every core; katran, rakelimit, polycube and sketches "
+        "run a Fig. 7 app's fused IR chain (default countmin)",
+    )
+    parser.add_argument(
+        "--mode", choices=[m.value for m in ExecMode], default=None,
+        help="execution mode of the library NFs (default enetstl)",
     )
     parser.add_argument("--cores", type=positive_int, default=8)
     parser.add_argument(
-        "--policy", choices=sorted(POLICIES), default="rss",
+        "--policy", choices=sorted(POLICIES), default=None,
         help="steering policy (default: plain RSS)",
     )
     parser.add_argument(
         "--batch-size", type=positive_int, default=DEFAULT_BATCH_SIZE
     )
     parser.add_argument(
-        "--numa-nodes", type=positive_int, default=1,
+        "--numa-nodes", type=positive_int, default=None,
         help="NUMA nodes to spread the cores over (default 1: no penalty)",
     )
     parser.add_argument(
@@ -458,9 +497,9 @@ def parse_args(argv: Optional[List[str]] = None):
     )
     parser.add_argument(
         "--repack", action="store_true",
-        help="let a table-owning steering policy re-pack placement "
-        "over the survivors after a watchdog event (needs --policy "
-        "ntuple to have an effect)",
+        help="let the ntuple steering policy re-pack placement over "
+        "the survivors after a watchdog event (needs --policy ntuple "
+        "and the fixed fleet)",
     )
     parser.add_argument(
         "--burst", default=None, metavar="SPEC",

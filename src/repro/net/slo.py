@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..ebpf.percpu import sum_counts
-from ..faults import FaultPlan, WedgeDetection
+from ..faults import FaultInjector, FaultPlan, WedgeDetection
 from ..nfs.degrade import ColdStartWarmup
 from .fleet import (
     DEFAULT_WATCHDOG_DEADLINE,
@@ -268,6 +268,11 @@ class SloRun(PacketAccounting):
     overflow: int = 0
     latencies_ns: List[int] = field(default_factory=list)
     failures: List[CoreFailure] = field(default_factory=list)
+    #: Injected-fault counts by kind, over every session the run built
+    #: (a reborn core's included).
+    injected: Dict[str, int] = field(default_factory=dict)
+    #: Per-kind error counters, summed the same way.
+    errors: Dict[str, int] = field(default_factory=dict)
 
     @property
     def overflow_drops(self) -> int:
@@ -416,15 +421,18 @@ class SloController:
             max_backoff_epochs=self.config.max_backoff_epochs,
         )
 
-    def _build_session(self, core: int) -> ReplaySession:
-        nf = self.nf_factory(core)
-        injector = (
-            self.faults.injector(core) if self.faults is not None else None
-        )
-        return ReplaySession(XdpPipeline(nf, faults=injector))
-
     def run(self, trace: Iterable[Packet]) -> SloRun:
         conf = self.config
+        injectors: List[FaultInjector] = []
+
+        def build_session(core: int) -> ReplaySession:
+            nf = self.nf_factory(core)
+            injector = None
+            if self.faults is not None:
+                injector = self.faults.injector(core)
+                injectors.append(injector)
+            return ReplaySession(XdpPipeline(nf, faults=injector))
+
         n = self.max_cores
         parked = set(range(self.initial_cores, n))
         #: A core joins cold (its warmup restarts) unless it joined
@@ -450,7 +458,7 @@ class SloController:
 
         self.table.assign(range(self.initial_cores))
         fleet = Fleet(
-            [self._build_session(core) for core in range(n)],
+            [build_session(core) for core in range(n)],
             self.table,
             faults=self.faults,
             detection=self.detection,
@@ -506,7 +514,7 @@ class SloController:
             for core in sorted(rejoin_at):
                 if rejoin_at[core] <= epoch:
                     del rejoin_at[core]
-                    fleet.retire(core, self._build_session(core))
+                    fleet.retire(core, build_session(core))
                     cold[core] = True
                     parked.add(core)
             if not conf.autoscale:
@@ -556,4 +564,6 @@ class SloController:
             overflow=fleet.overflow_drops,
             latencies_ns=fleet.latencies,
             failures=fleet.failures,
+            injected=sum_counts([i.injected for i in injectors]),
+            errors=sum_counts([r.errors for r in results]),
         )

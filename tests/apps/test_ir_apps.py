@@ -24,11 +24,11 @@ from repro.apps.ir import (
     app_nf,
     app_nf_factory,
     ir_registry,
-    verify_app_chains,
 )
 from repro.datastructs.cuckoo import BlockedCuckooTable
 from repro.ebpf.progs import runnable_registry
 from repro.ebpf.runtime import BpfRuntime
+from repro.ebpf.verifier import Verifier
 from repro.faults import FaultPlan
 from repro.net.irnf import IrChainNf
 from repro.net.flowgen import FlowGenerator
@@ -81,7 +81,12 @@ def _witness(nf):
 
 
 def test_all_stages_verify_strict():
-    states = verify_app_chains(strict=True)  # raises on any rejection
+    verifier = Verifier(ir_registry(0))
+    states = {
+        prog.name: verifier.verify(prog).states_explored  # raises on reject
+        for app in IR_APP_NAMES
+        for prog in app_chain(app)
+    }
     assert len(states) == 8
     assert all(n > 0 for n in states.values())
 

@@ -16,7 +16,6 @@ import json
 
 import pytest
 
-from repro.apps.__main__ import main as apps_main
 from repro.apps.ir import (
     IR_APP_NAMES,
     _prog,
@@ -47,7 +46,7 @@ from repro.ebpf.insn import (
 from repro.ebpf.progs import bundled_chains, get_case, runnable_registry
 from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier
-from repro.ebpf.verify import main as verify_main
+from repro.ebpf.verify import _parity_trace, main as verify_main
 from repro.net.flowgen import FlowGenerator
 from repro.net.irnf import IrChainNf
 from repro.net.packet import MIN_FRAME_BYTES
@@ -406,14 +405,36 @@ def test_verify_chains_reports_hoisted_calls(capsys):
 
 
 def test_apps_verify_prints_fused_stats(capsys):
-    assert apps_main(["--verify", "--json"]) == 0
-    fused = json.loads(capsys.readouterr().out)["fused"]
-    assert set(fused) == set(IR_APP_NAMES)
+    """``verify --chains`` reports the Fig. 7 app chains under their own
+    key: each stage's explored states, the fuse counters and parity on
+    the shared parity trace."""
+    assert verify_main(["--chains", "--json", "--strict"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    apps = {entry["app"]: entry for entry in report["apps"]}
+    assert list(apps) == list(IR_APP_NAMES)
+    assert report["summary"]["apps_parity_ok"] == len(IR_APP_NAMES)
     for app, expected in EXPECTED_HOISTED.items():
-        assert fused[app]["hoisted_calls"] == expected
-    assert all(f["inlined_kfuncs"] >= 1 for f in fused.values())
-    assert all(f["forwarded_loads"] >= 4 for f in fused.values())
-    assert apps_main(["--verify"]) == 0
-    out = capsys.readouterr().out
-    assert "rakelimit: fused (1 kfuncs inlined, 5 header loads forwarded, " \
-        "4 hashes hoisted)" in out
+        entry = apps[app]
+        assert entry["parity"] is True, app
+        assert entry["hoisted_calls"] == expected
+        assert entry["chain"] == [p.name for p in app_chain(app)]
+        assert list(entry["states_explored"]) == entry["chain"]
+        assert all(n > 0 for n in entry["states_explored"].values())
+    assert all(a["inlined_kfuncs"] >= 1 for a in apps.values())
+    assert all(a["forwarded_loads"] >= 4 for a in apps.values())
+    # The heavy hitters of the parity trace cross the drop thresholds.
+    for app in ("rakelimit", "sketches"):
+        assert apps[app]["interp"]["actions"]["XDP_DROP"] > 0, app
+    assert verify_main(["--chains"]) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("APP     rakelimit: rake_parse (")]
+    assert " states) -> rake_limit (" in line
+    assert "1 kfuncs inlined, 5 header loads forwarded, 4 hashes " \
+        "hoisted" in line
+
+
+def test_parity_trace_repeats_flows():
+    """Every program and chain replays one trace whose flows repeat, so
+    a stateful kfunc (Katran's connection table) replays hits."""
+    trace = _parity_trace()
+    assert len({p.five_tuple for p in trace}) < len(trace) // 4

@@ -195,9 +195,13 @@ def test_cli_asm_file(tmp_path, capsys):
     assert verify_main(["--asm", str(junk)]) == 2     # parse error
     capsys.readouterr()
 
-    # --bench compiles an accepted --asm program too.
+    # --bench compiles an accepted --asm program too; the JSON is the
+    # report every run prints, with the one program in it.
     assert verify_main(["--asm", str(good), "--bench", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["compiled"]["parity"] is True
+    report = json.loads(capsys.readouterr().out)
+    (prog,) = report["programs"]
+    assert prog["compiled"]["parity"] is True
+    assert report["unexpected"] == []
 
 
 @pytest.mark.parametrize("argv, message", [

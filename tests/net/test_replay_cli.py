@@ -1,9 +1,9 @@
 """Tests for the data-plane replay CLI (python -m repro.net.replay).
 
 Trace, steering, NUMA and latency flags, the plumbing from flags to the
-dispatcher and controller, and fault flags combined with them.  The
-fault-injection flags on their own are covered in
-``tests/faults/test_chaos_cli.py``.
+dispatcher and controller, flags a run would ignore, and fault flags
+combined with them.  The fault-injection flags
+on their own are covered in ``tests/faults/test_chaos_cli.py``.
 """
 
 import json
@@ -264,12 +264,59 @@ class TestFaultFlagCombinations:
         assert "accounting: OK" in captured.out
         assert captured.err == "error: expected injected faults, saw none\n"
 
-    def test_expect_faults_under_autoscale_exits_two(self, trace_csv, capsys):
-        argv = [trace_csv, "--burst", "1e6", "--slo-p99", "60",
-                "--autoscale", "--expect-faults"]
+    def test_expect_faults_under_autoscale(self, capsys):
+        """The SLO run reports the fault ledger of every session it
+        built, so ``--expect-faults`` holds under ``--autoscale``."""
+        argv = ["--packets", "3000", "--cores", "4", "--burst", "6e6",
+                "--slo-p99", "80", "--autoscale", "--rate", "0.05",
+                "--expect-faults", "--json"]
+        assert main(argv) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["autoscale"] is True and rep["accounted"] is True
+        assert rep["total_injected"] == sum(rep["injected"].values()) > 0
+        assert sum(rep["errors"].values()) == rep["accounting"]["aborted"] > 0
+
+    def test_expect_faults_under_autoscale_at_zero_rate_exits_one(
+        self, capsys
+    ):
+        argv = ["--packets", "3000", "--cores", "4", "--burst", "6e6",
+                "--slo-p99", "80", "--autoscale", "--rate", "0",
+                "--expect-faults"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "accounting: OK" in captured.out
+        assert captured.err == "error: expected injected faults, saw none\n"
+
+
+class TestIgnoredFlags:
+    """A flag the run would not read is a usage error, not a silent
+    no-op."""
+
+    AUTOSCALE = ["--packets", "500", "--burst", "6e6", "--slo-p99", "80",
+                 "--autoscale"]
+
+    @pytest.mark.parametrize("flag", [
+        ["--policy", "ntuple"],
+        ["--policy", "rss"],
+        ["--numa-nodes", "2"],
+        ["--numa-nodes", "1"],
+        ["--repack"],
+    ])
+    def test_fixed_fleet_flag_under_autoscale_exits_two(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(self.AUTOSCALE + flag)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--expect-faults needs the fixed fleet" in err
+        assert f"{flag[0]}: not read under --autoscale" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("policy", [[], ["--policy", "rss"],
+                                        ["--policy", "rekey"]])
+    def test_repack_without_a_table_policy_exits_two(self, policy, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--packets", "500", "--crash-core", "1", "--repack"]
+                 + policy)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "has no table to re-pack (only ntuple does)" in err
         assert "Traceback" not in err
