@@ -22,8 +22,9 @@ from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.runtime import BpfRuntime
 from repro.faults import FaultPlan, WedgeDetection
 from repro.net.flowgen import FlowGenerator
+from repro.net.multicore import RssDispatcher
 from repro.net.queueing import ArrivalProcess, QueueingConfig
-from repro.net.slo import SloConfig, SloController
+from repro.net.slo import SloConfig
 from repro.nfs import CountMinNF
 from repro.nfs.degrade import ColdStartWarmup
 
@@ -44,22 +45,22 @@ def make_trace():
 
 
 def run(trace, autoscale: bool, rejoin_epochs: int):
-    controller = SloController(
+    dispatcher = RssDispatcher(
         factory,
-        max_cores=4,
-        initial_cores=2,
+        n_cores=4,
         queueing=QueueingConfig(),
-        config=SloConfig(
+        faults=FaultPlan(crash_core=1, crash_at=1500),
+        detection=WedgeDetection(seed=2),
+        slo=SloConfig(
             target_p99_us=TARGET_P99_US,
             epoch_packets=512,
             autoscale=autoscale,
             rejoin_epochs=rejoin_epochs,
+            initial_cores=2,
+            warmup=ColdStartWarmup(),
         ),
-        faults=FaultPlan(crash_core=1, crash_at=1500),
-        detection=WedgeDetection(seed=2),
-        warmup=ColdStartWarmup(),
     )
-    return controller.run(trace)
+    return dispatcher.run(trace)
 
 
 def show_timeline(run_result) -> None:

@@ -117,6 +117,8 @@ def _verify_one(
 _PARITY_PACKETS = 256
 _PARITY_FLOWS = 256
 _PARITY_SEED = 20260809
+#: Every this-many-th packet answers the packet before it.
+_PARITY_REPLY_EVERY = 16
 
 
 @functools.lru_cache(maxsize=1)
@@ -126,7 +128,10 @@ def _parity_trace() -> Tuple[Any, ...]:
     Zipf(2) flows repeat (the 256 packets carry 25 distinct flows), so
     stateful kfuncs replay hits as well as misses — Katran's connection
     table — and the heavy hitters cross RakeLimit's and the sketch
-    suite's drop thresholds.  Sizes and timestamps are drawn per packet.
+    suite's drop thresholds.  Every sixteenth packet is a reply to the
+    one before it (src/dst address and port swapped), so Polycube's
+    bridge finds the MAC it learned there and redirects.  Sizes and
+    timestamps are drawn per packet.
     """
     from ..net.flowgen import FlowGenerator
 
@@ -134,12 +139,20 @@ def _parity_trace() -> Tuple[Any, ...]:
     flows = FlowGenerator(
         n_flows=_PARITY_FLOWS, distribution="zipf", zipf_s=2.0, seed=14
     ).iter_trace(_PARITY_PACKETS)
-    return tuple(
+    trace = [
         dataclasses.replace(
             p, size=rng.randint(64, 1500), timestamp_ns=rng.getrandbits(40)
         )
         for p in flows
-    )
+    ]
+    for i in range(_PARITY_REPLY_EVERY - 1, len(trace), _PARITY_REPLY_EVERY):
+        asked = trace[i - 1]
+        trace[i] = dataclasses.replace(
+            trace[i], proto=asked.proto,
+            src_ip=asked.dst_ip, dst_ip=asked.src_ip,
+            src_port=asked.dst_port, dst_port=asked.src_port,
+        )
+    return tuple(trace)
 
 
 def _chain_report(

@@ -277,8 +277,8 @@ class FaultPlan:
         """Reject core-level faults naming cores the fleet doesn't have.
 
         The plan itself doesn't know the fleet size, so this runs where
-        the two meet (:class:`~repro.net.multicore.RssDispatcher` and
-        the SLO controller call it at attach time) — a crash scheduled
+        the two meet (:class:`~repro.net.multicore.RssDispatcher` calls
+        it at attach time) — a crash scheduled
         on core 9 of an 8-core fleet would otherwise silently never
         fire.
         """

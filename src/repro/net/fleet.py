@@ -1,12 +1,13 @@
 """The fleet engine under :class:`~repro.net.multicore.RssDispatcher`
-and :class:`~repro.net.slo.SloController` (docs/MULTICORE.md).
+(docs/MULTICORE.md).
 
 One :class:`Fleet` owns the per-core sessions and the watchdog; two
 arrival loops drive it.  :meth:`Fleet.run_buffered` (``queueing=None``,
 also the healthy fleet) counts a wedged core's loss per flushed batch,
 :meth:`Fleet.run_timed` (a :class:`~repro.net.queueing.QueueingConfig`)
 per arrival.  That is why they stay two loops: merging them would move
-when the watchdog fires.
+when the watchdog fires.  The SLO loop (:mod:`repro.net.slo`) is an
+epoch hook on the timed loop that parks, joins and retires cores.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import (
 
 from ..core.algorithms.hashing import fast_hash32
 from ..ebpf.cost_model import CPU_HZ
+from ..ebpf.percpu import sum_counts
 from ..faults import FaultPlan, WedgeDetection
 from .packet import Packet
 from .queueing import CoreQueue, QueueingConfig
@@ -74,55 +76,35 @@ class CoreFailure:
         }
 
 
-class PacketAccounting:
-    """The packet-accounting invariant, stated once for every result.
-
-    A result supplies ``packets_in``, ``duplicated``, ``forwarded``,
-    ``nf_dropped``, ``aborted``, ``lost`` and ``overflow_drops``; every
-    offered packet must end in exactly one bucket.
-    """
-
-    @property
-    def dropped(self) -> int:
-        """NF drop verdicts, watchdog losses, and RX-ring overflow."""
-        return self.nf_dropped + self.lost + self.overflow_drops
-
-    @property
-    def is_fully_accounted(self) -> bool:
-        """``packets_in + duplicated == forwarded + dropped + aborted``."""
-        return (
-            self.packets_in + self.duplicated
-            == self.forwarded + self.dropped + self.aborted
-        )
-
-    def accounting(self) -> Dict[str, int]:
-        """The accounting ledger as a plain dict (chaos report / bench)."""
-        return {
-            "packets_in": self.packets_in,
-            "duplicated": self.duplicated,
-            "forwarded": self.forwarded,
-            "dropped": self.dropped,
-            "aborted": self.aborted,
-            "lost": self.lost,
-            "overflow": self.overflow_drops,
-        }
+def _merge(results: List[PipelineResult]) -> PipelineResult:
+    """One core's sessions as one result (a reborn core ran several)."""
+    if len(results) == 1:
+        return results[0]
+    return PipelineResult(
+        n_packets=sum(r.n_packets for r in results),
+        total_cycles=sum(r.total_cycles for r in results),
+        actions=sum_counts([r.actions for r in results]),
+        by_category=sum_counts([r.by_category for r in results]),
+        latencies_ns=[ns for r in results for ns in r.latencies_ns],
+        errors=sum_counts([r.errors for r in results]),
+        duplicated=sum(r.duplicated for r in results),
+    )
 
 
 class Fleet:
     """Per-core replay sessions under one watchdog.
 
-    The first ``n_serving`` cores take traffic at the start (default:
-    all); the others are parked.  A crash point of ``faults`` kills its
-    core once the core was fed that many packets, seen at once; a
-    wedge point stops it consuming, and it is declared dead once its
-    lost pile reaches its deadline (from ``detection``, else
-    ``watchdog_deadline``).  A dead core's traffic re-steers through
-    ``policy.repack`` when ``repack_on_failure`` is set and the policy
-    owns a table, else through the flow-affine failover hash.
-    ``on_failure`` sees each :class:`CoreFailure` record as it is made.
-
-    ``numa_penalty`` (cycles per packet, per core) and ``warmup`` add
-    service time on the timed loop without touching NF cycle totals.
+    A crash point of ``faults`` kills its core once the core was fed
+    that many packets, seen at once; a wedge point stops it consuming,
+    and it is declared dead once its lost pile reaches its deadline
+    (from ``detection``, else ``watchdog_deadline``).  A dead core's
+    traffic re-steers through ``policy.repack`` when
+    ``repack_on_failure`` is set and the policy owns a table, else
+    through the flow-affine failover hash.  ``numa_penalty`` (cycles
+    per packet, per core) adds service time on the timed loop without
+    touching NF cycle totals.  The SLO loop
+    (:class:`~repro.net.slo.SloLoop`) also sets ``serving``, a
+    cold-start ``warmup`` and ``on_failure`` before a run.
     """
 
     def __init__(
@@ -133,21 +115,16 @@ class Fleet:
         detection: Optional[WedgeDetection] = None,
         watchdog_deadline: int = DEFAULT_WATCHDOG_DEADLINE,
         repack_on_failure: bool = False,
-        n_serving: Optional[int] = None,
         numa_penalty: Optional[Sequence[int]] = None,
-        warmup: Optional["ColdStartWarmup"] = None,
-        on_failure: Optional[Callable[[CoreFailure], None]] = None,
     ) -> None:
         n = len(sessions)
         self.sessions = sessions
         self.policy = policy
         self.repack_on_failure = repack_on_failure
-        self.on_failure = on_failure
-        self.warmup = warmup
+        self.on_failure: Optional[Callable[[CoreFailure], None]] = None
+        self.warmup: Optional["ColdStartWarmup"] = None
         self.numa_penalty = list(numa_penalty or [0] * n)
-        self.serving = [
-            n_serving is None or core < n_serving for core in range(n)
-        ]
+        self.serving = [True] * n
         self.deadlines = [
             detection.deadline_for(core) if detection is not None
             else watchdog_deadline
@@ -172,9 +149,10 @@ class Fleet:
         #: RX rings of the timed loop (empty on the buffered loop).
         self.queues: List[CoreQueue] = []
         self.latencies: List[int] = []
-        #: Results and ring overflow of sessions torn down by :meth:`retire`.
-        self.retired: List[PipelineResult] = []
-        self.overflow_retired = 0
+        #: Per core: results and ring overflow of the sessions
+        #: :meth:`retire` tore down.
+        self.retired: List[List[PipelineResult]] = [[] for _ in range(n)]
+        self.overflow_retired = [0] * n
         #: Arrival clock of the timed loop.
         self.now = 0
 
@@ -232,10 +210,10 @@ class Fleet:
 
     def retire(self, core: int, session: ReplaySession) -> None:
         """Replace a dead core's session and ring: its per-CPU state is lost."""
-        self.retired.append(self.sessions[core].finish())
+        self.retired[core].append(self.sessions[core].finish())
         self.sessions[core] = session
         ring = self.queues[core]
-        self.overflow_retired += ring.overflowed
+        self.overflow_retired[core] += ring.overflowed
         self.queues[core] = CoreQueue(ring.cfg, ring.batch_size)
 
     # -- the watchdog ----------------------------------------------------
@@ -290,12 +268,25 @@ class Fleet:
     # -- the tally -------------------------------------------------------
 
     def finish(self) -> List[PipelineResult]:
-        """Close every live session; per-core results in core order."""
-        return [session.finish() for session in self.sessions]
+        """Close every live session; per-core results in core order,
+        each folding in the sessions :meth:`retire` tore down there."""
+        return [
+            _merge(retired + [session.finish()])
+            for retired, session in zip(self.retired, self.sessions)
+        ]
+
+    @property
+    def overflow(self) -> List[int]:
+        """Per-core RX-ring overflow, retired rings included (empty on
+        the buffered loop, which has no rings)."""
+        return [
+            old + q.overflowed
+            for old, q in zip(self.overflow_retired, self.queues)
+        ]
 
     @property
     def overflow_drops(self) -> int:
-        return self.overflow_retired + sum(q.overflowed for q in self.queues)
+        return sum(self.overflow)
 
     # -- the arrival loops -----------------------------------------------
 

@@ -62,8 +62,11 @@ And the PR 3 resilience layer:
   Either way the victim's traffic is re-steered onto surviving cores
   by a deterministic flow-affine failover hash, and the recovery is
   reported as :class:`CoreFailure` records on the result.  The
-  watchdog lives in :class:`repro.net.fleet.Fleet`, the engine this
-  dispatcher and :class:`repro.net.slo.SloController` share.
+  watchdog lives in :class:`repro.net.fleet.Fleet`, the engine under
+  this dispatcher.
+- **SLO loop** (:mod:`repro.net.slo`): ``slo=SloConfig(...)`` adds
+  an epoch hook to the timed loop that re-packs, rejoins and
+  autoscales cores; the result then carries the epoch timeline.
 - **Full accounting**: every packet offered to the fleet ends in
   exactly one bucket — forwarded, dropped (NF verdicts + watchdog
   losses), or aborted — checked by
@@ -74,7 +77,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Union,
+)
 
 from ..core.algorithms.hashing import fast_hash32
 from ..datastructs.bloom import BloomFilter
@@ -87,11 +92,16 @@ from .fleet import (
     AllCoresDeadError,
     CoreFailure,
     Fleet,
-    PacketAccounting,
 )
 from .packet import Packet, XdpAction
 from .queueing import QueueingConfig, latency_summary_us
-from .steering import RSS_HASH_SEED, RssSteering, SteeringPolicy, make_policy
+from .steering import (
+    RSS_HASH_SEED,
+    IndirectionTable,
+    RssSteering,
+    SteeringPolicy,
+    make_policy,
+)
 from .xdp import (
     DEFAULT_BATCH_SIZE,
     FORWARD_ACTIONS,
@@ -100,6 +110,11 @@ from .xdp import (
     ReplaySession,
     XdpPipeline,
 )
+
+if TYPE_CHECKING:
+    # repro.net.slo builds on this module; it is imported where used.
+    from .slo import EpochStats, SloConfig
+
 
 def shard_trace(
     trace: Sequence[Packet], n_cores: int, hash_seed: int = RSS_HASH_SEED
@@ -115,7 +130,7 @@ def shard_trace(
 
 
 @dataclass
-class MulticoreResult(PacketAccounting):
+class MulticoreResult:
     """System-level aggregate of one multi-queue replay.
 
     ``numa_cycles`` (when a :class:`NumaTopology` was in play) holds
@@ -123,6 +138,11 @@ class MulticoreResult(PacketAccounting):
     from the NF cycle accounting so ``total_cycles`` stays bit-identical
     to a single-node run; wall-clock-derived metrics (aggregate PPS,
     imbalance, lossless capture) include the penalty.
+
+    Under the SLO loop a core may run several sessions (a failed core
+    rejoins with a fresh NF); its ``per_core`` entry folds them all in,
+    so every ledger — actions, ``duplicated``, ``errors``, ``injected``
+    and ring ``overflow`` — counts every session the run built.
     """
 
     per_core: List[PipelineResult]
@@ -142,6 +162,10 @@ class MulticoreResult(PacketAccounting):
     latencies_ns: List[int] = field(default_factory=list)
     #: Per-core queue-overflow drops (RX ring full; queueing only).
     overflow: List[int] = field(default_factory=list)
+    #: SLO control epochs in order (empty: no SLO loop).
+    timeline: List["EpochStats"] = field(default_factory=list)
+    #: The SLO loop's p99 sojourn target in µs (None: no SLO loop).
+    target_p99_us: Optional[float] = None
 
     @property
     def n_cores(self) -> int:
@@ -152,6 +176,33 @@ class MulticoreResult(PacketAccounting):
         return sum(r.n_packets for r in self.per_core)
 
     # -- resilience accounting ------------------------------------------
+    #
+    # The packet invariant: every offered packet ends in exactly one
+    # bucket, ``packets_in + duplicated == forwarded + dropped + aborted``.
+
+    @property
+    def dropped(self) -> int:
+        """NF drop verdicts, watchdog losses, and RX-ring overflow."""
+        return self.nf_dropped + self.lost + self.overflow_drops
+
+    @property
+    def is_fully_accounted(self) -> bool:
+        return (
+            self.packets_in + self.duplicated
+            == self.forwarded + self.dropped + self.aborted
+        )
+
+    def accounting(self) -> Dict[str, int]:
+        """The accounting ledger as a plain dict (chaos report / bench)."""
+        return {
+            "packets_in": self.packets_in,
+            "duplicated": self.duplicated,
+            "forwarded": self.forwarded,
+            "dropped": self.dropped,
+            "aborted": self.aborted,
+            "lost": self.lost,
+            "overflow": self.overflow_drops,
+        }
 
     @property
     def forwarded(self) -> int:
@@ -213,6 +264,25 @@ class MulticoreResult(PacketAccounting):
     def latency_summary(self) -> Dict[str, float]:
         """The p50/p95/p99 block (see :func:`latency_summary_us`)."""
         return latency_summary_us(self.latencies_ns)
+
+    # -- the SLO loop ---------------------------------------------------
+
+    @property
+    def worst_p99_us(self) -> float:
+        return max((e.p99_us for e in self.timeline), default=0.0)
+
+    def violating_epochs(self) -> List[int]:
+        """Epoch indices whose p99 breached the SLO target."""
+        return [
+            e.epoch for e in self.timeline
+            if not e.meets(self.target_p99_us)
+        ]
+
+    def recovery_s(self, settle_epochs: int = 2) -> Optional[float]:
+        """Time-to-SLO: see :func:`repro.net.slo.time_to_slo_s`."""
+        from .slo import time_to_slo_s
+
+        return time_to_slo_s(self.timeline, self.target_p99_us, settle_epochs)
 
     @property
     def total_cycles(self) -> int:
@@ -344,8 +414,9 @@ class RssDispatcher:
     ``steering`` selects the queue-placement policy: a policy name
     (``"rss"``/``"rekey"``/``"ntuple"``), a ready
     :class:`~repro.net.steering.SteeringPolicy` instance, or ``None``
-    for plain RSS.  ``numa`` attaches a
-    :class:`NumaTopology` whose cross-node packet penalties are folded
+    for plain RSS (under ``slo``: an
+    :class:`~repro.net.steering.IndirectionTable`).  ``numa`` attaches
+    a :class:`NumaTopology` whose cross-node packet penalties are folded
     into the result's wall-clock metrics.
 
     ``faults`` attaches a :class:`~repro.faults.FaultPlan`: each core's
@@ -370,6 +441,14 @@ class RssDispatcher:
     drops.  ``queueing=None`` runs the buffered loop of
     :class:`~repro.net.fleet.Fleet`, a ``QueueingConfig`` its timed
     loop; cycle totals and fault schedules are identical between them.
+
+    ``slo`` (a :class:`~repro.net.slo.SloConfig`, needs ``queueing``)
+    runs the SLO control loop as an epoch hook on the timed loop:
+    ``slo.initial_cores`` serve at the start and the rest are parked
+    headroom, failures always re-pack, a failed core rejoins with a
+    fresh NF from ``nf_factory`` (its per-CPU state is lost), and the
+    autoscaler moves cores between the serving set and the parked pool.
+    The result then carries the epoch timeline.
     """
 
     def __init__(
@@ -383,6 +462,7 @@ class RssDispatcher:
         queueing: Optional[QueueingConfig] = None,
         detection: Optional[WedgeDetection] = None,
         repack_on_failure: bool = False,
+        slo: Optional["SloConfig"] = None,
     ) -> None:
         if n_cores <= 0:
             raise ValueError("n_cores must be positive")
@@ -390,9 +470,21 @@ class RssDispatcher:
             raise ValueError("watchdog_deadline must be positive")
         if faults is not None:
             faults.validate_for_cores(n_cores)
+        if slo is not None:
+            if queueing is None:
+                raise ValueError("slo needs queueing: the SLO loop targets "
+                                 "the sojourn latency it measures")
+            if max(slo.min_cores, slo.initial_cores or 0) > n_cores:
+                raise ValueError(
+                    f"slo.min_cores={slo.min_cores} or slo.initial_cores="
+                    f"{slo.initial_cores} exceeds n_cores={n_cores}"
+                )
         self.n_cores = n_cores
         if steering is None:
-            steering = RssSteering(n_cores)
+            steering = (
+                RssSteering(n_cores) if slo is None
+                else IndirectionTable(n_cores)
+            )
         elif isinstance(steering, str):
             steering = make_policy(steering, n_cores)
         if steering.n_cores != n_cores:
@@ -407,8 +499,14 @@ class RssDispatcher:
         self.queueing = queueing
         self.detection = detection
         self.repack_on_failure = repack_on_failure
-        self.nfs: List[NetworkFunction] = [
-            nf_factory(core) for core in range(n_cores)
+        self.slo = slo
+        self.nf_factory = nf_factory
+        self.pipelines: List[XdpPipeline] = [
+            self._provision(core) for core in range(n_cores)
+        ]
+        self.nfs: List[NetworkFunction] = [p.nf for p in self.pipelines]
+        self.injectors: List[Optional[FaultInjector]] = [
+            p.faults for p in self.pipelines
         ]
         runtimes = {id(nf.rt) for nf in self.nfs}
         if len(runtimes) != n_cores:
@@ -416,14 +514,13 @@ class RssDispatcher:
                 "nf_factory must build one private BpfRuntime per core "
                 "(per-CPU eBPF state is never shared across cores)"
             )
-        self.injectors: List[Optional[FaultInjector]] = [
-            faults.injector(core) if faults is not None else None
-            for core in range(n_cores)
-        ]
-        self.pipelines: List[XdpPipeline] = [
-            XdpPipeline(nf, faults=injector)
-            for nf, injector in zip(self.nfs, self.injectors)
-        ]
+
+    def _provision(self, core: int) -> XdpPipeline:
+        """``core``'s pipeline: a fresh NF from the factory and, under
+        a fault plan, the core's own injector."""
+        faults = self.faults
+        injector = faults.injector(core) if faults is not None else None
+        return XdpPipeline(self.nf_factory(core), faults=injector)
 
     def queue_of(self, packet: Packet) -> int:
         return self.steering.queue_of(packet)
@@ -443,7 +540,8 @@ class RssDispatcher:
         packet order and batch boundaries match the
         materialize-then-shard path exactly, so cycle accounting is
         unchanged.  With ``queueing`` attached the timed loop of
-        :class:`~repro.net.fleet.Fleet` runs instead.
+        :class:`~repro.net.fleet.Fleet` runs instead, under ``slo``
+        with the SLO loop as its epoch hook.
 
         If the steering policy wants a traffic sample
         (``sample_size > 0``), exactly that many packets are buffered
@@ -457,7 +555,9 @@ class RssDispatcher:
         When the fault plan names a ``crash_core``/``wedge_core``, the
         watchdog engages: the victim's traffic is re-steered onto
         surviving cores after detection, and the result carries
-        :class:`CoreFailure` records plus full packet accounting.
+        :class:`CoreFailure` records plus full packet accounting.  A
+        core the SLO loop rebuilt after a failure counts in its core's
+        result, so the ledger covers every session the run built.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -481,10 +581,30 @@ class RssDispatcher:
             repack_on_failure=self.repack_on_failure,
             numa_penalty=numa_penalty,
         )
+        # Every injector of the run, in build order.
+        injectors = list(self.injectors)
+        timeline: List["EpochStats"] = []
         if self.queueing is None:
             fleet.run_buffered(stream, batch_size)
-        else:
+        elif self.slo is None:
             fleet.run_timed(stream, self.queueing, batch_size)
+        else:
+            from .slo import SloLoop
+
+            def rebuild(core: int) -> ReplaySession:
+                pipeline = self.pipelines[core] = self._provision(core)
+                self.nfs[core] = pipeline.nf
+                self.injectors[core] = pipeline.faults
+                injectors.append(pipeline.faults)
+                return ReplaySession(pipeline)
+
+            loop = SloLoop(fleet, self.slo, rebuild)
+            fleet.run_timed(
+                stream, self.queueing, batch_size,
+                epoch_packets=self.slo.epoch_packets,
+                on_epoch=loop.close_epoch,
+            )
+            timeline = loop.finish()
 
         per_core = fleet.finish()
         numa_cycles: List[int] = []
@@ -493,13 +613,6 @@ class RssDispatcher:
                 penalty * result.n_packets
                 for penalty, result in zip(numa_penalty, per_core)
             ]
-        injected: Dict[str, int] = {}
-        if self.faults is not None:
-            injected = dict(sum_counts([
-                dict(injector.injected)
-                for injector in self.injectors
-                if injector is not None
-            ]))
         return MulticoreResult(
             per_core=per_core,
             actions=sum_counts([r.actions for r in per_core]),
@@ -507,9 +620,17 @@ class RssDispatcher:
             packets_in=fleet.packets_in,
             lost=sum(fleet.lost),
             failures=fleet.failures,
-            injected=injected,
+            injected=sum_counts([
+                dict(injector.injected)
+                for injector in injectors
+                if injector is not None
+            ]),
             latencies_ns=fleet.latencies,
-            overflow=[q.overflowed for q in fleet.queues],
+            overflow=fleet.overflow,
+            timeline=timeline,
+            target_p99_us=(
+                self.slo.target_p99_us if self.slo is not None else None
+            ),
         )
 
 
@@ -633,7 +754,6 @@ __all__ = [
     "DEFAULT_WATCHDOG_DEADLINE",
     "FAILOVER_SEED",
     "MulticoreResult",
-    "PacketAccounting",
     "RSS_HASH_SEED",
     "RssDispatcher",
     "chain_nf_factory",

@@ -35,7 +35,8 @@ existing cycle accounting:
 
 The model is attached to :class:`~repro.net.multicore.RssDispatcher`
 via ``queueing=QueueingConfig(...)`` and drives the fleet's timed loop
-(:meth:`repro.net.fleet.Fleet.run_timed`); when it is ``None`` (the
+(:meth:`repro.net.fleet.Fleet.run_timed`), which the SLO loop
+(``slo=``, :mod:`repro.net.slo`) needs; when it is ``None`` (the
 default) the dispatcher runs the buffered loop, and every cycle total
 and fault schedule is bit-identical to previous releases (the
 determinism contract).  Because cycle accounting is

@@ -33,12 +33,13 @@ throughput.
 ``--burst`` re-times the traffic onto a (bursty) arrival process and
 replays it through the receive-path queueing model, adding p50/p95/p99
 sojourn latency and queue-overflow drops; ``--slo-p99`` checks the
-tail against a target.  ``--autoscale`` runs the full SLO control loop
-instead of the fixed fleet (``--cores`` provisioned, ``--initial-cores``
-active; fault-aware re-pack, rejoin with cold-sketch warm-up, p99
-autoscaler); it steers through its own indirection table, so
-``--policy``, ``--numa-nodes`` and ``--repack`` are usage errors there.
-``--json`` emits the report the text is rendered from.
+tail against a target.  ``--autoscale`` adds the SLO control loop to
+the same fleet (``--cores`` provisioned, ``--initial-cores`` active;
+fault-aware re-pack, rejoin with cold-sketch warm-up, p99 autoscaler)
+and the epoch timeline to the report.  It steers through an
+indirection table unless ``--policy`` names another policy; it always
+re-packs, so ``--repack`` is a usage error there.  ``--json`` emits the
+report the text is rendered from.
 
 Exit codes:
 
@@ -64,8 +65,8 @@ from ..nfs.degrade import ColdStartWarmup
 from .flowgen import DISTRIBUTIONS, FlowGenerator
 from .multicore import DEFAULT_WATCHDOG_DEADLINE, RssDispatcher
 from .queueing import ArrivalProcess, QueueingConfig
-from .slo import SloConfig, SloController
-from .steering import POLICIES
+from .slo import SloConfig
+from .steering import POLICIES, IndirectionTable
 from .trace import iter_trace
 from .xdp import DEFAULT_BATCH_SIZE
 
@@ -107,11 +108,9 @@ NF_BUILDERS = {
 def replay(args, plan: Optional[FaultPlan] = None):
     """Run the traffic ``args`` name through the data plane (CLI core).
 
-    Builds the fixed :class:`RssDispatcher` fleet, or under
-    ``--autoscale`` the :class:`SloController`, with ``plan``'s faults
-    and the wedge-detection model, and returns its
-    :class:`~repro.net.multicore.MulticoreResult` or
-    :class:`~repro.net.slo.SloRun`.
+    Builds the :class:`RssDispatcher` fleet with ``plan``'s faults and
+    the wedge-detection model, under ``--autoscale`` with the SLO loop,
+    and returns its :class:`~repro.net.multicore.MulticoreResult`.
     """
     if args.nf in IR_APP_NAMES:
         factory = app_nf_factory(args.nf, registry_seed=args.seed)
@@ -119,11 +118,6 @@ def replay(args, plan: Optional[FaultPlan] = None):
         builder = NF_BUILDERS[args.nf]
         mode = ExecMode(args.mode)
         factory = lambda core: builder(BpfRuntime(mode=mode, seed=core))
-    detection = None
-    if args.detection_mean is not None:
-        detection = WedgeDetection(
-            mean_packets=args.detection_mean, seed=args.seed
-        )
     if args.trace is not None:
         source = iter_trace(args.trace)
     else:
@@ -133,19 +127,13 @@ def replay(args, plan: Optional[FaultPlan] = None):
     if args.burst is not None:
         arrivals = ArrivalProcess.from_spec(args.burst, seed=args.seed)
         source = arrivals.stamp(source)
+    slo = None
     if args.autoscale:
-        return SloController(
-            factory,
-            max_cores=args.cores,
+        slo = SloConfig(
+            target_p99_us=args.slo_p99,
             initial_cores=args.initial_cores,
-            config=SloConfig(target_p99_us=args.slo_p99),
-            queueing=QueueingConfig(),
-            faults=plan,
-            detection=detection,
             warmup=ColdStartWarmup(),
-            watchdog_deadline=args.watchdog_deadline,
-            batch_size=args.batch_size,
-        ).run(source)
+        )
     numa = None
     if args.numa_nodes > 1:
         numa = NumaTopology(n_nodes=args.numa_nodes)
@@ -157,10 +145,18 @@ def replay(args, plan: Optional[FaultPlan] = None):
         faults=plan,
         watchdog_deadline=args.watchdog_deadline,
         queueing=QueueingConfig() if args.burst is not None else None,
-        detection=detection,
+        detection=_detection(args),
         repack_on_failure=args.repack,
+        slo=slo,
     )
     return dispatcher.run(source, batch_size=args.batch_size)
+
+
+def _detection(args) -> Optional[WedgeDetection]:
+    """The wedge-detection model ``--detection-mean`` names, or None."""
+    if args.detection_mean is None:
+        return None
+    return WedgeDetection(mean_packets=args.detection_mean, seed=args.seed)
 
 
 def report(run, args) -> dict:
@@ -173,38 +169,28 @@ def report(run, args) -> dict:
         "rate": args.rate,
         "seed": args.seed,
         "burst": args.burst,
+        # Under --autoscale without --policy the SLO loop steers
+        # through an indirection table.
+        "policy": args.policy or IndirectionTable.name,
+        "numa_nodes": args.numa_nodes,
+        "autoscale": args.autoscale,
+        "initial_cores": args.initial_cores,
         "accounting": run.accounting(),
         "accounted": run.is_fully_accounted,
+        "actions": dict(run.actions),
         "injected": dict(run.injected),
         "total_injected": sum(run.injected.values()),
         "errors": dict(run.errors),
         "failures": [f.describe() for f in run.failures],
         "latency": run.latency_summary(),
         "overflow": run.overflow_drops,
+        "total_cycles": run.total_cycles,
+        "numa_cycles": run.total_numa_cycles,
+        "per_core_packets": [r.n_packets for r in run.per_core],
+        "aggregate_mpps": round(run.aggregate_mpps, 3),
+        "imbalance": round(run.imbalance, 3),
+        "timeline": [e.describe() for e in run.timeline],
     }
-    if args.autoscale:
-        out.update(
-            autoscale=True,
-            initial_cores=args.initial_cores,
-            slo={
-                "target_p99_us": args.slo_p99,
-                "worst_p99_us": run.worst_p99_us,
-                "violating_epochs": run.violating_epochs(),
-                "recovery_s": run.recovery_s(),
-            },
-            timeline=[e.describe() for e in run.timeline],
-        )
-        return out
-    out.update(
-        policy=args.policy,
-        numa_nodes=args.numa_nodes,
-        actions=dict(run.actions),
-        total_cycles=run.total_cycles,
-        numa_cycles=run.total_numa_cycles,
-        per_core_packets=[r.n_packets for r in run.per_core],
-        aggregate_mpps=round(run.aggregate_mpps, 3),
-        imbalance=round(run.imbalance, 3),
-    )
     if args.slo_p99 is not None:
         out["slo"] = {
             "target_p99_us": args.slo_p99,
@@ -212,6 +198,9 @@ def report(run, args) -> dict:
             "met": bool(
                 run.latencies_ns and run.p99_latency_us <= args.slo_p99
             ),
+            "worst_p99_us": run.worst_p99_us,
+            "violating_epochs": run.violating_epochs(),
+            "recovery_s": run.recovery_s(),
         }
     return out
 
@@ -221,33 +210,28 @@ def render(rep: dict) -> str:
     acc = rep["accounting"]
     lat = rep["latency"]
     slo = rep.get("slo")
+    numa = rep["numa_nodes"]
     tags = ", ".join(
-        f"{key}={rep[key]}" for key in ("nf", "mode", "rate", "seed")
+        f"{key}={rep[key]}"
+        for key in ("nf", "mode", "rate", "seed", "policy", "burst")
         if rep[key] is not None
     )
-    if rep.get("autoscale"):
-        lines = [
-            f"slo replay: {acc['packets_in']} packets, {rep['cores']} "
-            f"core(s) provisioned ({rep['initial_cores'] or rep['cores']} "
-            f"active) [{tags}, burst={rep['burst']}]",
-        ]
-    else:
-        numa = rep["numa_nodes"]
-        lines = [
-            f"replayed {acc['packets_in']} packets on {rep['cores']} "
-            f"core(s) [{tags}, policy={rep['policy']}"
-            + (f", numa={numa} nodes" if numa > 1 else "") + "]",
-            f"  aggregate:    {rep['aggregate_mpps']:8.2f} Mpps"
-            f"  imbalance: {rep['imbalance']:.3f}",
-            f"  total cycles: {rep['total_cycles']}",
-        ]
-        if rep["numa_cycles"]:
-            lines.append(f"  numa cycles:  {rep['numa_cycles']}")
-        lines.append(
-            "  per-core packets: "
-            + " ".join(map(str, rep["per_core_packets"]))
-        )
+    active = (
+        f" ({rep['initial_cores'] or rep['cores']} active at start)"
+        if rep["autoscale"] else ""
+    )
+    lines = [
+        f"replayed {acc['packets_in']} packets on {rep['cores']} "
+        f"core(s){active} [{tags}"
+        + (f", numa={numa} nodes" if numa > 1 else "") + "]",
+        f"  aggregate:    {rep['aggregate_mpps']:8.2f} Mpps"
+        f"  imbalance: {rep['imbalance']:.3f}",
+        f"  total cycles: {rep['total_cycles']}",
+    ]
+    if rep["numa_cycles"]:
+        lines.append(f"  numa cycles:  {rep['numa_cycles']}")
     lines += [
+        "  per-core packets: " + " ".join(map(str, rep["per_core_packets"])),
         f"  forwarded: {acc['forwarded']}  dropped: {acc['dropped']}"
         f"  aborted: {acc['aborted']}  lost: {acc['lost']}"
         f"  duplicated: {acc['duplicated']}",
@@ -260,7 +244,12 @@ def render(rep: dict) -> str:
             f"  p99={lat['p99_us']}  max={lat['max_us']}"
         )
         lines.append(f"  overflow:     {rep['overflow']}")
-    if rep.get("autoscale"):
+    if slo is not None and lat["n"]:
+        lines.append(
+            f"  slo p99<={slo['target_p99_us']}us: "
+            f"{'MET' if slo['met'] else 'VIOLATED'} (p99={slo['p99_us']}us)"
+        )
+    if rep["timeline"]:
         lines.append(
             f"  slo: target p99 {slo['target_p99_us']}us, worst epoch "
             f"{slo['worst_p99_us']}us, "
@@ -271,15 +260,10 @@ def render(rep: dict) -> str:
             lines.append(
                 f"  time-to-SLO: {round(slo['recovery_s'] * 1e3, 3)} ms"
             )
-    elif slo is not None and lat["n"]:
-        lines.append(
-            f"  slo p99<={slo['target_p99_us']}us: "
-            f"{'MET' if slo['met'] else 'VIOLATED'} (p99={slo['p99_us']}us)"
-        )
-    if rep.get("injected"):
+    if rep["injected"]:
         inj = "  ".join(f"{k}={v}" for k, v in sorted(rep["injected"].items()))
         lines.append(f"  injected ({rep['total_injected']}): {inj}")
-    if rep.get("errors"):
+    if rep["errors"]:
         err = "  ".join(f"{k}={v}" for k, v in sorted(rep["errors"].items()))
         lines.append(f"  errors: {err}")
     for failure in rep["failures"]:
@@ -288,7 +272,7 @@ def render(rep: dict) -> str:
             f"processed {failure['processed']}, lost {failure['lost']}, "
             f"re-steered {failure['resteered']}"
         )
-    for epoch in rep.get("timeline", ()):
+    for epoch in rep["timeline"]:
         for event in epoch["events"]:
             lines.append(f"  epoch {epoch['epoch']}: {event}")
     return "\n".join(lines)
@@ -370,26 +354,15 @@ def _check_args(parser: argparse.ArgumentParser, args) -> FaultPlan:
         )
     if args.expect_recovery and not args.autoscale:
         parser.error("--expect-recovery needs --autoscale")
-    if args.autoscale:
-        ignored = [
-            flag for flag, given in (
-                ("--policy", args.policy is not None),
-                ("--numa-nodes", args.numa_nodes is not None),
-                ("--repack", args.repack),
-            ) if given
-        ]
-        if ignored:
-            parser.error(
-                f"{', '.join(ignored)}: not read under --autoscale (the "
-                "SLO loop steers through its own indirection table, "
-                "re-packs on every failure and models no NUMA layout)"
-            )
-    else:
+    if args.autoscale and args.repack:
+        parser.error("--repack: not read under --autoscale (the SLO loop "
+                     "always re-packs)")
+    if not args.autoscale:
         args.policy = args.policy or "rss"
-        args.numa_nodes = args.numa_nodes or 1
-        if args.repack and args.policy != "ntuple":
-            parser.error(f"--repack: --policy {args.policy} has no table "
-                         "to re-pack (only ntuple does)")
+    args.numa_nodes = args.numa_nodes or 1
+    if args.repack and args.policy != "ntuple":
+        parser.error(f"--repack: --policy {args.policy} has no table "
+                     "to re-pack (only ntuple does)")
     if args.nf in IR_APP_NAMES:
         if args.mode is not None:
             parser.error(f"--mode: the {args.nf} IR chain does not read "
@@ -399,6 +372,7 @@ def _check_args(parser: argparse.ArgumentParser, args) -> FaultPlan:
     try:
         if args.burst is not None:
             ArrivalProcess.from_spec(args.burst, seed=args.seed)
+        _detection(args)
         plan = FaultPlan.uniform(
             args.rate,
             seed=args.seed,
@@ -438,7 +412,8 @@ def parse_args(argv: Optional[List[str]] = None):
     parser.add_argument("--cores", type=positive_int, default=8)
     parser.add_argument(
         "--policy", choices=sorted(POLICIES), default=None,
-        help="steering policy (default: plain RSS)",
+        help="steering policy (default: plain RSS; under --autoscale an "
+        "indirection table over the serving cores)",
     )
     parser.add_argument(
         "--batch-size", type=positive_int, default=DEFAULT_BATCH_SIZE
@@ -492,14 +467,15 @@ def parse_args(argv: Optional[List[str]] = None):
     )
     parser.add_argument(
         "--detection-mean", type=positive_int, default=None,
-        help="mean wedge-detection latency in packets (probabilistic "
-        "detection instead of the fixed --watchdog-deadline)",
+        help="mean wedge-detection latency in packets, at least 64 "
+        "(probabilistic detection instead of the fixed "
+        "--watchdog-deadline)",
     )
     parser.add_argument(
         "--repack", action="store_true",
         help="let the ntuple steering policy re-pack placement over "
-        "the survivors after a watchdog event (needs --policy ntuple "
-        "and the fixed fleet)",
+        "the survivors after a watchdog event (needs --policy ntuple; "
+        "the SLO loop of --autoscale always re-packs)",
     )
     parser.add_argument(
         "--burst", default=None, metavar="SPEC",

@@ -1,17 +1,20 @@
 """SLO-aware resilience control loop over the queueing model.
 
 The queueing model (:mod:`repro.net.queueing`) makes tail latency an
-*output*; this module closes the loop and makes it a *target*.  A
-:class:`SloController` drives a provisioned fleet of per-core pipelines
-through a timestamped trace in fixed-size **epochs**, and after every
-epoch it observes p50/p95/p99 sojourn latency and acts:
+*output*; this module closes the loop and makes it a *target*.  Pass
+an :class:`SloConfig` to the one dispatcher,
+``RssDispatcher(..., queueing=..., slo=SloConfig(...))``, and its timed
+loop closes a control **epoch** every ``epoch_packets`` arrivals; after
+every epoch the :class:`SloLoop` hook observes p50/p95/p99 sojourn
+latency and acts:
 
-- **Fault-aware steering.**  Flows map to cores through the package's
-  one bucket table, :class:`~repro.net.steering.IndirectionTable` (the
-  RSS indirection table / ``ethtool -X`` abstraction, re-exported
-  here).  When a core dies or is parked, only the buckets that pointed
-  at it move — a minimal-disruption re-pack, not a rehash of the world
-  — so surviving flows keep their affinity and their per-CPU NF state.
+- **Fault-aware steering.**  By default flows map to cores through the
+  package's one bucket table,
+  :class:`~repro.net.steering.IndirectionTable` (the RSS indirection
+  table / ``ethtool -X`` abstraction, re-exported here).  When a core
+  dies or is parked, only the buckets that pointed at it move — a
+  minimal-disruption re-pack, not a rehash of the world — so surviving
+  flows keep their affinity and their per-CPU NF state.
 - **Partial recovery.**  A crashed core rejoins ``rejoin_epochs``
   later with a *fresh* NF instance (per-CPU state is gone) and pays a
   :class:`~repro.nfs.degrade.ColdStartWarmup` service-time penalty
@@ -27,35 +30,30 @@ epoch it observes p50/p95/p99 sojourn latency and acts:
   actions, and exponential backoff on scale-ups that fail to bring the
   fleet back under target.
 
-Everything is deterministic: same trace + same seeds -> the identical
-timeline of :class:`EpochStats`, byte for byte.
+The run returns the dispatcher's
+:class:`~repro.net.multicore.MulticoreResult` with the timeline of
+:class:`EpochStats` on it.  Everything is deterministic: same trace +
+same seeds -> the identical timeline, byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..ebpf.percpu import sum_counts
-from ..faults import FaultInjector, FaultPlan, WedgeDetection
+from ..faults import FaultPlan, WedgeDetection
 from ..nfs.degrade import ColdStartWarmup
 from .fleet import (
     DEFAULT_WATCHDOG_DEADLINE,
     AllCoresDeadError,
     CoreFailure,
     Fleet,
-    PacketAccounting,
 )
-from .packet import Packet, XdpAction
+from .multicore import MulticoreResult, RssDispatcher
+from .packet import Packet
 from .queueing import QueueingConfig, latency_summary_us
 from .steering import IndirectionTable
-from .xdp import (
-    DEFAULT_BATCH_SIZE,
-    FORWARD_ACTIONS,
-    NetworkFunction,
-    ReplaySession,
-    XdpPipeline,
-)
+from .xdp import DEFAULT_BATCH_SIZE, NetworkFunction, ReplaySession
 
 __all__ = [
     "CoreAutoscaler",
@@ -63,6 +61,7 @@ __all__ = [
     "IndirectionTable",
     "SloConfig",
     "SloController",
+    "SloLoop",
     "SloRun",
     "time_to_slo_s",
 ]
@@ -151,19 +150,6 @@ class CoreAutoscaler:
             return "down"
         return "hold"
 
-    def describe(self) -> Dict[str, object]:
-        return {
-            "min_cores": self.min_cores,
-            "max_cores": self.max_cores,
-            "target_p99_us": self.target_p99_us,
-            "high_water": self.high_water,
-            "low_water": self.low_water,
-            "cooldown_epochs": self.cooldown_epochs,
-            "max_backoff_epochs": self.max_backoff_epochs,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-        }
-
 
 @dataclass(frozen=True)
 class SloConfig:
@@ -179,38 +165,38 @@ class SloConfig:
     max_backoff_epochs: int = 8
     #: Epochs a dead core stays down before rejoining (0: never).
     rejoin_epochs: int = 4
+    #: Cores serving at the start (None: all); the rest are parked
+    #: headroom for the autoscaler.
+    initial_cores: Optional[int] = None
+    #: Service penalty of a core that joins cold (None: no penalty).
+    warmup: Optional[ColdStartWarmup] = None
 
     def __post_init__(self) -> None:
-        if self.target_p99_us <= 0:
-            raise ValueError("target_p99_us must be positive")
+        # The scaler checks the target, min_cores, water marks,
+        # cooldown and backoff it is built from.
+        self.autoscaler(self.min_cores)
         if self.epoch_packets <= 0:
             raise ValueError("epoch_packets must be positive")
-        if self.min_cores <= 0:
-            raise ValueError("min_cores must be positive")
-        if not 0 < self.low_water < self.high_water:
-            raise ValueError(
-                "need 0 < low_water < high_water "
-                f"(got {self.low_water} / {self.high_water})"
-            )
-        if self.cooldown_epochs < 0:
-            raise ValueError("cooldown_epochs must be non-negative")
-        if self.max_backoff_epochs < self.cooldown_epochs:
-            raise ValueError("max_backoff_epochs must be >= cooldown_epochs")
         if self.rejoin_epochs < 0:
             raise ValueError("rejoin_epochs must be non-negative")
+        if (self.initial_cores is not None
+                and self.initial_cores < self.min_cores):
+            raise ValueError(
+                f"initial_cores={self.initial_cores} is below "
+                f"min_cores={self.min_cores}"
+            )
 
-    def describe(self) -> Dict[str, object]:
-        return {
-            "target_p99_us": self.target_p99_us,
-            "epoch_packets": self.epoch_packets,
-            "autoscale": self.autoscale,
-            "min_cores": self.min_cores,
-            "high_water": self.high_water,
-            "low_water": self.low_water,
-            "cooldown_epochs": self.cooldown_epochs,
-            "max_backoff_epochs": self.max_backoff_epochs,
-            "rejoin_epochs": self.rejoin_epochs,
-        }
+    def autoscaler(self, max_cores: int) -> CoreAutoscaler:
+        """A fresh scaler with this config's knobs, up to ``max_cores``."""
+        return CoreAutoscaler(
+            min_cores=self.min_cores,
+            max_cores=max_cores,
+            target_p99_us=self.target_p99_us,
+            high_water=self.high_water,
+            low_water=self.low_water,
+            cooldown_epochs=self.cooldown_epochs,
+            max_backoff_epochs=self.max_backoff_epochs,
+        )
 
 
 @dataclass
@@ -253,69 +239,6 @@ class EpochStats:
         }
 
 
-@dataclass
-class SloRun(PacketAccounting):
-    """Full outcome of one controlled replay: timeline + accounting."""
-
-    timeline: List[EpochStats]
-    config: SloConfig
-    packets_in: int = 0
-    forwarded: int = 0
-    nf_dropped: int = 0
-    aborted: int = 0
-    duplicated: int = 0
-    lost: int = 0
-    overflow: int = 0
-    latencies_ns: List[int] = field(default_factory=list)
-    failures: List[CoreFailure] = field(default_factory=list)
-    #: Injected-fault counts by kind, over every session the run built
-    #: (a reborn core's included).
-    injected: Dict[str, int] = field(default_factory=dict)
-    #: Per-kind error counters, summed the same way.
-    errors: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def overflow_drops(self) -> int:
-        return self.overflow
-
-    def latency_summary(self) -> Dict[str, float]:
-        return latency_summary_us(self.latencies_ns)
-
-    @property
-    def worst_p99_us(self) -> float:
-        return max((e.p99_us for e in self.timeline), default=0.0)
-
-    def violating_epochs(self) -> List[int]:
-        """Epoch indices whose p99 breached the configured target."""
-        return [
-            e.epoch for e in self.timeline
-            if not e.meets(self.config.target_p99_us)
-        ]
-
-    def recovery_s(self, settle_epochs: int = 2) -> Optional[float]:
-        """Time from the first SLO breach back to sustained compliance.
-
-        Sustained means ``settle_epochs`` consecutive compliant epochs;
-        returns None if the run never breached, or breached and never
-        recovered.  This is the benchmark's *time-to-SLO* metric.
-        """
-        return time_to_slo_s(
-            self.timeline, self.config.target_p99_us, settle_epochs
-        )
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "config": self.config.describe(),
-            "accounting": self.accounting(),
-            "latency": self.latency_summary(),
-            "worst_p99_us": self.worst_p99_us,
-            "violating_epochs": self.violating_epochs(),
-            "recovery_s": self.recovery_s(),
-            "failures": [f.describe() for f in self.failures],
-            "timeline": [e.describe() for e in self.timeline],
-        }
-
-
 def time_to_slo_s(
     timeline: Sequence[EpochStats],
     target_p99_us: float,
@@ -343,29 +266,145 @@ def time_to_slo_s(
     return None
 
 
-class SloController:
-    """Epoch-driven SLO loop over a provisioned per-core fleet.
+class SloLoop:
+    """The SLO control loop: an epoch hook on a timed :class:`Fleet`.
 
-    ``nf_factory(core)`` provisions ``max_cores`` pipelines up front
-    (one private runtime per core, like
-    :class:`~repro.net.multicore.RssDispatcher`); ``initial_cores`` of
-    them start active, the rest are parked headroom for the
-    autoscaler.  :meth:`run` replays a *timestamped* trace through the
-    queueing model (same mechanics as the dispatcher's latency path)
-    and closes a control epoch every ``config.epoch_packets``
-    arrivals.
-
-    Failures come from an optional :class:`~repro.faults.FaultPlan`
-    (``crash_core`` / ``wedge_core``, per-core packet counts), wedge
-    detection from ``detection`` (falling back to a fixed deadline),
-    and a rejoining core pays ``warmup``'s cold-sketch service
-    penalty.  The whole run is a pure function of its inputs.
-
-    The data plane is the dispatcher's timed :class:`~repro.net.fleet.Fleet`
-    loop, steering through :attr:`table` with re-pack on failure on;
-    the controller's own code is the epoch hook (close the epoch,
-    retire and rejoin repaired cores, autoscale).
+    :class:`~repro.net.multicore.RssDispatcher` builds one per run when
+    it has an ``slo`` config, hands :meth:`close_epoch` to
+    :meth:`Fleet.run_timed` as its ``on_epoch`` and calls :meth:`finish`
+    when the stream ends.  The loop parks all but ``initial_cores`` and
+    fills the steering policy over the serving ones, re-packs on every
+    failure, and ``rebuild(core)`` makes the fresh session of a core
+    that rejoins after a failure.
     """
+
+    def __init__(
+        self,
+        fleet: Fleet,
+        config: SloConfig,
+        rebuild: Callable[[int], ReplaySession],
+    ) -> None:
+        n = len(fleet.sessions)
+        self.fleet = fleet
+        self.config = config
+        self.rebuild = rebuild
+        self.initial_cores = config.initial_cores or n
+        self.autoscaler = config.autoscaler(n)
+        self.parked = set(range(self.initial_cores, n))
+        #: A core joins cold (its warmup restarts) unless it joined
+        #: since it was born or reborn.
+        self.cold = [True] * n
+        self.rejoin_at: Dict[int, int] = {}
+        self.timeline: List[EpochStats] = []
+        self.events: List[str] = []
+        self.epoch = self.epoch_start_ns = 0
+        #: Fleet totals at the last epoch boundary.
+        self.lat_at_epoch = self.lost_at_epoch = self.over_at_epoch = 0
+        fleet.policy.assign(range(self.initial_cores))
+        fleet.serving = [core < self.initial_cores for core in range(n)]
+        fleet.repack_on_failure = True
+        fleet.warmup = config.warmup
+        fleet.on_failure = self.on_failure
+
+    def on_failure(self, record: CoreFailure) -> None:
+        if not any(self.fleet.serving):
+            raise AllCoresDeadError(
+                "every core has failed; traffic has nowhere to go"
+            )
+        self.events.append(f"{record.kind} core={record.core}")
+        if self.config.rejoin_epochs > 0:
+            self.rejoin_at[record.core] = (
+                self.epoch + self.config.rejoin_epochs
+            )
+
+    def join(self, core: int, reason: str) -> None:
+        """Activate a parked or rejoining core (cold if new/reborn)."""
+        self.parked.discard(core)
+        if self.cold[core]:
+            self.fleet.since_join[core] = 0
+        self.cold[core] = False
+        self.fleet.join(core)
+        self.events.append(f"{reason} core={core}")
+
+    def close_epoch(self, now: int) -> List[Packet]:
+        """Record the epoch, then repair and scale the fleet.
+
+        Returns the frames a scale-down stranded in a parked ring.
+        """
+        fleet, conf, events = self.fleet, self.config, self.events
+        epoch_lat = fleet.latencies[self.lat_at_epoch:]
+        summary = latency_summary_us(epoch_lat)
+        total_lost = sum(fleet.lost)
+        total_over = fleet.overflow_drops
+        stats = EpochStats(
+            epoch=self.epoch,
+            start_ns=self.epoch_start_ns,
+            end_ns=now,
+            packets=len(epoch_lat),
+            active_cores=fleet.serving_cores(),
+            p50_us=summary["p50_us"],
+            p95_us=summary["p95_us"],
+            p99_us=summary["p99_us"],
+            overflow=total_over - self.over_at_epoch,
+            lost=total_lost - self.lost_at_epoch,
+            events=list(events),
+        )
+        self.timeline.append(stats)
+        events.clear()
+        self.lat_at_epoch = len(fleet.latencies)
+        self.lost_at_epoch = total_lost
+        self.over_at_epoch = total_over
+        self.epoch += 1
+        self.epoch_start_ns = now
+        # Repairs land first: a reborn core (fresh NF + runtime,
+        # cold sketches — the state loss) enters the parked pool.
+        for core in sorted(self.rejoin_at):
+            if self.rejoin_at[core] <= self.epoch:
+                del self.rejoin_at[core]
+                fleet.retire(core, self.rebuild(core))
+                self.cold[core] = True
+                self.parked.add(core)
+        if not conf.autoscale:
+            # No autoscaler: a repaired core rejoins the moment it
+            # is back (restore-to-provisioned) — partial recovery
+            # is a property of the fleet, not of the scaler.
+            for core in sorted(self.parked):
+                if core < self.initial_cores:
+                    self.join(core, "rejoin")
+            return []
+        action = self.autoscaler.decide(
+            stats.p99_us, len(stats.active_cores)
+        )
+        if action == "up":
+            if self.parked:
+                self.join(min(self.parked), "scale-up")
+            else:
+                self.autoscaler.scale_ups -= 1
+                events.append("scale-up blocked: no spare core")
+        elif action == "down":
+            victims = fleet.serving_cores()
+            if len(victims) > conf.min_cores:
+                core = victims[-1]
+                events.append(f"scale-down core={core}")
+                self.parked.add(core)
+                return fleet.park(core)
+        return []
+
+    def finish(self) -> List[EpochStats]:
+        """Close the last, partial epoch; returns the whole timeline."""
+        if len(self.fleet.latencies) > self.lat_at_epoch or self.events:
+            self.close_epoch(self.fleet.now)
+        return self.timeline
+
+
+#: The dispatcher's result, under the name the SLO loop's runs had.
+SloRun = MulticoreResult
+
+
+class SloController(RssDispatcher):
+    """``RssDispatcher(slo=...)`` under its earlier name and signature:
+    ``max_cores`` cores, ``initial_cores`` and ``warmup`` folded into
+    ``config``, and :meth:`run` in ``batch_size`` batches."""
 
     def __init__(
         self,
@@ -380,190 +419,17 @@ class SloController:
         watchdog_deadline: int = DEFAULT_WATCHDOG_DEADLINE,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        if max_cores <= 0:
-            raise ValueError("max_cores must be positive")
-        self.config = config or SloConfig()
-        if self.config.min_cores > max_cores:
-            raise ValueError(
-                f"config.min_cores={self.config.min_cores} exceeds "
-                f"max_cores={max_cores}"
-            )
-        if initial_cores is None:
-            initial_cores = max_cores
-        if not self.config.min_cores <= initial_cores <= max_cores:
-            raise ValueError(
-                f"initial_cores={initial_cores} must lie in "
-                f"[{self.config.min_cores}, {max_cores}]"
-            )
-        if watchdog_deadline <= 0:
-            raise ValueError("watchdog_deadline must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if faults is not None:
-            faults.validate_for_cores(max_cores)
-        self.nf_factory = nf_factory
-        self.max_cores = max_cores
-        self.initial_cores = initial_cores
-        self.queueing = queueing or QueueingConfig()
-        self.faults = faults
-        self.detection = detection
-        self.warmup = warmup
-        self.watchdog_deadline = watchdog_deadline
+        super().__init__(
+            nf_factory,
+            max_cores,
+            faults=faults,
+            watchdog_deadline=watchdog_deadline,
+            queueing=queueing or QueueingConfig(),
+            detection=detection,
+            slo=replace(config or SloConfig(), initial_cores=initial_cores,
+                        warmup=warmup),
+        )
         self.batch_size = batch_size
-        self.table = IndirectionTable(max_cores)
-        self.autoscaler = CoreAutoscaler(
-            min_cores=self.config.min_cores,
-            max_cores=max_cores,
-            target_p99_us=self.config.target_p99_us,
-            high_water=self.config.high_water,
-            low_water=self.config.low_water,
-            cooldown_epochs=self.config.cooldown_epochs,
-            max_backoff_epochs=self.config.max_backoff_epochs,
-        )
 
-    def run(self, trace: Iterable[Packet]) -> SloRun:
-        conf = self.config
-        injectors: List[FaultInjector] = []
-
-        def build_session(core: int) -> ReplaySession:
-            nf = self.nf_factory(core)
-            injector = None
-            if self.faults is not None:
-                injector = self.faults.injector(core)
-                injectors.append(injector)
-            return ReplaySession(XdpPipeline(nf, faults=injector))
-
-        n = self.max_cores
-        parked = set(range(self.initial_cores, n))
-        #: A core joins cold (its warmup restarts) unless it joined
-        #: since it was born or reborn.
-        cold = [True] * n
-        rejoin_at: Dict[int, int] = {}
-        timeline: List[EpochStats] = []
-        events: List[str] = []
-        epoch = 0
-        epoch_start_ns = 0
-        lat_at_epoch = 0
-        lost_at_epoch = 0
-        over_at_epoch = 0
-
-        def on_failure(record: CoreFailure) -> None:
-            if not any(fleet.serving):
-                raise AllCoresDeadError(
-                    "every core has failed; traffic has nowhere to go"
-                )
-            events.append(f"{record.kind} core={record.core}")
-            if conf.rejoin_epochs > 0:
-                rejoin_at[record.core] = epoch + conf.rejoin_epochs
-
-        self.table.assign(range(self.initial_cores))
-        fleet = Fleet(
-            [build_session(core) for core in range(n)],
-            self.table,
-            faults=self.faults,
-            detection=self.detection,
-            watchdog_deadline=self.watchdog_deadline,
-            repack_on_failure=True,
-            n_serving=self.initial_cores,
-            warmup=self.warmup,
-            on_failure=on_failure,
-        )
-
-        def join(core: int, reason: str) -> None:
-            """Activate a parked or rejoining core (cold if new/reborn)."""
-            parked.discard(core)
-            if cold[core]:
-                fleet.since_join[core] = 0
-            cold[core] = False
-            fleet.join(core)
-            events.append(f"{reason} core={core}")
-
-        def close_epoch(now: int) -> List[Packet]:
-            """Record the epoch, then repair and scale the fleet.
-
-            Returns the frames a scale-down stranded in a parked ring.
-            """
-            nonlocal epoch, epoch_start_ns
-            nonlocal lat_at_epoch, lost_at_epoch, over_at_epoch
-            epoch_lat = fleet.latencies[lat_at_epoch:]
-            summary = latency_summary_us(epoch_lat)
-            total_lost = sum(fleet.lost)
-            total_over = fleet.overflow_drops
-            stats = EpochStats(
-                epoch=epoch,
-                start_ns=epoch_start_ns,
-                end_ns=now,
-                packets=len(epoch_lat),
-                active_cores=fleet.serving_cores(),
-                p50_us=summary["p50_us"],
-                p95_us=summary["p95_us"],
-                p99_us=summary["p99_us"],
-                overflow=total_over - over_at_epoch,
-                lost=total_lost - lost_at_epoch,
-                events=list(events),
-            )
-            timeline.append(stats)
-            events.clear()
-            lat_at_epoch = len(fleet.latencies)
-            lost_at_epoch = total_lost
-            over_at_epoch = total_over
-            epoch += 1
-            epoch_start_ns = now
-            # Repairs land first: a reborn core (fresh NF + runtime,
-            # cold sketches — the state loss) enters the parked pool.
-            for core in sorted(rejoin_at):
-                if rejoin_at[core] <= epoch:
-                    del rejoin_at[core]
-                    fleet.retire(core, build_session(core))
-                    cold[core] = True
-                    parked.add(core)
-            if not conf.autoscale:
-                # No autoscaler: a repaired core rejoins the moment it
-                # is back (restore-to-provisioned) — partial recovery
-                # is a property of the fleet, not of the scaler.
-                for core in sorted(parked):
-                    if core < self.initial_cores:
-                        join(core, "rejoin")
-                return []
-            action = self.autoscaler.decide(
-                stats.p99_us, len(stats.active_cores)
-            )
-            if action == "up":
-                if parked:
-                    join(min(parked), "scale-up")
-                else:
-                    self.autoscaler.scale_ups -= 1
-                    events.append("scale-up blocked: no spare core")
-            elif action == "down":
-                victims = fleet.serving_cores()
-                if len(victims) > conf.min_cores:
-                    core = victims[-1]
-                    events.append(f"scale-down core={core}")
-                    parked.add(core)
-                    return fleet.park(core)
-            return []
-
-        fleet.run_timed(
-            trace, self.queueing, self.batch_size,
-            epoch_packets=conf.epoch_packets, on_epoch=close_epoch,
-        )
-        if len(fleet.latencies) > lat_at_epoch or events:
-            close_epoch(fleet.now)
-
-        results = fleet.finish() + fleet.retired
-        actions = sum_counts([r.actions for r in results])
-        return SloRun(
-            timeline=timeline,
-            config=conf,
-            packets_in=fleet.packets_in,
-            forwarded=sum(actions.get(a, 0) for a in FORWARD_ACTIONS),
-            nf_dropped=actions.get(XdpAction.DROP, 0),
-            aborted=actions.get(XdpAction.ABORTED, 0),
-            duplicated=sum(r.duplicated for r in results),
-            lost=sum(fleet.lost),
-            overflow=fleet.overflow_drops,
-            latencies_ns=fleet.latencies,
-            failures=fleet.failures,
-            injected=sum_counts([i.injected for i in injectors]),
-            errors=sum_counts([r.errors for r in results]),
-        )
+    def run(self, trace: Iterable[Packet]) -> MulticoreResult:
+        return super().run(trace, self.batch_size)

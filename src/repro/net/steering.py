@@ -127,6 +127,11 @@ class SteeringPolicy:
             keys = [pkt.key_int for pkt in packets]
             yield packets, keys, fast_hash32_lanes(keys, self.hash_seed)
 
+    def assign(self, cores: Sequence[int]) -> None:
+        """Start placement afresh over ``cores`` only (the SLO loop's
+        initial serving set).  Hash-only policies have no placement to
+        restrict: traffic to another core takes the failover hash."""
+
     def repack(self, alive: Sequence[int]) -> Optional[int]:
         """Re-pack placement onto the surviving cores after a failure.
 
@@ -411,6 +416,10 @@ class NtupleSteering(IndirectionTable):
         and buckets changed core (the disruption ledger).
         """
         return self._pack(self._cores(alive))
+
+    def assign(self, cores: Sequence[int]) -> None:
+        """Pack the sampled rules and buckets over ``cores`` afresh."""
+        self.repack(cores)
 
     def place(self, key: int, h: int) -> int:
         queue = self.pinned.get(key)

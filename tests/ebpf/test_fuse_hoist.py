@@ -425,6 +425,11 @@ def test_apps_verify_prints_fused_stats(capsys):
     # The heavy hitters of the parity trace cross the drop thresholds.
     for app in ("rakelimit", "sketches"):
         assert apps[app]["interp"]["actions"]["XDP_DROP"] > 0, app
+    # Its replies hit the MACs Polycube's bridge learned: the FDB-hit
+    # redirect and the flood both run, on both backends.
+    for backend in ("interp", "fused"):
+        actions = apps["polycube"][backend]["actions"]
+        assert actions["XDP_REDIRECT"] > 0 and actions["XDP_PASS"] > 0
     assert verify_main(["--chains"]) == 0
     (line,) = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("APP     rakelimit: rake_parse (")]
@@ -438,3 +443,9 @@ def test_parity_trace_repeats_flows():
     a stateful kfunc (Katran's connection table) replays hits."""
     trace = _parity_trace()
     assert len({p.five_tuple for p in trace}) < len(trace) // 4
+    replies = [
+        (p.src_ip, p.dst_ip, p.src_port, p.dst_port)
+        == (q.dst_ip, q.src_ip, q.dst_port, q.src_port)
+        for q, p in zip(trace, trace[1:])
+    ]
+    assert sum(replies) >= len(trace) // 16

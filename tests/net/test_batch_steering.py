@@ -19,7 +19,7 @@ from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher
 from repro.net.queueing import ArrivalProcess, BurstPhase, QueueingConfig
 from repro.net.replay import main as replay_main
-from repro.net.slo import IndirectionTable, SloConfig, SloController
+from repro.net.slo import IndirectionTable, SloConfig
 from repro.net.steering import STEER_CHUNK, NtupleSteering, RssSteering
 from repro.net.trace import dump_trace
 from repro.nfs import CountMinNF
@@ -144,18 +144,17 @@ def _slo_trace():
 
 def _slo_run(table, trace):
     log = _ServiceLog(trace)
-    ctrl = SloController(
+    disp = RssDispatcher(
         log,
-        max_cores=4,
-        initial_cores=2,
+        n_cores=4,
+        steering=table,
         queueing=QueueingConfig(),
-        # 300 is no multiple of the chunk: epoch repacks land mid-chunk.
-        config=SloConfig(target_p99_us=40.0, epoch_packets=300,
-                         autoscale=True, rejoin_epochs=3),
         faults=FaultPlan(crash_core=1, crash_at=1100),
+        # 300 is no multiple of the chunk: epoch repacks land mid-chunk.
+        slo=SloConfig(target_p99_us=40.0, epoch_packets=300,
+                      autoscale=True, rejoin_epochs=3, initial_cores=2),
     )
-    ctrl.table = table
-    return log.served, ctrl.run(trace)
+    return log.served, disp.run(trace)
 
 
 def test_slo_autoscale_repacks_mid_chunk_match_per_packet():

@@ -16,7 +16,7 @@ from repro.faults import PKT_DUP, FaultPlan
 from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher
 from repro.net.queueing import ArrivalProcess, QueueingConfig
-from repro.net.slo import SloConfig, SloController
+from repro.net.slo import SloConfig
 from repro.net.xdp import XdpPipeline
 from repro.nfs import CountMinNF
 from tests.net.per_packet import PerPacketNF
@@ -79,11 +79,11 @@ def test_slo_controller_dup_helper_coincidence_stays_accounted():
     trace = list(FlowGenerator(n_flows=512, distribution="zipf", seed=5)
                  .iter_trace_bursty(3000, arrivals))
     factory = app_nf_factory("rakelimit", backend="fused", registry_seed=6)
-    ctrl = SloController(
-        factory, max_cores=4, initial_cores=2, queueing=QueueingConfig(),
-        config=SloConfig(epoch_packets=512),
+    ctrl = RssDispatcher(
+        factory, n_cores=4, queueing=QueueingConfig(),
         faults=FaultPlan(seed=9, dup_rate=0.2, helper_rate=0.2,
                          crash_core=1, crash_at=400),
+        slo=SloConfig(epoch_packets=512, initial_cores=2),
     )
     run = ctrl.run(trace)
     assert run.failures

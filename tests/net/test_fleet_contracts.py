@@ -16,7 +16,7 @@ from repro.faults import FaultPlan, WedgeDetection
 from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher
 from repro.net.queueing import ArrivalProcess, QueueingConfig
-from repro.net.slo import SloConfig, SloController
+from repro.net.slo import SloConfig
 from repro.nfs import CountMinNF
 from repro.nfs.degrade import ColdStartWarmup
 
@@ -151,20 +151,20 @@ TARGET_P99_US = 60.0
 
 def controlled_run(trace, *, autoscale, rejoin_epochs, faults,
                    detection=None):
-    return SloController(
+    return RssDispatcher(
         countmin_factory,
-        max_cores=SLO_CORES,
-        initial_cores=2,
+        n_cores=SLO_CORES,
         queueing=QueueingConfig(),
-        config=SloConfig(
+        faults=faults,
+        detection=detection,
+        slo=SloConfig(
             target_p99_us=TARGET_P99_US,
             epoch_packets=512,
             autoscale=autoscale,
             rejoin_epochs=rejoin_epochs,
+            initial_cores=2,
+            warmup=ColdStartWarmup(),
         ),
-        faults=faults,
-        detection=detection,
-        warmup=ColdStartWarmup(),
     ).run(trace)
 
 

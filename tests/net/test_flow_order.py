@@ -16,7 +16,7 @@ from repro.faults import FaultPlan, WedgeDetection
 from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher
 from repro.net.queueing import ArrivalProcess, QueueingConfig
-from repro.net.slo import SloConfig, SloController
+from repro.net.slo import SloConfig
 from repro.nfs import CountMinNF
 from repro.nfs.degrade import ColdStartWarmup
 
@@ -77,16 +77,16 @@ def test_queued_dispatcher_keeps_flow_order_across_crash(n_cores):
 def test_slo_controller_keeps_flow_order_across_crash(initial_cores):
     trace = _trace()
     log = _ServiceLog(trace)
-    run = SloController(
+    run = RssDispatcher(
         log,
-        max_cores=4,
-        initial_cores=initial_cores,
+        n_cores=4,
         queueing=QueueingConfig(),
-        config=SloConfig(target_p99_us=60.0, epoch_packets=512,
-                         autoscale=False, rejoin_epochs=0),
         faults=FaultPlan(crash_core=1, crash_at=800),
         detection=WedgeDetection(seed=2),
-        warmup=ColdStartWarmup(),
+        slo=SloConfig(target_p99_us=60.0, epoch_packets=512,
+                      autoscale=False, rejoin_epochs=0,
+                      initial_cores=initial_cores,
+                      warmup=ColdStartWarmup()),
     ).run(trace)
     assert [f.kind for f in run.failures] == ["crash"]
     assert run.is_fully_accounted

@@ -3,8 +3,10 @@
 The parity suites compare backends of one build with each other; these
 tests compare a build with a recorded past.  Each scenario runs one
 dispatch path -- :meth:`RssDispatcher.run` buffered (``queueing=None``)
-or timed (with a :class:`QueueingConfig`), and :meth:`SloController.run`
--- healthy or under chaos faults, a core crash or a core wedge, and
+or timed (with a :class:`QueueingConfig`), and with the SLO loop, built
+both as ``RssDispatcher(slo=...)`` and through :class:`SloController`,
+the name the benchmark harness builds it by -- healthy or under chaos
+faults, a core crash or a core wedge, and
 digests everything observable: packet accounting, error ledgers,
 injected faults, cycles by category, per-NF raw returns, sojourn
 latencies and the failure / SLO timeline.  ``RSS_GOLDEN`` and
@@ -18,6 +20,7 @@ here.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -138,34 +141,42 @@ def test_slo_controller_crash_autoscale_witness():
     gen = FlowGenerator(n_flows=1024, distribution="zipf", zipf_s=1.1,
                         seed=5)
     trace = list(gen.iter_trace_bursty(9000, arrivals))
-    factory = _Recording(
-        app_nf_factory("rakelimit", backend="fused", registry_seed=6))
-    ctrl = SloController(
-        factory,
-        max_cores=4,
-        initial_cores=2,
-        queueing=QueueingConfig(),
-        config=SloConfig(target_p99_us=60.0, epoch_packets=512,
-                         autoscale=True, rejoin_epochs=4),
-        # No helper faults: the digest predates the fix for a duplicate
-        # shadowed by a helper abort (tests/net/test_dup_ledger.py).
-        faults=FaultPlan(seed=9, drop_rate=0.01, corrupt_rate=0.01,
-                         dup_rate=0.02, crash_core=1, crash_at=1500),
-        warmup=ColdStartWarmup(),
-    )
-    run = ctrl.run(trace)
-    assert run.is_fully_accounted
-    assert run.failures
-    events = [e for epoch in run.timeline for e in epoch.events]
-    assert any(e.startswith("scale-up") for e in events)
-    witness = {
-        "accounting": run.accounting(),
-        "failures": [f.describe() for f in run.failures],
-        "timeline": [e.describe() for e in run.timeline],
-        "latencies": run.latencies_ns,
-        **_nf_witness(factory.built),
-    }
-    assert _digest(witness) == SLO_GOLDEN
+    # No helper faults: the digest predates the fix for a duplicate
+    # shadowed by a helper abort (tests/net/test_dup_ledger.py).
+    plan = FaultPlan(seed=9, drop_rate=0.01, corrupt_rate=0.01,
+                     dup_rate=0.02, crash_core=1, crash_at=1500)
+    config = SloConfig(target_p99_us=60.0, epoch_packets=512,
+                       autoscale=True, rejoin_epochs=4)
+
+    def controller(factory):
+        return SloController(
+            factory, max_cores=4, initial_cores=2,
+            queueing=QueueingConfig(), config=config, faults=plan,
+            warmup=ColdStartWarmup(),
+        )
+
+    def dispatcher(factory):
+        return RssDispatcher(
+            factory, n_cores=4, queueing=QueueingConfig(), faults=plan,
+            slo=replace(config, initial_cores=2, warmup=ColdStartWarmup()),
+        )
+
+    for build in (controller, dispatcher):
+        factory = _Recording(
+            app_nf_factory("rakelimit", backend="fused", registry_seed=6))
+        run = build(factory).run(trace)
+        assert run.is_fully_accounted
+        assert run.failures
+        events = [e for epoch in run.timeline for e in epoch.events]
+        assert any(e.startswith("scale-up") for e in events)
+        witness = {
+            "accounting": run.accounting(),
+            "failures": [f.describe() for f in run.failures],
+            "timeline": [e.describe() for e in run.timeline],
+            "latencies": run.latencies_ns,
+            **_nf_witness(factory.built),
+        }
+        assert _digest(witness) == SLO_GOLDEN, build.__name__
 
 
 # -- buffered dispatch (queueing=None) ---------------------------------------

@@ -10,14 +10,14 @@ import json
 
 import pytest
 
-from repro.ebpf.cost_model import ExecMode
+from repro.ebpf.cost_model import ExecMode, NumaTopology
 from repro.ebpf.runtime import BpfRuntime
 from repro.faults import FaultPlan, WedgeDetection
 from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher
 from repro.net.queueing import ArrivalProcess, QueueingConfig
 from repro.net.replay import main, parse_args, replay, report
-from repro.net.slo import SloConfig, SloController
+from repro.net.slo import SloConfig
 from repro.net.trace import dump_trace
 from repro.nfs import CountMinNF
 from repro.nfs.degrade import ColdStartWarmup
@@ -158,6 +158,9 @@ class TestLatencyFlags:
         (["--burst", "nope"], "burst spec"),
         (["--burst", "1e6:2e6"], "burst spec"),
         (["--burst", "1e6", "--slo-p99", "-5"], "positive"),
+        # The wedge-detection model is built at argument time.
+        (["--detection-mean", "5", "--wedge-core", "2", "--wedge-at", "10",
+          "--cores", "4"], "mean_packets (5) must be >= min_packets (64)"),
     ])
     def test_flag_validation_exits_two(self, trace_csv, argv, hint, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -217,22 +220,39 @@ class TestPlumbing:
             "--slo-p99", "60", "--autoscale",
         ]
         got = self._main_json(argv, capsys)
-        controller = SloController(
+        dispatcher = RssDispatcher(
             self._factory,
-            max_cores=4,
-            initial_cores=2,
-            config=SloConfig(target_p99_us=60),
+            n_cores=4,
             queueing=QueueingConfig(),
             faults=FaultPlan.uniform(
                 0.01, seed=5, wedge_core=1, wedge_at=300
             ),
             detection=WedgeDetection(mean_packets=200, seed=5),
-            warmup=ColdStartWarmup(),
+            slo=SloConfig(target_p99_us=60, initial_cores=2,
+                          warmup=ColdStartWarmup()),
         )
-        run = controller.run(self._stamped(4000, 256, "9e6", 5))
+        run = dispatcher.run(self._stamped(4000, 256, "9e6", 5))
         args, _ = parse_args(argv)
         assert got == json.loads(json.dumps(report(run, args)))
         assert got["failures"][0]["kind"] == "wedge"
+
+    def test_autoscale_ntuple_numa_matches_direct_dispatcher(self, capsys):
+        argv = ["--packets", "2000", "--flows", "128", "--cores", "4",
+                "--policy", "ntuple", "--numa-nodes", "2", "--burst", "8e6",
+                "--slo-p99", "60", "--autoscale"]
+        got = self._main_json(argv, capsys)
+        run = RssDispatcher(
+            self._factory,
+            n_cores=4,
+            steering="ntuple",
+            numa=NumaTopology(n_nodes=2),
+            faults=FaultPlan.uniform(0.0, seed=0),
+            queueing=QueueingConfig(),
+            slo=SloConfig(target_p99_us=60, warmup=ColdStartWarmup()),
+        ).run(self._stamped(2000, 128, "8e6", 0))
+        args, _ = parse_args(argv)
+        assert got == json.loads(json.dumps(report(run, args)))
+        assert got["numa_cycles"] > 0 and got["accounted"] is True
 
 
 class TestFaultFlagCombinations:
@@ -295,19 +315,13 @@ class TestIgnoredFlags:
     AUTOSCALE = ["--packets", "500", "--burst", "6e6", "--slo-p99", "80",
                  "--autoscale"]
 
-    @pytest.mark.parametrize("flag", [
-        ["--policy", "ntuple"],
-        ["--policy", "rss"],
-        ["--numa-nodes", "2"],
-        ["--numa-nodes", "1"],
-        ["--repack"],
-    ])
-    def test_fixed_fleet_flag_under_autoscale_exits_two(self, flag, capsys):
+    def test_repack_under_autoscale_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(self.AUTOSCALE + flag)
+            main(self.AUTOSCALE + ["--repack"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"{flag[0]}: not read under --autoscale" in err
+        assert "--repack: not read under --autoscale" in err
+        assert "the SLO loop always re-packs" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("policy", [[], ["--policy", "rss"],
@@ -320,3 +334,32 @@ class TestIgnoredFlags:
         err = capsys.readouterr().err
         assert "has no table to re-pack (only ntuple does)" in err
         assert "Traceback" not in err
+
+
+class TestAutoscaleFleetFlags:
+    """The SLO loop runs on the one dispatcher, so the fixed fleet's
+    steering and NUMA flags work under ``--autoscale`` too."""
+
+    AUTOSCALE = ["--packets", "3000", "--cores", "4", "--burst", "6e6",
+                 "--slo-p99", "80", "--autoscale", "--crash-core", "1",
+                 "--crash-at", "300", "--json"]
+
+    @pytest.mark.parametrize("flag", [
+        ["--policy", "ntuple"],
+        ["--policy", "rss"],
+        ["--numa-nodes", "2"],
+        ["--numa-nodes", "1"],
+        ["--policy", "rekey"],
+    ])
+    def test_fixed_fleet_flag_runs_under_autoscale(self, flag, capsys):
+        assert main(self.AUTOSCALE + flag) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["autoscale"] is True and rep["accounted"] is True
+        assert rep["timeline"]
+        [failure] = rep["failures"]
+        assert failure["kind"] == "crash" and failure["lost"] == 0
+        if flag[0] == "--policy":
+            assert rep["policy"] == flag[1]
+        else:
+            assert rep["numa_nodes"] == int(flag[1])
+            assert (rep["numa_cycles"] > 0) == (flag[1] == "2")

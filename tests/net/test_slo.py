@@ -1,20 +1,26 @@
 """SLO control loop: steering table, autoscaler, partial recovery."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.runtime import BpfRuntime
 from repro.faults import FaultPlan, WedgeDetection
+from repro.net.fleet import Fleet
 from repro.net.flowgen import FlowGenerator
+from repro.net.multicore import RssDispatcher
 from repro.net.queueing import ArrivalProcess, QueueingConfig
 from repro.net.slo import (
     CoreAutoscaler,
     EpochStats,
     IndirectionTable,
     SloConfig,
-    SloController,
+    SloLoop,
     time_to_slo_s,
 )
+from repro.net.steering import NtupleSteering
+from repro.net.xdp import ReplaySession, XdpPipeline
 from repro.nfs import CountMinNF
 from repro.nfs.degrade import ColdStartWarmup
 
@@ -264,10 +270,15 @@ class TestWedgeDetectionModel:
 
 
 class TestSloController:
-    def controller(self, **kw):
-        kw.setdefault("max_cores", 4)
-        kw.setdefault("queueing", QueueingConfig())
-        return SloController(countmin_factory, **kw)
+    """The SLO loop as the dispatcher's epoch hook."""
+
+    def controller(self, config=None, initial_cores=None, warmup=None,
+                   **kw):
+        kw.setdefault("n_cores", 4)
+        slo = replace(config or SloConfig(), initial_cores=initial_cores,
+                      warmup=warmup)
+        return RssDispatcher(countmin_factory, queueing=QueueingConfig(),
+                             slo=slo, **kw)
 
     def test_healthy_run_accounts_and_meets_slo(self):
         trace = bursty_trace(6000, ArrivalProcess(4e6, seed=5))
@@ -366,18 +377,18 @@ class TestSloController:
         trace = bursty_trace(14_000, ArrivalProcess(9e6, seed=5))
 
         def run(autoscale):
-            return SloController(
+            return RssDispatcher(
                 countmin_factory,
-                max_cores=4,
-                initial_cores=2,
+                n_cores=4,
                 queueing=QueueingConfig(),
-                config=SloConfig(
+                faults=FaultPlan(crash_core=1, crash_at=1500),
+                slo=SloConfig(
                     target_p99_us=60.0,
                     epoch_packets=512,
                     autoscale=autoscale,
                     rejoin_epochs=0,
+                    initial_cores=2,
                 ),
-                faults=FaultPlan(crash_core=1, crash_at=1500),
             ).run(trace)
 
         scaled, fixed = run(True), run(False)
@@ -401,10 +412,26 @@ class TestSloController:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            self.controller(max_cores=0)
+            self.controller(n_cores=0)
         with pytest.raises(ValueError):
             self.controller(initial_cores=9)
         with pytest.raises(ValueError):
             self.controller(config=SloConfig(min_cores=8))
         with pytest.raises(ValueError, match="nonexistent core"):
             self.controller(faults=FaultPlan(crash_core=7))
+
+
+@pytest.mark.parametrize("policy", [IndirectionTable, NtupleSteering])
+def test_loop_starts_the_table_on_the_initial_cores(policy):
+    """The loop parks all but ``initial_cores`` and fills a table
+    policy over the serving ones only, so no packet needs failover."""
+    table = policy(4)
+    table.prepare(bursty_trace(2000, ArrivalProcess(4e6, seed=5)))
+    fleet = Fleet(
+        [ReplaySession(XdpPipeline(countmin_factory(c))) for c in range(4)],
+        table,
+    )
+    SloLoop(fleet, SloConfig(initial_cores=2), rebuild=None)
+    assert fleet.serving == [True, True, False, False]
+    assert set(table.table) == {0, 1}
+    assert set(getattr(table, "pinned", {}).values()) <= {0, 1}
