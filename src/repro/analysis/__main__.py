@@ -1,18 +1,20 @@
 """Command-line report generator: ``python -m repro.analysis``.
 
-Runs the full experiment suite and prints every paper table/figure in
-text form.  Options select a subset, the workload size, and how the
-matrix executes:
+Runs the experiments of :mod:`repro.analysis.registry` and prints
+every paper table/figure in text form, in report order:
 
     python -m repro.analysis                   # everything, default size
-    python -m repro.analysis --only fig3e fig7
+    python -m repro.analysis --only fig3e fig7 # or "others": the §6.2 NFs
     python -m repro.analysis --packets 5000    # heavier workloads
     python -m repro.analysis --jobs auto       # fan sweep points across CPUs
     python -m repro.analysis --no-cache        # recompute everything
+    python -m repro.analysis --paper-check     # headline metrics vs the paper
 
 Results are cached on disk (keyed by experiment, parameters, and the
 cost-model fingerprint), so repeat runs skip already-computed points;
 ``--no-cache`` bypasses the cache and ``--clear-cache`` empties it.
+Flags a run would not read (``--only`` with ``--paper-check``, which
+checks everything, or with ``--clear-cache``) are usage errors.
 """
 
 from __future__ import annotations
@@ -21,47 +23,8 @@ import argparse
 import sys
 import time
 
-from . import report
 from .parallel import ResultCache, run_experiments
-
-SWEEP_TITLES = {
-    "fig3a": "Fig. 3(a): skip-list KV lookup",
-    "fig3b": "Fig. 3(b): skip-list KV update/delete",
-    "fig3c": "Fig. 3(c): CuckooSwitch vs load",
-    "fig3d": "Fig. 3(d): NitroSketch vs update probability",
-    "fig3e": "Fig. 3(e): Count-min vs #hashes",
-    "fig3f": "Fig. 3(f): time wheel vs granularity",
-    "fig3g": "Fig. 3(g): cuckoo filter vs load",
-    "fig3h": "Fig. 3(h): Eiffel cFFS vs levels",
-}
-
-#: CLI names that fan out to several underlying experiments.
-EXPAND = {"others": ("efd", "tss", "heavykeeper", "vbf")}
-
-#: Every experiment the CLI runs, in report order (``--only`` picks a
-#: subset; ``EXPAND`` fans a name out to several computed experiments).
-FIGURES = (
-    "table1", "fig1", "table2", "fig3a", "fig3b", "fig3c", "fig3d",
-    "fig3e", "fig3f", "fig3g", "fig3h", "others", "fig45", "fig6", "fig7",
-    "multicore",
-)
-
-#: Experiment name -> renderer over a computed result object.
-RENDERERS = {
-    "table1": report.render_table1,
-    "fig1": report.render_behavior_shares,
-    "table2": report.render_components,
-    "fig45": report.render_latency,
-    "fig6": report.render_interfaces,
-    "fig7": report.render_apps,
-    "multicore": report.render_steering,
-}
-for _name, _title in SWEEP_TITLES.items():
-    RENDERERS[_name] = (
-        lambda result, _t=_title: report.render_sweep(result, _t)
-    )
-for _nf in EXPAND["others"]:
-    RENDERERS[_nf] = lambda result, _t=_nf: report.render_sweep(result, _t)
+from .registry import EXPERIMENTS, cli_names
 
 
 def _int_at_least(flag: str, lowest: int):
@@ -86,6 +49,7 @@ def _jobs_arg(value: str):
 
 
 def main(argv=None) -> int:
+    figures = cli_names()
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Reproduce the eNetSTL evaluation tables and figures.",
@@ -93,7 +57,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--only",
         nargs="+",
-        choices=sorted(FIGURES),
+        choices=sorted(figures),
         help="run only these experiments (default: all)",
     )
     parser.add_argument(
@@ -145,8 +109,16 @@ def main(argv=None) -> int:
     if used and store.root.exists() and not store.root.is_dir():
         parser.error(f"cache directory {store.root} exists and is not a directory")
     if args.clear_cache:
+        for flag, given in (("--only", args.only),
+                            ("--paper-check", args.paper_check)):
+            if given:
+                parser.error(f"{flag}: not read with --clear-cache (it "
+                             "empties the cache and exits)")
         print(f"cleared {store.clear()} cached result(s)")
         return 0
+    if args.paper_check and args.only:
+        parser.error("--only: not read under --paper-check (it checks "
+                     "every experiment)")
     cache = None if args.no_cache else store
     if args.paper_check:
         from .paper_targets import check_all, render_check
@@ -158,10 +130,8 @@ def main(argv=None) -> int:
         print(render_check(results))
         return 0 if all(r.ok for r in results) else 1
 
-    selected = args.only or list(FIGURES)
-    exp_names = []
-    for name in selected:
-        exp_names.extend(EXPAND.get(name, (name,)))
+    selected = args.only or list(figures)
+    exp_names = [exp_name for name in selected for exp_name in figures[name]]
     start = time.time()
     results = run_experiments(
         exp_names, n_packets=args.packets, jobs=args.jobs, cache=cache,
@@ -170,8 +140,8 @@ def main(argv=None) -> int:
     for i, name in enumerate(selected):
         if i:
             print()
-        for exp_name in EXPAND.get(name, (name,)):
-            print(RENDERERS[exp_name](results[exp_name]))
+        for exp_name in figures[name]:
+            print(EXPERIMENTS[exp_name].show(results[exp_name]))
     footer = f"\n[{len(selected)} experiment(s) in {time.time() - start:.1f}s"
     if cache is not None:
         footer += f"; cache: {cache.hits} hit(s), {cache.misses} miss(es)"

@@ -41,6 +41,16 @@ KERNEL_MODES = (ExecMode.KERNEL, ExecMode.ENETSTL)
 
 MASK64 = (1 << 64) - 1
 
+# Default sweep values, read by the experiment functions' signatures and
+# by the runner's registry (``repro.analysis.registry``).
+SKIPLIST_LOADS = (1024, 4096, 16384)                # Fig. 3(a)/(b)
+LOAD_FACTORS = (0.2, 0.4, 0.6, 0.8, 0.95)           # Fig. 3(c)/(g)
+NITRO_PROBS = (1 / 64, 1 / 16, 1 / 4, 1 / 2, 1.0)   # Fig. 3(d)
+COUNTMIN_DEPTHS = (1, 2, 4, 6, 8)                   # Fig. 3(e), #hashes
+TIMEWHEEL_TICKS_NS = (250, 500, 1000, 2000, 4000)   # Fig. 3(f)
+EIFFEL_LEVELS = (1, 2, 3, 4)                        # Fig. 3(h)
+OTHER_NFS = ("efd", "tss", "heavykeeper", "vbf")    # §6.2 "other cases"
+
 
 def _measure(
     nf,
@@ -62,12 +72,29 @@ def _point(x: float, mode: ExecMode, result: PipelineResult, **extra) -> ModePoi
     )
 
 
+def _add_modes(sweep, x, trace, seed, build, modes=ALL_MODES, extra=None):
+    """Add one point per mode at ``x``: each mode gets a fresh runtime
+    and ``build(rt)``'s NF, whose set-up cycles are dropped before the
+    replay; ``extra(nf)`` is read after it."""
+    for mode in modes:
+        rt = BpfRuntime(mode=mode, seed=seed)
+        nf = build(rt)
+        rt.cycles.reset()
+        result = _measure(nf, trace)
+        sweep.add(_point(x, mode, result, **(extra(nf) if extra else {})))
+        # NFs sit in reference cycles that only the cyclic collector
+        # frees: dropped before the next build, this one is reclaimed by
+        # the collections that build triggers, so two large tables are
+        # never live at once (peak memory).
+        del nf
+
+
 # ---------------------------------------------------------------------------
 # Fig. 3(a)/(b): skip-list key-value query (case study 1)
 # ---------------------------------------------------------------------------
 
 def fig3a_skiplist_lookup(
-    loads: Sequence[int] = (1024, 4096, 16384),
+    loads: Sequence[int] = SKIPLIST_LOADS,
     n_packets: int = 1200,
     seed: int = 3,
 ) -> Sweep:
@@ -76,7 +103,7 @@ def fig3a_skiplist_lookup(
 
 
 def fig3b_skiplist_update_delete(
-    loads: Sequence[int] = (1024, 4096, 16384),
+    loads: Sequence[int] = SKIPLIST_LOADS,
     n_packets: int = 1200,
     seed: int = 4,
 ) -> Sweep:
@@ -94,13 +121,13 @@ def _skiplist_sweep(name, op_mix, loads, n_packets, seed) -> Sweep:
         # the flow population before the lists are built lowers peak
         # memory.
         del fg
-        for mode in KERNEL_MODES:
-            rt = BpfRuntime(mode=mode, seed=seed)
+
+        def build(rt):
             nf = SkipListKV(rt, op_mix=op_mix)
             nf.populate(keys)
-            rt.cycles.reset()
-            result = _measure(nf, trace)
-            sweep.add(_point(load, mode, result))
+            return nf
+
+        _add_modes(sweep, load, trace, seed, build, modes=KERNEL_MODES)
     return sweep
 
 
@@ -139,31 +166,44 @@ def _fill_through(load_factors, capacity, seed, fresh):
 
 
 def fig3c_cuckoo_switch(
-    load_factors: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 0.95),
+    load_factors: Sequence[float] = LOAD_FACTORS,
     n_buckets: int = 2048,
     slots: int = 8,
     n_packets: int = 2000,
     seed: int = 5,
 ) -> Sweep:
-    sweep = Sweep("fig3c", "load factor")
+    return _cuckoo_sweep(
+        "fig3c", CuckooSwitchNF, "table",
+        load_factors, n_buckets, slots, n_packets, seed,
+    )
+
+
+def _cuckoo_sweep(
+    name, nf_class, table, load_factors, n_buckets, slots, n_packets, seed
+) -> Sweep:
+    """Fill one table through the load factors; at each, every mode
+    replays a copy of it (``nf_class``'s ``table`` attribute)."""
+    sweep = Sweep(name, "load factor")
+
+    def fresh(rt):
+        return nf_class(rt, n_buckets=n_buckets, slots_per_bucket=slots)
+
     fills = _fill_through(
-        load_factors,
-        n_buckets * slots,
-        seed,
-        lambda: CuckooSwitchNF(
-            BpfRuntime(), n_buckets=n_buckets, slots_per_bucket=slots
-        ),
+        load_factors, n_buckets * slots, seed, lambda: fresh(BpfRuntime())
     )
     for alpha, flows, filled in fills:
         # Traffic is restricted to the resident keys.
         trace = FlowGenerator(seed=seed + 1, flows=flows).trace(n_packets)
-        for mode in ALL_MODES:
-            rt = BpfRuntime(mode=mode, seed=seed)
-            nf = CuckooSwitchNF(rt, n_buckets=n_buckets, slots_per_bucket=slots)
-            nf.table = filled.table.copy()
-            rt.cycles.reset()
-            result = _measure(nf, trace)
-            sweep.add(_point(alpha, mode, result, load=nf.load_factor))
+
+        def build(rt):
+            nf = fresh(rt)
+            setattr(nf, table, getattr(filled, table).copy())
+            return nf
+
+        _add_modes(
+            sweep, alpha, trace, seed, build,
+            extra=lambda nf: {"load": nf.load_factor},
+        )
     return sweep
 
 
@@ -172,7 +212,7 @@ def fig3c_cuckoo_switch(
 # ---------------------------------------------------------------------------
 
 def fig3d_nitrosketch(
-    probs: Sequence[float] = (1 / 64, 1 / 16, 1 / 4, 1 / 2, 1.0),
+    probs: Sequence[float] = NITRO_PROBS,
     depth: int = 8,
     n_packets: int = 2500,
     seed: int = 6,
@@ -181,12 +221,10 @@ def fig3d_nitrosketch(
     fg = FlowGenerator(n_flows=1024, seed=seed)
     trace = fg.trace(n_packets)
     for p in probs:
-        for mode in ALL_MODES:
-            rt = BpfRuntime(mode=mode, seed=seed)
-            nf = NitroSketchNF(rt, depth=depth, update_prob=p)
-            rt.cycles.reset()
-            result = _measure(nf, trace)
-            sweep.add(_point(p, mode, result))
+        _add_modes(
+            sweep, p, trace, seed,
+            lambda rt: NitroSketchNF(rt, depth=depth, update_prob=p),
+        )
     return sweep
 
 
@@ -195,7 +233,7 @@ def fig3d_nitrosketch(
 # ---------------------------------------------------------------------------
 
 def fig3e_countmin(
-    depths: Sequence[int] = (1, 2, 4, 6, 8),
+    depths: Sequence[int] = COUNTMIN_DEPTHS,
     n_packets: int = 2500,
     seed: int = 7,
 ) -> Sweep:
@@ -203,12 +241,9 @@ def fig3e_countmin(
     fg = FlowGenerator(n_flows=1024, seed=seed)
     trace = fg.trace(n_packets)
     for depth in depths:
-        for mode in ALL_MODES:
-            rt = BpfRuntime(mode=mode, seed=seed)
-            nf = CountMinNF(rt, depth=depth)
-            rt.cycles.reset()
-            result = _measure(nf, trace)
-            sweep.add(_point(depth, mode, result))
+        _add_modes(
+            sweep, depth, trace, seed, lambda rt: CountMinNF(rt, depth=depth)
+        )
     return sweep
 
 
@@ -217,7 +252,7 @@ def fig3e_countmin(
 # ---------------------------------------------------------------------------
 
 def fig3f_timewheel(
-    tick_ns_values: Sequence[int] = (250, 500, 1000, 2000, 4000),
+    tick_ns_values: Sequence[int] = TIMEWHEEL_TICKS_NS,
     n_packets: int = 2000,
     pps: float = 1_000_000.0,
     seed: int = 8,
@@ -227,12 +262,11 @@ def fig3f_timewheel(
     gap_ns = rate_to_inter_arrival_ns(pps)
     trace = fg.trace(n_packets, inter_arrival_ns=gap_ns)
     for tick in tick_ns_values:
-        for mode in ALL_MODES:
-            rt = BpfRuntime(mode=mode, seed=seed)
-            nf = TimeWheelNF(rt, tick_ns=tick)
-            rt.cycles.reset()
-            result = _measure(nf, trace)
-            sweep.add(_point(tick, mode, result, dequeued=nf.dequeued))
+        _add_modes(
+            sweep, tick, trace, seed,
+            lambda rt: TimeWheelNF(rt, tick_ns=tick),
+            extra=lambda nf: {"dequeued": nf.dequeued},
+        )
     return sweep
 
 
@@ -241,31 +275,16 @@ def fig3f_timewheel(
 # ---------------------------------------------------------------------------
 
 def fig3g_cuckoo_filter(
-    load_factors: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 0.95),
+    load_factors: Sequence[float] = LOAD_FACTORS,
     n_buckets: int = 4096,
     slots: int = 4,
     n_packets: int = 2000,
     seed: int = 9,
 ) -> Sweep:
-    sweep = Sweep("fig3g", "load factor")
-    fills = _fill_through(
-        load_factors,
-        n_buckets * slots,
-        seed,
-        lambda: CuckooFilterNF(
-            BpfRuntime(), n_buckets=n_buckets, slots_per_bucket=slots
-        ),
+    return _cuckoo_sweep(
+        "fig3g", CuckooFilterNF, "filter",
+        load_factors, n_buckets, slots, n_packets, seed,
     )
-    for alpha, flows, filled in fills:
-        trace = FlowGenerator(seed=seed + 1, flows=flows).trace(n_packets)
-        for mode in ALL_MODES:
-            rt = BpfRuntime(mode=mode, seed=seed)
-            nf = CuckooFilterNF(rt, n_buckets=n_buckets, slots_per_bucket=slots)
-            nf.filter = filled.filter.copy()
-            rt.cycles.reset()
-            result = _measure(nf, trace)
-            sweep.add(_point(alpha, mode, result, load=nf.load_factor))
-    return sweep
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +292,7 @@ def fig3g_cuckoo_filter(
 # ---------------------------------------------------------------------------
 
 def fig3h_eiffel(
-    levels: Sequence[int] = (1, 2, 3, 4),
+    levels: Sequence[int] = EIFFEL_LEVELS,
     n_packets: int = 2000,
     seed: int = 10,
 ) -> Sweep:
@@ -281,12 +300,9 @@ def fig3h_eiffel(
     fg = FlowGenerator(n_flows=1024, seed=seed)
     trace = fg.trace(n_packets)
     for lvl in levels:
-        for mode in ALL_MODES:
-            rt = BpfRuntime(mode=mode, seed=seed)
-            nf = EiffelNF(rt, levels=lvl)
-            rt.cycles.reset()
-            result = _measure(nf, trace)
-            sweep.add(_point(lvl, mode, result))
+        _add_modes(
+            sweep, lvl, trace, seed, lambda rt: EiffelNF(rt, levels=lvl)
+        )
     return sweep
 
 
@@ -332,6 +348,8 @@ def make_rules_for_flows(
 
 def other_nf(name: str, n_packets: int = 2000, seed: int = 11) -> Sweep:
     """Single-configuration sweep for EFD / TSS / HeavyKeeper / VBF."""
+    if name not in OTHER_NFS:
+        raise ValueError(f"unknown NF {name!r}")
     sweep = Sweep(name, "default configuration")
     fg = FlowGenerator(
         n_flows=1024,
@@ -346,25 +364,16 @@ def other_nf(name: str, n_packets: int = 2000, seed: int = 11) -> Sweep:
         filled.bind_flows(
             (f.key_int for f in fg.flows), lambda k: k % filled.table.n_targets
         )
-    for mode in ALL_MODES:
-        rt = BpfRuntime(mode=mode, seed=seed)
-        if name == "efd":
+
+        def build(rt):
             nf = EfdLoadBalancerNF(rt)
             nf.table = filled.table.copy()
-        elif name == "tss":
-            nf = TssClassifierNF(rt)
-            nf.install_rules(make_rules_for_flows(fg.flows[:512]))
-        elif name == "heavykeeper":
-            nf = HeavyKeeperNF(rt)
-        elif name == "vbf":
-            nf = VbfNF(rt)
-            for i, f in enumerate(fg.flows):
-                nf.add_member(f.key_int, i % nf.vbf.n_sets)
-        else:
-            raise ValueError(f"unknown NF {name!r}")
-        rt.cycles.reset()
-        result = _measure(nf, trace)
-        sweep.add(_point(0.0, mode, result))
+            return nf
+
+    else:
+        # Their one configuration is the one Fig. 4/5 measures.
+        build = functools.partial(_heavy_nf, name, fg=fg)
+    _add_modes(sweep, 0.0, trace, seed, build)
     return sweep
 
 

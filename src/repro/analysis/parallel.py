@@ -8,17 +8,16 @@ processes with **bit-identical** results:
 
 1. Each experiment *splits* into subtasks, each a plain
    ``(function-name, kwargs)`` pair that re-invokes the original
-   experiment function.  Most split one per sweep point (one table
-   size / depth / NF / app) on a singleton parameter subset.  The
-   cuckoo load sweeps (Fig. 3(c)/(g)) are one subtask each: they fill
-   one table through every load factor, each point topping up the
-   last, which is far cheaper than a fresh fill per point.  Splitting
-   them would need the population and table shared across subtasks;
-   a process-wide memo for that raised peak memory when it was tried.
+   experiment function, as its :mod:`repro.analysis.registry` entry
+   declares: one per sweep point on a singleton parameter subset, or
+   one for the whole experiment.  Splitting a cuckoo load sweep
+   (Fig. 3(c)/(g)) would need its population and table shared across
+   subtasks; a process-wide memo for that raised peak memory when it
+   was tried.
 2. Subtasks run across a ``multiprocessing.Pool`` (stdlib only) and the
-   ordered partial results *merge* back into the exact object the
-   serial call would have produced (points are appended in the same
-   order the serial loop emits them).
+   ordered partial results *merge* back, by type, into the exact
+   object the serial call would have produced.  Workers look each
+   function up by name in :data:`TASK_FNS`.
 3. An on-disk :class:`ResultCache` keyed by
    ``(experiment, params, cost-model hash, cache version)`` lets
    repeat runs (``python -m repro.analysis``, benchmarks, CI smoke
@@ -43,10 +42,10 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..apps.ir import IR_APP_NAMES
 from ..ebpf.cost_model import CPU_HZ, DEFAULT_COSTS
 from . import experiments as exp
 from .components import fig6_interface_comparison, table2_results
+from .registry import EXPERIMENTS, Subtask
 from .results import Sweep
 from .survey import measured_degradations
 
@@ -54,8 +53,9 @@ from .survey import measured_degradations
 #: change (invalidates the cache).  2: Fig. 7 from the verified-IR builds.
 CACHE_VERSION = 2
 
-#: A subtask: (registered function name, kwargs).  Both picklable.
-Subtask = Tuple[str, Dict[str, Any]]
+#: Seconds before the first serial retry of a failed subtask; each
+#: further retry waits twice as long.
+RETRY_BACKOFF_S = 0.1
 
 #: Functions workers may execute, by name (callables never pickle).
 TASK_FNS: Dict[str, Callable[..., Any]] = {
@@ -169,148 +169,26 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# Experiment splitters / mergers
+# Merging partial results
 # ---------------------------------------------------------------------------
 
-def _merge_sweeps(partials: Sequence[Sweep]) -> Sweep:
-    merged = Sweep(partials[0].name, partials[0].x_label)
-    for part in partials:
-        merged.points.extend(part.points)
-    return merged
-
-
-def _merge_concat(partials: Sequence[List[Any]]) -> List[Any]:
-    out: List[Any] = []
-    for part in partials:
-        out.extend(part)
-    return out
-
-
-def _merge_dicts(partials: Sequence[Dict[Any, Any]]) -> Dict[Any, Any]:
-    out: Dict[Any, Any] = {}
-    for part in partials:
-        out.update(part)
-    return out
-
-
-def _single(partials: Sequence[Any]) -> Any:
-    return partials[0]
-
-
-def _sweep_splitter(fn_name: str, param: str, values: Sequence[Any]):
-    """One subtask per sweep value; serial order is preserved on merge."""
-
-    def split(n_packets: int) -> List[Subtask]:
-        return [
-            (fn_name, {param: (value,), "n_packets": n_packets})
-            for value in values
-        ]
-
-    return split
-
-
-class Experiment:
-    """How one experiment fans out and folds back."""
-
-    def __init__(
-        self,
-        split: Callable[[int], List[Subtask]],
-        merge: Callable[[Sequence[Any]], Any],
-    ) -> None:
-        self.split = split
-        self.merge = merge
-
-
-# Default sweep values mirror the experiment functions' signatures —
-# splitting must reproduce the exact serial iteration.
-EXPERIMENTS: Dict[str, Experiment] = {
-    "fig3a": Experiment(
-        _sweep_splitter("fig3a_skiplist_lookup", "loads", (1024, 4096, 16384)),
-        _merge_sweeps,
-    ),
-    "fig3b": Experiment(
-        _sweep_splitter(
-            "fig3b_skiplist_update_delete", "loads", (1024, 4096, 16384)
-        ),
-        _merge_sweeps,
-    ),
-    # One subtask per cuckoo load sweep: it fills one table through
-    # every load factor (see the module docstring).
-    "fig3c": Experiment(
-        lambda n: [("fig3c_cuckoo_switch", {"n_packets": n})], _single
-    ),
-    "fig3d": Experiment(
-        _sweep_splitter(
-            "fig3d_nitrosketch", "probs", (1 / 64, 1 / 16, 1 / 4, 1 / 2, 1.0)
-        ),
-        _merge_sweeps,
-    ),
-    "fig3e": Experiment(
-        _sweep_splitter("fig3e_countmin", "depths", (1, 2, 4, 6, 8)),
-        _merge_sweeps,
-    ),
-    "fig3f": Experiment(
-        _sweep_splitter(
-            "fig3f_timewheel", "tick_ns_values", (250, 500, 1000, 2000, 4000)
-        ),
-        _merge_sweeps,
-    ),
-    "fig3g": Experiment(
-        lambda n: [("fig3g_cuckoo_filter", {"n_packets": n})], _single
-    ),
-    "fig3h": Experiment(
-        _sweep_splitter("fig3h_eiffel", "levels", (1, 2, 3, 4)),
-        _merge_sweeps,
-    ),
-    "efd": Experiment(
-        lambda n: [("other_nf", {"name": "efd", "n_packets": n})], _single
-    ),
-    "tss": Experiment(
-        lambda n: [("other_nf", {"name": "tss", "n_packets": n})], _single
-    ),
-    "heavykeeper": Experiment(
-        lambda n: [("other_nf", {"name": "heavykeeper", "n_packets": n})],
-        _single,
-    ),
-    "vbf": Experiment(
-        lambda n: [("other_nf", {"name": "vbf", "n_packets": n})], _single
-    ),
-    "fig45": Experiment(
-        lambda n: [
-            ("fig4_fig5_latency", {"nfs": (nf,), "n_packets": min(n, 500)})
-            for nf in exp.LATENCY_NFS
-        ],
-        _merge_concat,
-    ),
-    "fig1": Experiment(
-        lambda n: [
-            ("fig1_behavior_shares", {"nfs": (nf,), "n_packets": n})
-            for nf in exp.BEHAVIOR_OF
-        ],
-        _merge_concat,
-    ),
-    "fig7": Experiment(
-        lambda n: [
-            ("fig7_apps", {"apps": (app,), "n_packets": n})
-            for app in IR_APP_NAMES
-        ],
-        _merge_dicts,
-    ),
-    "table1": Experiment(
-        lambda n: [("measured_degradations", {"n_packets": min(n, 1000)})],
-        _single,
-    ),
-    "table2": Experiment(lambda n: [("table2_results", {})], _single),
-    "fig6": Experiment(lambda n: [("fig6_interface_comparison", {})], _single),
-    # One subtask per steering policy; each streams its own Zipf trace.
-    "multicore": Experiment(
-        lambda n: [
-            ("multicore_steering", {"policies": (policy,), "n_packets": n})
-            for policy in exp.STEERING_POLICIES
-        ],
-        _merge_dicts,
-    ),
-}
+def _merge(partials: Sequence[Any]) -> Any:
+    """Fold one experiment's ordered subtask results into the result
+    the serial call returns: a lone result as is, a :class:`Sweep`'s
+    points appended, lists concatenated, dicts updated."""
+    head = partials[0]
+    if len(partials) == 1:
+        return head
+    if isinstance(head, Sweep):
+        merged = Sweep(head.name, head.x_label)
+        for part in partials:
+            merged.points.extend(part.points)
+        return merged
+    if isinstance(head, list):
+        return [item for part in partials for item in part]
+    if isinstance(head, dict):
+        return {k: v for part in partials for k, v in part.items()}
+    raise TypeError(f"cannot merge {type(head).__name__} results")
 
 
 def _run_subtask(spec: Subtask) -> Any:
@@ -354,7 +232,6 @@ def run_experiments(
     jobs: Union[int, str, None] = 1,
     cache: Optional[ResultCache] = None,
     retries: int = 1,
-    backoff_s: float = 0.1,
 ) -> "Dict[str, Any]":
     """Run the named experiments, fanned out and cached.
 
@@ -367,13 +244,11 @@ def run_experiments(
     every *successful* result is cached the moment it lands, and a
     failed subtask is **never** written to the cache.  Failures are
     retried serially up to ``retries`` times with exponential backoff
-    (``backoff_s * 2**attempt``); whatever still fails is raised as one
-    aggregate :class:`SubtaskError`.
+    (``RETRY_BACKOFF_S * 2**attempt``); whatever still fails is raised
+    as one aggregate :class:`SubtaskError`.
     """
     if retries < 0:
         raise ValueError("retries must be non-negative")
-    if backoff_s < 0:
-        raise ValueError("backoff_s must be non-negative")
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments: {unknown}")
@@ -441,8 +316,7 @@ def run_experiments(
         for attempt in range(retries):
             if not failures:
                 break
-            if backoff_s:
-                time.sleep(backoff_s * (2 ** attempt))
+            time.sleep(RETRY_BACKOFF_S * (2 ** attempt))
             remaining: List[Tuple[int, Subtask, BaseException]] = []
             for i, spec, _ in failures:
                 try:
@@ -463,5 +337,5 @@ def run_experiments(
         partials = [
             outputs[i] for i, (owner, _, _) in enumerate(plan) if owner == name
         ]
-        results[name] = EXPERIMENTS[name].merge(partials)
+        results[name] = _merge(partials)
     return results

@@ -159,6 +159,6 @@ def measured_degradations(n_packets: int = 800) -> Dict[str, float]:
     from_sweep("cuckoo_filter", exp.fig3g_cuckoo_filter(n_packets=n_packets))
     from_sweep("timewheel", exp.fig3f_timewheel(n_packets=n_packets))
     from_sweep("eiffel", exp.fig3h_eiffel(n_packets=n_packets))
-    for nf in ("efd", "tss", "heavykeeper", "vbf"):
+    for nf in exp.OTHER_NFS:
         from_sweep(nf, exp.other_nf(nf, n_packets=n_packets))
     return out

@@ -337,9 +337,18 @@ class MulticoreResult:
         drives it up (the heavy flows pin to single queues), which is
         exactly the aggregate-throughput loss the metric quantifies:
         ``aggregate_pps = ideal_pps / imbalance``.  NUMA penalties count
-        toward core load (a remote core is effectively slower).
+        toward core load (a remote core is effectively slower).  Under
+        the SLO loop the mean is over the cores that served: active in
+        some epoch, or processed a packet; a parked core is not idle
+        capacity the steering wasted.
         """
         cycles = self.per_core_loaded_cycles
+        if self.timeline:
+            active = {core for e in self.timeline for core in e.active_cores}
+            cycles = [
+                c for core, (c, r) in enumerate(zip(cycles, self.per_core))
+                if core in active or r.n_packets
+            ]
         total = sum(cycles)
         if not cycles or total == 0:
             return 1.0

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis.__main__ import EXPAND, FIGURES, RENDERERS, main
-from repro.analysis.parallel import EXPERIMENTS
+from repro.analysis.__main__ import main
+from repro.analysis.parallel import TASK_FNS
+from repro.analysis.registry import EXPERIMENTS, cli_names
 
 
 class TestCli:
@@ -44,6 +45,33 @@ class TestCli:
         flag = argv[-2]
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--paper-check", "--only", "fig3e", "--no-cache",
+          "--packets", "200"], "--only"),
+        (["--clear-cache", "--only", "fig3e"], "--only"),
+        (["--clear-cache", "--paper-check"], "--paper-check"),
+    ], ids=["only-paper-check", "clear-only", "clear-paper-check"])
+    def test_flags_a_run_would_ignore_rejected(
+        self, argv, flag, tmp_path, capsys, monkeypatch
+    ):
+        import repro.analysis.__main__ as cli
+        from repro.analysis import paper_targets
+
+        def never(*args, **kwargs):
+            raise AssertionError("experiments ran despite an ignored flag")
+
+        monkeypatch.setattr(cli, "run_experiments", never)
+        monkeypatch.setattr(paper_targets, "check_all", never)
+        kept = tmp_path / "entry.pkl"
+        kept.write_bytes(b"")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}: not read" in err
+        assert "Traceback" not in err
+        assert kept.exists()  # --clear-cache cleared nothing
+
     def test_zero_retries_accepted(self, capsys):
         assert main(["--only", "fig3e", "--packets", "200", "--no-cache",
                      "--retries", "0"]) == 0
@@ -55,10 +83,17 @@ class TestCli:
             "fig3e", "fig3f", "fig3g", "fig3h", "others", "fig45", "fig6",
             "fig7", "multicore",
         }
-        assert set(FIGURES) == expected
-        for name in FIGURES:
-            for exp_name in EXPAND.get(name, (name,)):
-                assert exp_name in EXPERIMENTS and exp_name in RENDERERS
+        figures = cli_names()
+        assert set(figures) == expected
+        assert figures["others"] == ["efd", "tss", "heavykeeper", "vbf"]
+        for name in figures:
+            for exp_name in figures[name]:
+                experiment = EXPERIMENTS[exp_name]
+                # Computes: a registered task with a non-empty plan ...
+                assert experiment.task in TASK_FNS
+                assert experiment.split(200)
+                # ... and renders: its own renderer or a sweep title.
+                assert experiment.render is not None or experiment.title
 
 
 class TestCacheFailures:

@@ -63,11 +63,12 @@ class TestTarget:
         assert "PASS" in text and "55" in text
 
     def test_targets_cover_every_sweep(self):
-        from repro.analysis.__main__ import EXPAND, SWEEP_TITLES
-        from repro.analysis.parallel import EXPERIMENTS
+        from repro.analysis.registry import EXPERIMENTS
 
-        assert set(TARGETS) == set(SWEEP_TITLES) | set(EXPAND["others"])
-        assert set(TARGETS) <= set(EXPERIMENTS)
+        sweeps = {
+            name for name, e in EXPERIMENTS.items() if e.render is None
+        }
+        assert set(TARGETS) == sweeps
 
     def test_bands_contain_paper_values(self):
         """Our acceptance bands must be honest: each contains (or is

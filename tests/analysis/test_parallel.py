@@ -11,6 +11,7 @@ from repro.analysis.parallel import (
     run_experiments,
     subtask_key,
 )
+from repro.analysis.registry import Experiment
 
 N = 300  # small but non-degenerate workload for identity checks
 
@@ -186,13 +187,9 @@ class TestFailureHandling:
 
         monkeypatch.setitem(parallel.TASK_FNS, "test_boom", boom)
         monkeypatch.setitem(
-            parallel.EXPERIMENTS,
-            "broken",
-            parallel.Experiment(
-                lambda n: [("test_boom", {"n_packets": n})],
-                lambda partials: partials[0],
-            ),
+            parallel.EXPERIMENTS, "broken", Experiment("test_boom")
         )
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF_S", 0)
 
     def test_failure_raises_aggregate_error(self, broken):
         from repro.analysis.parallel import SubtaskError
@@ -246,14 +243,10 @@ class TestFailureHandling:
 
         monkeypatch.setitem(parallel.TASK_FNS, "test_flaky", flaky)
         monkeypatch.setitem(
-            parallel.EXPERIMENTS,
-            "flaky",
-            parallel.Experiment(
-                lambda n: [("test_flaky", {"n_packets": n})],
-                lambda partials: partials[0],
-            ),
+            parallel.EXPERIMENTS, "flaky", Experiment("test_flaky")
         )
-        out = run_experiments(["flaky"], n_packets=N, retries=1, backoff_s=0)
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF_S", 0)
+        out = run_experiments(["flaky"], n_packets=N, retries=1)
         assert out["flaky"] == {"ok": N}
         assert int(marker.read_text()) == 2
 
@@ -272,10 +265,8 @@ class TestFailureHandling:
         from repro.analysis.parallel import SubtaskError
 
         with pytest.raises(SubtaskError, match="after retries"):
-            run_experiments(["broken"], n_packets=N, retries=2, backoff_s=0)
+            run_experiments(["broken"], n_packets=N, retries=2)
 
     def test_retry_params_validated(self):
         with pytest.raises(ValueError):
             run_experiments(["fig3h"], n_packets=N, retries=-1)
-        with pytest.raises(ValueError):
-            run_experiments(["fig3h"], n_packets=N, backoff_s=-0.5)

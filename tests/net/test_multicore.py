@@ -134,6 +134,14 @@ class TestRssDispatcher:
         assert fused.actions == interp.actions
         assert fused.by_category == interp.by_category
 
+    def test_idle_cores_count_toward_imbalance_on_a_fixed_fleet(self):
+        """One flow on four cores: the three idle queues are capacity
+        steering wasted, so the busiest core carries 4x the mean."""
+        trace = FlowGenerator(n_flows=1, seed=2).trace(300)
+        result = RssDispatcher(countmin_factory(), n_cores=4).run(trace)
+        assert sorted(r.n_packets for r in result.per_core) == [0, 0, 0, 300]
+        assert result.imbalance == 4.0
+
     def test_empty_trace(self):
         result = RssDispatcher(countmin_factory(), n_cores=4).run([])
         assert result.n_packets == 0

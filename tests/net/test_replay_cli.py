@@ -236,6 +236,21 @@ class TestPlumbing:
         assert got == json.loads(json.dumps(report(run, args)))
         assert got["failures"][0]["kind"] == "wedge"
 
+    def test_autoscale_imbalance_counts_only_cores_that_served(self, capsys):
+        """Core 3 is never activated by the SLO loop and serves no
+        packet, so the imbalance mean is over cores 0-2 (over all four
+        it would read 3.061)."""
+        got = self._main_json([
+            "--packets", "4000", "--flows", "256", "--cores", "4",
+            "--initial-cores", "2", "--rate", "0.01", "--seed", "5",
+            "--wedge-core", "1", "--wedge-at", "300",
+            "--detection-mean", "200", "--burst", "9e6",
+            "--slo-p99", "60", "--autoscale",
+        ], capsys)
+        assert got["per_core_packets"] == [2809, 301, 558, 0]
+        assert all(3 not in e["active_cores"] for e in got["timeline"])
+        assert got["imbalance"] == 2.296
+
     def test_autoscale_ntuple_numa_matches_direct_dispatcher(self, capsys):
         argv = ["--packets", "2000", "--flows", "128", "--cores", "4",
                 "--policy", "ntuple", "--numa-nodes", "2", "--burst", "8e6",
