@@ -130,7 +130,8 @@ def main(argv=None) -> int:
         print(render_check(results))
         return 0 if all(r.ok for r in results) else 1
 
-    selected = args.only or list(figures)
+    # A name given twice runs and prints once.
+    selected = list(dict.fromkeys(args.only or figures))
     exp_names = [exp_name for name in selected for exp_name in figures[name]]
     start = time.time()
     results = run_experiments(

@@ -59,8 +59,7 @@ def measure_component(component: str, mode: ExecMode) -> float:
         counters = [[0] * 512 for _ in range(8)]
         return _cycles_per_op(lambda i: algos.hash_cnt(counters, i, 8), rt)
     if component == "random_pool":
-        if mode == ExecMode.PURE_EBPF:
-            return _cycles_per_op(lambda i: rt.prandom_u32(), rt)
+        # In eBPF the pool's draw is the bpf_get_prandom_u32 helper.
         pool = RandomPool(rt)
         return _cycles_per_op(lambda i: pool.draw(), rt)
     if component == "geo_pool":

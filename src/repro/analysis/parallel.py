@@ -237,7 +237,7 @@ def run_experiments(
 
     Returns ``{experiment name: result}`` with results identical
     (bit-for-bit, same container types and orderings) to calling the
-    serial experiment functions directly.
+    serial experiment functions directly.  A name given twice runs once.
 
     Failure handling: each subtask is dispatched and collected
     independently, so one raising subtask cannot poison its siblings —
@@ -249,6 +249,7 @@ def run_experiments(
     """
     if retries < 0:
         raise ValueError("retries must be non-negative")
+    names = list(dict.fromkeys(names))
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments: {unknown}")

@@ -62,7 +62,7 @@ import functools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.algorithms.hashing import fast_hash32, salted_hash32
-from ..core.algorithms.simd import LANES
+from ..core.kfunc import LibraryPrices
 from ..datastructs.countmin import CountMinSketch
 from ..datastructs.cuckoo import BlockedCuckooTable
 from ..datastructs.heap import TopKHeap
@@ -90,7 +90,7 @@ from ..ebpf.insn import (
     Program,
     Store,
 )
-from ..ebpf.cost_model import Category, CostModel, ExecMode, simd_batches
+from ..ebpf.cost_model import Category, CostModel, ExecMode
 from ..ebpf.header import (
     HEADER_BYTES,
     PKT_DST_IP,
@@ -835,9 +835,10 @@ def app_nf_factory(
 # Fig. 7: one chain, two builds
 # ---------------------------------------------------------------------------
 
-#: The builds Fig. 7 compares, in report order, with the execution mode
-#: each runtime is labelled with: the stock project on BPF helper calls
-#: and the eNetSTL integration on kfuncs.
+#: The builds Fig. 7 compares, in report order, with each build's
+#: execution mode, which labels its runtime and prices its library
+#: operations: the stock project on BPF helper calls and the eNetSTL
+#: integration on kfuncs.
 FIG7_BUILDS: Dict[str, ExecMode] = {
     "origin": ExecMode.PURE_EBPF,
     "enetstl": ExecMode.ENETSTL,
@@ -875,85 +876,69 @@ def fig7_charges(
     """Fig. 7's charge table: app kfunc -> (charges on every executed
     call, extra charges when the call returns nonzero).
 
-    ``origin`` charges the helper path: a full BPF hash-map lookup or
-    update for every key-value access, one ``map_lookup`` per sketch
-    map, one software hash per sketch row, and a
-    ``bpf_get_prandom_u32`` per universal-sketch sample.  ``enetstl`` charges
-    the kfunc path: ``hw_hash_crc`` + ``find_simd`` over one blocked
-    bucket, one ``hash_simd`` batch for all rows, and percpu lookups.
+    Library operations (row hashing and counting, the learn filter's
+    hashes, the universal sample's hash, ``find_simd``) cost what
+    :class:`~repro.core.kfunc.LibraryPrices` prices them at in the
+    build's mode (:data:`FIG7_BUILDS`): software hashes for ``origin``,
+    ``hash_simd``/``hw_hash_crc`` kfuncs for ``enetstl``.  What differs
+    beyond that is the path: ``origin`` takes a full BPF hash-map
+    lookup or update for every key-value access, one ``map_lookup`` per
+    sketch map and a ``bpf_get_prandom_u32`` per universal-sketch
+    sample; ``enetstl`` takes ``hw_hash_crc`` + ``find_simd`` over one
+    blocked bucket, percpu lookups and a random-pool countdown.
     Non-core work rides on a kfunc each packet calls once, at the same
     cost in both builds.  The only result-dependent charge is the FDB
     update of a freshly learned MAC (``enetstl_fdb_learn`` returns 1);
     Katran's new-flow work sits on ``ch_pick``/``conn_insert``, which
     the chain calls only on a connection miss.
     """
+    if build not in FIG7_BUILDS:
+        raise ValueError(
+            f"unknown build {build!r} (expected one of {tuple(FIG7_BUILDS)})"
+        )
     c = costs
+    lib = LibraryPrices(FIG7_BUILDS[build], costs)
     OTHER, BUCKETS, MULTIHASH = Category.OTHER, Category.BUCKETS, Category.MULTIHASH
     FRAMEWORK = Category.FRAMEWORK
-    row_soft = c.hash_scalar + c.counter_update
+
+    def rows(k: int) -> int:
+        """Hash ``k`` sketch rows and bump one counter in each."""
+        return lib.multi_hash(k) + c.counter_update * k
+
     if build == "origin":
         kv_lookup: Charges = ((c.bpf_hash_lookup_full, BUCKETS),)
         kv_update: Charges = ((c.bpf_hash_update_full, BUCKETS),)
         stats = c.map_update
-        rake: Charges = (
-            (c.map_lookup * RAKE_LEVELS, FRAMEWORK),
-            (row_soft * RAKE_LEVELS, MULTIHASH),
-        )
-        learn: Charges = (
-            (c.hash_scalar * 2, MULTIHASH),
-            (FILTER_BITS_SCALAR, Category.BITOPS),
-        )
-        sketch: Charges = (
-            (c.map_lookup, FRAMEWORK),
-            (row_soft * SK_ROWS, MULTIHASH),
-        )
-        univ: Charges = (
-            (c.prandom_helper + UNIV_DRAW_CMP, Category.RANDOM),
-            (row_soft, MULTIHASH),
-        )
-    elif build == "enetstl":
-        find = (c.simd_load + c.cmp_simd_batch) * simd_batches(
-            CONN_SLOTS, LANES
-        ) + c.kfunc_call
+        sketch_state = c.map_lookup
+        filter_bits = FILTER_BITS_SCALAR
+        univ_draw = c.prandom_helper + UNIV_DRAW_CMP
+    else:
         kv_lookup = (
             (c.percpu_array_lookup + c.null_check, FRAMEWORK),
-            (c.hash_crc_hw + c.kfunc_call, MULTIHASH),
-            (find + CUCKOO_KEY_VERIFY, BUCKETS),
+            (lib.crc(), MULTIHASH),
+            (lib.find(CONN_SLOTS) + CUCKOO_KEY_VERIFY, BUCKETS),
         )
-        kv_update = (
-            (c.hash_crc_hw + 2 * c.kfunc_call + CUCKOO_INSERT_WORK, BUCKETS),
-        )
+        # The hash call, then the insert call.
+        kv_update = ((lib.crc() + lib.call + CUCKOO_INSERT_WORK, BUCKETS),)
         stats = STATS_PERCPU
-
-        def simd_rows(k: int) -> int:
-            return (
-                c.hash_simd_setup + c.hash_simd_lane * k + c.kfunc_call
-                + c.counter_update * k
-            )
-
-        # Each level's sketch still lives in its own BPF map: only the
-        # hashing + counting kfunc changed, so the per-level fetch stays.
-        rake = (
-            ((c.map_lookup + c.null_check) * RAKE_LEVELS, FRAMEWORK),
-            (simd_rows(RAKE_LEVELS), MULTIHASH),
-        )
-        learn = (
-            (c.hash_simd_setup + c.hash_simd_lane * 2 + c.kfunc_call,
-             MULTIHASH),
-            (FILTER_BITS_SIMD, Category.BITOPS),
-        )
-        sketch = (
-            (c.percpu_array_lookup + c.null_check, FRAMEWORK),
-            (simd_rows(SK_ROWS), MULTIHASH),
-        )
-        univ = (
-            (UNIV_COUNTDOWN, Category.RANDOM),
-            (c.hash_crc_hw + c.counter_update + c.kfunc_call, MULTIHASH),
-        )
-    else:
-        raise ValueError(
-            f"unknown build {build!r} (expected one of {tuple(FIG7_BUILDS)})"
-        )
+        sketch_state = c.percpu_array_lookup + c.null_check
+        filter_bits = FILTER_BITS_SIMD
+        univ_draw = UNIV_COUNTDOWN
+    # Each level's sketch lives in its own BPF map in both builds: only
+    # the hashing + counting changed, so the per-level fetch stays.
+    rake: Charges = (
+        (lib.fetch * RAKE_LEVELS, FRAMEWORK),
+        (rows(RAKE_LEVELS), MULTIHASH),
+    )
+    learn: Charges = (
+        (lib.multi_hash(2), MULTIHASH),
+        (filter_bits, Category.BITOPS),
+    )
+    sketch: Charges = ((sketch_state, FRAMEWORK), (rows(SK_ROWS), MULTIHASH))
+    univ: Charges = (
+        (univ_draw, Category.RANDOM),
+        (lib.crc() + c.counter_update, MULTIHASH),
+    )
     return {
         "enetstl_conn_lookup": (((KATRAN_PARSE, Category.PARSE),) + kv_lookup, ()),
         "enetstl_ch_pick": (((CH_RING_MATH, OTHER),), ()),

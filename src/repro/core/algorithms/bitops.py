@@ -11,8 +11,9 @@ software loops; the cost model charges accordingly.
 
 from __future__ import annotations
 
-from ...ebpf.cost_model import Category, ExecMode
+from ...ebpf.cost_model import Category
 from ...ebpf.runtime import BpfRuntime
+from ..kfunc import LibraryPrices
 
 U64_MASK = (1 << 64) - 1
 
@@ -43,18 +44,7 @@ class BitOps:
     ) -> None:
         self.rt = rt
         self.category = category
-
-    #: Bit kfuncs are tiny leaf functions; the JIT emits them as direct
-    #: near-calls with no stack traffic, so the crossing is ~2 cycles.
-    LEAF_CALL_COST = 2
-
-    def _charge(self, hw_cost: int, soft_cost: int) -> None:
-        if self.rt.mode == ExecMode.PURE_EBPF:
-            self.rt.charge(soft_cost, self.category)
-        elif self.rt.mode == ExecMode.ENETSTL:
-            self.rt.charge(hw_cost + self.LEAF_CALL_COST, self.category)
-        else:  # KERNEL
-            self.rt.charge(hw_cost, self.category)
+        self.prices = LibraryPrices(rt.mode, rt.costs)
 
     def ffs(self, x: int) -> int:
         """Find first (least-significant) set bit; 1-based, 0 if none.
@@ -62,15 +52,15 @@ class BitOps:
         Three CPU cycles on hardware (TZCNT) — the instruction Eiffel's
         cFFS queue leans on for O(n/64) priority lookup.
         """
-        self._charge(self.rt.costs.ffs_hw, self.rt.costs.ffs_soft)
+        self.rt.charge(self.prices.ffs, self.category)
         return soft_ffs(x)
 
     def fls(self, x: int) -> int:
         """Find last (most-significant) set bit; 1-based, 0 if none."""
-        self._charge(self.rt.costs.ffs_hw, self.rt.costs.ffs_soft)
+        self.rt.charge(self.prices.ffs, self.category)
         return soft_fls(x)
 
     def popcnt(self, x: int) -> int:
         """Count set bits."""
-        self._charge(self.rt.costs.popcnt_hw, self.rt.costs.popcnt_soft)
+        self.rt.charge(self.prices.popcnt, self.category)
         return soft_popcnt(x)

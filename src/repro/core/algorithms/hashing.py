@@ -26,6 +26,7 @@ from typing import List, MutableSequence, Sequence, Union
 
 from ...ebpf.cost_model import Category, ExecMode, simd_batches
 from ...ebpf.runtime import BpfRuntime
+from ..kfunc import LibraryPrices
 
 M32 = (1 << 32) - 1
 M64 = (1 << 64) - 1
@@ -240,24 +241,15 @@ class HashAlgos:
     ) -> None:
         self.rt = rt
         self.category = category
-
-    def _call_overhead(self) -> int:
-        """kfunc call for eNetSTL; plain function call in the kernel."""
-        if self.rt.mode == ExecMode.ENETSTL:
-            return self.rt.costs.kfunc_call
-        if self.rt.mode == ExecMode.KERNEL:
-            return self.rt.costs.kernel_call
-        return 0
+        self.prices = LibraryPrices(rt.mode, rt.costs)
 
     # -- single hash -------------------------------------------------------
 
     def hw_hash_crc(self, key: KeyLike, seed: int = 0) -> int:
         """One hash value; hardware CRC where available."""
-        costs = self.rt.costs
-        if self.rt.mode == ExecMode.PURE_EBPF:
-            self.rt.charge(costs.hash_scalar, self.category)
+        self.rt.charge(self.prices.crc(), self.category)
+        if self.rt.mode is ExecMode.PURE_EBPF:
             return fast_hash32(key, seed)
-        self.rt.charge(costs.hash_crc_hw + self._call_overhead(), self.category)
         return crc_hash32(key, seed)
 
     def hash_scalar(self, key: KeyLike, seed: int = 0) -> int:
@@ -270,16 +262,7 @@ class HashAlgos:
     def _hashes(self, key: KeyLike, k: int) -> List[int]:
         if k <= 0:
             raise ValueError("k must be positive")
-        costs = self.rt.costs
-        if self.rt.mode == ExecMode.PURE_EBPF:
-            self.rt.charge(costs.hash_scalar * k, self.category)
-        else:
-            self.rt.charge(
-                costs.hash_simd_setup
-                + costs.hash_simd_lane * k
-                + self._call_overhead(),
-                self.category,
-            )
+        self.rt.charge(self.prices.multi_hash(k), self.category)
         return [fast_hash32(key, seed) for seed in range(k)]
 
     # -- unified post-hash operations ------------------------------------------
@@ -330,16 +313,7 @@ class HashAlgos:
         n = len(keys)
         if n == 0:
             return
-        costs = self.rt.costs
-        if self.rt.mode == ExecMode.PURE_EBPF:
-            per_key = costs.hash_scalar * k
-        else:
-            per_key = (
-                costs.hash_simd_setup
-                + costs.hash_simd_lane * k
-                + self._call_overhead()
-            )
-        per_key += costs.counter_update * k
+        per_key = self.prices.multi_hash(k) + self.rt.costs.counter_update * k
         self.rt.charge(per_key * n, self.category)
         widths = [len(counters[row]) for row in range(k)]
         for key in keys:
@@ -409,12 +383,10 @@ class HashAlgos:
         if k <= 0:
             raise ValueError("k must be positive")
         costs = self.rt.costs
-        batches = simd_batches(k)
         self.rt.charge(
-            costs.hash_simd_setup
-            + costs.hash_simd_lane * k
-            + costs.simd_store * batches
-            + self._call_overhead(),
+            self.prices.simd_hash(k)
+            + costs.simd_store * simd_batches(k)
+            + self.prices.call,
             self.category,
         )
         # The eBPF caller re-reads every lane from memory.
@@ -440,11 +412,9 @@ class HashAlgos:
         if len(counters) < k:
             raise ValueError(f"counter matrix has {len(counters)} rows; need {k}")
         costs = self.rt.costs
-        extra = self._call_overhead()
+        extra = self.prices.call
         # The SIMD computation itself (one call).
-        self.rt.charge(
-            costs.hash_simd_setup + costs.hash_simd_lane * k + extra, self.category
-        )
+        self.rt.charge(self.prices.simd_hash(k) + extra, self.category)
         # Per-lane extraction round trips.
         self.rt.charge(
             k * (extra + costs.simd_load + costs.simd_store + 16), self.category

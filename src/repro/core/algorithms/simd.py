@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from ...ebpf.cost_model import Category, ExecMode, simd_batches
+from ...ebpf.cost_model import Category, simd_batches
 from ...ebpf.runtime import BpfRuntime
+from ..kfunc import LibraryPrices
 
 LANES = 8  # AVX2: 8 x 32-bit lanes per 256-bit register
 
@@ -33,28 +34,9 @@ class SimdOps:
     ) -> None:
         self.rt = rt
         self.category = category
+        self.prices = LibraryPrices(rt.mode, rt.costs)
 
     # -- high-level interfaces ------------------------------------------------
-
-    def _call_overhead(self) -> int:
-        if self.rt.mode == ExecMode.ENETSTL:
-            return self.rt.costs.kfunc_call
-        if self.rt.mode == ExecMode.KERNEL:
-            return self.rt.costs.kernel_call
-        return 0
-
-    def _charge_batched(
-        self, n_items: int, batch_cost: int, scalar_cost: int, fused: bool
-    ) -> None:
-        costs = self.rt.costs
-        if self.rt.mode == ExecMode.PURE_EBPF:
-            self.rt.charge(scalar_cost * max(n_items, 1), self.category)
-            return
-        batches = simd_batches(n_items, LANES)
-        extra = 0 if fused else self._call_overhead()
-        self.rt.charge(
-            (costs.simd_load + batch_cost) * max(batches, 1) + extra, self.category
-        )
 
     def find(self, arr: Sequence[int], key: int, fused: bool = False) -> int:
         """Index of the first element equal to ``key``; -1 if absent.
@@ -63,8 +45,7 @@ class SimdOps:
         r0, so no memory is written.  ``fused=True`` marks a call made
         from inside a larger kfunc (no extra call overhead).
         """
-        self._charge_batched(len(arr), self.rt.costs.cmp_simd_batch,
-                             self.rt.costs.cmp_scalar_per_item, fused)
+        self.rt.charge(self.prices.find(len(arr), fused), self.category)
         for i, v in enumerate(arr):
             if v == key:
                 return i
@@ -74,8 +55,7 @@ class SimdOps:
         """(index, value) of the first minimum element."""
         if not arr:
             raise ValueError("cannot reduce an empty array")
-        self._charge_batched(len(arr), self.rt.costs.reduce_simd_batch,
-                             self.rt.costs.reduce_scalar_per_item, fused)
+        self.rt.charge(self.prices.reduce(len(arr), fused), self.category)
         best_i = 0
         for i, v in enumerate(arr):
             if v < arr[best_i]:
@@ -86,8 +66,7 @@ class SimdOps:
         """(index, value) of the first maximum element."""
         if not arr:
             raise ValueError("cannot reduce an empty array")
-        self._charge_batched(len(arr), self.rt.costs.reduce_simd_batch,
-                             self.rt.costs.reduce_scalar_per_item, fused)
+        self.rt.charge(self.prices.reduce(len(arr), fused), self.category)
         best_i = 0
         for i, v in enumerate(arr):
             if v > arr[best_i]:
@@ -106,7 +85,7 @@ class SimdOps:
         :meth:`find`; only the charging differs.
         """
         costs = self.rt.costs
-        extra = costs.kfunc_call if self.rt.mode == ExecMode.ENETSTL else 0
+        extra = self.prices.crossing
         for _ in range(max(simd_batches(len(arr), LANES), 1)):
             # kfunc 1: broadcast key -> register, stored back to memory.
             self.rt.charge(costs.simd_load + costs.simd_store + extra, self.category)

@@ -8,10 +8,16 @@ forcing null checks, constant-argument annotations for sizes.
 :func:`enetstl_registry` returns a :class:`KfuncRegistry` preloaded
 with the baseline helpers plus the full eNetSTL API; the verifier tests
 validate example programs (including the paper's Listing 3) against it.
+
+:class:`LibraryPrices` is the library's price list: what each operation
+costs in each execution mode.  The library classes charge it, and every
+NF or Fig. 7 build that folds a library operation into a larger charge
+reads it there.
 """
 
 from __future__ import annotations
 
+from ..ebpf.cost_model import CostModel, ExecMode, simd_batches
 from ..ebpf.kfunc_meta import (
     ARG_CONST,
     ARG_KPTR,
@@ -200,3 +206,105 @@ def enetstl_registry() -> KfuncRegistry:
     reg.define("geo_rpool_draw", args=(ARG_KPTR,), prog_types=NF_PROG_TYPES)
 
     return reg
+
+
+# ---------------------------------------------------------------------------
+# Price list: each library operation's cycles in one execution mode
+# ---------------------------------------------------------------------------
+
+#: Bit kfuncs are tiny leaf functions; the JIT emits them as direct
+#: near-calls with no stack traffic, so the crossing is ~2 cycles.
+LEAF_CALL_COST = 2
+
+
+class LibraryPrices:
+    """Cycles each eNetSTL library operation costs in one ``mode``.
+
+    Resolved once from ``(mode, costs)``; neither changes after a
+    runtime is built.  Pure eBPF has no library: its prices are the
+    equivalent eBPF code (software hashes, scalar compare loops, the
+    BPF list with its spin lock).  Two crossing rules apply:
+
+    - ``call``, the library-call rule: a kfunc call in eNetSTL, a plain
+      function call in the kernel, nothing in eBPF (it inlines its own
+      code).  Hashing, compare/reduce and list-buckets pay it.
+    - ``crossing``, eNetSTL only: the kernel inlines the operation.
+      Random-pool draws and the low-level SIMD kfuncs pay it.
+    """
+
+    __slots__ = (
+        "costs", "call", "crossing", "fetch", "row_hash", "ffs", "popcnt",
+        "lb_insert", "lb_pop", "lb_empty", "_ebpf",
+    )
+
+    def __init__(self, mode: ExecMode, costs: CostModel) -> None:
+        c = costs
+        ebpf = mode is ExecMode.PURE_EBPF
+        enetstl = mode is ExecMode.ENETSTL
+        self.costs = c
+        self._ebpf = ebpf
+        self.call = c.kfunc_call if enetstl else 0 if ebpf else c.kernel_call
+        self.crossing = c.kfunc_call if enetstl else 0
+        #: The NF's state: a map lookup, plus the verifier's NULL check
+        #: on the kptr eNetSTL returns.
+        self.fetch = c.map_lookup + (c.null_check if enetstl else 0)
+        #: One hash value, no call: software in eBPF, hardware CRC else.
+        self.row_hash = c.hash_scalar if ebpf else c.hash_crc_hw
+        leaf = LEAF_CALL_COST if enetstl else 0
+        self.ffs = c.ffs_soft if ebpf else c.ffs_hw + leaf
+        self.popcnt = c.popcnt_soft if ebpf else c.popcnt_hw + leaf
+        # eBPF selects the bucket's list through an array-map lookup and
+        # couples the mutation to a spin lock (§4.3).
+        bpf_list = (
+            c.percpu_array_lookup + c.spin_lock + c.bpf_list_op + c.spin_unlock
+        )
+        self.lb_insert = bpf_list if ebpf else c.lb_insert + self.call
+        self.lb_pop = bpf_list if ebpf else c.lb_pop + self.call
+        #: An empty bucket: eBPF tests the head pointer in the fetched
+        #: map value, eNetSTL/kernel the occupancy bitmap bit.
+        self.lb_empty = 4 if ebpf else 1
+
+    def crc(self, k: int = 1) -> int:
+        """``hw_hash_crc``: ``k`` hash values behind one call."""
+        return self.row_hash * k + self.call
+
+    def simd_hash(self, k: int) -> int:
+        """One SIMD batch computing ``k`` hashes, before any call."""
+        c = self.costs
+        return c.hash_simd_setup + c.hash_simd_lane * k
+
+    def multi_hash(self, k: int) -> int:
+        """The unified ``hash_simd_*`` kfuncs: ``k`` hashes in one SIMD
+        batch (``k`` software hashes in eBPF)."""
+        if self._ebpf:
+            return self.row_hash * k
+        return self.simd_hash(k) + self.call
+
+    def _batched(self, n: int, batch: int, scalar: int, fused: bool) -> int:
+        if self._ebpf:
+            return scalar * max(n, 1)
+        call = 0 if fused else self.call
+        return (self.costs.simd_load + batch) * max(simd_batches(n), 1) + call
+
+    def find(self, n: int, fused: bool = False) -> int:
+        """``find_simd`` over ``n`` slots: one SIMD load + compare per
+        batch of lanes (a scalar compare per slot in eBPF).  ``fused``
+        marks a call made from inside a larger kfunc: no call cost."""
+        c = self.costs
+        return self._batched(n, c.cmp_simd_batch, c.cmp_scalar_per_item, fused)
+
+    def reduce(self, n: int, fused: bool = False) -> int:
+        """``reduce_min/max_simd`` over ``n`` slots."""
+        c = self.costs
+        return self._batched(
+            n, c.reduce_simd_batch, c.reduce_scalar_per_item, fused
+        )
+
+    def pool_draw(self, n: int = 1) -> int:
+        """``n`` random-pool draws through one crossing (no eBPF price:
+        eBPF has no pool and calls ``bpf_get_prandom_u32`` per draw)."""
+        return self.costs.rpool_draw * n + self.crossing
+
+    def geo_draw(self, n: int = 1) -> int:
+        """``n`` geometric skip counts through one crossing."""
+        return self.costs.geo_rpool_draw * n + self.crossing

@@ -23,8 +23,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Optional
 
-from ...ebpf.cost_model import Category, ExecMode
+from ...ebpf.cost_model import Category
 from ...ebpf.runtime import BpfRuntime
+from ..kfunc import LibraryPrices
 
 
 class ListBuckets:
@@ -41,28 +42,10 @@ class ListBuckets:
         self.rt = rt
         self.n_buckets = n_buckets
         self.category = category
+        self.prices = LibraryPrices(rt.mode, rt.costs)
         self._buckets: List[Deque[Any]] = [deque() for _ in range(n_buckets)]
         self._bitmap: List[int] = [0] * ((n_buckets + 63) // 64)
         self._size = 0
-
-    # -- cost helpers -------------------------------------------------------
-
-    def _charge_op(self, op_cost: int) -> None:
-        costs = self.rt.costs
-        if self.rt.mode == ExecMode.PURE_EBPF:
-            # Select the bucket's list via an (array) map lookup, lock,
-            # mutate, unlock (the coupling §4.3 calls out).
-            self.rt.charge(
-                costs.percpu_array_lookup
-                + costs.spin_lock
-                + costs.bpf_list_op
-                + costs.spin_unlock,
-                self.category,
-            )
-        elif self.rt.mode == ExecMode.ENETSTL:
-            self.rt.charge(op_cost + costs.kfunc_call, self.category)
-        else:
-            self.rt.charge(op_cost + costs.kernel_call, self.category)
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n_buckets:
@@ -78,7 +61,7 @@ class ListBuckets:
 
     def insert_front(self, i: int, data: Any) -> None:
         """Push ``data`` at the front of bucket ``i`` (one unified call)."""
-        self._charge_op(self.rt.costs.lb_insert)
+        self.rt.charge(self.prices.lb_insert, self.category)
         self._check_index(i)
         self._buckets[i].appendleft(data)
         self._mark(i)
@@ -86,26 +69,20 @@ class ListBuckets:
 
     def insert_tail(self, i: int, data: Any) -> None:
         """Append ``data`` at the tail of bucket ``i``."""
-        self._charge_op(self.rt.costs.lb_insert)
+        self.rt.charge(self.prices.lb_insert, self.category)
         self._check_index(i)
         self._buckets[i].append(data)
         self._mark(i)
         self._size += 1
-
-    def _charge_empty_check(self) -> None:
-        # Empty buckets are detected without a full operation: eBPF
-        # tests the head pointer in the (already fetched) map value,
-        # eNetSTL/kernel test the occupancy bitmap bit.
-        self.rt.charge(4 if self.rt.mode == ExecMode.PURE_EBPF else 1, self.category)
 
     def pop_front(self, i: int) -> Optional[Any]:
         """Pop from the front of bucket ``i``; None when empty."""
         self._check_index(i)
         bucket = self._buckets[i]
         if not bucket:
-            self._charge_empty_check()
+            self.rt.charge(self.prices.lb_empty, self.category)
             return None
-        self._charge_op(self.rt.costs.lb_pop)
+        self.rt.charge(self.prices.lb_pop, self.category)
         item = bucket.popleft()
         if not bucket:
             self._unmark(i)
@@ -117,9 +94,9 @@ class ListBuckets:
         self._check_index(i)
         bucket = self._buckets[i]
         if not bucket:
-            self._charge_empty_check()
+            self.rt.charge(self.prices.lb_empty, self.category)
             return []
-        self._charge_op(self.rt.costs.lb_pop)
+        self.rt.charge(self.prices.lb_pop, self.category)
         items = list(bucket)
         bucket.clear()
         self._unmark(i)

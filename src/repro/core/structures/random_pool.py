@@ -24,6 +24,7 @@ from typing import Deque
 from ...ebpf.cost_model import Category, ExecMode
 from ...ebpf.runtime import BpfRuntime
 from ..errors import PoolEmptyError
+from ..kfunc import LibraryPrices
 
 M32 = (1 << 32) - 1
 
@@ -48,6 +49,7 @@ class RandomPool:
         self.refill_threshold = refill_threshold
         self.auto_refill = auto_refill
         self.category = category
+        self.prices = LibraryPrices(rt.mode, rt.costs)
         self._pool: Deque[int] = deque()
         self.refills = 0
         self._fill(capacity, charge=False)  # initial fill at load time
@@ -63,12 +65,10 @@ class RandomPool:
 
     def draw(self) -> int:
         """Pop one u32; refills automatically below the threshold."""
-        costs = self.rt.costs
-        if self.rt.mode == ExecMode.PURE_EBPF:
+        if self.rt.mode is ExecMode.PURE_EBPF:
             # A pure-eBPF program has no pool: helper call per draw.
             return self.rt.prandom_u32(self.category)
-        extra = costs.kfunc_call if self.rt.mode == ExecMode.ENETSTL else 0
-        self.rt.charge(costs.rpool_draw + extra, self.category)
+        self.rt.charge(self.prices.pool_draw(), self.category)
         if not self._pool:
             if not self.auto_refill:
                 raise PoolEmptyError("random pool exhausted (auto_refill disabled)")
@@ -86,11 +86,9 @@ class RandomPool:
         """Draw ``n`` values through one kfunc crossing (batched)."""
         if n <= 0:
             raise ValueError("n must be positive")
-        costs = self.rt.costs
-        if self.rt.mode == ExecMode.PURE_EBPF:
+        if self.rt.mode is ExecMode.PURE_EBPF:
             return [self.rt.prandom_u32(self.category) for _ in range(n)]
-        extra = costs.kfunc_call if self.rt.mode == ExecMode.ENETSTL else 0
-        self.rt.charge(costs.rpool_draw * n + extra, self.category)
+        self.rt.charge(self.prices.pool_draw(n), self.category)
         out = []
         for _ in range(n):
             if not self._pool:
@@ -132,6 +130,7 @@ class GeoRandomPool:
         self.capacity = capacity
         self.auto_refill = auto_refill
         self.category = category
+        self.prices = LibraryPrices(rt.mode, rt.costs)
         self._pool: Deque[int] = deque()
         self.refills = 0
         self._fill(capacity, charge=False)
@@ -152,16 +151,14 @@ class GeoRandomPool:
 
     def draw(self) -> int:
         """Pop one geometric skip count."""
-        costs = self.rt.costs
-        if self.rt.mode == ExecMode.PURE_EBPF:
+        if self.rt.mode is ExecMode.PURE_EBPF:
             # Pure eBPF cannot host the pool; it burns a helper call per
             # packet and compares against p (modeled by the caller).
             raise PoolEmptyError(
                 "geo pools are an eNetSTL/kernel facility; pure-eBPF NFs "
                 "sample per packet via bpf_get_prandom_u32"
             )
-        extra = costs.kfunc_call if self.rt.mode == ExecMode.ENETSTL else 0
-        self.rt.charge(costs.geo_rpool_draw + extra, self.category)
+        self.rt.charge(self.prices.geo_draw(), self.category)
         if not self._pool:
             if not self.auto_refill:
                 raise PoolEmptyError("geo pool exhausted (auto_refill disabled)")
@@ -175,14 +172,12 @@ class GeoRandomPool:
         """Draw ``n`` skip counts through one kfunc crossing (batched)."""
         if n <= 0:
             raise ValueError("n must be positive")
-        costs = self.rt.costs
-        if self.rt.mode == ExecMode.PURE_EBPF:
+        if self.rt.mode is ExecMode.PURE_EBPF:
             raise PoolEmptyError(
                 "geo pools are an eNetSTL/kernel facility; pure-eBPF NFs "
                 "sample per packet via bpf_get_prandom_u32"
             )
-        extra = costs.kfunc_call if self.rt.mode == ExecMode.ENETSTL else 0
-        self.rt.charge(costs.geo_rpool_draw * n + extra, self.category)
+        self.rt.charge(self.prices.geo_draw(n), self.category)
         out = []
         for _ in range(n):
             if not self._pool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple, Type
 
+from ..core.kfunc import LibraryPrices
 from ..ebpf.cost_model import Category, CostModel, DEFAULT_COSTS, ExecMode
 from ..ebpf.runtime import BpfRuntime
 from ..net.packet import Packet
@@ -49,6 +50,8 @@ class BaseNF:
                 f"(supported: {[m.label for m in self.supported_modes]})"
             )
         self.rt = rt
+        #: The library's price list for this mode (resolved once).
+        self.prices = LibraryPrices(rt.mode, rt.costs)
 
     def process(self, packet: Packet) -> str:
         """Handle one packet; returns an XDP verdict."""
@@ -60,35 +63,14 @@ class BaseNF:
         return self.rt.costs
 
     @property
-    def mode(self) -> ExecMode:
-        return self.rt.mode
-
-    @property
     def is_ebpf(self) -> bool:
         return self.rt.mode == ExecMode.PURE_EBPF
 
-    @property
-    def is_enetstl(self) -> bool:
-        return self.rt.mode == ExecMode.ENETSTL
-
-    def kfunc_overhead(self) -> int:
-        """Per-call overhead of crossing into the library.
-
-        eNetSTL pays the JIT-ed kfunc call; the in-kernel baseline still
-        pays a plain function call; pure eBPF inlines its own code.
-        """
-        if self.is_enetstl:
-            return self.costs.kfunc_call
-        if self.mode == ExecMode.KERNEL:
-            return self.costs.kernel_call
-        return 0
-
-    def fetch_state(self, category: Category = Category.FRAMEWORK) -> None:
-        """Retrieve the NF's state (map value in eBPF/kernel, kptr in
-        eNetSTL — which additionally pays the verifier's NULL check)."""
-        self.rt.charge(self.costs.map_lookup, category)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, category)
+    def fetch_state(self, n: int = 1) -> None:
+        """Retrieve the NF's state ``n`` times (map value in eBPF/kernel,
+        kptr in eNetSTL — which additionally pays the verifier's NULL
+        check)."""
+        self.rt.charge(self.prices.fetch * n, Category.FRAMEWORK)
 
 
 def build_nf(

@@ -84,29 +84,21 @@ class BloomFilterNF(BaseNF):
         if n == 0:
             return {}
         rt = self.rt
-        costs = self.costs
         bloom = self.bloom
         hits = 0
         for pkt in packets:
             if pkt.key_int in bloom:
                 hits += 1
         misses = n - hits
-        # n x fetch_state()
-        rt.charge(costs.map_lookup * n, Category.FRAMEWORK)
-        if self.is_enetstl:
-            rt.charge(costs.null_check * n, Category.FRAMEWORK)
+        self.fetch_state(n)
         if self.is_ebpf:
             self._charge_ebpf(n)
         else:
             k = self.n_hashes
-            per_call = (
-                costs.hash_simd_setup
-                + costs.hash_simd_lane * k
-                + self.kfunc_overhead()
-            )
-            rt.charge(per_call * n, Category.MULTIHASH)
+            rt.charge(self.prices.multi_hash(k) * n, Category.MULTIHASH)
             rt.charge(
-                costs.counter_update * (k * hits + misses), Category.MULTIHASH
+                self.costs.counter_update * (k * hits + misses),
+                Category.MULTIHASH,
             )
         self.members += hits
         self.nonmembers += misses

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core.algorithms.hashing import HashAlgos, fast_hash32
+from ..core.algorithms.hashing import fast_hash32
 from ..ebpf.cost_model import Category
 from ..net.packet import Packet, XdpAction
 from .base import BaseNF
@@ -32,7 +32,16 @@ class CountingBloomNF(BaseNF):
         self.width = width
         self.n_hashes = n_hashes
         self.counters: List[int] = [0] * width
-        self.hash = HashAlgos(rt, Category.MULTIHASH)
+        #: One pass: the k hashes, then a counter access per hash (in
+        #: eBPF a fetch + test and a bounds check).
+        costs = self.costs
+        per_counter = (
+            EBPF_COUNTER_OP + costs.bounds_check if self.is_ebpf
+            else costs.counter_update
+        )
+        self._pass_cost = (
+            self.prices.multi_hash(n_hashes) + per_counter * n_hashes
+        )
         self.members = 0
         self.nonmembers = 0
 
@@ -40,21 +49,7 @@ class CountingBloomNF(BaseNF):
         return [fast_hash32(key, s) % self.width for s in range(self.n_hashes)]
 
     def _charge(self) -> None:
-        costs = self.costs
-        if self.is_ebpf:
-            self.rt.charge(
-                (costs.hash_scalar + EBPF_COUNTER_OP + costs.bounds_check)
-                * self.n_hashes,
-                Category.MULTIHASH,
-            )
-        else:
-            self.rt.charge(
-                costs.hash_simd_setup
-                + costs.hash_simd_lane * self.n_hashes
-                + self.kfunc_overhead()
-                + costs.counter_update * self.n_hashes,
-                Category.MULTIHASH,
-            )
+        self.rt.charge(self._pass_cost, Category.MULTIHASH)
 
     def add(self, key: int) -> None:
         self.fetch_state()

@@ -45,22 +45,19 @@ class CountMinNF(BaseNF):
         #: The sketch's own counter rows (the kfuncs bump them in place).
         self.rows = self.sketch.rows
         self.hash = HashAlgos(rt, Category.MULTIHASH)
+        #: One CRC kfunc call: a hash and a counter access per row.
+        self._crc_cost = (
+            self.prices.crc(depth) + self.costs.counter_update * depth
+        )
         #: Optional :class:`~repro.nfs.degrade.SketchDegradation` aging
         #: policy, consulted after updates (uncosted control-plane
         #: maintenance — cycle accounting is unchanged either way).
         self.degrade = degrade
 
-    def _crc_cost(self) -> int:
-        """One CRC kfunc call: a hash and a counter access per row."""
-        costs = self.costs
-        return self.kfunc_overhead() + (
-            costs.hash_crc_hw + costs.counter_update
-        ) * self.depth
-
     def _count(self, keys) -> None:
         """Charged counter updates for ``keys`` (no aging check)."""
         if self.crc:
-            self.rt.charge(self._crc_cost() * len(keys), Category.MULTIHASH)
+            self.rt.charge(self._crc_cost * len(keys), Category.MULTIHASH)
             update = self.sketch.update
             for key in keys:
                 update(key)
@@ -75,7 +72,7 @@ class CountMinNF(BaseNF):
         key = packet.key_int
         if self.crc:
             # Few hashes: hardware CRC per row, one kfunc crossing.
-            self.rt.charge(self._crc_cost(), Category.MULTIHASH)
+            self.rt.charge(self._crc_cost, Category.MULTIHASH)
             self.sketch.update(key)
         else:
             self.hash.hash_cnt(self.rows, key, self.depth)
@@ -95,11 +92,7 @@ class CountMinNF(BaseNF):
         n = len(packets)
         if n == 0:
             return {}
-        rt = self.rt
-        costs = self.costs
-        rt.charge(costs.map_lookup * n, Category.FRAMEWORK)
-        if self.is_enetstl:
-            rt.charge(costs.null_check * n, Category.FRAMEWORK)
+        self.fetch_state(n)
         keys = [pkt.key_int for pkt in packets]
         degrade = self.degrade
         if degrade is None:
@@ -117,7 +110,7 @@ class CountMinNF(BaseNF):
         """Point query: minimum over the key's counters (cost-charged)."""
         self.fetch_state()
         if self.crc:
-            self.rt.charge(self._crc_cost(), Category.MULTIHASH)
+            self.rt.charge(self._crc_cost, Category.MULTIHASH)
             return self.sketch.estimate(key)
         return self.hash.hash_min_read(self.rows, key, self.depth)
 

@@ -35,23 +35,20 @@ class CuckooFilterNF(BaseNF):
         super().__init__(rt)
         self.filter = CuckooFilter(n_buckets, slots_per_bucket)
         self.simd = SimdOps(rt, Category.BUCKETS)
+        #: The key hash (fingerprint + primary index) plus the
+        #: alternate-index derivation.  Outside eBPF the whole test is
+        #: ONE kfunc (cf_contains): hashing, alt-index math and both
+        #: SIMD probes are fused behind a single crossing.
+        self._hash_cost = self.prices.crc() + (
+            ALT_INDEX_SOFT if self.is_ebpf else ALT_INDEX_HW
+        )
         self.members = 0
         self.nonmembers = 0
 
     def _charge_hashing(self) -> None:
-        costs = self.costs
+        self.rt.charge(self._hash_cost, Category.MULTIHASH)
         if self.is_ebpf:
-            # Key hash (fp + primary index) plus alt-index derivation.
-            self.rt.charge(costs.hash_scalar + ALT_INDEX_SOFT, Category.MULTIHASH)
             self.rt.charge(EBPF_FIXED_OVERHEAD, Category.FRAMEWORK)
-        else:
-            # The whole membership test is ONE kfunc (cf_contains):
-            # hashing, alt-index math, and both SIMD probes are fused
-            # behind a single crossing.
-            self.rt.charge(
-                costs.hash_crc_hw + ALT_INDEX_HW + self.kfunc_overhead(),
-                Category.MULTIHASH,
-            )
 
     def _probe(self, index: int, fp: int) -> bool:
         costs = self.costs

@@ -45,19 +45,15 @@ class CuckooSwitchNF(BaseNF):
         super().__init__(rt)
         self.table = BlockedCuckooTable(n_buckets, slots_per_bucket)
         self.simd = SimdOps(rt, Category.BUCKETS)
+        #: ``hw_hash_crc`` plus deriving the second index and signature.
+        self._hash_cost = self.prices.crc() + DERIVE_COST
         self.hits = 0
         self.misses = 0
 
     def _charge_hash(self) -> None:
-        costs = self.costs
+        self.rt.charge(self._hash_cost, Category.MULTIHASH)
         if self.is_ebpf:
-            self.rt.charge(costs.hash_scalar + DERIVE_COST, Category.MULTIHASH)
             self.rt.charge(EBPF_FIXED_OVERHEAD, Category.FRAMEWORK)
-        else:
-            self.rt.charge(
-                costs.hash_crc_hw + DERIVE_COST + self.kfunc_overhead(),
-                Category.MULTIHASH,
-            )
 
     def _probe(self, index: int, key: int, sig: int) -> Optional[int]:
         """Probe one bucket for ``key`` (signature ``sig``); returns the

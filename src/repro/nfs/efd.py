@@ -31,14 +31,9 @@ class EfdLoadBalancerNF(BaseNF):
         self.dispatched = [0] * n_targets
 
     def lookup(self, key: int) -> int:
-        costs = self.costs
+        self.rt.charge(self.prices.crc(2), Category.MULTIHASH)
         if self.is_ebpf:
-            self.rt.charge(2 * costs.hash_scalar, Category.MULTIHASH)
             self.rt.charge(EBPF_FIXED_OVERHEAD, Category.FRAMEWORK)
-        else:
-            self.rt.charge(
-                2 * costs.hash_crc_hw + self.kfunc_overhead(), Category.MULTIHASH
-            )
         self.rt.charge(LOOKUP_MATH_COST, Category.OTHER)
         return self.table.lookup(key)
 

@@ -36,13 +36,7 @@ class ElasticSketchNF(BaseNF):
         self.paths = {"heavy": 0, "light": 0, "evict": 0}
 
     def _charge_hash(self) -> None:
-        costs = self.costs
-        if self.is_ebpf:
-            self.rt.charge(costs.hash_scalar, Category.MULTIHASH)
-        else:
-            self.rt.charge(
-                costs.hash_crc_hw + self.kfunc_overhead(), Category.MULTIHASH
-            )
+        self.rt.charge(self.prices.crc(), Category.MULTIHASH)
 
     def process(self, packet: Packet) -> str:
         self.fetch_state()

@@ -54,7 +54,6 @@ class HeavyKeeperNF(BaseNF):
 
     def process(self, packet: Packet) -> str:
         self.fetch_state()
-        costs = self.costs
         if self.is_ebpf:
             self.rt.charge(
                 FP_DERIVE_SOFT + EBPF_ROW_HASH * self.depth, Category.MULTIHASH
@@ -63,10 +62,7 @@ class HeavyKeeperNF(BaseNF):
                 self.rt.charge(EBPF_FIXED_OVERHEAD, Category.FRAMEWORK)
         else:
             self.rt.charge(
-                FP_DERIVE_HW
-                + costs.hash_crc_hw * self.depth
-                + self.kfunc_overhead(),
-                Category.MULTIHASH,
+                FP_DERIVE_HW + self.prices.crc(self.depth), Category.MULTIHASH
             )
         self.rt.charge(ROW_OP_COST * self.depth, Category.BUCKETS)
         self.rt.charge(HEAP_AMORTIZED_COST, Category.FUNDAMENTAL_DS)

@@ -82,9 +82,7 @@ class LruCacheNF(BaseNF):
     # -- cache operations -----------------------------------------------------
 
     def _index_lookup(self, key: int) -> Optional[Node]:
-        self.rt.charge(self.costs.map_lookup, Category.FRAMEWORK)
-        if self.is_enetstl:
-            self.rt.charge(self.costs.null_check, Category.FRAMEWORK)
+        self.fetch_state()
         return self._index.get(key)
 
     def get(self, key: int) -> Optional[bytes]:

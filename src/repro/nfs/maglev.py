@@ -92,7 +92,7 @@ class MaglevNF(BaseNF):
             self.rt.charge(costs.percpu_array_lookup, Category.FRAMEWORK)
         else:
             self.rt.charge(
-                KERNEL_TABLE_READ + self.kfunc_overhead(), Category.FRAMEWORK
+                KERNEL_TABLE_READ + self.prices.call, Category.FRAMEWORK
             )
         return self.table.lookup(fast_hash32(key, 903))
 
@@ -118,7 +118,7 @@ class MaglevNF(BaseNF):
             rt.charge(costs.percpu_array_lookup * n, Category.FRAMEWORK)
         else:
             rt.charge(
-                (KERNEL_TABLE_READ + self.kfunc_overhead()) * n,
+                (KERNEL_TABLE_READ + self.prices.call) * n,
                 Category.FRAMEWORK,
             )
         table_lookup = self.table.lookup

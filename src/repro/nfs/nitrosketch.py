@@ -58,23 +58,24 @@ class NitroSketchNF(BaseNF):
         self.p = update_prob
         #: The sketch's own counter rows.
         self.rows = self.sketch.rows
-        costs = self.costs
         #: Cycles per fired row: its hash plus the counter update.
+        self._row_cost = self.prices.row_hash + self.costs.counter_update
         if self.is_ebpf:
-            self._row_cost = (
-                costs.hash_scalar + EBPF_UPDATE_EXTRA + costs.counter_update
-            )
+            self._row_cost += EBPF_UPDATE_EXTRA
             self.pool = None
             self._countdown = None
         else:
-            self._row_cost = costs.hash_crc_hw + costs.counter_update
             self.pool = GeoRandomPool(rt, update_prob, category=Category.RANDOM)
             # Packets remaining until each row's next update.
             self._countdown = list(self.pool.draw_many(depth))
 
     def _update_rows(self, fired, key: int) -> None:
-        """Add ``1/p`` to ``key``'s counter in each fired row."""
-        self.rt.charge(self._row_cost * len(fired), Category.MULTIHASH)
+        """Add ``1/p`` to ``key``'s counter in each fired row, through
+        one library crossing (the kernel inlines it)."""
+        self.rt.charge(
+            self._row_cost * len(fired) + self.prices.crossing,
+            Category.MULTIHASH,
+        )
         column = self.sketch.column
         rows = self.rows
         inc = 1.0 / self.p
@@ -104,8 +105,6 @@ class NitroSketchNF(BaseNF):
                 if countdown[row] <= 0:
                     fired.append(row)
             if fired:
-                if self.is_enetstl:
-                    rt.charge(self.costs.kfunc_call, Category.MULTIHASH)
                 self._update_rows(fired, packet.key_int)
                 for row, skip in zip(fired, self.pool.draw_many(len(fired))):
                     countdown[row] = skip

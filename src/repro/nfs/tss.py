@@ -47,7 +47,6 @@ class TssClassifierNF(BaseNF):
             self.classifier.add_rule(rule)
 
     def classify(self, packet: Packet) -> Optional[Rule]:
-        costs = self.costs
         n_tuples = self.classifier.n_tuples
         if n_tuples == 0:
             return None
@@ -58,10 +57,7 @@ class TssClassifierNF(BaseNF):
         else:
             # One SIMD batch hashes every tuple's masked key at once.
             self.rt.charge(
-                costs.hash_simd_setup
-                + costs.hash_simd_lane * n_tuples
-                + self.kfunc_overhead(),
-                Category.MULTIHASH,
+                self.prices.multi_hash(n_tuples), Category.MULTIHASH
             )
         self.rt.charge(
             (TABLE_PROBE_COST + MATCH_CMP_COST) * n_tuples, Category.BUCKETS

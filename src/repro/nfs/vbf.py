@@ -42,14 +42,8 @@ class VbfNF(BaseNF):
 
     def lookup(self, key: int):
         """Cost-charged set lookup; returns the set id or None."""
-        costs = self.costs
-        if self.is_ebpf:
-            self.rt.charge(EBPF_BASE_HASH + DERIVE_COST, Category.MULTIHASH)
-        else:
-            self.rt.charge(
-                costs.hash_crc_hw + DERIVE_COST + self.kfunc_overhead(),
-                Category.MULTIHASH,
-            )
+        base_hash = EBPF_BASE_HASH if self.is_ebpf else self.prices.crc()
+        self.rt.charge(base_hash + DERIVE_COST, Category.MULTIHASH)
         self.rt.charge(POSITION_OP_COST * self.vbf.n_hashes, Category.BITOPS)
         mask = self.vbf.query(key)
         if not mask:

@@ -72,6 +72,20 @@ class TestCli:
         assert "Traceback" not in err
         assert kept.exists()  # --clear-cache cleared nothing
 
+    @pytest.mark.parametrize("names, title, misses", [
+        (["fig3e", "fig3e"], "== Fig. 3(e)", 5),
+        (["others", "others"], "== efd ", 4),
+    ], ids=["fig3e", "others"])
+    def test_repeated_name_runs_and_prints_once(
+        self, names, title, misses, tmp_path, capsys
+    ):
+        assert main(["--only", *names, "--packets", "200",
+                     "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count(title) == 1
+        assert "[1 experiment(s) in" in out
+        assert f"0 hit(s), {misses} miss(es)]" in out
+
     def test_zero_retries_accepted(self, capsys):
         assert main(["--only", "fig3e", "--packets", "200", "--no-cache",
                      "--retries", "0"]) == 0

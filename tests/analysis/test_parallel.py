@@ -53,6 +53,14 @@ class TestBitIdentical:
         with pytest.raises(ValueError):
             run_experiments(["fig99"], n_packets=N)
 
+    def test_repeated_name_runs_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        out = run_experiments(["fig3e", "fig3e"], n_packets=200, cache=cache)
+        assert list(out) == ["fig3e"]
+        assert len(out["fig3e"].points) == 15  # 5 depths x 3 modes
+        assert out["fig3e"].points == exp.fig3e_countmin(n_packets=200).points
+        assert (cache.hits, cache.misses) == (0, 5)
+
     def test_multicore_steering_serial_vs_parallel(self):
         """The steering matrix fans one policy per worker; results and
         policy order must match the serial run exactly."""
