@@ -64,7 +64,8 @@ def measure_component(component: str, mode: ExecMode) -> float:
         return _cycles_per_op(lambda i: pool.draw(), rt)
     if component == "geo_pool":
         if mode == ExecMode.PURE_EBPF:
-            # The eBPF equivalent: a uniform draw + threshold test.
+            # The eBPF equivalent is a uniform draw plus a threshold
+            # test; only the draw (the prandom helper) is charged.
             return _cycles_per_op(lambda i: rt.prandom_u32(), rt)
         pool = GeoRandomPool(rt, p=0.25)
         return _cycles_per_op(lambda i: pool.draw(), rt)

@@ -18,7 +18,7 @@ from ..ebpf.cost_model import Category, ExecMode
 from ..ebpf.runtime import BpfRuntime
 from ..net.flowgen import FlowGenerator, make_flows, rate_to_inter_arrival_ns
 from ..net.packet import Packet
-from ..net.xdp import PipelineResult, XdpPipeline, warm_then_measure
+from ..net.xdp import PipelineResult, XdpPipeline
 from ..nfs import (
     CountMinNF,
     CuckooFilterNF,
@@ -53,12 +53,9 @@ OTHER_NFS = ("efd", "tss", "heavykeeper", "vbf")    # §6.2 "other cases"
 
 
 def _measure(
-    nf,
-    trace: Sequence[Packet],
-    warmup: Optional[Sequence[Packet]] = None,
-    latency: bool = False,
+    nf, trace: Sequence[Packet], latency: bool = False
 ) -> PipelineResult:
-    return warm_then_measure(XdpPipeline(nf), warmup, trace, latency)
+    return XdpPipeline(nf).run(trace, measure_latency=latency)
 
 
 def _point(x: float, mode: ExecMode, result: PipelineResult, **extra) -> ModePoint:

@@ -13,7 +13,6 @@ from .ir import (
     AppState,
     KatranState,
     app_chain,
-    app_chains,
     app_nf,
     app_nf_factory,
     fig7_charges,
@@ -27,7 +26,6 @@ __all__ = [
     "AppState",
     "KatranState",
     "app_chain",
-    "app_chains",
     "app_nf",
     "app_nf_factory",
     "fig7_charges",

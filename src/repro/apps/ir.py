@@ -775,11 +775,6 @@ def app_chain(app: str) -> Tuple[Program, ...]:
         ) from None
 
 
-def app_chains() -> Dict[str, Tuple[Program, ...]]:
-    """All four app chains, keyed by :data:`IR_APP_NAMES`."""
-    return {name: app_chain(name) for name in IR_APP_NAMES}
-
-
 # ---------------------------------------------------------------------------
 # NF wiring: single-core chains and multi-core factories
 # ---------------------------------------------------------------------------

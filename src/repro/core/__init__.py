@@ -12,7 +12,6 @@ One wrapper, three algorithm families, two data structures (§4):
 
 from .algorithms import BitOps, HashAlgos, SimdOps
 from .errors import (
-    AllocationError,
     DoubleFreeError,
     ENetStlError,
     InvalidSlotError,
@@ -28,7 +27,6 @@ __all__ = [
     "BitOps",
     "HashAlgos",
     "SimdOps",
-    "AllocationError",
     "DoubleFreeError",
     "ENetStlError",
     "InvalidSlotError",

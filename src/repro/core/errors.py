@@ -11,10 +11,6 @@ class ENetStlError(Exception):
     """Base class for all eNetSTL errors."""
 
 
-class AllocationError(ENetStlError):
-    """Dynamic memory allocation failed (simulated kmalloc failure)."""
-
-
 class OwnershipError(ENetStlError):
     """Proxy-ownership protocol violated (double adopt, foreign disown...)."""
 

@@ -64,22 +64,21 @@ mid-block fault charges the whole block (see :mod:`repro.ebpf.jit`), and
 a mid-batch fault books the faulting *stage's* partial steps where the
 per-stage path would drop that stage's stats on the floor.
 
-Fused chains are cached per registry under the tuple of stage program
-hashes, the elide flag, and the cost constants — see
-:func:`fused_for` / :func:`cache_info`.
+A chain is fused once, when its NF attaches (as the kernel JITs a
+program once at load): kfunc impls and their per-NF state are bound
+into the closure, so a fused chain belongs to one registry.
 """
 
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..core.algorithms.hashing import fast_hash32_lanes
 from .cost_model import CostModel, DEFAULT_COSTS
 from .header import HEADER_FIELDS, HEADER_STRUCT, WRAPPED_FIELD
-from .jit import JitError, _Compiler, _Emitter, program_hash
+from .jit import JitError, _Compiler, _Emitter
 from .kfunc_meta import KfuncRegistry
 from .vm import MASK64, Pointer
 
@@ -126,7 +125,6 @@ class FusedChain:
 
     fn: Callable[[Any, Sequence[Any]], Dict[int, int]]
     source: str
-    stage_hashes: Tuple[str, ...]
     stage_names: Tuple[str, ...]
     elide_checks: bool
     n_nodes: int
@@ -148,64 +146,6 @@ class FusedChain:
     #: (counted after liveness: only loads the fused code runs).
     forwarded_stack_loads: int = 0
     unrolled: Dict[str, Dict[int, int]] = field(default_factory=dict)
-
-
-# -- fused-chain cache -------------------------------------------------------
-
-#: registry -> {(stage hashes, elide, cost constants): FusedChain}.
-_FUSE_CACHES: "weakref.WeakKeyDictionary[KfuncRegistry, Dict[Tuple, FusedChain]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
-
-
-def _cache_key(
-    verified: Sequence[Any], elide_checks: bool, costs: CostModel
-) -> Tuple:
-    return (
-        tuple(program_hash(vp.prog) for vp in verified),
-        bool(elide_checks),
-        (costs.insn_exec, costs.bounds_check, costs.div_check),
-    )
-
-
-def fused_for(
-    registry: KfuncRegistry,
-    verified: Sequence[Any],
-    elide_checks: bool = True,
-    costs: CostModel = DEFAULT_COSTS,
-) -> FusedChain:
-    """Cached fuse: same (registry, stage hashes, elide, costs) returns
-    the same :class:`FusedChain` object."""
-    global _CACHE_HITS, _CACHE_MISSES
-    bucket = _FUSE_CACHES.get(registry)
-    if bucket is None:
-        bucket = {}
-        _FUSE_CACHES[registry] = bucket
-    key = _cache_key(verified, elide_checks, costs)
-    hit = bucket.get(key)
-    if hit is None:
-        _CACHE_MISSES += 1
-        hit = fuse_chain(
-            registry, verified, elide_checks=elide_checks, costs=costs
-        )
-        bucket[key] = hit
-    else:
-        _CACHE_HITS += 1
-    return hit
-
-
-def cache_info() -> Dict[str, int]:
-    """Aggregate fused-chain cache statistics."""
-    n_entries = sum(len(b) for b in _FUSE_CACHES.values())
-    return {
-        "registries": len(_FUSE_CACHES),
-        "entries": n_entries,
-        "hits": _CACHE_HITS,
-        "misses": _CACHE_MISSES,
-    }
 
 
 # -- specialization helpers (bound into the generated closure) ---------------
@@ -277,7 +217,6 @@ def fuse_chain(
     verified: Sequence[Any],
     elide_checks: bool = True,
     costs: CostModel = DEFAULT_COSTS,
-    inline_kfuncs: bool = True,
 ) -> FusedChain:
     """Fuse an ordered chain of verified programs into one closure.
 
@@ -303,12 +242,7 @@ def fuse_chain(
     compilers: List[_Compiler] = []
     for i, (prog, ann) in enumerate(stages):
         comp = _Compiler(
-            prog,
-            ann,
-            registry,
-            elide_checks,
-            sym_prefix=f"s{i}_",
-            inline_kfuncs=inline_kfuncs,
+            prog, ann, registry, elide_checks, sym_prefix=f"s{i}_"
         )
         comp.prepare()
         compilers.append(comp)
@@ -496,7 +430,6 @@ def fuse_chain(
     return FusedChain(
         fn=ns[fname],
         source=source,
-        stage_hashes=tuple(program_hash(p) for p, _ in stages),
         stage_names=names,
         elide_checks=bool(elide_checks),
         n_nodes=sum(len(c._reachable) for c in compilers),

@@ -57,7 +57,6 @@ specializer.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import (
@@ -65,7 +64,6 @@ from typing import (
 )
 
 from .cost_model import Category
-from .disasm import disassemble_one
 from .insn import (
     Alu,
     Call,
@@ -135,16 +133,6 @@ def _jmp_taken(op: str, lhs: Any, rhs: Any) -> bool:
     if op == "gt":
         return lv > rv
     return lv >= rv
-
-
-def program_hash(prog: Program) -> str:
-    """Canonical content hash (memoized on the Program object)."""
-    h = getattr(prog, "_jit_hash", None)
-    if h is None:
-        text = "\n".join(disassemble_one(i) for i in prog)
-        h = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        prog._jit_hash = h
-    return h
 
 
 # -- code generation ---------------------------------------------------------
@@ -273,11 +261,11 @@ class _Compiler:
     stage of a closure that :mod:`repro.ebpf.fuse` assembles.
 
     ``sym_prefix`` keeps per-stage global names (``_P*``/``_kf*``)
-    collision-free when several programs share one namespace, and
-    ``inline_kfuncs`` expands kfunc impls that publish a
-    ``_fuse_inline`` codegen spec directly into the body.  The emitted
-    stage appends a final verdict with ``_rapp`` and ``continue``\\ s
-    the packet loop, or falls through to the next stage on ``PASS``.
+    collision-free when several programs share one namespace; a kfunc
+    impl that publishes a ``_fuse_inline`` codegen spec is expanded
+    directly into the body.  The emitted stage appends a final verdict
+    with ``_rapp`` and ``continue``\\ s the packet loop, or falls
+    through to the next stage on ``PASS``.
     A surviving back-edge's runaway-step guard counts from ``_s0``, the
     ``_steps`` value at stage entry (``_steps`` accumulates across a
     whole fused batch).
@@ -290,14 +278,12 @@ class _Compiler:
         registry: KfuncRegistry,
         elide_checks: bool,
         sym_prefix: str,
-        inline_kfuncs: bool,
     ) -> None:
         self.prog = prog
         self.ann = ann
         self.registry = registry
         self.elide = bool(elide_checks)
         self.sym_prefix = sym_prefix
-        self.inline_kfuncs = bool(inline_kfuncs)
         self.safe_mem = frozenset(ann.safe_mem) if self.elide else frozenset()
         self.safe_div = frozenset(ann.safe_div) if self.elide else frozenset()
         self.globals: Dict[str, Any] = {
@@ -317,7 +303,7 @@ class _Compiler:
         self.used_step_guard = False
         #: Whether the last emission kept the ``_b`` dispatch loop.
         self.dispatch = False
-        #: kfunc call sites expanded inline (``inline_kfuncs`` only).
+        #: kfunc call sites expanded inline.
         self.inlined_calls = 0
         #: Header load sites ``header_loads`` rewrote in the last
         #: emission (liveness may drop a rewritten load afterwards).
@@ -1246,11 +1232,7 @@ class _Compiler:
                 f"raise _VmFault("
                 f"\"kfunc '{insn.func}' has no implementation bound\")"
             ])]
-        spec = (
-            getattr(meta.impl, "_fuse_inline", None)
-            if self.inline_kfuncs
-            else None
-        )
+        spec = getattr(meta.impl, "_fuse_inline", None)
         if spec is not None:
             # Small-body kfunc inlined at the call site: the spec emits
             # setup lines plus an int expression over the argument

@@ -38,9 +38,7 @@ checks it was expected to elide — the CI ``verify-smoke`` contract.
 An ``--asm`` program is expected to be accepted: a rejection exits 1
 with or without ``--strict``.
 Under ``--bench`` and ``--chains`` a fuse failure or an interp/fused
-divergence is also an unexpected result.  Their JSON reports carry a
-``caches`` block (:func:`repro.ebpf.fuse.cache_info`) so CI can assert
-cache hits instead of silently recompiling.
+divergence is also an unexpected result.
 
 Examples::
 
@@ -482,17 +480,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"{name} ({n} states)"
                     for name, n in cr["states_explored"].items()
                 ), cr, tag="APP")
-
-    if args.bench or args.chains:
-        from .fuse import cache_info as fuse_cache_info
-
-        report["caches"] = {"fused": fuse_cache_info()}
-        if not args.json:
-            fc = report["caches"]["fused"]
-            print(
-                f"caches: fused {fc['entries']} entries "
-                f"({fc['hits']} hits/{fc['misses']} misses)"
-            )
 
     n = len(report["programs"])
     accepted = sum(1 for r in report["programs"] if r["verdict"] == "accept")

@@ -50,7 +50,6 @@ from .xdp import (
     ReplaySession,
     XdpPipeline,
     iter_batches,
-    warm_then_measure,
 )
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "ReplaySession",
     "XdpPipeline",
     "iter_batches",
-    "warm_then_measure",
     "POLICIES",
     "IndirectionTable",
     "NtupleSteering",

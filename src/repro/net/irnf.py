@@ -7,7 +7,9 @@ verified **once** at attach time (rejected programs never reach the
 pipeline, exactly like ``BPF_PROG_LOAD``), and each
 :class:`~repro.ebpf.verifier.VerifiedProgram` proof table rides along
 to every run, letting the backend skip the bounds and divisor checks
-the verifier already discharged (§4.1's lazy-checking payoff).
+the verifier already discharged (§4.1's lazy-checking payoff).  The
+``fused`` backend also compiles the chain once at attach time, against
+the NF's own kfunc registry, as the kernel JITs a program once at load.
 
 On the ``interp`` backend packets cross the boundary through
 :func:`encode_packet`, which lays the packet's header fields out as
@@ -123,11 +125,13 @@ class IrChainNf:
         self.stats = VmStats()
         self.returns: List[int] = []
         if backend == "fused":
-            from ..ebpf.fuse import fused_for
+            from ..ebpf import fuse
 
-            # Attach-time fusion (cached by stage hashes): the first
-            # batch pays no compile latency.
-            self._fused = fused_for(
+            # Attach-time fusion, once per NF: the closure binds this
+            # registry's kfunc impls and their state, and the first
+            # batch pays no compile latency.  Looked up on the module
+            # at call time, so a wrapper patched onto it sees the call.
+            self._fused = fuse.fuse_chain(
                 self.registry,
                 self.verified,
                 elide_checks=elide_checks,

@@ -30,8 +30,7 @@ and the replay continues.  Attach a
 :class:`~repro.faults.FaultInjector` to inject packet-level faults
 (drop / corruption / truncation / duplication), helper error returns,
 and map-update failures on a deterministic, seed-driven schedule; every
-batch granularity sees the identical fault sequence.  Pass
-``on_error="raise"`` to restore fail-fast propagation for debugging.
+batch granularity sees the identical fault sequence.
 
 Multi-queue (RSS) replay lives in :mod:`repro.net.multicore`.
 """
@@ -212,11 +211,9 @@ class XdpPipeline:
     ``faults`` attaches a :class:`~repro.faults.FaultInjector`: the
     pipeline screens each batch with it (per-packet drop / parse faults
     / duplication / helper errors) and also installs it on the NF's
-    runtime so map updates fail on the same schedule.  ``on_error``
-    selects what an NF exception does: ``"abort"`` (default) converts
-    it to an ``XDP_ABORTED`` verdict plus an error-counter entry — the
-    replay survives, as a real XDP program would — while ``"raise"``
-    propagates it (fail-fast debugging).
+    runtime so map updates fail on the same schedule.  An NF exception
+    becomes an ``XDP_ABORTED`` verdict plus an error-counter entry:
+    the replay survives, as a real XDP program would.
     """
 
     def __init__(
@@ -224,14 +221,10 @@ class XdpPipeline:
         nf: NetworkFunction,
         *,
         faults: Optional[FaultInjector] = None,
-        on_error: str = "abort",
     ) -> None:
-        if on_error not in ("abort", "raise"):
-            raise ValueError("on_error must be 'abort' or 'raise'")
         self.nf = nf
         self.rt = nf.rt
         self.faults = faults
-        self.on_error = on_error
         if faults is not None:
             # Same injector drives map-update failures inside the NF.
             self.rt.faults = faults
@@ -295,7 +288,6 @@ class XdpPipeline:
         dispatch_cost = costs.xdp_dispatch
         parse_cost = costs.packet_parse
         faults = self.faults
-        contain = self.on_error == "abort"
         accounted = 0
         late = 0
         hits = faults.screen(len(batch)) if faults is not None else None
@@ -370,8 +362,6 @@ class XdpPipeline:
                 try:
                     verdicts = process_batch(batch)
                 except Exception as exc:
-                    if not contain:
-                        raise
                     verdicts = {XdpAction.ABORTED: m}
                     errors[type(exc).__name__] += 1
                 for action, count in verdicts.items():
@@ -392,8 +382,6 @@ class XdpPipeline:
                     try:
                         action = nf_process(pkt)
                     except Exception as exc:
-                        if not contain:
-                            raise
                         # Fault containment: one bad packet aborts, the
                         # replay continues (the eBPF safety guarantee).
                         action = XdpAction.ABORTED
@@ -517,15 +505,3 @@ class ReplaySession:
             errors=dict(self._errors),
             duplicated=self._n - self._offered,
         )
-
-
-def warm_then_measure(
-    pipeline: XdpPipeline,
-    warmup: Optional[Iterable[Packet]],
-    trace: Iterable[Packet],
-    measure_latency: bool = False,
-) -> PipelineResult:
-    """Replay a warmup trace (tables filled, caches primed), then measure."""
-    if warmup:
-        pipeline.run(warmup)
-    return pipeline.run(trace, measure_latency=measure_latency)

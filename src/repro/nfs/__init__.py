@@ -3,7 +3,7 @@ plus extension NFs: the §4.5 future-work structures (LRU cache) and
 additional surveyed works (d-ary cuckoo, Bloom, counting Bloom, Maglev,
 ElasticSketch, SketchVisor)."""
 
-from .base import BaseNF, UnsupportedVariantError, build_all_variants, build_nf
+from .base import BaseNF, UnsupportedVariantError
 from .bloom import BloomFilterNF
 from .countmin import CountMinNF
 from .counting_bloom import CountingBloomNF
@@ -58,8 +58,6 @@ ALL_NFS = {
 __all__ = [
     "BaseNF",
     "UnsupportedVariantError",
-    "build_all_variants",
-    "build_nf",
     "CountMinNF",
     "CuckooFilterNF",
     "CuckooSwitchNF",

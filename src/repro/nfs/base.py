@@ -17,10 +17,10 @@ paper's P1 ("incomplete functionality").  Constructing one raises
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type
+from typing import Tuple
 
 from ..core.kfunc import LibraryPrices
-from ..ebpf.cost_model import Category, CostModel, DEFAULT_COSTS, ExecMode
+from ..ebpf.cost_model import Category, CostModel, ExecMode
 from ..ebpf.runtime import BpfRuntime
 from ..net.packet import Packet
 
@@ -71,28 +71,3 @@ class BaseNF:
         kptr in eNetSTL — which additionally pays the verifier's NULL
         check)."""
         self.rt.charge(self.prices.fetch * n, Category.FRAMEWORK)
-
-
-def build_nf(
-    nf_cls: Type[BaseNF],
-    mode: ExecMode,
-    seed: int = 0,
-    costs: CostModel = DEFAULT_COSTS,
-    **config,
-) -> BaseNF:
-    """Construct an NF variant with a fresh runtime."""
-    rt = BpfRuntime(mode=mode, costs=costs, seed=seed)
-    return nf_cls(rt, **config)
-
-
-def build_all_variants(
-    nf_cls: Type[BaseNF],
-    seed: int = 0,
-    costs: CostModel = DEFAULT_COSTS,
-    **config,
-) -> Dict[ExecMode, BaseNF]:
-    """One instance per supported mode, identically configured."""
-    return {
-        mode: build_nf(nf_cls, mode, seed=seed, costs=costs, **config)
-        for mode in nf_cls.supported_modes
-    }

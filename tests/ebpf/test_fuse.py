@@ -1,4 +1,4 @@
-"""Chain fuser: parity, specialization, caching (repro.ebpf.fuse).
+"""Chain fuser: parity and specialization (repro.ebpf.fuse).
 
 The fused closure's contract is the same bit-identical one the PR 5
 JIT pinned, extended to whole chains: for every bundled chain
@@ -15,11 +15,22 @@ import random
 import pytest
 
 from repro.datastructs.countmin import CountMinSketch
-from repro.ebpf.fuse import (
-    FuseError,
-    cache_info,
-    fuse_chain,
-    fused_for,
+from repro.ebpf.fuse import FuseError, fuse_chain
+from repro.ebpf.insn import (
+    R0,
+    R1,
+    R2,
+    R3,
+    R4,
+    R6,
+    Alu,
+    Call,
+    Exit,
+    Imm,
+    JmpIf,
+    Load,
+    Mov,
+    Program,
 )
 from repro.ebpf.progs import (
     NF_CHAIN_STAGES,
@@ -215,21 +226,41 @@ def test_rejected_packet_reaches_no_later_stage(combo):
     assert rejected == set(range(len(combo) - 1))
 
 
-def test_inlining_can_be_disabled():
-    registry = runnable_registry(0)
-    fc = fuse_chain(registry, _verified(NF_CHAIN_STAGES, registry),
-                    inline_kfuncs=False)
-    assert fc.inlined_kfuncs == 0
-    # Parity does not depend on inlining: direct-bound calls agree too.
-    pkts = _mk_packets(32, seed=SEED + 7)
-    progs = [get_case(n).prog for n in NF_CHAIN_STAGES]
-    interp = _run_chain(progs, pkts, "interp", True)
+def _ktime_stage():
+    """Guarded read of ``dst_ip``, then a ``bpf_ktime_get_ns`` call,
+    whose impl publishes no ``_fuse_inline`` spec; the verdict is
+    ``(now ^ dst_ip) & 3``, so some packets pass to the next stage."""
+    return Program(
+        [
+            Load(R2, R1, 0),
+            Load(R3, R1, 8),
+            Mov(R4, R2),
+            Alu("add", R4, Imm(16)),
+            JmpIf("gt", R4, R3, 10),
+            Load(R6, R2, 8),
+            Call("bpf_ktime_get_ns"),
+            Alu("xor", R0, R6),
+            Alu("and", R0, Imm(3)),
+            Exit(),
+            Mov(R0, Imm(1)),
+            Exit(),
+        ],
+        name="ktime_stage",
+    )
 
-    rt = BpfRuntime()
-    nf = IrChainNf(rt, progs, registry=registry, backend="fused")
-    nf._fused = fc
-    actions = nf.process_batch(pkts)
-    assert interp == _observe(nf, rt, registry, tuple(sorted(actions.items())))
+
+def test_kfunc_without_inline_spec_is_called_directly():
+    registry = runnable_registry(0)
+    verifier = Verifier(registry)
+    progs = [_ktime_stage(), get_case("nf_cm_sketch").prog]
+    fc = fuse_chain(registry, [verifier.verify(p) for p in progs])
+    # Only cm_update publishes a spec; the clock is a direct-bound call.
+    assert fc.inlined_kfuncs == 1
+    # Parity does not depend on inlining: the direct call agrees too.
+    pkts = _mk_packets(32, seed=SEED + 7)
+    interp = _run_chain(progs, pkts, "interp", True)
+    assert interp == _run_chain(progs, pkts, "fused", True)
+    assert set(interp[1]) > {PASS_R0}
 
 
 def test_fuse_rejects_bad_input():
@@ -238,35 +269,6 @@ def test_fuse_rejects_bad_input():
         fuse_chain(reg, [])
     with pytest.raises(FuseError):
         fuse_chain(reg, [get_case("nf_classifier").prog])  # not verified
-
-
-# -- caching ----------------------------------------------------------------
-
-
-def test_cache_hit_returns_same_object():
-    reg = runnable_registry(0)
-    vps = _verified(NF_CHAIN_STAGES, reg)
-    before = cache_info()
-    first = fused_for(reg, vps)
-    second = fused_for(reg, vps)
-    after = cache_info()
-    assert first is second
-    assert after["hits"] >= before["hits"] + 1
-    assert after["misses"] == before["misses"] + 1
-
-
-def test_cache_keyed_by_chain_elide_and_registry():
-    reg = runnable_registry(0)
-    vps = _verified(NF_CHAIN_STAGES, reg)
-    base = fused_for(reg, vps)
-    # Different elide mode -> different closure.
-    assert fused_for(reg, vps, elide_checks=False) is not base
-    # Different chain (prefix) -> different closure.
-    assert fused_for(reg, vps[:2]) is not base
-    # Different registry -> different cache bucket entirely.
-    reg2 = runnable_registry(0)
-    vps2 = _verified(NF_CHAIN_STAGES, reg2)
-    assert fused_for(reg2, vps2) is not base
 
 
 # -- fuzz chains ------------------------------------------------------------

@@ -9,14 +9,14 @@ the frame), step counts, check accounting, and cycle charges by
 category — while executing straight-line generated Python.  These
 tests pin that promise on every bundled program (both elide modes),
 plus kfunc state across packets, the unrolling shape, the oversized
-loop fallback, content-hash cache keys, and the proofs requirement.
+loop fallback, and the proofs requirement.
 """
 
 import random
 
 import pytest
 
-from repro.ebpf.fuse import fuse_chain, fused_for
+from repro.ebpf.fuse import fuse_chain
 from repro.ebpf.insn import (
     Alu,
     Call,
@@ -29,7 +29,7 @@ from repro.ebpf.insn import (
     R6,
     R7,
 )
-from repro.ebpf.jit import JitError, program_hash
+from repro.ebpf.jit import JitError
 from repro.ebpf.progs import bundled_cases, get_case, runnable_registry
 from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
@@ -248,35 +248,9 @@ def test_compiled_program_metadata():
     reg = runnable_registry(0)
     vp = Verifier(reg).verify(case.prog)
     fused = fuse_chain(reg, [vp])
-    assert fused.stage_hashes == (program_hash(case.prog),)
     assert fused.stage_names == ("nf_cm_sketch",)
     assert fused.elide_checks is True
     # The 3-trip back-edge at pc 12 expands into 4 body copies.
     assert fused.unrolled == {"nf_cm_sketch": {12: 4}}
     assert fused.n_nodes > 4
     assert fused.source.startswith("def _fused_nf_cm_sketch")
-
-
-# -- compiled-code cache ------------------------------------------------------
-
-
-def test_cache_miss_on_mutated_program():
-    """Re-verifying a mutated program must miss the fused cache: the
-    key is the program's content hash, not its name or identity."""
-    case = get_case("nf_classifier")
-    reg = runnable_registry(0)
-    verifier = Verifier(reg)
-    vp = verifier.verify(case.prog)
-    original = fused_for(reg, [vp])
-
-    mutated_insns = list(case.prog)
-    # Flip the verdict fold: `and r0, 1` -> `and r0, 3`.
-    mutated_insns[19] = Alu("and", R0, Imm(3))
-    mutated = Program(mutated_insns, name=case.prog.name)  # same name!
-    assert program_hash(mutated) != program_hash(case.prog)
-    recompiled = fused_for(reg, [verifier.verify(mutated)])
-    assert recompiled is not original
-    assert recompiled.stage_hashes != original.stage_hashes
-
-    # The original's cache entry is untouched.
-    assert fused_for(reg, [vp]) is original

@@ -14,6 +14,8 @@ import random
 
 import pytest
 
+from repro.apps.ir import app_nf_factory, fig7_nfs
+from repro.ebpf import fuse
 from repro.ebpf.progs import NF_CHAIN_STAGES, get_case
 from repro.faults import FaultPlan
 from repro.net.multicore import RssDispatcher, chain_nf_factory
@@ -174,3 +176,24 @@ def test_chain_factory_requires_private_runtimes():
     a, b = factory(0), factory(1)
     assert a.rt is not b.rt
     assert a.registry is not b.registry
+
+
+def test_each_nf_is_fused_exactly_once(monkeypatch):
+    """One fuse per NF, at attach time, seen through the
+    ``repro.ebpf.fuse`` module attribute (as a layer tracer patches
+    it): each core's NF and each Fig. 7 build fuses its own chain."""
+    calls = []
+    real = fuse.fuse_chain
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fuse, "fuse_chain", counting)
+    disp = RssDispatcher(app_nf_factory("katran"), n_cores=4)
+    assert len(calls) == 4
+    assert calls == [nf.registry for nf in disp.nfs]
+    assert len({nf._fused.source for nf in disp.nfs}) == 1
+    del calls[:]
+    fig7_nfs("rakelimit")
+    assert len(calls) == 2

@@ -58,7 +58,6 @@ def oracle_run(pipeline: XdpPipeline, trace, measure_latency=False):
     framework_cat = Category.FRAMEWORK
     parse_cat = Category.PARSE
     faults = pipeline.faults
-    contain = pipeline.on_error == "abort"
     actions: Counter = Counter()
     errors: Counter = Counter()
     latencies: List[int] = []
@@ -101,8 +100,6 @@ def oracle_run(pipeline: XdpPipeline, trace, measure_latency=False):
             try:
                 action = nf_process(pkt)
             except Exception as exc:
-                if not contain:
-                    raise
                 action = XdpAction.ABORTED
                 errors[type(exc).__name__] += 1
             if action not in _VALID_ACTIONS:

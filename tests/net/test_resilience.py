@@ -62,15 +62,6 @@ class TestContainment:
         assert result.n_packets == 30
         assert result.n_packets == result.forwarded + result.dropped + result.aborted
 
-    def test_on_error_raise_propagates(self):
-        pipeline = XdpPipeline(ExplodingNF(BpfRuntime()), on_error="raise")
-        with pytest.raises(RuntimeError, match="boom"):
-            pipeline.run(trace(30))
-
-    def test_on_error_validated(self):
-        with pytest.raises(ValueError):
-            XdpPipeline(ExplodingNF(BpfRuntime()), on_error="ignore")
-
     def test_invalid_action_still_hard_error(self):
         class BadNF:
             def __init__(self, rt):

@@ -6,7 +6,7 @@ from repro.ebpf.cost_model import CPU_HZ, Category, ExecMode
 from repro.ebpf.runtime import BpfRuntime
 from repro.net.flowgen import FlowGenerator
 from repro.net.packet import XdpAction
-from repro.net.xdp import BASE_WIRE_LATENCY_NS, XdpPipeline, warm_then_measure
+from repro.net.xdp import BASE_WIRE_LATENCY_NS, XdpPipeline
 
 
 class FixedCostNF:
@@ -79,8 +79,15 @@ class TestPipeline:
     def test_warm_then_measure_excludes_warmup(self):
         nf = FixedCostNF(cycles=50)
         fg = FlowGenerator(8, seed=1)
-        result = warm_then_measure(XdpPipeline(nf), fg.trace(100), fg.trace(10))
+        pipeline = XdpPipeline(nf)
+        warm = pipeline.run(fg.trace(100))
+        result = pipeline.run(fg.trace(10))
+        assert warm.n_packets == 100
         assert result.n_packets == 10
+        assert sum(result.actions.values()) == 10
+        assert result.total_cycles == pytest.approx(
+            10 * (50 + nf.rt.costs.xdp_dispatch + nf.rt.costs.packet_parse)
+        )
 
     def test_empty_trace(self):
         nf = FixedCostNF()

@@ -6,7 +6,10 @@ somewhere in the code under ``src/``, ``tests/``, ``examples/``,
 ``perfbench/`` or ``benchmarks/``, or in the prose under ``docs/``.
 A code reference is a name, an attribute, an imported name or a string
 that is exactly the identifier (``getattr(obj, "name")``, ``__all__``,
-a benchmark's ``patch(cls, "name")``).  Names are matched without
+a benchmark's ``patch(cls, "name")``).  A package's own re-export is
+not a use: in ``src/repro/**/__init__.py`` an imported name or an
+``__all__`` string does not count, though other code there does.
+Names are matched without
 scope, so a reference to any ``run`` keeps every ``run`` — the check
 catches definitions nothing can reach, not every unused override.
 Dunder methods are called by the language and are skipped.
@@ -53,20 +56,42 @@ def definitions(tree: ast.Module) -> Iterator[Tuple[str, str]]:
                 yield prefix + fn.name, fn.name
 
 
-def code_references(tree: ast.AST) -> Set[str]:
-    """Every identifier ``tree`` reads, imports or spells as a string."""
+def _all_strings(tree: ast.AST) -> Set[int]:
+    """ids of the nodes in the values assigned to ``__all__``."""
+    skip: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            skip.update(id(n) for n in ast.walk(node.value))
+    return skip
+
+
+def code_references(tree: ast.AST, reexports: bool = True) -> Set[str]:
+    """Every identifier ``tree`` reads, imports or spells as a string.
+
+    With ``reexports=False`` (a package ``__init__``), imported names
+    and ``__all__`` strings are left out.
+    """
     refs: Set[str] = set()
+    skip = set() if reexports else _all_strings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
         elif isinstance(node, ast.alias):
-            refs.add(node.asname or node.name.rsplit(".", 1)[-1])
+            if reexports:
+                refs.add(node.asname or node.name.rsplit(".", 1)[-1])
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and _IDENT.fullmatch(node.value)
+            and id(node) not in skip
         ):
             refs.add(node.value)
     return refs
@@ -89,7 +114,10 @@ def all_references() -> Set[str]:
     refs: Set[str] = set()
     for base in CODE_DIRS:
         for path in (ROOT / base).rglob("*.py"):
-            refs |= code_references(ast.parse(path.read_text()))
+            reexports = not (
+                path.name == "__init__.py" and SRC in path.parents
+            )
+            refs |= code_references(ast.parse(path.read_text()), reexports)
     for path in (ROOT / "docs").rglob("*.md"):
         refs.update(_IDENT.findall(path.read_text()))
     return refs
@@ -130,6 +158,21 @@ def test_scanner_rules(tmp_path, source, refs, dead):
 )
 def test_code_references(source, ref):
     assert ref in code_references(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source, refs",
+    [
+        ("from .mod import helper\n", set()),
+        ("from .mod import helper as h\n", set()),
+        ("__all__ = ['helper']\n", {"__all__"}),
+        ("__all__ += ('helper',)\n", {"__all__"}),
+        ("from .mod import helper\nhelper()\n", {"helper"}),
+        ("getattr(obj, 'hook')\n", {"getattr", "obj", "hook"}),
+    ],
+)
+def test_package_reexport_is_not_a_reference(source, refs):
+    assert code_references(ast.parse(source), reexports=False) == refs
 
 
 def test_no_unreferenced_definitions():
