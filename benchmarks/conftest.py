@@ -1,8 +1,11 @@
 """Shared benchmark plumbing.
 
 Every bench runs its experiment once per round (the workloads are
-deterministic, so more iterations only re-measure Python overhead),
-prints the paper-style table, and asserts the reproduction band.
+deterministic, so more iterations only re-measure Python overhead) and
+asserts its reproduction bands through the repo-wide ``in_band``
+fixture.  ``python -m repro.analysis`` prints the paper-style tables;
+only the ablation and extension benches, which the report does not
+cover, print their own.
 """
 
 import pytest

@@ -3,13 +3,5 @@
 import repro.analysis as a
 
 
-def test_fig1_behavior_share(run_once):
-    shares = run_once(a.fig1_behavior_shares, n_packets=1200)
-    print()
-    print(a.render_behavior_shares(shares))
-    values = [s.share for s in shares]
-    assert len(values) == 10
-    # Paper: 20.6% .. 65.4%.
-    assert 0.10 <= min(values)
-    assert max(values) <= 0.75
-    assert max(values) >= 0.50
+def test_fig1_behavior_share(run_once, in_band):
+    in_band("fig1", run_once(a.fig1_behavior_shares, n_packets=1200))

@@ -1,76 +1,27 @@
 """Fig. 3(a)-(h): per-NF throughput sweeps (§6.2).
 
-Each bench regenerates one subfigure: the same x-axis sweep, the same
-three series (eBPF / Kernel / eNetSTL), printed as a table, with the
-paper's headline ratios asserted as bands.
+Each bench runs one subfigure's sweep at full size and asserts its
+``TARGETS`` bands.
 """
+
+import pytest
 
 import repro.analysis as a
 
-
-def test_fig3a_skiplist_lookup(run_once):
-    sweep = run_once(a.fig3a_skiplist_lookup, n_packets=1500)
-    print()
-    print(a.render_sweep(sweep, "Fig. 3(a): skip-list KV lookup (NFD-HCS)"))
-    # Paper: eNetSTL within 7.33% of the kernel; no eBPF series (P1).
-    from repro.ebpf.cost_model import ExecMode
-
-    assert 0.04 <= sweep.avg_gap_to_kernel() <= 0.12
-    assert not sweep.series(ExecMode.PURE_EBPF)
-
-
-def test_fig3b_skiplist_update_delete(run_once):
-    sweep = run_once(a.fig3b_skiplist_update_delete, n_packets=1500)
-    print()
-    print(a.render_sweep(sweep, "Fig. 3(b): skip-list KV update/delete 1:1"))
-    assert 0.05 <= sweep.avg_gap_to_kernel() <= 0.13     # paper 8.54%
+#: Subfigure -> (sweep, packets per point).
+SWEEPS = {
+    "fig3a": (a.fig3a_skiplist_lookup, 1500),
+    "fig3b": (a.fig3b_skiplist_update_delete, 1500),
+    "fig3c": (a.fig3c_cuckoo_switch, 2000),
+    "fig3d": (a.fig3d_nitrosketch, 2500),
+    "fig3e": (a.fig3e_countmin, 2500),
+    "fig3f": (a.fig3f_timewheel, 2000),
+    "fig3g": (a.fig3g_cuckoo_filter, 2000),
+    "fig3h": (a.fig3h_eiffel, 2000),
+}
 
 
-def test_fig3c_cuckoo_switch(run_once):
-    sweep = run_once(a.fig3c_cuckoo_switch, n_packets=2000)
-    print()
-    print(a.render_sweep(sweep, "Fig. 3(c): CuckooSwitch vs load factor"))
-    assert 0.20 <= sweep.avg_improvement() <= 0.35       # paper 27.4%
-    assert 0.28 <= sweep.max_improvement() <= 0.40       # paper 33.08%
-    assert sweep.avg_gap_to_kernel() <= 0.07             # paper 4.30%
-
-
-def test_fig3d_nitrosketch(run_once):
-    sweep = run_once(a.fig3d_nitrosketch, n_packets=2500)
-    print()
-    print(a.render_sweep(sweep, "Fig. 3(d): NitroSketch vs update probability"))
-    assert 0.60 <= sweep.avg_improvement() <= 0.90       # paper 75.4%
-    assert sweep.avg_gap_to_kernel() <= 0.08             # paper 5.24%
-
-
-def test_fig3e_countmin(run_once):
-    sweep = run_once(a.fig3e_countmin, n_packets=2500)
-    print()
-    print(a.render_sweep(sweep, "Fig. 3(e): Count-min vs #hash functions"))
-    assert 0.40 <= sweep.avg_improvement() <= 0.58       # paper 47.9%
-    assert 0.60 <= sweep.max_improvement() <= 0.82       # paper 70.9% @ 8
-    assert sweep.avg_gap_to_kernel() <= 0.06             # paper 1.64%
-
-
-def test_fig3f_timewheel(run_once):
-    sweep = run_once(a.fig3f_timewheel, n_packets=2000)
-    print()
-    print(a.render_sweep(sweep, "Fig. 3(f): time wheel vs slot granularity"))
-    assert 0.30 <= sweep.avg_improvement() <= 0.48       # paper 38.4%
-    assert sweep.avg_gap_to_kernel() <= 0.08             # paper 5.75%
-
-
-def test_fig3g_cuckoo_filter(run_once):
-    sweep = run_once(a.fig3g_cuckoo_filter, n_packets=2000)
-    print()
-    print(a.render_sweep(sweep, "Fig. 3(g): cuckoo filter vs load factor"))
-    assert 0.24 <= sweep.avg_improvement() <= 0.40       # paper 31.8%
-    assert sweep.avg_gap_to_kernel() <= 0.05             # paper 0.8%
-
-
-def test_fig3h_eiffel(run_once):
-    sweep = run_once(a.fig3h_eiffel, n_packets=2000)
-    print()
-    print(a.render_sweep(sweep, "Fig. 3(h): Eiffel cFFS vs bitmap levels"))
-    assert 0.08 <= sweep.avg_improvement() <= 0.24       # paper 14.6%
-    assert sweep.avg_gap_to_kernel() <= 0.06             # paper ~0
+@pytest.mark.parametrize("name", SWEEPS)
+def test_fig3(name, run_once, in_band):
+    sweep, n_packets = SWEEPS[name]
+    in_band(name, run_once(sweep, n_packets=n_packets))

@@ -6,8 +6,6 @@ from repro.ebpf.cost_model import ExecMode
 
 def test_fig5_processing_time(run_once):
     points = run_once(a.fig4_fig5_latency, n_packets=300)
-    print()
-    print(a.render_latency(points, "Fig. 5"))
     by_nf = {}
     for p in points:
         by_nf.setdefault(p.nf, {})[p.mode] = p

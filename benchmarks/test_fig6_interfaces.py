@@ -3,11 +3,8 @@
 import repro.analysis as a
 
 
-def test_fig6_interfaces(run_once):
+def test_fig6_interfaces(run_once, in_band):
     comparison = run_once(a.fig6_interface_comparison)
-    print()
-    print(a.render_interfaces(comparison))
-    # Paper: the low-level interfaces degrade performance 59.0%..73.1%.
+    in_band("fig6", comparison)
     for name, data in comparison.items():
-        assert 0.55 <= data["degradation"] <= 0.76, name
-        assert data["low"] > data["high"]
+        assert data["low"] > data["high"], name

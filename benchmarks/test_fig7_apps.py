@@ -3,12 +3,5 @@
 import repro.analysis as a
 
 
-def test_fig7_apps(run_once):
-    results = run_once(a.fig7_apps, n_packets=2500)
-    print()
-    print(a.render_apps(results))
-    imps = [d["improvement"] for d in results.values()]
-    assert len(imps) == 4
-    assert all(i > 0.05 for i in imps)
-    # Paper: +21.6% on average.
-    assert 0.15 <= sum(imps) / len(imps) <= 0.30
+def test_fig7_apps(run_once, in_band):
+    in_band("fig7", run_once(a.fig7_apps, n_packets=2500))

@@ -3,23 +3,9 @@
 import pytest
 
 import repro.analysis as a
-
-PAPER = {
-    "efd": (0.483, 0.0471),
-    "tss": (0.267, 0.0396),
-    "heavykeeper": (0.300, 0.0253),
-    "vbf": (0.158, 0.0262),
-}
+from repro.analysis.experiments import OTHER_NFS
 
 
-@pytest.mark.parametrize("nf", sorted(PAPER))
-def test_other_nf(nf, run_once):
-    sweep = run_once(a.other_nf, nf, n_packets=2000)
-    print()
-    print(a.render_sweep(sweep, f"Other cases: {nf}"))
-    paper_imp, paper_gap = PAPER[nf]
-    imp = sweep.avg_improvement()
-    gap = sweep.avg_gap_to_kernel()
-    print(f"paper: +{paper_imp:.1%} improvement, {paper_gap:.2%} gap")
-    assert 0.6 * paper_imp <= imp <= 1.5 * paper_imp
-    assert gap <= max(2.5 * paper_gap, 0.06)
+@pytest.mark.parametrize("nf", OTHER_NFS)
+def test_other_nf(nf, run_once, in_band):
+    in_band(nf, run_once(a.other_nf, nf, n_packets=2000))

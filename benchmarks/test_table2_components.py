@@ -3,14 +3,9 @@
 import repro.analysis as a
 
 
-def test_table2_components(run_once):
-    results = run_once(a.table2_results)
-    print()
-    print(a.render_components(results))
+def test_table2_components(run_once, in_band):
+    run_once(a.table2_results)
     imps = a.table2_improvements()
-    # Paper: single-component improvements span 52.0% .. 513%.
-    assert all(imp >= 0.50 for imp in imps.values()), imps
-    assert max(imps.values()) >= 3.0
-    assert max(imps.values()) <= 5.5
+    in_band("table2", imps)
     # The biggest wins are the random pools (helper-call elimination).
     assert imps["random_pool"] == max(imps.values())

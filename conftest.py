@@ -1,6 +1,6 @@
 """Repo-wide pytest configuration.
 
-Two jobs:
+Three jobs:
 
 1. Make ``src/`` importable without an explicit ``PYTHONPATH`` so
    ``python -m pytest`` works from a bare checkout (CI and local runs
@@ -10,6 +10,10 @@ Two jobs:
    whole suite.  Implemented with ``SIGALRM`` — no third-party plugin
    needed.  Configure via ``REPRO_TEST_TIMEOUT`` (seconds; ``0``
    disables).  On platforms without ``SIGALRM`` the timeout is a no-op.
+3. The ``in_band`` fixture, which the tier-1 band tests and the
+   ``benchmarks/`` suite share: it asserts that one experiment result
+   meets every ``repro.analysis.paper_targets.TARGETS`` band of its
+   experiment.
 """
 
 from __future__ import annotations
@@ -54,3 +58,15 @@ def pytest_runtest_call(item):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def in_band():
+    """``in_band(name, result)``: ``result`` meets ``TARGETS[name]``."""
+    from repro.analysis.paper_targets import check
+
+    def assert_in_band(name, result):
+        failing = [r.describe() for r in check(name, result) if not r.ok]
+        assert not failing, "\n".join(failing)
+
+    return assert_in_band

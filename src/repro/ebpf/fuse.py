@@ -31,8 +31,7 @@ stages, and a single per-batch accounting flush:
   program can never observe a stale stack byte), and uninitialized
   slots stay uninitialized across variable-offset stores (weak
   update).  ``pkt``/``ctx`` buffers are refreshed between stages
-  *only* when an earlier stage's compiled body may write them (the
-  :attr:`FusedChain.stage_writes` tracking).
+  *only* when an earlier stage's compiled body may write them.
 - **Header-load forwarding** — in a chain where no stage writes pkt,
   a proven constant-offset load of a header field
   (:mod:`repro.ebpf.header`) reads the ``Packet`` attribute directly,
@@ -125,8 +124,6 @@ class FusedChain:
 
     fn: Callable[[Any, Sequence[Any]], Dict[int, int]]
     source: str
-    stage_names: Tuple[str, ...]
-    elide_checks: bool
     n_nodes: int
     #: kfunc call sites expanded inline (vs direct-bound calls).
     inlined_kfuncs: int = 0
@@ -137,8 +134,6 @@ class FusedChain:
     encodes_packet: bool = True
     #: kfunc hashes read from the per-batch hash prologue.
     hoisted_calls: int = 0
-    #: per-stage regions whose buffers the stage may write.
-    stage_writes: Tuple[frozenset, ...] = ()
     #: stages whose back-edge survived unrolling, so they kept the
     #: ``_b`` dispatch loop (every other stage is structured code).
     dispatch_stages: Tuple[str, ...] = ()
@@ -430,14 +425,11 @@ def fuse_chain(
     return FusedChain(
         fn=ns[fname],
         source=source,
-        stage_names=names,
-        elide_checks=bool(elide_checks),
         n_nodes=sum(len(c._reachable) for c in compilers),
         inlined_kfuncs=sum(c.inlined_calls for c in compilers),
         forwarded_loads=sum(c.forwarded_loads for c in compilers),
         encodes_packet=encodes_packet,
         hoisted_calls=sum(c.hoisted_calls for c in compilers),
-        stage_writes=tuple(frozenset(c.writes) for c in compilers),
         dispatch_stages=tuple(
             names[i] for i, c in enumerate(compilers) if c.dispatch
         ),

@@ -1,12 +1,14 @@
 """Tests for the experiment harness: structure, math, and paper bands.
 
-Band assertions use small packet counts (deterministic cost model, so
-the ratios are stable at any trace length).
+Band assertions check ``TARGETS`` at small packet counts
+(deterministic cost model, so the ratios are stable at any trace
+length).
 """
 
 import pytest
 
 import repro.analysis as a
+from repro.analysis.experiments import OTHER_NFS
 from repro.analysis.results import ModePoint, Sweep
 from repro.ebpf.cost_model import ExecMode
 
@@ -46,94 +48,70 @@ class TestSweepMath:
 
 
 class TestPaperBands:
-    """Every headline result lands in a band around the paper's value."""
+    """Every headline result meets its ``TARGETS`` bands.  A shape
+    claim that no target states is asserted once: here, or in the
+    benchmark that alone checks it."""
 
-    def test_fig3e_countmin(self):
+    def test_fig3e_countmin(self, in_band):
         s = a.fig3e_countmin(n_packets=400)
-        assert 0.40 <= s.avg_improvement() <= 0.58      # paper 47.9%
-        assert 0.60 <= s.max_improvement() <= 0.82      # paper 70.9%
-        assert s.avg_gap_to_kernel() <= 0.06            # paper 1.64%
+        in_band("fig3e", s)
+        assert 0.60 <= s.max_improvement() <= 0.82      # paper 70.9% @ 8
         # Improvement grows with the number of hash functions.
         imps = s.improvements()
         xs = sorted(imps)
         assert all(imps[xs[i]] <= imps[xs[i + 1]] for i in range(len(xs) - 1))
 
-    def test_fig3c_cuckoo_switch(self):
+    def test_fig3c_cuckoo_switch(self, in_band):
         s = a.fig3c_cuckoo_switch(n_packets=400)
-        assert 0.20 <= s.avg_improvement() <= 0.35      # paper 27.4%
-        assert 0.28 <= s.max_improvement() <= 0.40      # paper 33.08%
-        assert s.avg_gap_to_kernel() <= 0.07            # paper 4.30%
+        in_band("fig3c", s)
+        assert 0.28 <= s.max_improvement() <= 0.40      # paper 33.08% @ full
 
-    def test_fig3d_nitrosketch(self):
-        s = a.fig3d_nitrosketch(n_packets=500)
-        assert 0.60 <= s.avg_improvement() <= 0.90      # paper 75.4%
-        assert s.avg_gap_to_kernel() <= 0.08            # paper 5.24%
+    def test_fig3d_nitrosketch(self, in_band):
+        in_band("fig3d", a.fig3d_nitrosketch(n_packets=500))
 
-    def test_fig3g_cuckoo_filter(self):
-        s = a.fig3g_cuckoo_filter(n_packets=400)
-        assert 0.24 <= s.avg_improvement() <= 0.40      # paper 31.8%
-        assert s.avg_gap_to_kernel() <= 0.05            # paper 0.8%
+    def test_fig3g_cuckoo_filter(self, in_band):
+        in_band("fig3g", a.fig3g_cuckoo_filter(n_packets=400))
 
-    def test_fig3f_timewheel(self):
-        s = a.fig3f_timewheel(n_packets=400)
-        assert 0.30 <= s.avg_improvement() <= 0.48      # paper 38.4%
-        assert s.avg_gap_to_kernel() <= 0.08            # paper 5.75%
+    def test_fig3f_timewheel(self, in_band):
+        in_band("fig3f", a.fig3f_timewheel(n_packets=400))
 
-    def test_fig3h_eiffel(self):
+    def test_fig3h_eiffel(self, in_band):
         s = a.fig3h_eiffel(n_packets=400)
-        assert 0.08 <= s.avg_improvement() <= 0.24      # paper 14.6%
-        assert s.avg_gap_to_kernel() <= 0.06            # paper ~0
+        in_band("fig3h", s)
         imps = s.improvements()
         assert imps[4] > imps[1]   # grows with levels
 
-    @pytest.mark.parametrize(
-        "nf,lo,hi,gap_max",
-        [
-            ("efd", 0.40, 0.58, 0.07),          # paper 48.3% / 4.71%
-            ("tss", 0.20, 0.34, 0.06),          # paper 26.7% / 3.96%
-            ("heavykeeper", 0.22, 0.38, 0.06),  # paper 30.0% / 2.53%
-            ("vbf", 0.10, 0.22, 0.06),          # paper 15.8% / 2.62%
-        ],
-    )
-    def test_other_nfs(self, nf, lo, hi, gap_max):
-        s = a.other_nf(nf, n_packets=400)
-        assert lo <= s.avg_improvement() <= hi
-        assert s.avg_gap_to_kernel() <= gap_max
+    @pytest.mark.parametrize("nf", OTHER_NFS)
+    def test_other_nfs(self, nf, in_band):
+        in_band(nf, a.other_nf(nf, n_packets=400))
 
-    def test_fig3a_skiplist_lookup_gap(self):
+    def test_fig3a_skiplist_lookup_gap(self, in_band):
         s = a.fig3a_skiplist_lookup(loads=(1024, 4096), n_packets=300)
-        assert 0.04 <= s.avg_gap_to_kernel() <= 0.12    # paper 7.33%
+        in_band("fig3a", s)
         # No eBPF series exists: the P1 point.
         assert not s.series(ExecMode.PURE_EBPF)
 
-    def test_fig3b_skiplist_update_delete_gap(self):
-        s = a.fig3b_skiplist_update_delete(loads=(1024, 4096), n_packets=300)
-        assert 0.05 <= s.avg_gap_to_kernel() <= 0.13    # paper 8.54%
+    def test_fig3b_skiplist_update_delete_gap(self, in_band):
+        in_band("fig3b", a.fig3b_skiplist_update_delete(
+            loads=(1024, 4096), n_packets=300))
 
-    def test_fig1_shares_in_band(self):
+    def test_fig1_shares_in_band(self, in_band):
         shares = a.fig1_behavior_shares(n_packets=300)
-        values = [s.share for s in shares]
-        assert len(values) == 10
-        assert min(values) >= 0.10                       # paper min 20.6%
-        assert max(values) <= 0.75                       # paper max 65.4%
-        assert max(values) >= 0.50                       # someone is hot
+        in_band("fig1", shares)
+        assert len(shares) == 10
 
-    def test_table2_improvements_in_band(self):
-        imps = a.table2_improvements()
-        # Paper: 52.0% .. 513% per component.
-        assert all(0.50 <= v <= 5.5 for v in imps.values()), imps
-        assert max(imps.values()) >= 3.0                 # some huge wins
+    def test_table2_improvements_in_band(self, in_band):
+        in_band("table2", a.table2_improvements())
 
-    def test_fig6_degradation_in_band(self):
-        comp = a.fig6_interface_comparison()
-        for name, data in comp.items():
-            assert 0.55 <= data["degradation"] <= 0.76, name   # 59..73.1%
+    def test_fig6_degradation_in_band(self, in_band):
+        in_band("fig6", a.fig6_interface_comparison())
 
-    def test_fig7_apps_in_band(self):
+    def test_fig7_apps_in_band(self, in_band):
         results = a.fig7_apps(n_packets=600)
+        in_band("fig7", results)
         imps = [d["improvement"] for d in results.values()]
+        assert len(imps) == 4
         assert all(i > 0.05 for i in imps)
-        assert 0.15 <= sum(imps) / len(imps) <= 0.30     # paper 21.6%
 
     def test_fig45_latency_shapes(self):
         points = a.fig4_fig5_latency(nfs=("countmin", "eiffel"), n_packets=80)

@@ -51,14 +51,14 @@ MEASURED_AT_250 = [
 
 class TestTarget:
     def test_check_inside_band(self):
-        t = Target("x", "m", 0.5, 0.4, 0.6)
+        t = Target("x", "m", 0.5, 0.4, 0.6, read=float)
         assert t.check(0.5).ok
         assert t.check(0.4).ok and t.check(0.6).ok
         assert not t.check(0.39).ok
         assert not t.check(0.61).ok
 
     def test_describe(self):
-        result = Target("x", "m", 0.5, 0.4, 0.6).check(0.55)
+        result = Target("x", "m", 0.5, 0.4, 0.6, read=float).check(0.55)
         text = result.describe()
         assert "PASS" in text and "55" in text
 
@@ -68,15 +68,16 @@ class TestTarget:
         sweeps = {
             name for name, e in EXPERIMENTS.items() if e.render is None
         }
-        assert set(TARGETS) == sweeps
+        assert sweeps | {"fig1", "table2", "fig6", "fig7", "table1"} <= set(
+            TARGETS)
+        assert set(TARGETS) <= set(EXPERIMENTS)
 
     def test_bands_contain_paper_values(self):
-        """Our acceptance bands must be honest: each contains (or is
-        adjacent to) the paper's own value."""
+        """Our acceptance bands must be honest: each contains the
+        paper's own value."""
         for targets in TARGETS.values():
             for t in targets:
-                if t.metric == "avg improvement":
-                    assert t.lo <= t.paper_value <= t.hi, t
+                assert t.lo <= t.paper_value <= t.hi, t
 
 
 class TestCheckAll:

@@ -117,7 +117,6 @@ def test_stage_that_writes_pkt_disables_forwarding():
     )
     progs = [writer, _read_at(8)]
     fc = _fuse(progs, runnable_registry(0))
-    assert "pkt" in fc.stage_writes[0]
     assert fc.forwarded_loads == 0
     assert fc.encodes_packet
     pkts = _trace()

@@ -248,8 +248,6 @@ def test_compiled_program_metadata():
     reg = runnable_registry(0)
     vp = Verifier(reg).verify(case.prog)
     fused = fuse_chain(reg, [vp])
-    assert fused.stage_names == ("nf_cm_sketch",)
-    assert fused.elide_checks is True
     # The 3-trip back-edge at pc 12 expands into 4 body copies.
     assert fused.unrolled == {"nf_cm_sketch": {12: 4}}
     assert fused.n_nodes > 4
