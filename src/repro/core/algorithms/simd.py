@@ -29,11 +29,10 @@ LANES = 8  # AVX2: 8 x 32-bit lanes per 256-bit register
 class SimdOps:
     """Cost-charged compare/reduce kfuncs bound to a runtime."""
 
-    def __init__(
-        self, rt: BpfRuntime, category: Category = Category.BUCKETS
-    ) -> None:
+    category = Category.BUCKETS
+
+    def __init__(self, rt: BpfRuntime) -> None:
         self.rt = rt
-        self.category = category
         self.prices = LibraryPrices(rt.mode, rt.costs)
 
     # -- high-level interfaces ------------------------------------------------

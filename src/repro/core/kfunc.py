@@ -230,11 +230,17 @@ class LibraryPrices:
       code).  Hashing, compare/reduce and list-buckets pay it.
     - ``crossing``, eNetSTL only: the kernel inlines the operation.
       Random-pool draws and the low-level SIMD kfuncs pay it.
+
+    The memory wrapper's ``node_*`` prices have no eBPF column: pure
+    eBPF cannot build the wrapper's structures at all (P1), and
+    :class:`~repro.core.memwrap.MemoryWrapper` refuses that mode.
     """
 
     __slots__ = (
         "costs", "call", "crossing", "fetch", "row_hash", "ffs", "popcnt",
-        "lb_insert", "lb_pop", "lb_empty", "_ebpf",
+        "lb_insert", "lb_pop", "lb_empty", "node_alloc", "node_connect",
+        "node_disconnect", "node_release", "node_free", "_get_next",
+        "_eager", "_ebpf",
     )
 
     def __init__(self, mode: ExecMode, costs: CostModel) -> None:
@@ -263,6 +269,34 @@ class LibraryPrices:
         #: An empty bucket: eBPF tests the head pointer in the fetched
         #: map value, eNetSTL/kernel the occupancy bitmap bit.
         self.lb_empty = 4 if ebpf else 1
+        # The memory wrapper (§4.2): the kernel pays raw allocator and
+        # pointer costs, eNetSTL its kfuncs' bookkeeping.
+        kernel = mode is ExecMode.KERNEL
+        self.node_alloc = c.kmalloc if kernel else c.node_alloc
+        self.node_connect = c.node_connect_kernel if kernel else c.node_connect
+        self.node_disconnect = (
+            c.node_disconnect_kernel if kernel else c.node_disconnect
+        )
+        self.node_release = c.node_release_kernel if kernel else c.node_release
+        #: The final free, before one ``node_disconnect`` per in-edge.
+        self.node_free = c.kfree if kernel else c.bpf_obj_free
+        self._get_next = (
+            c.get_next_kernel + c.node_read
+            if kernel
+            else c.get_next_kfunc + c.node_read + c.null_check
+        )
+        self._eager = c.eager_check
+
+    def get_next(self, eager: bool = False) -> int:
+        """One ``get_next`` step: the pointer chase, plus the validity
+        probe when ``eager`` checking replaces lazy checking (§6.2)."""
+        return self._get_next + (self._eager if eager else 0)
+
+    def node_copy(self, size: int) -> int:
+        """``node_read``/``node_write`` of ``size`` bytes: one library
+        call plus the copy per 16-byte chunk.  ``set_owner`` and
+        ``unset_owner`` pay ``call`` alone."""
+        return self.call + self.costs.mem_copy_per_16b * ((size + 15) // 16)
 
     def crc(self, k: int = 1) -> int:
         """``hw_hash_crc``: ``k`` hash values behind one call."""

@@ -17,9 +17,11 @@ Two design points from the paper are modeled exactly:
   strategy — validating each traversal against a table of live
   relationships — is also implemented, for the §6.2 ablation.
 
-Cost accounting follows the runtime's execution mode: eNetSTL charges
-kfunc-call and refcount costs on traversal; the kernel baseline charges
-a bare pointer dereference.
+Every charge is a :class:`~repro.core.kfunc.LibraryPrices` price for
+the runtime's execution mode: eNetSTL pays kfunc-call and refcount
+costs on traversal, the kernel baseline a bare pointer dereference and
+plain function calls.  Pure eBPF has no equivalent (P1), so the wrapper
+refuses that mode.
 
 ``seek`` and ``release_all`` are batched forms of ``get_next`` and
 ``node_release``: one Python call walks (or releases) many nodes, keeps
@@ -35,6 +37,7 @@ from typing import Iterable, List, Optional
 from ...ebpf.cost_model import Category, ExecMode
 from ...ebpf.runtime import BpfRuntime
 from ..errors import DoubleFreeError
+from ..kfunc import LibraryPrices
 from .node import Node
 from .proxy import NodeProxy
 
@@ -48,38 +51,20 @@ EAGER = "eager"
 class MemoryWrapper:
     """Kfunc-level API for non-contiguous memory in eBPF programs."""
 
-    def __init__(
-        self,
-        rt: BpfRuntime,
-        checking: str = LAZY,
-        category: Category = Category.NONCONTIG,
-    ) -> None:
+    category = Category.NONCONTIG
+
+    def __init__(self, rt: BpfRuntime, checking: str = LAZY) -> None:
         if checking not in (LAZY, EAGER):
             raise ValueError(f"unknown checking strategy {checking!r}")
+        if rt.mode is ExecMode.PURE_EBPF:
+            raise ValueError("memory wrapper has no eBPF equivalent (P1)")
         self.rt = rt
         self.checking = checking
-        self.category = category
         self._fail_next_alloc = False   # fault injection for tests
         self.stats = WrapperStats()
-        # Per-kfunc costs, resolved once: the kernel baseline pays raw
-        # pointer costs, eNetSTL its kfunc costs.
-        c = rt.costs
-        kernel = rt.mode is ExecMode.KERNEL
+        self.prices = LibraryPrices(rt.mode, rt.costs)
         self._charge = rt.charge
-        self._alloc_cost = c.kmalloc if kernel else c.node_alloc
-        self._connect_cost = c.node_connect_kernel if kernel else c.node_connect
-        self._disconnect_cost = (
-            c.node_disconnect_kernel if kernel else c.node_disconnect
-        )
-        self._release_cost = c.node_release_kernel if kernel else c.node_release
-        self._free_cost = c.kfree if kernel else c.bpf_obj_free
-        self._get_next_cost = (
-            c.get_next_kernel + c.node_read
-            if kernel
-            else c.get_next_kfunc + c.node_read + c.null_check
-        ) + (c.eager_check if checking == EAGER else 0)
-        self._kfunc_cost = c.kfunc_call
-        self._copy_cost = c.mem_copy_per_16b
+        self._get_next_cost = self.prices.get_next(eager=checking == EAGER)
 
     # -- fault injection ---------------------------------------------------
 
@@ -97,7 +82,7 @@ class MemoryWrapper:
         The kfunc is annotated ``KF_ACQUIRE | KF_RET_NULL``: the caller
         owns the returned reference and must null-check it.
         """
-        self._charge(self._alloc_cost, self.category)
+        self._charge(self.prices.node_alloc, self.category)
         return self.setup_alloc(n_outs, n_ins, data_size)
 
     def setup_alloc(
@@ -116,12 +101,12 @@ class MemoryWrapper:
 
     def set_owner(self, proxy: NodeProxy, node: Node) -> None:
         """Transfer ownership of ``node`` to ``proxy``."""
-        self._charge(self._kfunc_cost, self.category)
+        self._charge(self.prices.call, self.category)
         proxy.adopt(node)
 
     def unset_owner(self, proxy: NodeProxy, node: Node) -> None:
         """Detach ``node`` from ``proxy``; frees it if unreferenced."""
-        self._charge(self._kfunc_cost, self.category)
+        self._charge(self.prices.call, self.category)
         proxy.disown(node)
         if node.refcount == 0:
             self._free(node)
@@ -136,7 +121,7 @@ class MemoryWrapper:
         recorded reverse edge is what lazy checking consumes at free
         time.
         """
-        self._charge(self._connect_cost, self.category)
+        self._charge(self.prices.node_connect, self.category)
         if not (src.alive and dst.alive and 0 <= out_idx < len(src.outs)):
             src.check_alive()
             dst.check_alive()
@@ -150,7 +135,7 @@ class MemoryWrapper:
 
     def node_disconnect(self, src: Node, out_idx: int) -> None:
         """``src->outs[out_idx] = NULL``."""
-        self._charge(self._disconnect_cost, self.category)
+        self._charge(self.prices.node_disconnect, self.category)
         if not (src.alive and 0 <= out_idx < len(src.outs)):
             src.check_alive()
             src.check_out_slot(out_idx)
@@ -239,7 +224,7 @@ class MemoryWrapper:
         proxy owns it.  ``KF_RELEASE``-annotated, so the verifier pairs
         it with ``node_alloc`` / ``get_next``.
         """
-        self._charge(self._release_cost, self.category)
+        self._charge(self.prices.node_release, self.category)
         refs = node.refcount
         if refs <= 0 or not node.alive:
             node.check_alive()
@@ -271,7 +256,7 @@ class MemoryWrapper:
                     self._free(node)
         finally:
             if n:
-                self._charge(n * self._release_cost, self.category)
+                self._charge(n * self.prices.node_release, self.category)
 
     def _free(self, node: Node) -> None:
         """Actually free: lazy teardown of every recorded relationship.
@@ -292,23 +277,19 @@ class MemoryWrapper:
                 node.outs[out_idx] = None
         node.free_now()
         self.stats.frees += 1
+        p = self.prices
         self._charge(
-            len(in_edges) * self._disconnect_cost + self._free_cost, self.category
+            len(in_edges) * p.node_disconnect + p.node_free, self.category
         )
 
     # -- payload access -----------------------------------------------------------
 
     def node_read(self, node: Node, off: int, size: int) -> bytes:
-        self._charge(
-            self._kfunc_cost + self._copy_cost * ((size + 15) // 16), self.category
-        )
+        self._charge(self.prices.node_copy(size), self.category)
         return node.read(off, size)
 
     def node_write(self, node: Node, off: int, payload: bytes) -> None:
-        self._charge(
-            self._kfunc_cost + self._copy_cost * ((len(payload) + 15) // 16),
-            self.category,
-        )
+        self._charge(self.prices.node_copy(len(payload)), self.category)
         node.write(off, payload)
 
 

@@ -31,17 +31,13 @@ from ..kfunc import LibraryPrices
 class ListBuckets:
     """An array of ``n_buckets`` FIFO/LIFO queues with O(1) selection."""
 
-    def __init__(
-        self,
-        rt: BpfRuntime,
-        n_buckets: int,
-        category: Category = Category.FUNDAMENTAL_DS,
-    ) -> None:
+    category = Category.FUNDAMENTAL_DS
+
+    def __init__(self, rt: BpfRuntime, n_buckets: int) -> None:
         if n_buckets <= 0:
             raise ValueError("n_buckets must be positive")
         self.rt = rt
         self.n_buckets = n_buckets
-        self.category = category
         self.prices = LibraryPrices(rt.mode, rt.costs)
         self._buckets: List[Deque[Any]] = [deque() for _ in range(n_buckets)]
         self._bitmap: List[int] = [0] * ((n_buckets + 63) // 64)

@@ -32,7 +32,7 @@ class BloomFilterNF(BaseNF):
         self.n_hashes = n_hashes
         #: The filter's own bitmap (the kfuncs set and test it in place).
         self.words = self.bloom.words
-        self.hash = HashAlgos(rt, Category.MULTIHASH)
+        self.hash = HashAlgos(rt)
         self.members = 0
         self.nonmembers = 0
 

@@ -44,7 +44,7 @@ class CountMinNF(BaseNF):
         self.width = width
         #: The sketch's own counter rows (the kfuncs bump them in place).
         self.rows = self.sketch.rows
-        self.hash = HashAlgos(rt, Category.MULTIHASH)
+        self.hash = HashAlgos(rt)
         #: One CRC kfunc call: a hash and a counter access per row.
         self._crc_cost = (
             self.prices.crc(depth) + self.costs.counter_update * depth

@@ -34,7 +34,7 @@ class CuckooFilterNF(BaseNF):
     def __init__(self, rt, n_buckets: int = 8192, slots_per_bucket: int = 4) -> None:
         super().__init__(rt)
         self.filter = CuckooFilter(n_buckets, slots_per_bucket)
-        self.simd = SimdOps(rt, Category.BUCKETS)
+        self.simd = SimdOps(rt)
         #: The key hash (fingerprint + primary index) plus the
         #: alternate-index derivation.  Outside eBPF the whole test is
         #: ONE kfunc (cf_contains): hashing, alt-index math and both

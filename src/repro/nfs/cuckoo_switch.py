@@ -44,7 +44,7 @@ class CuckooSwitchNF(BaseNF):
     def __init__(self, rt, n_buckets: int = 4096, slots_per_bucket: int = 8) -> None:
         super().__init__(rt)
         self.table = BlockedCuckooTable(n_buckets, slots_per_bucket)
-        self.simd = SimdOps(rt, Category.BUCKETS)
+        self.simd = SimdOps(rt)
         #: ``hw_hash_crc`` plus deriving the second index and signature.
         self._hash_cost = self.prices.crc() + DERIVE_COST
         self.hits = 0

@@ -33,7 +33,7 @@ class DaryCuckooNF(BaseNF):
     def __init__(self, rt, d: int = 4, width: int = 8192) -> None:
         super().__init__(rt)
         self.table = DaryCuckooTable(d=d, width=width)
-        self.hash = HashAlgos(rt, Category.MULTIHASH)
+        self.hash = HashAlgos(rt)
         self.hits = 0
         self.misses = 0
 

@@ -40,7 +40,7 @@ class HeavyKeeperNF(BaseNF):
     def __init__(self, rt, depth: int = 2, width: int = 4096, k: int = 64) -> None:
         super().__init__(rt)
         self.depth = depth
-        self.pool = None if self.is_ebpf else RandomPool(rt, category=Category.RANDOM)
+        self.pool = None if self.is_ebpf else RandomPool(rt)
         self.sketch = HeavyKeeper(
             depth=depth, width=width, k=k, rand=self._decay_rand
         )

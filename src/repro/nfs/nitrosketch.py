@@ -65,7 +65,7 @@ class NitroSketchNF(BaseNF):
             self.pool = None
             self._countdown = None
         else:
-            self.pool = GeoRandomPool(rt, update_prob, category=Category.RANDOM)
+            self.pool = GeoRandomPool(rt, update_prob)
             # Packets remaining until each row's next update.
             self._countdown = list(self.pool.draw_many(depth))
 

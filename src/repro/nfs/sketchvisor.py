@@ -40,7 +40,7 @@ class SketchVisorNF(BaseNF):
         self.keys: List[int] = [0] * n_slots
         self.counters: List[int] = [0] * n_slots
         self.normal = CountMinSketch(depth=2, width=2048)
-        self.simd = SimdOps(rt, Category.BUCKETS)
+        self.simd = SimdOps(rt)
         self.fast_hits = 0
         self.evictions = 0
 

@@ -48,7 +48,7 @@ class TimeWheelNF(BaseNF):
             tick_ns=tick_ns,
             l1_slots=l1_slots,
             l2_slots=l2_slots,
-            bucket_factory=lambda n: ListBuckets(rt, n, Category.FUNDAMENTAL_DS),
+            bucket_factory=lambda n: ListBuckets(rt, n),
         )
         self.enqueued = 0
         self.dequeued = 0

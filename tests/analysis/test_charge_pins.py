@@ -276,7 +276,7 @@ NF_PINS = {
         "BUCKETS": 10128,
     },
     ("lru_cache", ExecMode.KERNEL): {
-        "FRAMEWORK": 55677, "PARSE": 13500, "NONCONTIG": 129971,
+        "FRAMEWORK": 55677, "PARSE": 13500, "NONCONTIG": 127615,
     },
     ("lru_cache", ExecMode.ENETSTL): {
         "FRAMEWORK": 56755, "PARSE": 13500, "NONCONTIG": 164796,

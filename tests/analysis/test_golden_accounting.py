@@ -30,7 +30,7 @@ GOLDEN = {
     ("fig3a", OP_LOOKUP, 3): {
         ExecMode.KERNEL: {
             "cpp": 3585.625,
-            "preload": (3348840, {"NONCONTIG": 3348840}),
+            "preload": (3340648, {"NONCONTIG": 3340648}),
             "measured": (717125, {"FRAMEWORK": 18600, "NONCONTIG": 689525,
                                   "PARSE": 9000}),
         },
@@ -43,9 +43,9 @@ GOLDEN = {
     },
     ("fig3b", OP_UPDATE_DELETE, 4): {
         ExecMode.KERNEL: {
-            "cpp": 3060.465,
-            "preload": (2836319, {"NONCONTIG": 2836319}),
-            "measured": (612093, {"FRAMEWORK": 18600, "NONCONTIG": 584493,
+            "cpp": 3056.465,
+            "preload": (2828127, {"NONCONTIG": 2828127}),
+            "measured": (611293, {"FRAMEWORK": 18600, "NONCONTIG": 583693,
                                   "PARSE": 9000}),
         },
         ExecMode.ENETSTL: {

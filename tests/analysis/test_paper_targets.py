@@ -17,7 +17,7 @@ from repro.analysis.paper_targets import (
 #: number fails here with a diff, not only when it leaves a band.
 MEASURED_AT_250 = [
     ("fig3a skiplist lookup", "kernel gap", 0.08078145864659565),
-    ("fig3b skiplist upd/del", "kernel gap", 0.08698127476424844),
+    ("fig3b skiplist upd/del", "kernel gap", 0.0880211870376963),
     ("fig3c cuckoo switch", "avg improvement", 0.2866617603834712),
     ("fig3c cuckoo switch", "kernel gap", 0.03389933369412146),
     ("fig3d nitrosketch", "avg improvement", 0.8343445739556167),

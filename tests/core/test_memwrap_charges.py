@@ -43,8 +43,13 @@ def _get_next(mode, checking):
     return cost
 
 
-def _copy(size):
-    return C.kfunc_call + C.mem_copy_per_16b * ((size + 15) // 16)
+def _call(mode):
+    """The library-call price: a plain call inside the kernel."""
+    return C.kernel_call if _kernel(mode) else C.kfunc_call
+
+
+def _copy(mode, size):
+    return _call(mode) + C.mem_copy_per_16b * ((size + 15) // 16)
 
 
 @pytest.fixture(params=[(m, c) for m in MODES for c in CHECKINGS],
@@ -84,13 +89,13 @@ class TestPerKfuncCharge:
         assert cyc == (C.kmalloc if _kernel(mode) else C.node_alloc)
 
     def test_set_and_unset_owner(self, env):
-        _, _, rt, w, proxy = env
+        mode, _, rt, w, proxy = env
         node = w.node_alloc(1, 1, 8)
         _, cyc, by = charged(rt, lambda: w.set_owner(proxy, node))
-        assert (cyc, by) == (C.kfunc_call, {Category.NONCONTIG: C.kfunc_call})
+        assert (cyc, by) == (_call(mode), {Category.NONCONTIG: _call(mode)})
         # The program still holds its reference: no free, no teardown.
         _, cyc, _ = charged(rt, lambda: w.unset_owner(proxy, node))
-        assert cyc == C.kfunc_call and node.alive
+        assert cyc == _call(mode) and node.alive
 
     def test_connect(self, env):
         mode, _, rt, w, proxy = env
@@ -153,22 +158,23 @@ class TestPerKfuncCharge:
         w.node_release(victim)
         _, cyc, _ = charged(rt, lambda: w.unset_owner(proxy, victim))
         assert not victim.alive
-        assert cyc == C.kfunc_call + _disconnect(mode) + _free(mode)
+        assert cyc == _call(mode) + _disconnect(mode) + _free(mode)
 
     @pytest.mark.parametrize("size", [0, 1, 16, 17, 32])
     def test_read_write(self, env, size):
-        _, _, rt, w, proxy = env
+        mode, _, rt, w, proxy = env
         node = _owned(w, proxy)
+        copy = _copy(mode, size)
         _, cyc, by = charged(rt, lambda: w.node_write(node, 0, b"\x01" * size))
-        assert (cyc, by) == (_copy(size), {Category.NONCONTIG: _copy(size)})
+        assert (cyc, by) == (copy, {Category.NONCONTIG: copy})
         data, cyc, _ = charged(rt, lambda: w.node_read(node, 0, size))
-        assert data == b"\x01" * size and cyc == _copy(size)
+        assert data == b"\x01" * size and cyc == copy
 
 
 class TestWrapperCategory:
     def test_every_kfunc_charges_the_wrapper_category(self):
         rt = BpfRuntime(mode=ExecMode.ENETSTL, seed=1)
-        w = MemoryWrapper(rt, category=Category.OTHER)
+        w = MemoryWrapper(rt)
         proxy = NodeProxy()
         a, b = _owned(w, proxy), _owned(w, proxy)
         w.node_connect(a, 0, b, 0)
@@ -178,4 +184,4 @@ class TestWrapperCategory:
         w.node_disconnect(a, 0)
         w.unset_owner(proxy, b)
         w.node_release(b)
-        assert set(rt.cycles.breakdown()) == {Category.OTHER}
+        assert set(rt.cycles.breakdown()) == {Category.NONCONTIG}

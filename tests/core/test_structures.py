@@ -127,12 +127,6 @@ class TestRandomPool:
         assert pool.refills >= 1
         assert pool.level > 0
 
-    def test_no_refill_raises_when_disabled(self):
-        pool = RandomPool(rt_for(), capacity=8, auto_refill=False)
-        with pytest.raises(PoolEmptyError):
-            for _ in range(20):
-                pool.draw()
-
     def test_ebpf_mode_falls_back_to_helper(self):
         rt = rt_for(ExecMode.PURE_EBPF)
         pool = RandomPool(rt)
@@ -166,8 +160,6 @@ class TestRandomPool:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             RandomPool(rt_for(), capacity=0)
-        with pytest.raises(ValueError):
-            RandomPool(rt_for(), refill_threshold=1.5)
 
 
 class TestGeoRandomPool:
