@@ -16,6 +16,7 @@ from ..core.algorithms.simd import SimdOps
 from ..core.memwrap import MemoryWrapper, NodeProxy
 from ..core.structures.list_buckets import ListBuckets
 from ..core.structures.random_pool import GeoRandomPool, RandomPool
+from ..datastructs.countmin import CountMinSketch
 from ..ebpf.cost_model import ExecMode
 from ..ebpf.runtime import BpfRuntime
 from .results import ComponentResult
@@ -56,8 +57,8 @@ def measure_component(component: str, mode: ExecMode) -> float:
         return _cycles_per_op(lambda i: algos.hw_hash_crc(i), rt)
     if component == "hash_cnt8":
         algos = HashAlgos(rt)
-        counters = [[0] * 512 for _ in range(8)]
-        return _cycles_per_op(lambda i: algos.hash_cnt(counters, i, 8), rt)
+        sketch = CountMinSketch(8, 512)
+        return _cycles_per_op(lambda i: algos.hash_cnt(sketch, i), rt)
     if component == "random_pool":
         # In eBPF the pool's draw is the bpf_get_prandom_u32 helper.
         pool = RandomPool(rt)
@@ -164,8 +165,8 @@ def fig6_interface_comparison() -> Dict[str, Dict[str, float]]:
 
     rt = _rt(ExecMode.ENETSTL)
     algos = HashAlgos(rt)
-    counters = [[0] * 512 for _ in range(8)]
-    high = _cycles_per_op(lambda i: algos.hash_cnt(counters, i, 8), rt)
-    low = _cycles_per_op(lambda i: algos.hash_cnt_lowlevel(counters, i, 8), rt)
+    sketch = CountMinSketch(8, 512)
+    high = _cycles_per_op(lambda i: algos.hash_cnt(sketch, i), rt)
+    low = _cycles_per_op(lambda i: algos.hash_cnt_lowlevel(sketch, i), rt)
     out["HASH"] = {"high": high, "low": low, "degradation": 1.0 - high / low}
     return out

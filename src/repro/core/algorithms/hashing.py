@@ -1,18 +1,21 @@
 """Hashing algorithms and unified post-hashing operations (§4.3).
 
-Three interface tiers, mirroring the paper's argument:
+Two interface tiers, mirroring the paper's argument:
 
 1. ``hw_hash_crc`` — a single hardware-accelerated hash (the DPDK
    practice); used when an NF needs only one or two hash functions.
 2. Unified *hash-then-operate* kfuncs — ``hash_cnt`` (count after
-   hashing, Count-min/NitroSketch), ``hash_min_read`` (aggregate after
-   hashing), ``hash_setbits``/``hash_testbits`` (Bloom-style membership),
-   ``hash_cmp`` (compare after hashing, d-ary cuckoo).  These compute
-   all ``k`` hashes in SIMD registers and consume the results in place,
-   so nothing is copied back through eBPF memory.
-3. ``fasthash_simd_lowlevel`` — the paper's *counter-example* (Listing
-   2): SIMD hashing whose results must be stored to memory and reloaded
-   by the caller.  Kept for the Fig. 6 ablation.
+   hashing, Count-min), ``hash_setbits``/``hash_testbits``
+   (Bloom-style membership) and ``hash_cmp`` (compare after hashing,
+   d-ary cuckoo).  These compute all ``k`` hashes in SIMD registers and
+   consume the results in place, so nothing is copied back through
+   eBPF memory.  Each takes the :mod:`repro.datastructs` structure it
+   works on and runs that structure's own method; the price is
+   :meth:`~repro.core.kfunc.LibraryPrices.hash_op`.
+
+``hash_cnt_lowlevel`` is the paper's *counter-example* (Listing 2):
+SIMD hashing whose results must be stored to memory and reloaded by the
+caller, kept for the Fig. 6 ablation.
 
 Hash values themselves come from a splitmix64 finalizer (real
 computation, deterministic, well-distributed); cycle costs are charged
@@ -22,11 +25,16 @@ per the execution mode.
 from __future__ import annotations
 
 import struct
-from typing import List, MutableSequence, Sequence, Union
+from typing import TYPE_CHECKING, List, Sequence, Union
 
-from ...ebpf.cost_model import Category, ExecMode, simd_batches
+from ...ebpf.cost_model import Category, ExecMode
 from ...ebpf.runtime import BpfRuntime
 from ..kfunc import LibraryPrices
+
+if TYPE_CHECKING:
+    from ...datastructs.bloom import BloomFilter
+    from ...datastructs.countmin import CountMinSketch
+    from ...datastructs.dary_cuckoo import DaryCuckooTable
 
 M32 = (1 << 32) - 1
 M64 = (1 << 64) - 1
@@ -231,9 +239,12 @@ def fast_hash32_below(
 class HashAlgos:
     """Cost-charged hash kfuncs bound to a runtime.
 
-    In ``PURE_EBPF`` mode, multi-hash operations fall back to one
-    software hash per function (no SIMD in the eBPF ISA) and single
-    hashes cost a full software hash (no CRC instruction).
+    Each hash-then-operate kfunc takes the structure it works on, charges
+    its :class:`~repro.core.kfunc.LibraryPrices` price and runs the
+    structure's own method; the structure's hash family stands for the
+    kfunc's SIMD batch.  In ``PURE_EBPF`` mode the ``k`` hashes are
+    ``k`` software hashes (no SIMD in the eBPF ISA) and a single hash
+    is a full software hash (no CRC instruction).
     """
 
     category = Category.MULTIHASH
@@ -242,8 +253,6 @@ class HashAlgos:
         self.rt = rt
         self.prices = LibraryPrices(rt.mode, rt.costs)
 
-    # -- single hash -------------------------------------------------------
-
     def hw_hash_crc(self, key: KeyLike, seed: int = 0) -> int:
         """One hash value; hardware CRC where available."""
         self.rt.charge(self.prices.crc(), self.category)
@@ -251,180 +260,56 @@ class HashAlgos:
             return fast_hash32(key, seed)
         return crc_hash32(key, seed)
 
-    def hash_scalar(self, key: KeyLike, seed: int = 0) -> int:
-        """One software hash (the only option in pure eBPF)."""
-        self.rt.charge(self.rt.costs.hash_scalar, self.category)
-        return fast_hash32(key, seed)
-
-    # -- internal: the k hash values, with mode-appropriate cost ------------
-
-    def _hashes(self, key: KeyLike, k: int) -> List[int]:
-        if k <= 0:
-            raise ValueError("k must be positive")
-        self.rt.charge(self.prices.multi_hash(k), self.category)
-        return [fast_hash32(key, seed) for seed in range(k)]
-
     # -- unified post-hash operations ------------------------------------------
 
-    def hash_cnt(
-        self,
-        counters: Sequence[MutableSequence[int]],
-        key: KeyLike,
-        k: int,
-        delta: int = 1,
-    ) -> List[int]:
-        """Count after hashing: bump one counter per row, in place.
+    def hash_cnt(self, sketch: "CountMinSketch", key: int) -> int:
+        """Count after hashing (``hash_simd_cnt``): bump the key's
+        counter in every row of ``sketch``, in place.  Returns the new
+        estimate; no hash value crosses the eBPF boundary."""
+        self.rt.charge(self.prices.hash_op(sketch.depth), self.category)
+        return sketch.update(key)
 
-        ``counters`` is a k-row matrix; row ``i``'s column is selected
-        by hash ``i`` modulo the row width.  Returns the chosen column
-        indexes (callers use them for tests; the kfunc itself returns
-        nothing, which is the point — no hash values cross the eBPF
-        boundary).
-        """
-        if len(counters) < k:
-            raise ValueError(f"counter matrix has {len(counters)} rows; need {k}")
-        cols = []
-        for row, h in zip(range(k), self._hashes(key, k)):
-            col = h % len(counters[row])
-            counters[row][col] += delta
-            cols.append(col)
-        self.rt.charge(self.rt.costs.counter_update * k, self.category)
-        return cols
+    def hash_setbits(self, bloom: "BloomFilter", key: int) -> None:
+        """Set bits after hashing (``hash_simd_setbits``, Bloom insert)."""
+        self.rt.charge(self.prices.hash_op(bloom.n_hashes), self.category)
+        bloom.add(key)
 
-    def hash_cnt_bulk(
-        self,
-        counters: Sequence[MutableSequence[int]],
-        keys: Sequence[KeyLike],
-        k: int,
-        delta: int = 1,
-    ) -> None:
-        """Count-after-hashing over a whole key batch.
+    def hash_testbits(self, bloom: "BloomFilter", key: int) -> bool:
+        """Test bits after hashing (``hash_simd_testbits``, Bloom query)."""
+        hit = key in bloom
+        self.rt.charge(self.prices.hash_op(bloom.n_hashes, hit), self.category)
+        return hit
 
-        Cycle-identical to ``len(keys)`` calls of :meth:`hash_cnt`
-        (the batch pipeline relies on this), but charges the runtime
-        once and runs the counter bumps in a tight loop — the Python
-        per-call overhead is what drops, not the modeled cycles.
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if len(counters) < k:
-            raise ValueError(f"counter matrix has {len(counters)} rows; need {k}")
-        n = len(keys)
-        if n == 0:
-            return
-        per_key = self.prices.multi_hash(k) + self.rt.costs.counter_update * k
-        self.rt.charge(per_key * n, self.category)
-        widths = [len(counters[row]) for row in range(k)]
-        for key in keys:
-            for row in range(k):
-                counters[row][fast_hash32(key, row) % widths[row]] += delta
-
-    def hash_min_read(
-        self, counters: Sequence[Sequence[int]], key: KeyLike, k: int
-    ) -> int:
-        """Aggregate after hashing: the minimum of the k selected counters."""
-        if len(counters) < k:
-            raise ValueError(f"counter matrix has {len(counters)} rows; need {k}")
-        best = None
-        for row, h in zip(range(k), self._hashes(key, k)):
-            v = counters[row][h % len(counters[row])]
-            best = v if best is None else min(best, v)
-        self.rt.charge(self.rt.costs.counter_update * k, self.category)
-        return best if best is not None else 0
-
-    def hash_setbits(self, bitmap: MutableSequence[int], key: KeyLike, k: int) -> None:
-        """Set bits after hashing (Bloom insert); bitmap is a u64 array."""
-        nbits = len(bitmap) * 64
-        for h in self._hashes(key, k):
-            bit = h % nbits
-            bitmap[bit // 64] |= 1 << (bit % 64)
-        self.rt.charge(self.rt.costs.counter_update * k, self.category)
-
-    def hash_testbits(self, bitmap: Sequence[int], key: KeyLike, k: int) -> bool:
-        """Test bits after hashing (Bloom query)."""
-        nbits = len(bitmap) * 64
-        for h in self._hashes(key, k):
-            bit = h % nbits
-            if not bitmap[bit // 64] >> (bit % 64) & 1:
-                self.rt.charge(self.rt.costs.counter_update, self.category)
-                return False
-        self.rt.charge(self.rt.costs.counter_update * k, self.category)
-        return True
-
-    def hash_cmp(
-        self, slots: Sequence[Sequence[int]], key: KeyLike, k: int, needle: int
-    ) -> int:
-        """Compare after hashing (d-ary cuckoo probe).
-
-        For each of the ``k`` candidate rows, the hash selects a slot;
-        returns the index of the first row whose selected slot equals
-        ``needle``, else -1.
-        """
-        if len(slots) < k:
-            raise ValueError(f"slot table has {len(slots)} rows; need {k}")
-        result = -1
-        for row, h in zip(range(k), self._hashes(key, k)):
-            if slots[row][h % len(slots[row])] == needle and result < 0:
-                result = row
-        self.rt.charge(self.rt.costs.counter_update * k, self.category)
-        return result
+    def hash_cmp(self, table: "DaryCuckooTable", key: int) -> int:
+        """Compare after hashing (``hash_simd_cmp``, d-ary cuckoo probe):
+        the row whose candidate cell holds ``key``, else -1."""
+        self.rt.charge(self.prices.hash_op(table.d), self.category)
+        return table.find_row(key)
 
     # -- low-level counter-example (Fig. 6, "HASH Low") --------------------------
 
-    def fasthash_simd_lowlevel(self, key: KeyLike, k: int) -> List[int]:
-        """SIMD multi-hash that must round-trip through eBPF memory.
-
-        Models Listing 2's ``fasthash_simd``: the batch is computed in
-        SIMD registers but stored back to caller memory (one
-        ``simd_store`` per 8 lanes) and each result is then re-loaded by
-        the eBPF program (one helper-boundary copy per lane).
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        costs = self.rt.costs
-        self.rt.charge(
-            self.prices.simd_hash(k)
-            + costs.simd_store * simd_batches(k)
-            + self.prices.call,
-            self.category,
-        )
-        # The eBPF caller re-reads every lane from memory.
-        self.rt.charge(costs.mem_copy_per_16b * ((4 * k + 15) // 16) * 4, self.category)
-        return [fast_hash32(key, seed) for seed in range(k)]
-
-    def hash_cnt_lowlevel(
-        self,
-        counters: Sequence[MutableSequence[int]],
-        key: KeyLike,
-        k: int,
-        delta: int = 1,
-    ) -> List[int]:
+    def hash_cnt_lowlevel(self, sketch: "CountMinSketch", key: int) -> int:
         """Count-after-hashing built from instruction-level kfuncs.
 
-        The Fig. 6 "HASH Low" variant: the SIMD batch still computes the
-        ``k`` hashes, but each value must be extracted through its own
-        kfunc call (register state does not survive across calls, so
-        every extraction reloads and stores through eBPF memory), and
-        the counting happens on the eBPF side with per-access bounds
-        checks.  Functionally identical to :meth:`hash_cnt`.
+        The Fig. 6 "HASH Low" variant (Listing 2's ``fasthash_simd``):
+        the SIMD batch still computes the ``k`` hashes, but each value
+        must be extracted through its own kfunc call (register state
+        does not survive across calls, so every extraction reloads and
+        stores through eBPF memory), and the counting happens on the
+        eBPF side with per-access bounds checks.  Functionally identical
+        to :meth:`hash_cnt`.
         """
-        if len(counters) < k:
-            raise ValueError(f"counter matrix has {len(counters)} rows; need {k}")
+        k = sketch.depth
         costs = self.rt.costs
-        extra = self.prices.call
-        # The SIMD computation itself (one call).
-        self.rt.charge(self.prices.simd_hash(k) + extra, self.category)
-        # Per-lane extraction round trips.
+        call = self.prices.call
         self.rt.charge(
-            k * (extra + costs.simd_load + costs.simd_store + 16), self.category
+            # The SIMD computation itself (one call), then a round trip
+            # through eBPF memory per extracted lane, then eBPF-side
+            # counting behind verifier-mandated checks.
+            self.prices.simd_hash(k)
+            + call
+            + k * (call + costs.simd_load + costs.simd_store + 16)
+            + k * (costs.bounds_check + 5 + costs.counter_update),
+            self.category,
         )
-        # eBPF-side counting with verifier-mandated checks.
-        self.rt.charge(
-            k * (costs.bounds_check + 5 + costs.counter_update), self.category
-        )
-        cols = []
-        for row, h in zip(range(k), [fast_hash32(key, seed) for seed in range(k)]):
-            col = h % len(counters[row])
-            counters[row][col] += delta
-            cols.append(col)
-        return cols
+        return sketch.update(key)

@@ -314,6 +314,13 @@ class LibraryPrices:
             return self.row_hash * k
         return self.simd_hash(k) + self.call
 
+    def hash_op(self, k: int, hit: bool = True) -> int:
+        """A unified hash-then-operate kfunc (``hash_simd_cnt``,
+        ``_setbits``, ``_testbits``, ``_cmp``): the ``k`` hashes, then a
+        counter, bit or slot access per hash.  A ``_testbits`` miss
+        makes one access: the walk stops at the first clear bit."""
+        return self.multi_hash(k) + self.costs.counter_update * (k if hit else 1)
+
     def _batched(self, n: int, batch: int, scalar: int, fused: bool) -> int:
         if self._ebpf:
             return scalar * max(n, 1)

@@ -33,8 +33,8 @@ class DaryCuckooTable:
         self._len = 0
 
     def cell(self, row: int, key: int) -> int:
-        # Seeds 0..d-1 match the unified hash_cmp kfunc's hash family,
-        # so the eNetSTL lookup path lands on the same cells.
+        # Seeds 0..d-1: the hash family of the SIMD batch behind the
+        # unified hash_cmp kfunc, which probes through find_row.
         return fast_hash32(key, row) % self.width
 
     def _check_key(self, key: int) -> None:
@@ -42,15 +42,12 @@ class DaryCuckooTable:
             raise ValueError("key 0 is reserved as the empty marker")
 
     def lookup(self, key: int) -> Optional[Any]:
-        self._check_key(key)
-        for row in range(self.d):
-            col = self.cell(row, key)
-            if self.keys[row][col] == key:
-                return self.values[row][col]
-        return None
+        row = self.find_row(key)
+        return None if row < 0 else self.values[row][self.cell(row, key)]
 
     def find_row(self, key: int) -> int:
-        """Row index holding ``key``, or -1 (the hash_cmp result)."""
+        """Row index holding ``key``, or -1 (the hash_cmp result): the
+        one d-ary probe."""
         self._check_key(key)
         for row in range(self.d):
             if self.keys[row][self.cell(row, key)] == key:

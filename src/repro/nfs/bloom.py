@@ -2,9 +2,12 @@
 
 The oldest surveyed work: k bits per key, set-after-hashing on insert
 and test-after-hashing on query — the ``hash_simd_setbits`` /
-``hash_simd_testbits`` unified kfuncs.  The eBPF baseline computes each
-hash in software and pays a bounds check per bit access.  The bits
-are a :class:`~repro.datastructs.BloomFilter`'s own words.
+``hash_simd_testbits`` unified kfuncs, run on a
+:class:`~repro.datastructs.BloomFilter`.  The eBPF baseline computes
+each hash in software and pays a bounds check per bit access, with no
+early exit.  A query costs one hit price or one miss price: the
+kfuncs' ``LibraryPrices.hash_op``, or the eBPF pass.  The batch path
+charges the same two prices in bulk.
 """
 
 from __future__ import annotations
@@ -30,38 +33,38 @@ class BloomFilterNF(BaseNF):
         self.bloom = BloomFilter(n_bits, n_hashes)
         self.n_bits = n_bits
         self.n_hashes = n_hashes
-        #: The filter's own bitmap (the kfuncs set and test it in place).
+        #: The filter's own bitmap.
         self.words = self.bloom.words
         self.hash = HashAlgos(rt)
+        #: An insert or a query that finds every bit set, and a query
+        #: that stops at a clear bit.  eBPF pays a software hash, a bit
+        #: operation and a bounds check per hash function either way.
+        if self.is_ebpf:
+            costs = self.costs
+            self._hit_cost = self._miss_cost = (
+                costs.hash_scalar + EBPF_BIT_OP + costs.bounds_check
+            ) * n_hashes
+        else:
+            self._hit_cost = self.prices.hash_op(n_hashes)
+            self._miss_cost = self.prices.hash_op(n_hashes, hit=False)
         self.members = 0
         self.nonmembers = 0
-
-    def _charge_ebpf(self, n: int = 1) -> None:
-        """``n`` pure-eBPF passes: a software hash, a bit operation and
-        a bounds check per hash function."""
-        costs = self.costs
-        self.rt.charge(
-            (costs.hash_scalar + EBPF_BIT_OP + costs.bounds_check)
-            * self.n_hashes
-            * n,
-            Category.MULTIHASH,
-        )
 
     def add(self, key: int) -> None:
         """Cost-charged insert (control path, but measurable)."""
         self.fetch_state()
         if self.is_ebpf:
-            self._charge_ebpf()
+            self.rt.charge(self._hit_cost, Category.MULTIHASH)
             self.bloom.add(key)
         else:
-            self.hash.hash_setbits(self.words, key, self.n_hashes)
+            self.hash.hash_setbits(self.bloom, key)
 
     def contains(self, key: int) -> bool:
         self.fetch_state()
         if self.is_ebpf:
-            self._charge_ebpf()
+            self.rt.charge(self._hit_cost, Category.MULTIHASH)
             return key in self.bloom
-        return self.hash.hash_testbits(self.words, key, self.n_hashes)
+        return self.hash.hash_testbits(self.bloom, key)
 
     def process(self, packet: Packet) -> str:
         if self.contains(packet.key_int):
@@ -75,15 +78,13 @@ class BloomFilterNF(BaseNF):
 
         Membership is evaluated uncosted in a tight loop (the filter is
         read-only on the data path), then the exact charges the
-        per-packet path would have made are applied in bulk — the
-        non-eBPF query cost depends only on hit vs. miss (the unified
-        kfunc early-exits on the first clear bit), so counting hits is
+        per-packet path would have made are applied in bulk — a query
+        costs only the hit or the miss price, so counting hits is
         enough to reproduce the cycle stream.
         """
         n = len(packets)
         if n == 0:
             return {}
-        rt = self.rt
         bloom = self.bloom
         hits = 0
         for pkt in packets:
@@ -91,15 +92,9 @@ class BloomFilterNF(BaseNF):
                 hits += 1
         misses = n - hits
         self.fetch_state(n)
-        if self.is_ebpf:
-            self._charge_ebpf(n)
-        else:
-            k = self.n_hashes
-            rt.charge(self.prices.multi_hash(k) * n, Category.MULTIHASH)
-            rt.charge(
-                self.costs.counter_update * (k * hits + misses),
-                Category.MULTIHASH,
-            )
+        self.rt.charge(
+            self._hit_cost * hits + self._miss_cost * misses, Category.MULTIHASH
+        )
         self.members += hits
         self.nonmembers += misses
         verdicts = {}

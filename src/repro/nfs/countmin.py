@@ -12,12 +12,14 @@ row's column selected by an independent hash of the flow key — the O2
 
 The counters are a :class:`~repro.datastructs.CountMinSketch` whose
 row hash is ``crc_hash32`` on the CRC path and ``fast_hash32`` (the
-SIMD batch's and the software hashes') otherwise.
+SIMD batch's and the software hashes') otherwise.  An update and a
+point query are one pass each, priced once: the row hashes plus a
+counter access per row.
 """
 
 from __future__ import annotations
 
-from ..core.algorithms.hashing import HashAlgos, crc_hash32, fast_hash32
+from ..core.algorithms.hashing import crc_hash32, fast_hash32
 from ..datastructs.countmin import CountMinSketch
 from ..ebpf.cost_model import Category
 from ..net.packet import Packet, XdpAction
@@ -42,12 +44,14 @@ class CountMinNF(BaseNF):
         )
         self.depth = depth
         self.width = width
-        #: The sketch's own counter rows (the kfuncs bump them in place).
+        #: The sketch's own counter rows.
         self.rows = self.sketch.rows
-        self.hash = HashAlgos(rt)
-        #: One CRC kfunc call: a hash and a counter access per row.
-        self._crc_cost = (
+        #: One pass: a CRC kfunc call (a hash and a counter access per
+        #: row), or the ``hash_simd_cnt`` kfunc.
+        self._pass_cost = (
             self.prices.crc(depth) + self.costs.counter_update * depth
+            if self.crc
+            else self.prices.hash_op(depth)
         )
         #: Optional :class:`~repro.nfs.degrade.SketchDegradation` aging
         #: policy, consulted after updates (uncosted control-plane
@@ -56,27 +60,15 @@ class CountMinNF(BaseNF):
 
     def _count(self, keys) -> None:
         """Charged counter updates for ``keys`` (no aging check)."""
-        if self.crc:
-            self.rt.charge(self._crc_cost * len(keys), Category.MULTIHASH)
-            update = self.sketch.update
-            for key in keys:
-                update(key)
-        else:
-            # hash_cnt_bulk charges scalar-per-hash in eBPF mode and
-            # SIMD-batch + kfunc in eNetSTL/kernel modes.
-            self.hash.hash_cnt_bulk(self.rows, keys, self.depth)
-            self.sketch.total += len(keys)
+        self.rt.charge(self._pass_cost * len(keys), Category.MULTIHASH)
+        update = self.sketch.update
+        for key in keys:
+            update(key)
 
     def process(self, packet: Packet) -> str:
         self.fetch_state()
-        key = packet.key_int
-        if self.crc:
-            # Few hashes: hardware CRC per row, one kfunc crossing.
-            self.rt.charge(self._crc_cost, Category.MULTIHASH)
-            self.sketch.update(key)
-        else:
-            self.hash.hash_cnt(self.rows, key, self.depth)
-            self.sketch.total += 1
+        self.rt.charge(self._pass_cost, Category.MULTIHASH)
+        self.sketch.update(packet.key_int)
         if self.degrade is not None:
             self.degrade.maybe_apply(self.rows, self.sketch.total)
         return XdpAction.DROP
@@ -109,10 +101,8 @@ class CountMinNF(BaseNF):
     def estimate(self, key: int) -> int:
         """Point query: minimum over the key's counters (cost-charged)."""
         self.fetch_state()
-        if self.crc:
-            self.rt.charge(self._crc_cost, Category.MULTIHASH)
-            return self.sketch.estimate(key)
-        return self.hash.hash_min_read(self.rows, key, self.depth)
+        self.rt.charge(self._pass_cost, Category.MULTIHASH)
+        return self.sketch.estimate(key)
 
     def true_free_estimate(self, key: int) -> int:
         """Uncosted estimate (for accuracy tests)."""

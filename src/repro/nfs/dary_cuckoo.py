@@ -5,7 +5,9 @@ candidate cells; lookup is compare-after-hashing — exactly the
 ``hash_simd_cmp`` unified kfunc.  The eBPF baseline computes each of
 the ``d`` hashes in software and probes cell by cell; eNetSTL computes
 them in one SIMD batch and compares in place, returning only the
-matching row index through r0.
+matching row index through r0.  Both probe a
+:class:`~repro.datastructs.dary_cuckoo.DaryCuckooTable` through its
+``find_row``; the cell reads are priced once per mode.
 """
 
 from __future__ import annotations
@@ -34,28 +36,29 @@ class DaryCuckooNF(BaseNF):
         super().__init__(rt)
         self.table = DaryCuckooTable(d=d, width=width)
         self.hash = HashAlgos(rt)
+        #: The ``d`` cell reads of one probe: eBPF reads and compares
+        #: each cell behind a bounds check; eNetSTL compares in SIMD
+        #: registers, so each read costs half a slot read.
+        costs = self.costs
+        self._probe_cost = (
+            (EBPF_CELL_PROBE + costs.bounds_check) * d
+            if self.is_ebpf
+            else d * costs.slot_mem_read // 2
+        )
         self.hits = 0
         self.misses = 0
 
     def lookup(self, key: int) -> Optional[int]:
         self.fetch_state()
-        costs = self.costs
         if self.is_ebpf:
-            # d software hashes + per-cell probes.
-            self.rt.charge(costs.hash_scalar * self.table.d, Category.MULTIHASH)
+            # d software hashes, then the cell-by-cell probe.
             self.rt.charge(
-                (EBPF_CELL_PROBE + costs.bounds_check) * self.table.d,
-                Category.BUCKETS,
+                self.prices.multi_hash(self.table.d), Category.MULTIHASH
             )
             row = self.table.find_row(key)
         else:
-            # hash_simd_cmp: one batch, compare in registers.
-            row = self.hash.hash_cmp(
-                self.table.keys, key, self.table.d, key
-            )
-            self.rt.charge(
-                self.table.d * costs.slot_mem_read // 2, Category.BUCKETS
-            )
+            row = self.hash.hash_cmp(self.table, key)
+        self.rt.charge(self._probe_cost, Category.BUCKETS)
         if row < 0:
             return None
         self.rt.charge(VALUE_FETCH, Category.BUCKETS)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.paper_targets import (
-    CheckResult,
     TARGETS,
     Target,
     check_all,

@@ -4,7 +4,7 @@ lengths."""
 
 import pytest
 
-from repro.ebpf.cost_model import Category, ExecMode
+from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.runtime import BpfRuntime
 from repro.net.flowgen import FlowGenerator
 from repro.net.packet import Packet, XdpAction

@@ -4,13 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.algorithms.bitops import BitOps, soft_ffs, soft_fls, soft_popcnt
-from repro.core.algorithms.hashing import (
-    HashAlgos,
-    crc_hash32,
-    fast_hash32,
-    fast_hash64,
-)
-from repro.core.algorithms.simd import LANES, SimdOps
+from repro.core.algorithms.hashing import HashAlgos, crc_hash32, fast_hash32
+from repro.core.algorithms.simd import SimdOps
+from repro.datastructs import BloomFilter, CountMinSketch
+from repro.datastructs.dary_cuckoo import DaryCuckooTable
 from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.runtime import BpfRuntime
 
@@ -98,48 +95,41 @@ class TestHashFunctions:
 class TestHashAlgos:
     def test_hash_cnt_updates_counters(self):
         algos = HashAlgos(rt_for(ExecMode.ENETSTL))
-        counters = [[0] * 64 for _ in range(4)]
-        cols = algos.hash_cnt(counters, 42, 4)
+        sketch = CountMinSketch(4, 64)
+        algos.hash_cnt(sketch, 42)
+        cols = sketch.columns(42)
         assert len(cols) == 4
         for row, col in enumerate(cols):
-            assert counters[row][col] == 1
+            assert sketch.rows[row][col] == 1
 
-    def test_hash_min_read_matches_min(self):
+    def test_hash_cnt_returns_the_estimate(self):
         algos = HashAlgos(rt_for(ExecMode.ENETSTL))
-        counters = [[0] * 64 for _ in range(4)]
-        for _ in range(7):
-            algos.hash_cnt(counters, 42, 4)
-        assert algos.hash_min_read(counters, 42, 4) == 7
+        sketch = CountMinSketch(4, 64)
+        for n in range(1, 8):
+            assert algos.hash_cnt(sketch, 42) == n
+        assert sketch.estimate(42) == 7
 
     def test_hash_setbits_testbits_roundtrip(self):
         algos = HashAlgos(rt_for(ExecMode.KERNEL))
-        bitmap = [0] * 16
-        algos.hash_setbits(bitmap, 7, 4)
-        assert algos.hash_testbits(bitmap, 7, 4)
-        assert not algos.hash_testbits(bitmap, 8, 4)
+        bloom = BloomFilter(1024, 4)
+        algos.hash_setbits(bloom, 7)
+        assert algos.hash_testbits(bloom, 7)
+        assert not algos.hash_testbits(bloom, 8)
 
     def test_hash_cmp_finds_needle(self):
         algos = HashAlgos(rt_for(ExecMode.KERNEL))
-        slots = [[0] * 32 for _ in range(4)]
-        # Plant the needle where hash row 2 points.
-        from repro.core.algorithms.hashing import fast_hash32 as fh
-
-        slots[2][fh(9, 2) % 32] = 777
-        assert algos.hash_cmp(slots, 9, 4, 777) == 2
-        assert algos.hash_cmp(slots, 9, 4, 888) == -1
-
-    def test_row_mismatch_rejected(self):
-        algos = HashAlgos(rt_for(ExecMode.KERNEL))
-        with pytest.raises(ValueError):
-            algos.hash_cnt([[0] * 8], 1, 2)
+        table = DaryCuckooTable(d=4, width=32)
+        # Plant the key where hash row 2 points.
+        table.keys[2][table.cell(2, 9)] = 9
+        assert algos.hash_cmp(table, 9) == 2
+        assert algos.hash_cmp(table, 888) == -1
 
     def test_cost_ordering_across_modes(self):
         """eBPF scalar > eNetSTL kfunc > kernel, for an 8-hash update."""
         totals = {}
         for mode in ExecMode:
             rt = rt_for(mode)
-            counters = [[0] * 64 for _ in range(8)]
-            HashAlgos(rt).hash_cnt(counters, 42, 8)
+            HashAlgos(rt).hash_cnt(CountMinSketch(8, 64), 42)
             totals[mode] = rt.cycles.total
         assert totals[ExecMode.PURE_EBPF] > totals[ExecMode.ENETSTL]
         assert totals[ExecMode.ENETSTL] > totals[ExecMode.KERNEL]
@@ -152,17 +142,11 @@ class TestHashAlgos:
 
     def test_lowlevel_hash_cnt_same_result_higher_cost(self):
         rt_hi, rt_lo = rt_for(ExecMode.ENETSTL), rt_for(ExecMode.ENETSTL)
-        c_hi = [[0] * 64 for _ in range(8)]
-        c_lo = [[0] * 64 for _ in range(8)]
-        hi = HashAlgos(rt_hi).hash_cnt(c_hi, 42, 8)
-        lo = HashAlgos(rt_lo).hash_cnt_lowlevel(c_lo, 42, 8)
-        assert hi == lo and c_hi == c_lo
+        s_hi, s_lo = CountMinSketch(8, 64), CountMinSketch(8, 64)
+        hi = HashAlgos(rt_hi).hash_cnt(s_hi, 42)
+        lo = HashAlgos(rt_lo).hash_cnt_lowlevel(s_lo, 42)
+        assert hi == lo and s_hi.rows == s_lo.rows
         assert rt_lo.cycles.total > rt_hi.cycles.total
-
-    def test_invalid_k(self):
-        algos = HashAlgos(rt_for(ExecMode.KERNEL))
-        with pytest.raises(ValueError):
-            algos.hash_cnt([[0] * 8], 1, 0)
 
 
 class TestSimdOps:

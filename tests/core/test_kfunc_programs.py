@@ -23,7 +23,6 @@ from repro.ebpf.insn import (
     R3,
     R4,
     R6,
-    R7,
     R10,
 )
 from repro.ebpf.verifier import Verifier, VerifierError

@@ -8,7 +8,7 @@ from repro.core.errors import (
     OwnershipError,
     UseAfterFreeError,
 )
-from repro.core.memwrap import EAGER, LAZY, MemoryWrapper, Node, NodeProxy
+from repro.core.memwrap import EAGER, LAZY, MemoryWrapper, NodeProxy
 from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.runtime import BpfRuntime
 

@@ -5,7 +5,7 @@ import heapq
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datastructs.cffs import CFFSQueue, FANOUT
+from repro.datastructs.cffs import CFFSQueue
 from repro.datastructs.timewheel import PlainBuckets, TimingWheel
 
 

@@ -1,12 +1,17 @@
 """Every count-min and Bloom form against ``repro.datastructs``.
 
 ``CountMinSketch`` and ``BloomFilter`` are the one implementation of
-each algorithm.  Each other form -- the hash kfuncs over memory, the
-sketching and Bloom NFs in all three modes and on both packet paths,
-the IR count-min kfuncs (interpreted and as fused source), and the
-per-CPU merges -- is fed one key stream (repeats, 0, keys of 2^64 and
-above) and must leave the same rows or bits and give the same
-estimates or answers as the reference.
+each algorithm.  Each other form is fed one key stream (repeats, 0,
+keys of 2^64 and above) and must leave the same rows or bits and give
+the same estimates or answers as the reference.  The forms:
+
+- the hash kfuncs ``hash_cnt``, ``hash_cnt_lowlevel``,
+  ``hash_setbits`` and ``hash_testbits``, each handed the structure it
+  runs on, in all three modes;
+- ``CountMinNF``, ``NitroSketchNF`` and ``BloomFilterNF`` in all three
+  modes and on both packet paths;
+- the IR count-min kfuncs, interpreted and as fused source;
+- the per-CPU merges.
 
 Where forms differ by design, the reference says so:
 
@@ -128,18 +133,20 @@ def test_sketch_update_estimate_columns(stream, depth, width):
 @given(stream=streams(), depth=st.integers(1, 8), width=st.sampled_from([61, 64]))
 @pytest.mark.parametrize("mode", MODES)
 def test_hash_kfuncs_count_like_the_sketch(mode, stream, depth, width):
-    ref = reference(stream, depth, width, fast_hash32)
-    algos = HashAlgos(BpfRuntime(mode=mode))
-    single = [[0] * width for _ in range(depth)]
-    lowlevel = [[0] * width for _ in range(depth)]
+    ref = CountMinSketch(depth, width)
+    rt = BpfRuntime(mode=mode)
+    algos = HashAlgos(rt)
+    single = CountMinSketch(depth, width)
+    lowlevel = CountMinSketch(depth, width)
     for k in stream:
-        assert algos.hash_cnt(single, k, depth) == ref.columns(k)
-        assert algos.hash_cnt_lowlevel(lowlevel, k, depth) == ref.columns(k)
-    bulk = [[0] * width for _ in range(depth)]
-    algos.hash_cnt_bulk(bulk, stream, depth)
-    assert single == lowlevel == bulk == ref.rows
-    for k in set(stream):
-        assert algos.hash_min_read(bulk, k, depth) == ref.estimate(k)
+        expect = ref.update(k)
+        assert algos.hash_cnt(single, k) == expect
+        assert algos.hash_cnt_lowlevel(lowlevel, k) == expect
+    assert single.rows == lowlevel.rows == ref.rows
+    assert single.total == lowlevel.total == len(stream)
+    rt.cycles.reset()
+    algos.hash_cnt(single, stream[0])
+    assert rt.cycles.total == algos.prices.hash_op(depth)
 
 
 @SETTINGS
@@ -338,10 +345,10 @@ def test_bloom_filter_answers_from_its_bits(members, queries, n_bits):
 def test_bloom_nf_and_kfuncs(mode, members, queries, n_bits):
     ref = bloom_reference(members, n_bits)
     algos = HashAlgos(BpfRuntime(mode=mode))
-    words = [0] * (ref.n_bits // 64)
+    bloom = BloomFilter(ref.n_bits, ref.n_hashes)
     for k in members:
-        algos.hash_setbits(words, k, ref.n_hashes)
-    assert words == ref.words
+        algos.hash_setbits(bloom, k)
+    assert bloom.words == ref.words
 
     added = BloomFilterNF(BpfRuntime(mode=mode), n_bits=ref.n_bits)
     for k in members:
@@ -358,7 +365,7 @@ def test_bloom_nf_and_kfuncs(mode, members, queries, n_bits):
     assert verdicts.get(XdpAction.PASS, 0) == hits
     assert verdicts.get(XdpAction.DROP, 0) == len(queries) - hits
     for k in queries:
-        assert algos.hash_testbits(words, k, ref.n_hashes) == (k in ref)
+        assert algos.hash_testbits(bloom, k) == (k in ref)
         assert added.contains(k) == (k in ref)
         assert added.process(packet(k)) == (
             XdpAction.PASS if k in ref else XdpAction.DROP

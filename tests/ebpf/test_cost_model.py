@@ -5,7 +5,6 @@ import pytest
 from repro.ebpf.cost_model import (
     CPU_HZ,
     Category,
-    CostModel,
     Cycles,
     DEFAULT_COSTS,
     ExecMode,

@@ -8,10 +8,8 @@ from repro.ebpf.insn import (
     Imm,
     Jmp,
     JmpIf,
-    Load,
     Mov,
     Program,
-    Store,
     R0,
     R10,
 )

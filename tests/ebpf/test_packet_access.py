@@ -4,7 +4,6 @@ import pytest
 
 from repro.ebpf.insn import (
     Alu,
-    Call,
     Exit,
     Imm,
     Jmp,
@@ -18,7 +17,6 @@ from repro.ebpf.insn import (
     R2,
     R3,
     R6,
-    R10,
 )
 from repro.ebpf.kfunc_meta import default_registry
 from repro.ebpf.verifier import Verifier, VerifierError

@@ -13,12 +13,10 @@ import json
 import pytest
 
 from repro.ebpf.insn import (
-    Alu,
     Call,
     Exit,
     Imm,
     JmpIf,
-    Load,
     Mov,
     Program,
     Store,

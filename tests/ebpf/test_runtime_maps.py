@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ebpf.cost_model import Category, ExecMode
+from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.maps import (
     BpfArrayMap,
     BpfHashMap,

@@ -13,7 +13,6 @@ import pytest
 
 from repro.ebpf.tnum import (
     MASK64,
-    ScalarRange,
     Tnum,
     TNUM_UNKNOWN,
     alu_range,

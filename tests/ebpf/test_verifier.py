@@ -31,12 +31,7 @@ from repro.ebpf.insn import (
 )
 from repro.ebpf.kfunc_meta import (
     ARG_CONST,
-    ARG_KPTR,
-    ARG_PTR,
     ARG_SCALAR,
-    KF_ACQUIRE,
-    KF_RELEASE,
-    KF_RET_NULL,
     default_registry,
 )
 from repro.ebpf.progs import runnable_registry

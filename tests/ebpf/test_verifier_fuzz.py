@@ -18,11 +18,10 @@ from repro.ebpf.insn import (
     Mov,
     Program,
     Store,
-    R10,
 )
 from repro.ebpf.kfunc_meta import default_registry
 from repro.ebpf.verifier import Verifier, VerifierError
-from repro.ebpf.vm import Vm, VmFault
+from repro.ebpf.vm import Vm
 
 REGS = st.integers(0, 9)             # writable registers
 ANY_REG = st.integers(0, 10)         # includes the frame pointer

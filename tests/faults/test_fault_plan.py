@@ -13,7 +13,6 @@ from repro.faults import (
     PKT_DUP,
     PKT_TRUNCATE,
     RATE_KINDS,
-    FaultInjector,
     FaultPlan,
 )
 from repro.ebpf.maps import MapFullError, MapNoMemError

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.net.flowgen import (
-    DISTRIBUTIONS,
     FlowGenerator,
     make_flows,
     rate_to_inter_arrival_ns,

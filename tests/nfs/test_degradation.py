@@ -3,11 +3,9 @@
 import pytest
 
 from repro.ebpf.cost_model import ExecMode
-from repro.ebpf.maps import MapFullError
 from repro.ebpf.runtime import BpfRuntime
 from repro.faults import FaultPlan
 from repro.net.flowgen import FlowGenerator
-from repro.net.packet import XdpAction
 from repro.net.xdp import XdpPipeline
 from repro.nfs import CountMinNF, FlowMonitorNF, MaglevNF, SketchDegradation
 from tests.net.per_packet import PerPacketNF

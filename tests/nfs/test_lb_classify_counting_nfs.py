@@ -1,7 +1,5 @@
 """Tests for EFD load balancing, TSS classification, and HeavyKeeper."""
 
-import pytest
-
 from repro.analysis.experiments import make_rules_for_flows
 from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.runtime import BpfRuntime

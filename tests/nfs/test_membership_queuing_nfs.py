@@ -1,8 +1,6 @@
 """Tests for membership (cuckoo filter, vBF) and queuing (time wheel,
 Eiffel) NFs."""
 
-import pytest
-
 from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.runtime import BpfRuntime
 from repro.net.flowgen import FlowGenerator

@@ -33,9 +33,6 @@ ALLOWED = {
     "core/algorithms/bitops.py:BitOps.fls":
         "eNetSTL bit-op API: fls completes the ffs/fls/popcnt family the "
         "paper's library exports, though no modelled NF calls it",
-    "core/algorithms/hashing.py:HashAlgos.fasthash_simd_lowlevel":
-        "the paper's Listing 2 low-level counter-example (Fig. 6 "
-        "'HASH Low'), kept beside the high-level form it motivates",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/repro`` is used.
+"""Every module-level import in ``src/repro``, ``tests``,
+``benchmarks`` and ``examples`` is used.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module
 outside a package ``__init__.py`` is parsed, and every name a
@@ -17,7 +18,9 @@ from typing import Dict, Iterator, List, Set
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+#: The trees scanned: the package, its tests, benchmarks and examples.
+SCANNED = ("src/repro", "tests", "benchmarks", "examples")
 
 
 def _module_imports(tree: ast.Module) -> Iterator[ast.stmt]:
@@ -119,12 +122,15 @@ def unused_imports(path: Path) -> List[str]:
     return unused
 
 
-def _modules() -> List[Path]:
-    return sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+def _modules(tree: str) -> List[Path]:
+    return sorted(
+        p for p in (ROOT / tree).rglob("*.py") if p.name != "__init__.py"
+    )
 
 
 def test_scan_covers_the_package():
-    assert len(_modules()) > 50
+    assert len(_modules("src/repro")) > 50
+    assert all(_modules(tree) for tree in SCANNED)
 
 
 @pytest.mark.parametrize(
@@ -148,8 +154,9 @@ def test_scanner_rules(tmp_path, source, unused):
 
 def test_no_unused_module_level_imports():
     found = {
-        str(path.relative_to(SRC)): unused
-        for path in _modules()
+        path.relative_to(ROOT).as_posix(): unused
+        for tree in SCANNED
+        for path in _modules(tree)
         if (unused := unused_imports(path))
     }
     assert found == {}
